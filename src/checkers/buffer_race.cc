@@ -1,15 +1,30 @@
 #include "checkers/buffer_race.h"
 
 #include "checkers/metal_sources.h"
+#include "checkers/registry.h"
 #include "flash/macros.h"
 #include "metal/engine.h"
 
 namespace mc::checkers {
 
+namespace {
+
+const CheckerDef&
+sharedDef(metal::PruneStrategy prune_strategy)
+{
+    CheckerSetOptions options;
+    options.prune_strategy = prune_strategy;
+    return *checkerDef("wait_for_db", options);
+}
+
+} // namespace
+
 BufferRaceChecker::BufferRaceChecker(metal::PruneStrategy prune_strategy)
-    : program_(
-          mc::metal::parseMetal(kWaitForDbMetal, "wait_for_db.metal")),
-      prune_strategy_(prune_strategy)
+    : BufferRaceChecker(sharedDef(prune_strategy))
+{}
+
+BufferRaceChecker::BufferRaceChecker(const CheckerDef& def)
+    : sm_(*def.metal()->sm), prune_strategy_(def.options().prune_strategy)
 {}
 
 const char*
@@ -25,7 +40,7 @@ BufferRaceChecker::checkFunction(const lang::FunctionDecl& fn,
     (void)fn;
     mc::metal::SmRunOptions options;
     options.prune_strategy = prune_strategy_;
-    mc::metal::runStateMachine(*program_.sm, cfg, ctx.sink, options);
+    mc::metal::runStateMachine(sm_, cfg, ctx.sink, options);
 
     // "Applied" = data-buffer reads encountered (Table 2).
     for (const cfg::BasicBlock& bb : cfg.blocks()) {

@@ -3,9 +3,11 @@
 
 #include "checkers/checker.h"
 #include "metal/feasibility.h"
-#include "metal/metal_parser.h"
+#include "metal/state_machine.h"
 
 namespace mc::checkers {
+
+class CheckerDef;
 
 /**
  * Buffer fill race-condition checker (paper Section 4, Figure 2).
@@ -23,6 +25,12 @@ class BufferRaceChecker : public Checker
     explicit BufferRaceChecker(
         metal::PruneStrategy prune_strategy = metal::PruneStrategy::Off);
 
+    /**
+     * Run `def`'s shared, already-compiled state machine. The
+     * constructor above binds to checkerDef() under its prune strategy.
+     */
+    explicit BufferRaceChecker(const CheckerDef& def);
+
     std::string name() const override { return "wait_for_db"; }
 
     void checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
@@ -31,8 +39,12 @@ class BufferRaceChecker : public Checker
     /** The metal source this checker executes. */
     static const char* metalSource();
 
+    /** The state machine this checker runs, shared by every instance
+     *  of its definition. */
+    const metal::StateMachine& stateMachine() const { return sm_; }
+
   private:
-    mc::metal::MetalProgram program_;
+    const metal::StateMachine& sm_;
     metal::PruneStrategy prune_strategy_ = metal::PruneStrategy::Off;
 };
 

@@ -41,6 +41,8 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
     if (metrics.enabled()) {
         metrics.counter("engine.unit_failures").add(0);
         metrics.counter("budget.truncations").add(0);
+        metrics.counter("engine.table_memo_hits").add(0);
+        metrics.counter("engine.table_memo_misses").add(0);
     }
 
     // Baseline per-checker counts, so stats reflect only this run even if

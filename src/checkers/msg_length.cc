@@ -1,15 +1,30 @@
 #include "checkers/msg_length.h"
 
 #include "checkers/metal_sources.h"
+#include "checkers/registry.h"
 #include "flash/macros.h"
 #include "metal/engine.h"
 
 namespace mc::checkers {
 
+namespace {
+
+const CheckerDef&
+sharedDef(metal::PruneStrategy prune_strategy)
+{
+    CheckerSetOptions options;
+    options.prune_strategy = prune_strategy;
+    return *checkerDef("msglen_check", options);
+}
+
+} // namespace
+
 MsgLengthChecker::MsgLengthChecker(metal::PruneStrategy prune_strategy)
-    : program_(
-          mc::metal::parseMetal(kMsgLenCheckMetal, "msglen_check.metal")),
-      prune_strategy_(prune_strategy)
+    : MsgLengthChecker(sharedDef(prune_strategy))
+{}
+
+MsgLengthChecker::MsgLengthChecker(const CheckerDef& def)
+    : sm_(*def.metal()->sm), prune_strategy_(def.options().prune_strategy)
 {}
 
 const char*
@@ -25,7 +40,7 @@ MsgLengthChecker::checkFunction(const lang::FunctionDecl& fn,
     (void)fn;
     mc::metal::SmRunOptions options;
     options.prune_strategy = prune_strategy_;
-    mc::metal::runStateMachine(*program_.sm, cfg, ctx.sink, options);
+    mc::metal::runStateMachine(sm_, cfg, ctx.sink, options);
 
     // "Applied" = sends plus length assignments the checker examined.
     for (const cfg::BasicBlock& bb : cfg.blocks()) {

@@ -3,9 +3,11 @@
 
 #include "checkers/checker.h"
 #include "metal/feasibility.h"
-#include "metal/metal_parser.h"
+#include "metal/state_machine.h"
 
 namespace mc::checkers {
+
+class CheckerDef;
 
 /**
  * Message length / has-data consistency checker (paper Section 5,
@@ -35,6 +37,12 @@ class MsgLengthChecker : public Checker
     explicit MsgLengthChecker(
         metal::PruneStrategy prune_strategy = metal::PruneStrategy::Off);
 
+    /**
+     * Run `def`'s shared, already-compiled state machine. The
+     * constructor above binds to checkerDef() under its prune strategy.
+     */
+    explicit MsgLengthChecker(const CheckerDef& def);
+
     std::string name() const override { return "msglen_check"; }
 
     void checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
@@ -43,8 +51,12 @@ class MsgLengthChecker : public Checker
     /** The metal source this checker executes. */
     static const char* metalSource();
 
+    /** The state machine this checker runs, shared by every instance
+     *  of its definition. */
+    const metal::StateMachine& stateMachine() const { return sm_; }
+
   private:
-    mc::metal::MetalProgram program_;
+    const metal::StateMachine& sm_;
     metal::PruneStrategy prune_strategy_ = metal::PruneStrategy::Off;
 };
 

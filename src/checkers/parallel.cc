@@ -1,6 +1,5 @@
 #include "checkers/parallel.h"
 
-#include "checkers/metal_sources.h"
 #include "checkers/unit_guard.h"
 #include "flash/protocol_spec.h"
 #include "lang/fingerprint.h"
@@ -19,35 +18,16 @@
 
 namespace mc::checkers {
 
-namespace {
-
-/**
- * The metal state-machine source a checker compiles from, or "" for the
- * hand-written ones. Part of the cache key: editing a .metal file must
- * invalidate every result its checker produced.
- */
-const char*
-metalSourceFor(const std::string& checker_name)
-{
-    if (checker_name == "wait_for_db")
-        return kWaitForDbMetal;
-    if (checker_name == "msglen_check")
-        return kMsgLenCheckMetal;
-    return "";
-}
-
-} // namespace
-
 std::uint64_t
-unitCacheKey(const std::string& checker_name,
-             const CheckerSetOptions& options, std::uint64_t spec_fp,
+unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
              std::uint64_t fn_fp)
 {
+    const CheckerSetOptions& options = def.options();
     support::Fnv1a h;
     h.i64(cache::kCacheFormatVersion);
     h.str(support::kToolVersion);
-    h.str(checker_name);
-    h.str(metalSourceFor(checker_name));
+    h.str(def.name());
+    h.str(def.metalSource());
     h.u8(options.value_sensitive_frees ? 1 : 0);
     // PruneStrategy::Off encodes 0 — the byte the old boolean flag
     // wrote — so existing cache entries stay valid for unpruned runs.
@@ -69,21 +49,21 @@ runCheckersParallel(const lang::Program& program,
                     support::DiagnosticSink& sink,
                     const ParallelRunOptions& options)
 {
-    // Any checker the factory cannot rebuild (a test double, say) makes
-    // private instances impossible, which rules out the unit machinery
-    // entirely. Every clonable configuration — including jobs == 1 —
-    // goes through the unit machinery, so fault containment and cache
-    // replay behave identically at any job count.
+    // Any checker without a registered definition (a test double, say)
+    // makes private instances impossible, which rules out the unit
+    // machinery entirely. Every registered configuration — including
+    // jobs == 1 — goes through the unit machinery, so fault containment
+    // and cache replay behave identically at any job count.
     unsigned jobs = options.pool           ? options.pool->jobs()
                     : options.jobs != 0   ? options.jobs
                                            : support::ThreadPool::defaultJobs();
-    bool clonable = true;
-    for (Checker* checker : checkers)
-        if (!makeChecker(checker->name(), options.checker_options))
-            clonable = false;
-    cache::AnalysisCache* cache = clonable ? options.cache : nullptr;
-    if (!clonable)
-        return runCheckers(program, spec, checkers, sink);
+    std::vector<const CheckerDef*> defs;
+    for (Checker* checker : checkers) {
+        defs.push_back(checkerDef(checker->name(), options.checker_options));
+        if (!defs.back())
+            return runCheckers(program, spec, checkers, sink);
+    }
+    cache::AnalysisCache* cache = options.cache;
 
     support::ThreadPool local_pool(options.pool ? 1 : jobs);
     support::ThreadPool& pool = options.pool ? *options.pool : local_pool;
@@ -122,6 +102,8 @@ runCheckersParallel(const lang::Program& program,
         metrics.counter("walker.infeasible_pruned").add(0);
         metrics.counter("walker.prune_cache_hits").add(0);
         metrics.counter("walker.prune_skipped_nary").add(0);
+        metrics.counter("engine.table_memo_hits").add(0);
+        metrics.counter("engine.table_memo_misses").add(0);
         if (options.cfg_cache)
             metrics.counter("parallel.cfg_reused").add(0);
         metrics.histogram("unit.wall_ns");
@@ -153,9 +135,7 @@ runCheckersParallel(const lang::Program& program,
             auto fp = fn_fps.find(fns[f]->name);
             if (fp == fn_fps.end())
                 return;
-            unit_keys[u] = unitCacheKey(checkers[c]->name(),
-                                        options.checker_options, spec_fp,
-                                        fp->second);
+            unit_keys[u] = unitCacheKey(*defs[c], spec_fp, fp->second);
             cache::CachedUnit unit;
             if (!cache->lookup(unit_keys[u], unit))
                 return;
@@ -169,8 +149,7 @@ runCheckersParallel(const lang::Program& program,
                     return;
                 replayed.push_back(std::move(d));
             }
-            auto rebuilt = makeChecker(checkers[c]->name(),
-                                       options.checker_options);
+            std::unique_ptr<Checker> rebuilt = defs[c]->instantiate();
             std::istringstream state(unit.state);
             if (!rebuilt->loadState(state))
                 return;
@@ -258,8 +237,7 @@ runCheckersParallel(const lang::Program& program,
         std::size_t c = u % ncheckers;
         const std::string label =
             fns[f]->name + "/" + checkers[c]->name();
-        unit_checkers[u] =
-            makeChecker(checkers[c]->name(), options.checker_options);
+        unit_checkers[u] = defs[c]->instantiate();
         support::DiagnosticSink scratch;
         CheckContext uctx{program, spec, scratch};
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
@@ -283,24 +261,17 @@ runCheckersParallel(const lang::Program& program,
         unit_stop[u] = outcome.budget_stop;
         if (outcome.failed) {
             unit_failed[u] = 1;
-            unit_checkers[u] = makeChecker(checkers[c]->name(),
-                                           options.checker_options);
-            unit_sinks[u].warning(
-                fns[f]->loc, "engine", "unit-failure",
-                "analysis incomplete: " + checkers[c]->name() +
-                    " failed on '" + fns[f]->name +
-                    "': " + outcome.error);
+            unit_checkers[u] = defs[c]->instantiate();
+            warnUnitFailed(unit_sinks[u], fns[f]->loc, checkers[c]->name(),
+                           fns[f]->name, outcome.error);
             return;
         }
         for (const support::Diagnostic& d : scratch.diagnostics())
             unit_sinks[u].report(d);
         if (outcome.budget_stop != support::BudgetStop::None)
-            unit_sinks[u].warning(
-                fns[f]->loc, "engine", "budget-exhausted",
-                "analysis truncated: " + checkers[c]->name() + " on '" +
-                    fns[f]->name + "' exhausted its " +
-                    support::budgetStopName(outcome.budget_stop) +
-                    " budget");
+            warnUnitTruncated(unit_sinks[u], fns[f]->loc,
+                              checkers[c]->name(), fns[f]->name,
+                              outcome.budget_stop);
         if (cache && !cache->readonly() && unit_keys[u] != 0 &&
             outcome.budget_stop == support::BudgetStop::None) {
             cache::CachedUnit unit;

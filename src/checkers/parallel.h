@@ -59,9 +59,10 @@ struct ParallelRunOptions
     /** Worker lanes; 0 means one per hardware thread. */
     unsigned jobs = 0;
     /**
-     * Factory options for the per-unit checker instances. Must match the
-     * options the master `checkers` were built with, or the private
-     * instances check different things than the masters claim.
+     * Options selecting the shared CheckerDefs the per-unit instances
+     * come from. Must match the options the master `checkers` were built
+     * with, or the private instances check different things than the
+     * masters claim.
      */
     CheckerSetOptions checker_options;
     /**
@@ -79,8 +80,8 @@ struct ParallelRunOptions
      * re-walking paths; CFGs are only built for functions with at least
      * one miss. Output stays byte-identical to an uncached run for any
      * job count. Cache use implies the unit machinery even at jobs == 1
-     * (the pool spawns no threads there). Checkers the factory cannot
-     * rebuild still force the sequential, uncached fallback.
+     * (the pool spawns no threads there). Checkers without a registered
+     * definition still force the sequential, uncached fallback.
      */
     cache::AnalysisCache* cache = nullptr;
     /**
@@ -112,24 +113,24 @@ struct ParallelRunOptions
 
 /**
  * Content key for one (function, checker) work unit: engine version,
- * checker identity + options + metal source, witness configuration,
- * protocol-spec fingerprint, function token-stream fingerprint. Two
- * runs may share a cache entry only when every ingredient matches.
- * Exposed so the shard coordinator keys its phase-0 lookups exactly
- * as the in-process runner does — byte-identical warm runs depend on
- * both computing the same key from the same inputs.
+ * checker identity + options + metal source (all from `def`), witness
+ * configuration, protocol-spec fingerprint, function token-stream
+ * fingerprint. Two runs may share a cache entry only when every
+ * ingredient matches. Exposed so the shard coordinator keys its
+ * phase-0 lookups exactly as the in-process runner does — byte-identical
+ * warm runs depend on both computing the same key from the same inputs.
  */
-std::uint64_t unitCacheKey(const std::string& checker_name,
-                           const CheckerSetOptions& options,
-                           std::uint64_t spec_fp, std::uint64_t fn_fp);
+std::uint64_t unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
+                           std::uint64_t fn_fp);
 
 /**
  * Parallel drop-in for runCheckers: same inputs, same outputs, same
  * bytes in the sink — only the wall clock differs.
  *
  * The function passes fan out as (function x checker) work units, each
- * with a private checker instance (built by makeChecker from the
- * master's name) and a private DiagnosticSink. Units are merged back
+ * with a private checker instance (instantiated from the shared
+ * CheckerDef registered under the master's name — no parsing or
+ * compiling per unit) and a private DiagnosticSink. Units are merged back
  * sequentially in (function-major, checker-minor) order — exactly the
  * order the sequential runner visits them — so the shared sink sees the
  * identical diagnostic sequence, dedup decisions and all, for any job
@@ -137,7 +138,7 @@ std::uint64_t unitCacheKey(const std::string& checker_name,
  * order, then run the program-level passes sequentially, so
  * inter-procedural checkers (lanes) see exactly the sequential state.
  *
- * Checkers whose names the registry factory does not know force a
+ * Checkers whose names have no registered definition force a
  * sequential fallback (their instances cannot be cloned); the result is
  * still correct, just not parallel — and not fault-contained.
  *

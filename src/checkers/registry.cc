@@ -6,9 +6,15 @@
 #include "checkers/directory.h"
 #include "checkers/exec_restrict.h"
 #include "checkers/lanes.h"
+#include "checkers/metal_sources.h"
 #include "checkers/msg_length.h"
 #include "checkers/no_float.h"
 #include "checkers/send_wait.h"
+
+#include <algorithm>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 namespace mc::checkers {
 
@@ -21,33 +27,72 @@ CheckerSet::byName(const std::string& name) const
     return nullptr;
 }
 
+CheckerDef::CheckerDef(std::string name, CheckerSetOptions options,
+                       const char* metal_source)
+    : name_(std::move(name)), options_(options),
+      metal_source_(metal_source ? metal_source : "")
+{
+    if (metal_source) {
+        metal_ = metal::parseMetal(metal_source_, name_ + ".metal");
+        // Compile now, while the definition has a single owner, so no
+        // unit ever pays for (or races on) the first compilation.
+        metal_.sm->compiled();
+    }
+}
+
+std::unique_ptr<Checker>
+CheckerDef::instantiate() const
+{
+    const metal::PruneStrategy prune = options_.prune_strategy;
+    if (name_ == "buffer_mgmt") {
+        BufferMgmtChecker::Options bm;
+        bm.value_sensitive_frees = options_.value_sensitive_frees;
+        bm.prune_strategy = prune;
+        return std::make_unique<BufferMgmtChecker>(bm);
+    }
+    if (name_ == "msglen_check")
+        return std::make_unique<MsgLengthChecker>(*this);
+    if (name_ == "lanes")
+        return std::make_unique<LanesChecker>();
+    if (name_ == "wait_for_db")
+        return std::make_unique<BufferRaceChecker>(*this);
+    if (name_ == "alloc_check")
+        return std::make_unique<BufferAllocChecker>(prune);
+    if (name_ == "dir_check")
+        return std::make_unique<DirectoryChecker>(prune);
+    if (name_ == "send_wait")
+        return std::make_unique<SendWaitChecker>(prune);
+    if (name_ == "exec_restrict")
+        return std::make_unique<ExecRestrictChecker>();
+    return std::make_unique<NoFloatChecker>();
+}
+
+const CheckerDef*
+checkerDef(const std::string& name, const CheckerSetOptions& options)
+{
+    const std::vector<std::string>& names = allCheckerNames();
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        return nullptr;
+    using Key = std::tuple<std::string, bool, metal::PruneStrategy>;
+    static std::mutex mu;
+    static std::map<Key, std::unique_ptr<const CheckerDef>> defs;
+    Key key{name, options.value_sensitive_frees, options.prune_strategy};
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<const CheckerDef>& def = defs[key];
+    if (!def) {
+        const char* metal_source = name == "msglen_check" ? kMsgLenCheckMetal
+                                   : name == "wait_for_db" ? kWaitForDbMetal
+                                                           : nullptr;
+        def.reset(new CheckerDef(name, options, metal_source));
+    }
+    return def.get();
+}
+
 std::unique_ptr<Checker>
 makeChecker(const std::string& name, const CheckerSetOptions& options)
 {
-    if (name == "buffer_mgmt") {
-        BufferMgmtChecker::Options bm;
-        bm.value_sensitive_frees = options.value_sensitive_frees;
-        bm.prune_strategy = options.prune_strategy;
-        return std::make_unique<BufferMgmtChecker>(bm);
-    }
-    if (name == "msglen_check")
-        return std::make_unique<MsgLengthChecker>(options.prune_strategy);
-    if (name == "lanes")
-        return std::make_unique<LanesChecker>();
-    if (name == "wait_for_db")
-        return std::make_unique<BufferRaceChecker>(options.prune_strategy);
-    if (name == "alloc_check")
-        return std::make_unique<BufferAllocChecker>(
-            options.prune_strategy);
-    if (name == "dir_check")
-        return std::make_unique<DirectoryChecker>(options.prune_strategy);
-    if (name == "send_wait")
-        return std::make_unique<SendWaitChecker>(options.prune_strategy);
-    if (name == "exec_restrict")
-        return std::make_unique<ExecRestrictChecker>();
-    if (name == "no_float")
-        return std::make_unique<NoFloatChecker>();
-    return nullptr;
+    const CheckerDef* def = checkerDef(name, options);
+    return def ? def->instantiate() : nullptr;
 }
 
 const std::vector<std::string>&

@@ -3,6 +3,7 @@
 
 #include "checkers/checker.h"
 #include "metal/feasibility.h"
+#include "metal/metal_parser.h"
 
 #include <memory>
 #include <string>
@@ -43,6 +44,69 @@ struct CheckerSetOptions
 };
 
 /**
+ * The immutable, process-shared half of one checker: its identity, the
+ * options it runs under, and — for the two metal checkers — the metal
+ * source and the program parsed from it, whose state machine is
+ * compiled exactly once (one CompiledSm generation per definition).
+ *
+ * A definition is compiled on first request per (name, options) and
+ * lives for the rest of the process, so every unit of every run — live,
+ * replayed from the analysis cache, or substituted for a failed unit —
+ * instantiates from the same parsed program, and the engine's
+ * per-thread transition-table memo can hit across units and runs. A
+ * definition is read-only after construction and safe to share across
+ * threads.
+ */
+class CheckerDef
+{
+  public:
+    const std::string& name() const { return name_; }
+    const CheckerSetOptions& options() const { return options_; }
+
+    /**
+     * The metal source this checker compiles from, "" for hand-written
+     * ones. Part of the analysis-cache key: editing a .metal file must
+     * invalidate every result its checker produced.
+     */
+    const std::string& metalSource() const { return metal_source_; }
+
+    /** The parsed metal program, or nullptr for hand-written checkers. */
+    const metal::MetalProgram* metal() const
+    {
+        return metal_.sm ? &metal_ : nullptr;
+    }
+
+    /**
+     * A fresh checker — zero applied count, empty summaries — that
+     * executes this definition. Parses and compiles nothing.
+     */
+    std::unique_ptr<Checker> instantiate() const;
+
+  private:
+    friend const CheckerDef* checkerDef(const std::string&,
+                                        const CheckerSetOptions&);
+
+    /** Parses `metal_source` (nullptr: hand-written) and compiles it. */
+    CheckerDef(std::string name, CheckerSetOptions options,
+               const char* metal_source);
+
+    std::string name_;
+    CheckerSetOptions options_;
+    std::string metal_source_;
+    metal::MetalProgram metal_;
+};
+
+/**
+ * The shared definition of checker `name` (a Table 7 row) under
+ * `options`, compiled on first use; nullptr for unknown names.
+ * Thread-safe; the returned pointer stays valid for the process
+ * lifetime.
+ */
+const CheckerDef* checkerDef(
+    const std::string& name,
+    const CheckerSetOptions& options = CheckerSetOptions());
+
+/**
  * Instantiate all nine checkers of the paper's Table 7:
  * buffer_mgmt, msglen_check, lanes, wait_for_db, alloc_check,
  * dir_check, send_wait, exec_restrict, no_float.
@@ -51,11 +115,9 @@ CheckerSet makeAllCheckers(
     const CheckerSetOptions& options = CheckerSetOptions());
 
 /**
- * Instantiate one checker by its stable name (a Table 7 row). Returns
- * nullptr for unknown names. The parallel runner uses this as its
- * per-worker factory: checkers carry mutable per-run state (applied
- * counts, lanes summaries), so each (function, checker) work unit gets a
- * fresh instance built with the same options.
+ * Instantiate one checker by its stable name (a Table 7 row): a cheap
+ * `checkerDef(name, options)->instantiate()`. Returns nullptr for
+ * unknown names.
  */
 std::unique_ptr<Checker> makeChecker(
     const std::string& name,

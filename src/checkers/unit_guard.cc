@@ -27,4 +27,25 @@ UnitGuard::run(const std::function<void()>& body) const
     return outcome;
 }
 
+void
+warnUnitFailed(support::DiagnosticSink& sink, const support::SourceLoc& loc,
+               const std::string& checker, const std::string& function,
+               const std::string& error)
+{
+    sink.warning(loc, "engine", "unit-failure",
+                 "analysis incomplete: " + checker + " failed on '" +
+                     function + "': " + error);
+}
+
+void
+warnUnitTruncated(support::DiagnosticSink& sink,
+                  const support::SourceLoc& loc, const std::string& checker,
+                  const std::string& function, support::BudgetStop stop)
+{
+    sink.warning(loc, "engine", "budget-exhausted",
+                 "analysis truncated: " + checker + " on '" + function +
+                     "' exhausted its " + support::budgetStopName(stop) +
+                     " budget");
+}
+
 } // namespace mc::checkers

@@ -2,6 +2,7 @@
 #define MCHECK_CHECKERS_UNIT_GUARD_H
 
 #include "support/budget.h"
+#include "support/diagnostics.h"
 
 #include <chrono>
 #include <cstdint>
@@ -70,6 +71,25 @@ class UnitGuard
     support::BudgetLimits limits_;
     bool rethrow_ = false;
 };
+
+/**
+ * The degraded-unit markers, built in one place so every execution
+ * substrate (threads, shard workers, the shard coordinator, metal mode)
+ * emits byte-identical text. Both are warnings from checker "engine" at
+ * the function's location; `checker` is the unit's checker label.
+ */
+
+/** "unit-failure": stands in for a failed unit's discarded findings. */
+void warnUnitFailed(support::DiagnosticSink& sink,
+                    const support::SourceLoc& loc,
+                    const std::string& checker,
+                    const std::string& function, const std::string& error);
+
+/** "budget-exhausted": marks a truncated unit's partial findings. */
+void warnUnitTruncated(support::DiagnosticSink& sink,
+                       const support::SourceLoc& loc,
+                       const std::string& checker,
+                       const std::string& function, support::BudgetStop stop);
 
 } // namespace mc::checkers
 

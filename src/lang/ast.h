@@ -479,6 +479,28 @@ struct TranslationUnit
     /** Recovered-from frontend errors; non-empty means degraded. */
     std::vector<ParseIssue> issues;
 
+    /**
+     * Memo of lang::unitFingerprint for this unit's file, filled by
+     * fingerprintFunctions on first use; 0 means "not computed yet" (a
+     * genuine 0 is merely recomputed). Sound because a file's bytes only
+     * change through Program::updateSource, which replaces the whole
+     * unit — and a copied unit starts with an empty memo. Atomic so
+     * concurrent readers of one const Program may race to fill it; both
+     * store the same value.
+     */
+    struct FingerprintMemo
+    {
+        mutable std::atomic<std::uint64_t> value{0};
+
+        FingerprintMemo() = default;
+        FingerprintMemo(const FingerprintMemo&) {}
+        FingerprintMemo& operator=(const FingerprintMemo&)
+        {
+            value.store(0, std::memory_order_relaxed);
+            return *this;
+        }
+    } fingerprint;
+
     /** Function definitions in declaration order. */
     std::vector<const FunctionDecl*> functionDefinitions() const;
 };

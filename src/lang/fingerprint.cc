@@ -41,7 +41,11 @@ fingerprintFunctions(const Program& program)
         if (!unit.issues.empty())
             continue;
         std::uint64_t unit_fp =
-            unitFingerprint(program.sourceManager(), unit.file_id);
+            unit.fingerprint.value.load(std::memory_order_relaxed);
+        if (unit_fp == 0) {
+            unit_fp = unitFingerprint(program.sourceManager(), unit.file_id);
+            unit.fingerprint.value.store(unit_fp, std::memory_order_relaxed);
+        }
         for (const FunctionDecl* fn : unit.functionDefinitions())
             out[fn->name] =
                 support::Fnv1a().u64(unit_fp).str(fn->name).value();

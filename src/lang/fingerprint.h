@@ -36,7 +36,9 @@ std::uint64_t unitFingerprint(const support::SourceManager& sm,
 
 /**
  * Fingerprints for every function definition in `program`, keyed by
- * function name (definitions are unique per program).
+ * function name (definitions are unique per program). Each unit's
+ * fingerprint is memoized on its TranslationUnit, so a resident program
+ * re-lexes only the units updateSource replaced since the last call.
  */
 std::map<std::string, std::uint64_t>
 fingerprintFunctions(const Program& program);

@@ -75,7 +75,8 @@ std::atomic<MatchStrategy> g_default_strategy{MatchStrategy::Table};
  * concurrently with itself anyway, and a miss merely rebuilds. Entries
  * for dead CFGs/machines are unreachable and are dropped by the size
  * cap's wholesale clear. The shared_ptr keeps a checked-out table
- * alive across a hypothetical re-entrant eviction.
+ * alive across a hypothetical re-entrant eviction. Lookups tally into
+ * engine.table_memo_hits / engine.table_memo_misses when metrics are on.
  */
 std::shared_ptr<TransitionTable>
 memoizedTable(const CompiledSm& csm, const cfg::Cfg& cfg)
@@ -85,15 +86,24 @@ memoizedTable(const CompiledSm& csm, const cfg::Cfg& cfg)
     // The packed key is collision-free while both counters fit 32 bits
     // (billions of arenas/machines); on the absurd overflow, skip the
     // memo rather than risk serving the wrong table.
-    if ((flat_id >> 32) != 0 || (gen >> 32) != 0)
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if ((flat_id >> 32) != 0 || (gen >> 32) != 0) {
+        if (metrics.enabled())
+            metrics.counter("engine.table_memo_misses").add();
         return std::make_shared<TransitionTable>(csm, cfg);
+    }
     static thread_local std::unordered_map<std::uint64_t,
                                            std::shared_ptr<TransitionTable>>
         cache;
     const std::uint64_t key = (flat_id << 32) | gen;
     auto it = cache.find(key);
-    if (it != cache.end())
+    if (it != cache.end()) {
+        if (metrics.enabled())
+            metrics.counter("engine.table_memo_hits").add();
         return it->second;
+    }
+    if (metrics.enabled())
+        metrics.counter("engine.table_memo_misses").add();
     if (cache.size() >= 8192)
         cache.clear();
     auto table = std::make_shared<TransitionTable>(csm, cfg);

@@ -6,13 +6,15 @@
 namespace mc::metal {
 
 namespace {
-std::uint64_t
-nextCompiledSmGeneration()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
+/** The next generation to hand out; generations start at 1. */
+std::atomic<std::uint64_t> g_next_generation{1};
 } // namespace
+
+std::uint64_t
+CompiledSm::compilations()
+{
+    return g_next_generation.load(std::memory_order_relaxed) - 1;
+}
 
 StateIdx
 CompiledSm::internState(const std::string& name)
@@ -25,7 +27,8 @@ CompiledSm::internState(const std::string& name)
 }
 
 CompiledSm::CompiledSm(const StateMachine& sm)
-    : sm_(&sm), generation_(nextCompiledSmGeneration())
+    : sm_(&sm),
+      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed))
 {
     // Index order is deterministic: start first, then stop, then the
     // remaining rule-owning states and transition targets in definition

@@ -68,6 +68,12 @@ class CompiledSm
      */
     std::uint64_t generation() const { return generation_; }
 
+    /**
+     * CompiledSm constructions so far in this process. Checker
+     * definitions compile once each, so this stays put across runs.
+     */
+    static std::uint64_t compilations();
+
     StateIdx start() const { return start_; }
     StateIdx stop() const { return stop_; }
     std::uint32_t stateCount() const

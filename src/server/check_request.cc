@@ -238,6 +238,8 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
         err << "mccheck: " << e.what() << '\n';
         return 3;
     }
+    // Compile once, before the fan-out, so no unit compiles the machine.
+    checker->sm->compiled();
 
     PreparedProgram prepared = prepareSources(req, resident);
     if (!prepared.ok) {
@@ -366,21 +368,16 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
         fn_stop[f] = outcome_u.budget_stop;
         if (outcome_u.failed) {
             fn_failed[f] = 1;
-            fn_sinks[f].warning(fns[f]->loc, "engine", "unit-failure",
-                                "analysis incomplete: " + unit_checker +
-                                    " failed on '" + fns[f]->name +
-                                    "': " + outcome_u.error);
+            checkers::warnUnitFailed(fn_sinks[f], fns[f]->loc, unit_checker,
+                                     fns[f]->name, outcome_u.error);
             return;
         }
         for (const support::Diagnostic& d : scratch.diagnostics())
             fn_sinks[f].report(d);
         if (outcome_u.budget_stop != support::BudgetStop::None)
-            fn_sinks[f].warning(
-                fns[f]->loc, "engine", "budget-exhausted",
-                "analysis truncated: " + unit_checker + " on '" +
-                    fns[f]->name + "' exhausted its " +
-                    support::budgetStopName(outcome_u.budget_stop) +
-                    " budget");
+            checkers::warnUnitTruncated(fn_sinks[f], fns[f]->loc,
+                                        unit_checker, fns[f]->name,
+                                        outcome_u.budget_stop);
         if (cache && !cache->readonly() && keys[f] != 0 &&
             outcome_u.budget_stop == support::BudgetStop::None) {
             cache::CachedUnit unit;

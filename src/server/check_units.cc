@@ -131,11 +131,12 @@ runCheckUnits(const CheckRequest& request,
 
     checkers::CheckerSetOptions copts;
     copts.prune_strategy = request.prune_strategy;
-    auto set = checkers::makeAllCheckers(copts);
-    std::vector<checkers::Checker*> all = set.pointers();
+    std::vector<const checkers::CheckerDef*> defs;
+    for (const std::string& name : checkers::allCheckerNames())
+        defs.push_back(checkers::checkerDef(name, copts));
     const std::vector<const lang::FunctionDecl*>& fns =
         program->functions();
-    const std::size_t ncheckers = all.size();
+    const std::size_t ncheckers = defs.size();
     const std::size_t nunits = fns.size() * ncheckers;
 
     using Clock = std::chrono::steady_clock;
@@ -146,7 +147,8 @@ runCheckUnits(const CheckRequest& request,
                                      std::to_string(u));
         const std::size_t f = static_cast<std::size_t>(u) / ncheckers;
         const std::size_t c = static_cast<std::size_t>(u) % ncheckers;
-        const std::string label = fns[f]->name + "/" + all[c]->name();
+        const checkers::CheckerDef& def = *defs[c];
+        const std::string label = fns[f]->name + "/" + def.name();
 
         // Worker-process fault sites. Unlike checker.unit these are NOT
         // contained: they simulate the worker dying mid-batch (_Exit,
@@ -166,10 +168,7 @@ runCheckUnits(const CheckRequest& request,
                 std::this_thread::sleep_for(std::chrono::hours(1));
         }
 
-        auto checker = checkers::makeChecker(all[c]->name(), copts);
-        if (!checker)
-            throw std::runtime_error("checker '" + all[c]->name() +
-                                     "' cannot run sharded");
+        std::unique_ptr<checkers::Checker> checker = def.instantiate();
         support::DiagnosticSink scratch;
         checkers::CheckContext uctx{*program, *spec, scratch};
         support::LedgerUnitStats unit_stats;
@@ -203,25 +202,20 @@ runCheckUnits(const CheckRequest& request,
         // partial findings plus the "budget-exhausted" marker.
         support::DiagnosticSink unit_sink;
         if (outcome.failed) {
-            checker = checkers::makeChecker(all[c]->name(), copts);
-            unit_sink.warning(fns[f]->loc, "engine", "unit-failure",
-                              "analysis incomplete: " + all[c]->name() +
-                                  " failed on '" + fns[f]->name +
-                                  "': " + outcome.error);
+            checker = def.instantiate();
+            checkers::warnUnitFailed(unit_sink, fns[f]->loc, def.name(),
+                                     fns[f]->name, outcome.error);
         } else {
             for (const support::Diagnostic& d : scratch.diagnostics())
                 unit_sink.report(d);
             if (outcome.budget_stop != support::BudgetStop::None)
-                unit_sink.warning(
-                    fns[f]->loc, "engine", "budget-exhausted",
-                    "analysis truncated: " + all[c]->name() + " on '" +
-                        fns[f]->name + "' exhausted its " +
-                        support::budgetStopName(outcome.budget_stop) +
-                        " budget");
+                checkers::warnUnitTruncated(unit_sink, fns[f]->loc,
+                                            def.name(), fns[f]->name,
+                                            outcome.budget_stop);
         }
 
         cache::CachedUnit unit;
-        unit.checker = all[c]->name();
+        unit.checker = def.name();
         unit.function = fns[f]->name;
         std::ostringstream state;
         checker->saveState(state);

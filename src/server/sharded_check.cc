@@ -15,6 +15,7 @@
 #include "server/sharded_check.h"
 
 #include "checkers/registry.h"
+#include "checkers/unit_guard.h"
 #include "flash/protocol_spec.h"
 #include "lang/fingerprint.h"
 #include "metal/feasibility.h"
@@ -185,16 +186,16 @@ runCheckersSharded(const lang::Program& program,
                    const CheckRequest& request,
                    const ShardRunOptions& options)
 {
-    // Sharding rides on the registry factory exactly as the in-process
-    // unit machinery does: a checker the factory cannot rebuild cannot
-    // be replayed from a worker's serialized state either.
-    bool clonable = true;
-    for (checkers::Checker* checker : checkers)
-        if (!checkers::makeChecker(checker->name(),
-                                   options.checker_options))
-            clonable = false;
-    if (!clonable)
-        return checkers::runCheckers(program, spec, checkers, sink);
+    // Sharding rides on the shared checker definitions exactly as the
+    // in-process unit machinery does: a checker without one cannot be
+    // replayed from a worker's serialized state either.
+    std::vector<const checkers::CheckerDef*> defs;
+    for (checkers::Checker* checker : checkers) {
+        defs.push_back(
+            checkers::checkerDef(checker->name(), options.checker_options));
+        if (!defs.back())
+            return checkers::runCheckers(program, spec, checkers, sink);
+    }
 
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     support::TraceRecorder& tracer = support::TraceRecorder::global();
@@ -249,9 +250,8 @@ runCheckersSharded(const lang::Program& program,
             auto fp = fn_fps.find(fns[f]->name);
             if (fp == fn_fps.end())
                 continue;
-            unit_keys[u] = checkers::unitCacheKey(
-                checkers[c]->name(), options.checker_options, spec_fp,
-                fp->second);
+            unit_keys[u] =
+                checkers::unitCacheKey(*defs[c], spec_fp, fp->second);
             cache::CachedUnit unit;
             if (!cache->lookup(unit_keys[u], unit))
                 continue;
@@ -271,8 +271,8 @@ runCheckersSharded(const lang::Program& program,
             }
             if (!ok)
                 continue;
-            auto rebuilt = checkers::makeChecker(checkers[c]->name(),
-                                                 options.checker_options);
+            std::unique_ptr<checkers::Checker> rebuilt =
+                defs[c]->instantiate();
             std::istringstream state(unit.state);
             if (!rebuilt->loadState(state))
                 continue;
@@ -349,16 +349,13 @@ runCheckersSharded(const lang::Program& program,
             // units with the same bytes.
             r.failed = true;
             r.error = "shard worker crashed; unit quarantined";
-            unit_checkers[u] = checkers::makeChecker(
-                checkers[c]->name(), options.checker_options);
-            unit_sinks[u].warning(
-                fns[f]->loc, "engine", "unit-failure",
-                "analysis incomplete: " + checkers[c]->name() +
-                    " failed on '" + fns[f]->name + "': " + r.error);
+            unit_checkers[u] = defs[c]->instantiate();
+            checkers::warnUnitFailed(unit_sinks[u], fns[f]->loc,
+                                     checkers[c]->name(), fns[f]->name,
+                                     r.error);
             continue;
         }
-        auto rebuilt = checkers::makeChecker(checkers[c]->name(),
-                                             options.checker_options);
+        std::unique_ptr<checkers::Checker> rebuilt = defs[c]->instantiate();
         std::istringstream state(r.payload.state);
         if (!rebuilt->loadState(state))
             throw std::runtime_error(
@@ -412,12 +409,10 @@ runCheckersSharded(const lang::Program& program,
             r.failed = true;
             r.error = e.what();
             unit_hit[u] = 0;
-            unit_checkers[u] = checkers::makeChecker(
-                checkers[c]->name(), options.checker_options);
-            fault_sink.warning(
-                fns[f]->loc, "engine", "unit-failure",
-                "analysis incomplete: " + checkers[c]->name() +
-                    " failed on '" + fns[f]->name + "': " + r.error);
+            unit_checkers[u] = defs[c]->instantiate();
+            checkers::warnUnitFailed(fault_sink, fns[f]->loc,
+                                     checkers[c]->name(), fns[f]->name,
+                                     r.error);
             merged = &fault_sink;
         }
         bool unit_failed = !unit_hit[u] && r.failed;

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -403,6 +404,113 @@ TEST(Fingerprint, DistinguishesFunctionsWithinAUnit)
     auto fps = lang::fingerprintFunctions(program);
     ASSERT_EQ(fps.size(), 2u);
     EXPECT_NE(fps.at("A"), fps.at("B"));
+}
+
+TEST(Fingerprint, MemoAfterUpdateSourceMatchesFreshProgram)
+{
+    // A resident program memoizes each unit's fingerprint; updateSource
+    // must leave exactly the edited unit to be re-lexed, and the result
+    // must equal a fresh program's for edited and unedited units alike.
+    corpus::LoadedProtocol loaded =
+        corpus::loadProtocol(corpus::profileByName("bitvector"));
+    lang::Program& resident = *loaded.program;
+    const auto before = lang::fingerprintFunctions(resident);
+    ASSERT_EQ(before, lang::fingerprintFunctions(resident));
+
+    const std::size_t edited = loaded.gen.files.size() / 2;
+    corpus::GeneratedFile& file = loaded.gen.files[edited];
+    file.source += "\nextern int fingerprint_memo_edit;\n";
+    ASSERT_NE(resident.updateSource(file.name, file.source), nullptr);
+    const auto after = lang::fingerprintFunctions(resident);
+
+    lang::Program fresh(/*recover=*/true);
+    for (const corpus::GeneratedFile& f : loaded.gen.files)
+        fresh.addSource(f.name, f.source);
+    EXPECT_EQ(after, lang::fingerprintFunctions(fresh));
+
+    ASSERT_EQ(before.size(), after.size());
+    for (const auto& [fn, fp] : after) {
+        if (fn == file.function)
+            EXPECT_NE(fp, before.at(fn)) << fn;
+        else
+            EXPECT_EQ(fp, before.at(fn)) << fn;
+    }
+}
+
+// ---- key stability: entries from an earlier build still hit -----------
+
+/**
+ * A two-file program with findings and checker state in it. The entries
+ * under tests/goldens/cache_compat were written for exactly these bytes
+ * by an earlier build of the tool, before checker definitions were
+ * shared between units; they must keep hitting as long as the cache
+ * format and tool versions stay put, which pins the key bytes.
+ * Regenerate (after an intentional key change) with
+ * MCHECK_REGEN_GOLDENS=1 build/tests/test_cache.
+ */
+struct CompatProgram
+{
+    lang::Program program{/*recover=*/true};
+    flash::ProtocolSpec spec;
+
+    CompatProgram()
+    {
+        program.addSource(
+            "compat/PIRemoteGet.c",
+            "void PIRemoteGet(void) {\n"
+            "  HANDLER_DEFS();\n"
+            "  HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;\n"
+            "  PI_SEND(F_DATA, keep, swap, wait, dec, null);\n"
+            "  MISCBUS_READ_DB(addr, buf);\n"
+            "}\n");
+        program.addSource("compat/helper.c",
+                          "void helper(void) {\n  x = 1;\n}\n");
+        flash::HandlerSpec handler;
+        handler.name = "PIRemoteGet";
+        handler.kind = flash::HandlerKind::Hardware;
+        spec.addHandler(handler);
+        flash::HandlerSpec routine;
+        routine.name = "helper";
+        routine.kind = flash::HandlerKind::Normal;
+        spec.addHandler(routine);
+    }
+
+    std::string
+    run(AnalysisCache* cache)
+    {
+        auto set = checkers::makeAllCheckers();
+        support::DiagnosticSink sink;
+        checkers::ParallelRunOptions options;
+        options.jobs = 1;
+        options.cache = cache;
+        checkers::runCheckersParallel(program, spec, set.pointers(), sink,
+                                      options);
+        std::ostringstream json;
+        sink.printJson(json, &program.sourceManager());
+        return json.str();
+    }
+};
+
+TEST(CacheCompat, EntriesFromEarlierBuildStillHit)
+{
+    const std::string dir = std::string(MCHECK_GOLDEN_DIR) + "/cache_compat";
+    CompatProgram compat;
+    const std::size_t units =
+        compat.program.functions().size() * checkers::allCheckerNames().size();
+    if (std::getenv("MCHECK_REGEN_GOLDENS")) {
+        fs::remove_all(dir);
+        AnalysisCache cache(dir);
+        compat.run(&cache);
+        EXPECT_EQ(cache.stats().stores, units);
+        return;
+    }
+    const std::string cold = compat.run(nullptr);
+    AnalysisCache cache(dir, /*readonly=*/true);
+    EXPECT_EQ(compat.run(&cache), cold);
+    EXPECT_EQ(cache.stats().hits, units);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_NE(cold.find("\"error\""), std::string::npos)
+        << "the fixture should replay real findings";
 }
 
 // ---- end-to-end: warm replay is byte-identical to cold ----------------

@@ -1,0 +1,152 @@
+/**
+ * @file
+ * Shared checker definitions: every instance of a metal checker runs the
+ * one state machine its definition compiled, no run — any job count,
+ * cold or replayed from the analysis cache — compiles another, and
+ * concurrent first use from many threads is race-free.
+ */
+#include "cache/analysis_cache.h"
+#include "checkers/buffer_race.h"
+#include "checkers/msg_length.h"
+#include "checkers/registry.h"
+#include "metal/transition_table.h"
+#include "server/check_request.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <sstream>
+#include <thread>
+#include <vector>
+
+namespace mc::checkers {
+namespace {
+
+using metal::CompiledSm;
+
+/** Generation of the compiled machine `checker` runs, or 0. */
+std::uint64_t
+generationOf(const Checker& checker)
+{
+    if (auto* m = dynamic_cast<const MsgLengthChecker*>(&checker))
+        return m->stateMachine().compiled().generation();
+    if (auto* b = dynamic_cast<const BufferRaceChecker*>(&checker))
+        return b->stateMachine().compiled().generation();
+    return 0;
+}
+
+TEST(CheckerDefs, InstancesShareOneCompiledMachine)
+{
+    auto a = makeChecker("msglen_check");
+    auto b = makeChecker("msglen_check");
+    ASSERT_TRUE(a && b);
+    EXPECT_NE(generationOf(*a), 0u);
+    EXPECT_EQ(generationOf(*a), generationOf(*b));
+    // A directly constructed checker binds to the same definition.
+    MsgLengthChecker direct;
+    EXPECT_EQ(generationOf(direct), generationOf(*a));
+    EXPECT_NE(generationOf(*makeChecker("wait_for_db")), generationOf(*a));
+
+    const std::uint64_t before = CompiledSm::compilations();
+    for (int i = 0; i < 100; ++i)
+        for (const std::string& name : allCheckerNames())
+            ASSERT_NE(makeChecker(name), nullptr);
+    EXPECT_EQ(CompiledSm::compilations(), before);
+}
+
+TEST(CheckerDefs, DefinitionsAreKeyedByNameAndOptions)
+{
+    for (const std::string& name : allCheckerNames()) {
+        const CheckerDef* def = checkerDef(name);
+        ASSERT_NE(def, nullptr) << name;
+        EXPECT_EQ(def->name(), name);
+        EXPECT_EQ(def->instantiate()->name(), name);
+        const bool metal = name == "msglen_check" || name == "wait_for_db";
+        EXPECT_EQ(def->metal() != nullptr, metal) << name;
+        EXPECT_EQ(def->metalSource().empty(), !metal) << name;
+        EXPECT_EQ(checkerDef(name), def) << name;
+    }
+    EXPECT_EQ(checkerDef("no_such_checker"), nullptr);
+    EXPECT_EQ(makeChecker("no_such_checker"), nullptr);
+
+    CheckerSetOptions pruned;
+    pruned.prune_strategy = metal::PruneStrategy::Correlated;
+    EXPECT_NE(checkerDef("msglen_check", pruned), checkerDef("msglen_check"));
+    EXPECT_EQ(checkerDef("msglen_check", pruned),
+              checkerDef("msglen_check", pruned));
+    EXPECT_EQ(checkerDef("msglen_check", pruned)->options().prune_strategy,
+              metal::PruneStrategy::Correlated);
+}
+
+TEST(CheckerDefs, ProtocolRunsCompileNothing)
+{
+    // Resolving the definitions compiles at most the two shipped metal
+    // checkers (none if this process already did); after that, no run
+    // may compile another machine.
+    const std::uint64_t before = CompiledSm::compilations();
+    for (const std::string& name : allCheckerNames())
+        ASSERT_NE(checkerDef(name), nullptr);
+    EXPECT_LE(CompiledSm::compilations() - before, 2u);
+    const std::uint64_t compiled = CompiledSm::compilations();
+
+    auto run = [](unsigned jobs, cache::AnalysisCache* cache) {
+        server::CheckRequest request;
+        request.mode = server::CheckRequest::Mode::Protocol;
+        request.protocol = "dyn_ptr";
+        request.format = support::OutputFormat::Json;
+        request.jobs = jobs;
+        std::ostringstream out, err;
+        server::CheckOutcome outcome =
+            server::runCheckRequest(request, cache, nullptr, out, err);
+        EXPECT_EQ(outcome.exit_code, 1) << err.str();
+        return out.str();
+    };
+    const std::string one_lane = run(1, nullptr);
+    EXPECT_EQ(CompiledSm::compilations(), compiled) << "jobs 1";
+    EXPECT_EQ(run(4, nullptr), one_lane);
+    EXPECT_EQ(CompiledSm::compilations(), compiled) << "jobs 4";
+
+    auto cache = cache::AnalysisCache::inMemory();
+    EXPECT_EQ(run(1, cache.get()), one_lane);
+    const std::uint64_t cold_misses = cache->stats().misses;
+    EXPECT_EQ(run(4, cache.get()), one_lane);
+    EXPECT_EQ(cache->stats().misses, cold_misses) << "warm run re-walked";
+    EXPECT_GT(cache->stats().hits, 0u);
+    EXPECT_EQ(CompiledSm::compilations(), compiled) << "cache replay";
+}
+
+TEST(CheckerDefs, ConcurrentFirstUseIsRaceFree)
+{
+    // An option set no other test here uses, so the threads race on the
+    // first compilation of these definitions.
+    CheckerSetOptions options;
+    options.value_sensitive_frees = false;
+    options.prune_strategy = metal::PruneStrategy::Constraints;
+    constexpr int kThreads = 8;
+    const std::uint64_t before = CompiledSm::compilations();
+    std::atomic<bool> go{false};
+    std::vector<std::vector<std::uint64_t>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (const std::string& name : allCheckerNames()) {
+                std::unique_ptr<Checker> checker = makeChecker(name, options);
+                if (std::uint64_t gen = generationOf(*checker))
+                    seen[t].push_back(gen);
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread& thread : threads)
+        thread.join();
+    EXPECT_EQ(CompiledSm::compilations() - before, 2u);
+    ASSERT_EQ(seen[0].size(), 2u);
+    EXPECT_NE(seen[0][0], seen[0][1]);
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+}
+
+} // namespace
+} // namespace mc::checkers
