@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 namespace fs = std::filesystem;
 
@@ -137,6 +138,25 @@ parseInt(std::string_view s, long long& out)
     return true;
 }
 
+/**
+ * Pre-register every cache.* metric so a metrics report always carries
+ * the full set — a warm run's "cache.misses": 0 is a statement, not an
+ * omission. The "cache.lookup" timer is fed by the unit runners' phase
+ * 0, which only runs with a cache open.
+ */
+void
+registerCacheMetrics()
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (!metrics.enabled())
+        return;
+    for (const char* name :
+         {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
+          "cache.evictions", "cache.bytes_read", "cache.bytes_written"})
+        metrics.counter(name).add(0);
+    metrics.timer("cache.lookup");
+}
+
 } // namespace
 
 AnalysisCache::AnalysisCache(std::string dir, bool readonly)
@@ -148,25 +168,12 @@ AnalysisCache::AnalysisCache(std::string dir, bool readonly)
     if (ec || !fs::is_directory(dir_, ec))
         throw std::runtime_error("cannot open cache directory '" + dir_ +
                                  "'" + (ec ? ": " + ec.message() : ""));
-    // Pre-register every cache.* counter so a metrics report always
-    // carries the full set — a warm run's "cache.misses": 0 is a
-    // statement, not an omission.
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled())
-        for (const char* name :
-             {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
-              "cache.evictions", "cache.bytes_read", "cache.bytes_written"})
-            metrics.counter(name).add(0);
+    registerCacheMetrics();
 }
 
 AnalysisCache::AnalysisCache(MemoryTag) : dir_("<memory>"), memory_(true)
 {
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled())
-        for (const char* name :
-             {"cache.hits", "cache.misses", "cache.stores", "cache.corrupt",
-              "cache.evictions", "cache.bytes_read", "cache.bytes_written"})
-            metrics.counter(name).add(0);
+    registerCacheMetrics();
 }
 
 std::unique_ptr<AnalysisCache>
@@ -204,7 +211,7 @@ AnalysisCache::residentBytes() const
     std::lock_guard<std::mutex> lock(mem_mu_);
     std::uint64_t total = 0;
     for (const auto& [key, entry] : mem_)
-        total += entry.second.size();
+        total += entry.bytes;
     return total;
 }
 
@@ -222,7 +229,7 @@ AnalysisCache::warn(std::string message)
 }
 
 void
-AnalysisCache::countMiss(bool corrupt_entry, const std::string& path,
+AnalysisCache::countMiss(bool corrupt_entry, std::uint64_t key,
                          const std::string& reason)
 {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -234,6 +241,7 @@ AnalysisCache::countMiss(bool corrupt_entry, const std::string& path,
     corrupt_.fetch_add(1, std::memory_order_relaxed);
     if (metrics.enabled())
         metrics.counter("cache.corrupt").add();
+    const std::string path = entryPath(key);
     warn("cache entry " + path + " is unusable (" + reason +
          "); re-analyzing");
     // A bad entry would fail every future lookup too; drop it so the
@@ -244,10 +252,21 @@ AnalysisCache::countMiss(bool corrupt_entry, const std::string& path,
     }
 }
 
-bool
-AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
+void
+AnalysisCache::countHit(std::uint64_t bytes)
 {
-    const std::string path = entryPath(key);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (metrics.enabled()) {
+        metrics.counter("cache.hits").add();
+        metrics.counter("cache.bytes_read").add(bytes);
+    }
+}
+
+std::shared_ptr<const CachedUnit>
+AnalysisCache::lookup(std::uint64_t key)
+{
     // I/O faults are contained right here: a failed read is exactly a
     // corrupt-entry miss, so the caller re-analyzes and the run's output
     // is unaffected. The injected variant follows the same path.
@@ -258,65 +277,49 @@ AnalysisCache::lookup(std::uint64_t key, CachedUnit& out)
             std::lock_guard<std::mutex> lock(mem_mu_);
             mem_.erase(key);
         }
-        countMiss(true, path, f.what());
-        return false;
+        countMiss(true, key, f.what());
+        return nullptr;
     }
     if (memory_) {
-        std::string text;
+        // Entries were validated when stored, so a hit is a pointer copy.
+        std::shared_ptr<const CachedUnit> unit;
+        std::uint64_t bytes = 0;
         {
             std::lock_guard<std::mutex> lock(mem_mu_);
             auto it = mem_.find(key);
-            if (it == mem_.end()) {
-                countMiss(false, path, "");
-                return false;
+            if (it != mem_.end()) {
+                unit = it->second.unit;
+                bytes = it->second.bytes;
             }
-            text = it->second.second;
         }
-        std::string error;
-        if (!decodeUnit(text, out, error)) {
-            {
-                std::lock_guard<std::mutex> lock(mem_mu_);
-                mem_.erase(key);
-            }
-            countMiss(true, path, error);
-            return false;
+        if (!unit) {
+            countMiss(false, key, "");
+            return nullptr;
         }
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        bytes_read_.fetch_add(text.size(), std::memory_order_relaxed);
-        support::MetricsRegistry& metrics =
-            support::MetricsRegistry::global();
-        if (metrics.enabled()) {
-            metrics.counter("cache.hits").add();
-            metrics.counter("cache.bytes_read").add(text.size());
-        }
-        return true;
+        countHit(bytes);
+        return unit;
     }
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(entryPath(key), std::ios::binary);
     if (!in) {
-        countMiss(false, path, "");
-        return false;
+        countMiss(false, key, "");
+        return nullptr;
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
     if (!in.good() && !in.eof()) {
-        countMiss(true, path, "read error");
-        return false;
+        countMiss(true, key, "read error");
+        return nullptr;
     }
     std::string text = buffer.str();
 
+    auto unit = std::make_shared<CachedUnit>();
     std::string error;
-    if (!decodeUnit(text, out, error)) {
-        countMiss(true, path, error);
-        return false;
+    if (!decodeUnit(text, *unit, error)) {
+        countMiss(true, key, error);
+        return nullptr;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_read_.fetch_add(text.size(), std::memory_order_relaxed);
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if (metrics.enabled()) {
-        metrics.counter("cache.hits").add();
-        metrics.counter("cache.bytes_read").add(text.size());
-    }
-    return true;
+    countHit(text.size());
+    return unit;
 }
 
 void
@@ -335,11 +338,19 @@ AnalysisCache::store(std::uint64_t key, const CachedUnit& unit)
         return;
     }
     if (memory_) {
+        // Keep what a disk round trip would yield, checked once here
+        // instead of on every hit.
         const std::string text = encodeUnit(unit);
-        std::uint64_t size = text.size();
+        const std::uint64_t size = text.size();
+        auto decoded = std::make_shared<CachedUnit>();
+        std::string error;
+        if (!decodeUnit(text, *decoded, error)) {
+            warn("cache entry " + path + " not stored (" + error + ")");
+            return;
+        }
         {
             std::lock_guard<std::mutex> lock(mem_mu_);
-            mem_[key] = {mem_seq_++, std::move(text)};
+            mem_[key] = {mem_seq_++, size, std::move(decoded)};
         }
         stores_.fetch_add(1, std::memory_order_relaxed);
         bytes_written_.fetch_add(size, std::memory_order_relaxed);
@@ -398,15 +409,18 @@ AnalysisCache::trim(std::uint64_t max_bytes)
             support::MetricsRegistry::global();
         std::lock_guard<std::mutex> lock(mem_mu_);
         std::uint64_t total = 0;
-        for (const auto& [key, entry] : mem_)
-            total += entry.second.size();
-        while (total > max_bytes && !mem_.empty()) {
-            auto oldest = mem_.begin();
-            for (auto it = mem_.begin(); it != mem_.end(); ++it)
-                if (it->second.first < oldest->second.first)
-                    oldest = it;
-            total -= oldest->second.second.size();
-            mem_.erase(oldest);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> by_age;
+        for (const auto& [key, entry] : mem_) {
+            total += entry.bytes;
+            by_age.emplace_back(entry.seq, key);
+        }
+        std::sort(by_age.begin(), by_age.end());
+        for (const auto& [seq, key] : by_age) {
+            if (total <= max_bytes)
+                break;
+            auto it = mem_.find(key);
+            total -= it->second.bytes;
+            mem_.erase(it);
             evictions_.fetch_add(1, std::memory_order_relaxed);
             if (metrics.enabled())
                 metrics.counter("cache.evictions").add();

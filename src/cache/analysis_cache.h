@@ -10,7 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::cache {
@@ -121,12 +121,14 @@ class AnalysisCache
 
     /**
      * A cache with no backing directory: entries live in a mutex-guarded
-     * in-process map, in the exact on-disk encoding (encodeUnit bytes,
-     * checksum line included), so lookups exercise the same decode +
-     * validation path and replay semantics as the persistent store. This
-     * is the resident per-unit result store of the checking daemon —
-     * fingerprint-keyed invalidation with zero filesystem traffic.
-     * `trim` evicts oldest-stored entries first.
+     * in-process map as *decoded* units. `store` encodes each unit and
+     * decodes it back, so what is kept is exactly what a disk round trip
+     * would yield (a unit that fails the round trip is not kept), and a
+     * hit hands out that resident unit with no decode and no copy. Sizes
+     * (`residentBytes`, `trim`, bytes read/written) count the encoded
+     * form. This is the resident per-unit result store of the checking
+     * daemon — fingerprint-keyed invalidation with zero filesystem
+     * traffic. `trim` evicts oldest-stored entries first.
      */
     static std::unique_ptr<AnalysisCache> inMemory();
 
@@ -137,14 +139,19 @@ class AnalysisCache
     /** Live entries (memory mode: exact; disk mode: a directory scan). */
     std::uint64_t entryCount() const;
 
-    /** Total encoded bytes currently resident (memory mode only). */
+    /**
+     * Encoded size of the entries currently resident (memory mode only):
+     * what they would occupy on disk.
+     */
     std::uint64_t residentBytes() const;
 
     /**
-     * Load the entry for `key` into `out`. Returns false (a miss) if the
-     * entry does not exist or fails validation.
+     * The entry for `key`, or nullptr (a miss) if it does not exist or
+     * fails validation. A memory-mode hit shares the resident unit; a
+     * disk-mode hit owns the unit it just decoded. Either way the unit
+     * is immutable and stays valid after eviction.
      */
-    bool lookup(std::uint64_t key, CachedUnit& out);
+    std::shared_ptr<const CachedUnit> lookup(std::uint64_t key);
 
     /** Write the entry for `key`; no-op in readonly mode. */
     void store(std::uint64_t key, const CachedUnit& unit);
@@ -204,16 +211,27 @@ class AnalysisCache
     explicit AnalysisCache(MemoryTag);
 
     void warn(std::string message);
-    void countMiss(bool corrupt_entry, const std::string& path,
+    void countMiss(bool corrupt_entry, std::uint64_t key,
                    const std::string& reason);
 
     std::string dir_;
     bool readonly_ = false;
     bool memory_ = false;
 
-    /** Memory-mode store: key -> (insertion sequence, encoded entry). */
+    /** One memory-mode entry: a unit validated by an encode round trip. */
+    struct MemoryEntry
+    {
+        /** Insertion sequence; `trim` evicts the lowest first. */
+        std::uint64_t seq = 0;
+        /** Size of the unit's on-disk encoding. */
+        std::uint64_t bytes = 0;
+        std::shared_ptr<const CachedUnit> unit;
+    };
+
+    void countHit(std::uint64_t bytes);
+
     mutable std::mutex mem_mu_;
-    std::map<std::uint64_t, std::pair<std::uint64_t, std::string>> mem_;
+    std::unordered_map<std::uint64_t, MemoryEntry> mem_;
     std::uint64_t mem_seq_ = 0;
 
     std::atomic<std::uint64_t> hits_{0};

@@ -13,14 +13,43 @@
 
 #include <atomic>
 #include <chrono>
+#include <istream>
 #include <set>
 #include <sstream>
+#include <streambuf>
+#include <string_view>
 
 namespace mc::checkers {
 
-std::uint64_t
-unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
-             std::uint64_t fn_fp)
+namespace {
+
+/** Read-only stream buffer over borrowed bytes, re-pointed per unit. */
+class ViewBuf : public std::streambuf
+{
+  public:
+    void
+    reset(std::string_view bytes)
+    {
+        char* p = const_cast<char*>(bytes.data());
+        setg(p, p, p + bytes.size());
+    }
+};
+
+/** loadState from `state` through this thread's reusable stream. */
+bool
+loadStateFrom(Checker& checker, std::string_view state)
+{
+    thread_local ViewBuf buf;
+    thread_local std::istream in(&buf);
+    buf.reset(state);
+    in.clear();
+    return checker.loadState(in);
+}
+
+} // namespace
+
+support::Fnv1a
+unitCacheKeyPrefix(const CheckerDef& def)
 {
     const CheckerSetOptions& options = def.options();
     support::Fnv1a h;
@@ -37,9 +66,28 @@ unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
     // share an entry — and neither may runs with different caps.
     h.u8(support::witnessEnabled() ? 1 : 0);
     h.u64(support::witnessLimit());
-    h.u64(spec_fp);
-    h.u64(fn_fp);
-    return h.value();
+    return h;
+}
+
+std::unique_ptr<Checker>
+replayUnit(const CheckerDef& def, const std::string& function,
+           const cache::CachedUnit& unit,
+           const std::map<std::string, std::int32_t>& file_ids,
+           support::DiagnosticSink& sink)
+{
+    if (unit.checker != def.name() || unit.function != function)
+        return nullptr;
+    std::vector<support::Diagnostic> replayed(unit.diags.size());
+    for (std::size_t i = 0; i < unit.diags.size(); ++i)
+        if (!cache::AnalysisCache::fromCached(unit.diags[i], file_ids,
+                                              replayed[i]))
+            return nullptr;
+    std::unique_ptr<Checker> rebuilt = def.instantiate();
+    if (!loadStateFrom(*rebuilt, unit.state))
+        return nullptr;
+    for (support::Diagnostic& d : replayed)
+        sink.report(std::move(d));
+    return rebuilt;
 }
 
 std::vector<CheckerRunStats>
@@ -124,39 +172,31 @@ runCheckersParallel(const lang::Program& program,
     if (cache) {
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                                 "cache.lookup", "cache");
+        support::ScopedTimer timer(
+            metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
         std::map<std::string, std::uint64_t> fn_fps =
             lang::fingerprintFunctions(program);
         std::map<std::string, std::int32_t> file_ids =
             cache::AnalysisCache::fileIdsByName(program.sourceManager());
         std::uint64_t spec_fp = flash::specFingerprint(spec);
+        std::vector<support::Fnv1a> key_prefixes;
+        for (const CheckerDef* def : defs)
+            key_prefixes.push_back(unitCacheKeyPrefix(*def));
         pool.parallelFor(nunits, [&](std::size_t u) {
             std::size_t f = u / ncheckers;
             std::size_t c = u % ncheckers;
             auto fp = fn_fps.find(fns[f]->name);
             if (fp == fn_fps.end())
                 return;
-            unit_keys[u] = unitCacheKey(*defs[c], spec_fp, fp->second);
-            cache::CachedUnit unit;
-            if (!cache->lookup(unit_keys[u], unit))
+            unit_keys[u] =
+                unitCacheKey(key_prefixes[c], spec_fp, fp->second);
+            std::shared_ptr<const cache::CachedUnit> unit =
+                cache->lookup(unit_keys[u]);
+            if (!unit)
                 return;
-            if (unit.checker != checkers[c]->name() ||
-                unit.function != fns[f]->name)
-                return; // key collision; vanishingly unlikely, run cold
-            std::vector<support::Diagnostic> replayed;
-            for (const cache::CachedDiagnostic& cached : unit.diags) {
-                support::Diagnostic d;
-                if (!cache::AnalysisCache::fromCached(cached, file_ids, d))
-                    return;
-                replayed.push_back(std::move(d));
-            }
-            std::unique_ptr<Checker> rebuilt = defs[c]->instantiate();
-            std::istringstream state(unit.state);
-            if (!rebuilt->loadState(state))
-                return;
-            for (support::Diagnostic& d : replayed)
-                unit_sinks[u].report(std::move(d));
-            unit_checkers[u] = std::move(rebuilt);
-            unit_hit[u] = 1;
+            unit_checkers[u] = replayUnit(*defs[c], fns[f]->name, *unit,
+                                          file_ids, unit_sinks[u]);
+            unit_hit[u] = unit_checkers[u] != nullptr;
         });
     }
 

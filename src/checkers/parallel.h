@@ -5,6 +5,7 @@
 #include "checkers/checker.h"
 #include "checkers/registry.h"
 #include "support/budget.h"
+#include "support/hash.h"
 #include "support/thread_pool.h"
 
 #include <map>
@@ -112,16 +113,57 @@ struct ParallelRunOptions
 };
 
 /**
- * Content key for one (function, checker) work unit: engine version,
- * checker identity + options + metal source (all from `def`), witness
- * configuration, protocol-spec fingerprint, function token-stream
+ * The per-checker head of every unitCacheKey: engine version, checker
+ * identity + options + metal source (all from `def`) and the witness
+ * configuration. The witness settings are process globals set per
+ * request, so build the prefix once per run, not once per process.
+ */
+support::Fnv1a unitCacheKeyPrefix(const CheckerDef& def);
+
+/**
+ * Finish a unit key from its checker's prefix: FNV-1a is a stream hash,
+ * so a copied prefix fed the protocol-spec and function token-stream
+ * fingerprints yields the same bytes as hashing everything at once,
+ * without re-hashing the metal source per unit.
+ */
+inline std::uint64_t
+unitCacheKey(support::Fnv1a prefix, std::uint64_t spec_fp,
+             std::uint64_t fn_fp)
+{
+    return prefix.u64(spec_fp).u64(fn_fp).value();
+}
+
+/**
+ * Content key for one (function, checker) work unit: the prefix above,
+ * then the protocol-spec fingerprint and the function token-stream
  * fingerprint. Two runs may share a cache entry only when every
  * ingredient matches. Exposed so the shard coordinator keys its
  * phase-0 lookups exactly as the in-process runner does — byte-identical
  * warm runs depend on both computing the same key from the same inputs.
  */
-std::uint64_t unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
-                           std::uint64_t fn_fp);
+inline std::uint64_t
+unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
+             std::uint64_t fn_fp)
+{
+    return unitCacheKey(unitCacheKeyPrefix(def), spec_fp, fn_fp);
+}
+
+/**
+ * Replay one stored unit result for checker `def` on `function`: a
+ * fresh instance with the stored state loaded, and the stored
+ * diagnostics re-resolved through `file_ids` and reported into `sink`
+ * in their original order. Returns nullptr, leaving `sink` untouched,
+ * when the result cannot replay: it names another (checker, function)
+ * (a key collision), cites a file this run does not know, or carries
+ * state loadState rejects. Shared by every substrate that replays a
+ * unit instead of running it — cache hits in both runners and shard
+ * worker results — so a replayed unit is the same bytes everywhere.
+ */
+std::unique_ptr<Checker>
+replayUnit(const CheckerDef& def, const std::string& function,
+           const cache::CachedUnit& unit,
+           const std::map<std::string, std::int32_t>& file_ids,
+           support::DiagnosticSink& sink);
 
 /**
  * Parallel drop-in for runCheckers: same inputs, same outputs, same

@@ -279,10 +279,21 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
     std::map<std::string, std::uint64_t> fn_fps;
     std::map<std::string, std::int32_t> file_ids;
     std::vector<std::uint64_t> keys(fns.size(), 0);
+    // Witness capture changes the cached bytes, so witness-on and
+    // witness-off runs (and different caps) key separately. Everything
+    // but the function fingerprint is hashed once, not once per unit.
+    support::Fnv1a key_prefix;
     if (cache) {
         fn_fps = lang::fingerprintFunctions(program);
         file_ids =
             cache::AnalysisCache::fileIdsByName(program.sourceManager());
+        key_prefix.i64(cache::kCacheFormatVersion)
+            .str(support::kToolVersion)
+            .str(unit_checker)
+            .str(metal_source)
+            .u8(support::witnessEnabled() ? 1 : 0)
+            .u64(support::witnessLimit())
+            .u8(static_cast<std::uint8_t>(req.prune_strategy));
     }
     checkers::CfgCache* cfg_cache = prepared.cfg_cache;
     support::ThreadPool pool(req.jobs);
@@ -290,25 +301,13 @@ runMetalChecker(const CheckRequest& req, cache::AnalysisCache* cache,
         Clock::time_point t0 = Clock::now();
         auto fp = fn_fps.find(fns[f]->name);
         if (cache && fp != fn_fps.end()) {
-            // Witness capture changes the cached bytes, so witness-on
-            // and witness-off runs (and different caps) key separately.
-            keys[f] = support::Fnv1a()
-                          .i64(cache::kCacheFormatVersion)
-                          .str(support::kToolVersion)
-                          .str(unit_checker)
-                          .str(metal_source)
-                          .u8(support::witnessEnabled() ? 1 : 0)
-                          .u64(support::witnessLimit())
-                          .u8(static_cast<std::uint8_t>(
-                              req.prune_strategy))
-                          .u64(fp->second)
-                          .value();
-            cache::CachedUnit unit;
-            if (cache->lookup(keys[f], unit) &&
-                unit.function == fns[f]->name) {
+            keys[f] = support::Fnv1a(key_prefix).u64(fp->second).value();
+            std::shared_ptr<const cache::CachedUnit> unit =
+                cache->lookup(keys[f]);
+            if (unit && unit->function == fns[f]->name) {
                 bool ok = true;
                 std::vector<support::Diagnostic> replayed;
-                for (const cache::CachedDiagnostic& cached : unit.diags) {
+                for (const cache::CachedDiagnostic& cached : unit->diags) {
                     support::Diagnostic d;
                     if (!cache::AnalysisCache::fromCached(cached, file_ids,
                                                           d)) {

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace mc::server {
@@ -233,53 +232,38 @@ runCheckersSharded(const lang::Program& program,
     std::vector<char> unit_hit(nunits, 0);
     std::vector<std::uint64_t> unit_keys(nunits, 0);
 
+    const std::map<std::string, std::int32_t> file_ids =
+        cache::AnalysisCache::fileIdsByName(program.sourceManager());
+
     // Phase 0: sequential cache lookup, same keys and same demote-to-miss
     // rules as runCheckersParallel — a hit replays locally and its unit
     // never reaches a worker.
     if (cache::AnalysisCache* cache = options.cache) {
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                                 "cache.lookup", "cache");
+        support::ScopedTimer timer(
+            metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
         std::map<std::string, std::uint64_t> fn_fps =
             lang::fingerprintFunctions(program);
-        std::map<std::string, std::int32_t> file_ids =
-            cache::AnalysisCache::fileIdsByName(program.sourceManager());
         std::uint64_t spec_fp = flash::specFingerprint(spec);
+        std::vector<support::Fnv1a> key_prefixes;
+        for (const checkers::CheckerDef* def : defs)
+            key_prefixes.push_back(checkers::unitCacheKeyPrefix(*def));
         for (std::size_t u = 0; u < nunits; ++u) {
             std::size_t f = u / ncheckers;
             std::size_t c = u % ncheckers;
             auto fp = fn_fps.find(fns[f]->name);
             if (fp == fn_fps.end())
                 continue;
-            unit_keys[u] =
-                checkers::unitCacheKey(*defs[c], spec_fp, fp->second);
-            cache::CachedUnit unit;
-            if (!cache->lookup(unit_keys[u], unit))
+            unit_keys[u] = checkers::unitCacheKey(key_prefixes[c], spec_fp,
+                                                  fp->second);
+            std::shared_ptr<const cache::CachedUnit> unit =
+                cache->lookup(unit_keys[u]);
+            if (!unit)
                 continue;
-            if (unit.checker != checkers[c]->name() ||
-                unit.function != fns[f]->name)
-                continue; // key collision; vanishingly unlikely, run cold
-            std::vector<support::Diagnostic> replayed;
-            bool ok = true;
-            for (const cache::CachedDiagnostic& cached : unit.diags) {
-                support::Diagnostic d;
-                if (!cache::AnalysisCache::fromCached(cached, file_ids,
-                                                      d)) {
-                    ok = false;
-                    break;
-                }
-                replayed.push_back(std::move(d));
-            }
-            if (!ok)
-                continue;
-            std::unique_ptr<checkers::Checker> rebuilt =
-                defs[c]->instantiate();
-            std::istringstream state(unit.state);
-            if (!rebuilt->loadState(state))
-                continue;
-            for (support::Diagnostic& d : replayed)
-                unit_sinks[u].report(std::move(d));
-            unit_checkers[u] = std::move(rebuilt);
-            unit_hit[u] = 1;
+            unit_checkers[u] = checkers::replayUnit(
+                *defs[c], fns[f]->name, *unit, file_ids, unit_sinks[u]);
+            unit_hit[u] = unit_checkers[u] != nullptr;
         }
     }
 
@@ -332,8 +316,6 @@ runCheckersSharded(const lang::Program& program,
     // cache hit from a worker result from an in-process unit. Replay
     // failures are fatal, not demotable: the unit already ran, and
     // silently re-running it could mask a determinism bug.
-    std::map<std::string, std::int32_t> file_ids =
-        cache::AnalysisCache::fileIdsByName(program.sourceManager());
     for (std::uint64_t u : misses) {
         const std::size_t f = static_cast<std::size_t>(u) / ncheckers;
         const std::size_t c = static_cast<std::size_t>(u) % ncheckers;
@@ -355,21 +337,12 @@ runCheckersSharded(const lang::Program& program,
                                      r.error);
             continue;
         }
-        std::unique_ptr<checkers::Checker> rebuilt = defs[c]->instantiate();
-        std::istringstream state(r.payload.state);
-        if (!rebuilt->loadState(state))
+        unit_checkers[u] = checkers::replayUnit(
+            *defs[c], fns[f]->name, r.payload, file_ids, unit_sinks[u]);
+        if (!unit_checkers[u])
             throw std::runtime_error(
-                "shard worker returned unloadable checker state for '" +
+                "shard worker returned an unreplayable result for '" +
                 fns[f]->name + "/" + checkers[c]->name() + "'");
-        for (const cache::CachedDiagnostic& cached : r.payload.diags) {
-            support::Diagnostic d;
-            if (!cache::AnalysisCache::fromCached(cached, file_ids, d))
-                throw std::runtime_error(
-                    "shard worker diagnostic names unknown file '" +
-                    cached.file + "'");
-            unit_sinks[u].report(std::move(d));
-        }
-        unit_checkers[u] = std::move(rebuilt);
         if (options.cache && !options.cache->readonly() &&
             unit_keys[u] != 0 && !r.failed && r.budget_stop == "none")
             options.cache->store(unit_keys[u], r.payload);

@@ -15,6 +15,7 @@
 #include "support/hash.h"
 #include "support/version.h"
 #include "support/witness.h"
+#include "tests/cache/unit_fixtures.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,8 @@ namespace mc::cache {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::expectSameUnit;
+using testing::sampleUnit;
 
 /** Fresh scratch directory per test, removed on destruction. */
 class TempCacheDir
@@ -50,78 +53,6 @@ class TempCacheDir
   private:
     fs::path path_;
 };
-
-CachedUnit
-sampleUnit()
-{
-    CachedUnit unit;
-    unit.checker = "lanes";
-    unit.function = "PILocalGet";
-    unit.state = "applied 3\nfunction PILocalGet\n  calls helper 2\n";
-    CachedDiagnostic d;
-    d.severity = 1;
-    d.file = "sci/PILocalGet.c";
-    d.line = 12;
-    d.column = 5;
-    d.checker = "lanes";
-    d.rule = "lane-overflow";
-    d.message = "message with spaces, 100% odd chars & a\ttab";
-    d.trace = {"PILocalGet -> helper", "helper: SEND at line 9"};
-    CachedWitnessStep step;
-    step.from = "start";
-    step.to = "buf checked";
-    step.file = "sci/PILocalGet.c";
-    step.line = 9;
-    step.column = 3;
-    step.note = "rule lane-overflow, addr = h->addr";
-    d.wsteps.push_back(step);
-    step.to = "stop";
-    step.note = "rule done";
-    d.wsteps.push_back(step);
-    d.wblocks = {0, 2, 5};
-    d.wtruncated = true;
-    unit.diags.push_back(d);
-    d.trace.clear();
-    d.wsteps.clear();
-    d.wblocks.clear();
-    d.wtruncated = false;
-    d.severity = 0;
-    d.message = "second finding";
-    unit.diags.push_back(d);
-    return unit;
-}
-
-void
-expectSameUnit(const CachedUnit& a, const CachedUnit& b)
-{
-    EXPECT_EQ(a.checker, b.checker);
-    EXPECT_EQ(a.function, b.function);
-    EXPECT_EQ(a.state, b.state);
-    ASSERT_EQ(a.diags.size(), b.diags.size());
-    for (std::size_t i = 0; i < a.diags.size(); ++i) {
-        EXPECT_EQ(a.diags[i].severity, b.diags[i].severity);
-        EXPECT_EQ(a.diags[i].file, b.diags[i].file);
-        EXPECT_EQ(a.diags[i].line, b.diags[i].line);
-        EXPECT_EQ(a.diags[i].column, b.diags[i].column);
-        EXPECT_EQ(a.diags[i].checker, b.diags[i].checker);
-        EXPECT_EQ(a.diags[i].rule, b.diags[i].rule);
-        EXPECT_EQ(a.diags[i].message, b.diags[i].message);
-        EXPECT_EQ(a.diags[i].trace, b.diags[i].trace);
-        EXPECT_EQ(a.diags[i].wblocks, b.diags[i].wblocks);
-        EXPECT_EQ(a.diags[i].wtruncated, b.diags[i].wtruncated);
-        ASSERT_EQ(a.diags[i].wsteps.size(), b.diags[i].wsteps.size());
-        for (std::size_t s = 0; s < a.diags[i].wsteps.size(); ++s) {
-            const CachedWitnessStep& ws = a.diags[i].wsteps[s];
-            const CachedWitnessStep& bs = b.diags[i].wsteps[s];
-            EXPECT_EQ(ws.from, bs.from);
-            EXPECT_EQ(ws.to, bs.to);
-            EXPECT_EQ(ws.file, bs.file);
-            EXPECT_EQ(ws.line, bs.line);
-            EXPECT_EQ(ws.column, bs.column);
-            EXPECT_EQ(ws.note, bs.note);
-        }
-    }
-}
 
 TEST(CacheEncoding, RoundTripsEveryField)
 {
@@ -212,12 +143,12 @@ TEST(CacheStore, PersistsAcrossInstances)
         EXPECT_EQ(cache.stats().stores, 1u);
     }
     AnalysisCache cache(dir.str());
-    CachedUnit loaded;
-    ASSERT_TRUE(cache.lookup(42, loaded));
-    expectSameUnit(unit, loaded);
+    std::shared_ptr<const CachedUnit> loaded = cache.lookup(42);
+    ASSERT_NE(loaded, nullptr);
+    expectSameUnit(unit, *loaded);
     EXPECT_EQ(cache.stats().hits, 1u);
     // A different key is a plain miss: no warning, nothing corrupt.
-    EXPECT_FALSE(cache.lookup(43, loaded));
+    EXPECT_EQ(cache.lookup(43), nullptr);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().corrupt, 0u);
     EXPECT_TRUE(cache.takeWarnings().empty());
@@ -231,8 +162,7 @@ TEST(CacheStore, TruncatedEntryFallsBackColdAndIsDeleted)
     std::string path = cache.entryPath(7);
     fs::resize_file(path, 20);
 
-    CachedUnit loaded;
-    EXPECT_FALSE(cache.lookup(7, loaded));
+    EXPECT_EQ(cache.lookup(7), nullptr);
     EXPECT_EQ(cache.stats().corrupt, 1u);
     std::vector<std::string> warnings = cache.takeWarnings();
     ASSERT_EQ(warnings.size(), 1u);
@@ -257,8 +187,7 @@ TEST(CacheStore, BitFlippedEntryFallsBackCold)
     text[text.size() / 2] = static_cast<char>(text[text.size() / 2] ^ 1);
     std::ofstream(path, std::ios::binary) << text;
 
-    CachedUnit loaded;
-    EXPECT_FALSE(cache.lookup(9, loaded));
+    EXPECT_EQ(cache.lookup(9), nullptr);
     EXPECT_EQ(cache.stats().corrupt, 1u);
     EXPECT_FALSE(cache.takeWarnings().empty());
 }
@@ -273,8 +202,7 @@ TEST(CacheStore, ReadonlyDropsStoresAndKeepsCorpses)
     }
     AnalysisCache ro(dir.str(), /*readonly=*/true);
     EXPECT_TRUE(ro.readonly());
-    CachedUnit loaded;
-    EXPECT_FALSE(ro.lookup(1, loaded));
+    EXPECT_EQ(ro.lookup(1), nullptr);
     // The corrupt entry stays on disk for post-mortem in readonly mode.
     EXPECT_TRUE(fs::exists(ro.entryPath(1)));
     ro.store(2, sampleUnit());

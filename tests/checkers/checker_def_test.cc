@@ -2,15 +2,21 @@
  * @file
  * Shared checker definitions: every instance of a metal checker runs the
  * one state machine its definition compiled, no run — any job count,
- * cold or replayed from the analysis cache — compiles another, and
- * concurrent first use from many threads is race-free.
+ * cold or replayed from the analysis cache — compiles another,
+ * concurrent first use from many threads is race-free, and the
+ * per-run cache-key prefix a definition yields keys units exactly as
+ * hashing every ingredient per unit does.
  */
 #include "cache/analysis_cache.h"
 #include "checkers/buffer_race.h"
 #include "checkers/msg_length.h"
+#include "checkers/parallel.h"
 #include "checkers/registry.h"
 #include "metal/transition_table.h"
 #include "server/check_request.h"
+#include "support/hash.h"
+#include "support/version.h"
+#include "support/witness.h"
 
 #include <gtest/gtest.h>
 
@@ -146,6 +152,70 @@ TEST(CheckerDefs, ConcurrentFirstUseIsRaceFree)
     EXPECT_NE(seen[0][0], seen[0][1]);
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+}
+
+/**
+ * The unit cache key as the analysis cache has always spelled it, every
+ * ingredient hashed in one pass. Kept verbatim so a change to the
+ * prefix path that would orphan existing entries fails here.
+ */
+std::uint64_t
+referenceUnitKey(const CheckerDef& def, std::uint64_t spec_fp,
+                 std::uint64_t fn_fp)
+{
+    return support::Fnv1a()
+        .i64(cache::kCacheFormatVersion)
+        .str(support::kToolVersion)
+        .str(def.name())
+        .str(def.metalSource())
+        .u8(def.options().value_sensitive_frees ? 1 : 0)
+        .u8(static_cast<std::uint8_t>(def.options().prune_strategy))
+        .u8(support::witnessEnabled() ? 1 : 0)
+        .u64(support::witnessLimit())
+        .u64(spec_fp)
+        .u64(fn_fp)
+        .value();
+}
+
+TEST(CheckerDefs, KeyPrefixesMatchTheOnePassKey)
+{
+    const bool witness_was = support::witnessEnabled();
+    const unsigned limit_was = support::witnessLimit();
+    const std::uint64_t fps[][2] = {
+        {0, 0}, {0x0123456789abcdefull, 42}, {~0ull, 0xfeedfacecafebeefull}};
+    int checked = 0;
+    for (bool frees : {true, false}) {
+        for (metal::PruneStrategy prune :
+             {metal::PruneStrategy::Off, metal::PruneStrategy::Correlated,
+              metal::PruneStrategy::Constraints}) {
+            CheckerSetOptions options;
+            options.value_sensitive_frees = frees;
+            options.prune_strategy = prune;
+            for (const std::string& name : allCheckerNames()) {
+                const CheckerDef& def = *checkerDef(name, options);
+                for (bool witness : {false, true}) {
+                    for (unsigned limit : {16u, 64u}) {
+                        support::setWitnessConfig(witness, limit);
+                        const support::Fnv1a prefix = unitCacheKeyPrefix(def);
+                        for (const auto& fp : fps) {
+                            const std::uint64_t want =
+                                referenceUnitKey(def, fp[0], fp[1]);
+                            EXPECT_EQ(unitCacheKey(prefix, fp[0], fp[1]),
+                                      want)
+                                << name << " frees=" << frees
+                                << " prune=" << metal::pruneStrategyName(prune)
+                                << " witness=" << witness << "/" << limit;
+                            EXPECT_EQ(unitCacheKey(def, fp[0], fp[1]), want)
+                                << name;
+                            ++checked;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    support::setWitnessConfig(witness_was, limit_was);
+    EXPECT_EQ(checked, 2 * 3 * 9 * 2 * 2 * 3);
 }
 
 } // namespace
