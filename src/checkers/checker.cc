@@ -26,36 +26,86 @@ Checker::loadState(std::istream& is)
     return true;
 }
 
+void
+registerRunMetrics()
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (!metrics.enabled())
+        return;
+    for (const char* name :
+         {"engine.unit_failures", "engine.runs", "engine.visits",
+          "engine.cache_hits", "engine.cache_misses", "engine.pruned_paths",
+          "engine.sm_transitions", "engine.truncations",
+          "engine.rule_firings", "engine.table_memo_hits",
+          "engine.table_memo_misses", "budget.truncations",
+          "witness.steps", "witness.truncations", "ledger.events",
+          "walker.visits", "walker.infeasible_pruned",
+          "walker.prune_cache_hits", "walker.prune_skipped_nary"})
+        metrics.counter(name).add(0);
+    metrics.gauge("engine.peak_frontier");
+    metrics.histogram("unit.wall_ns");
+    metrics.histogram("unit.visits");
+}
+
+RunBaseline
+beginRun(const std::vector<Checker*>& checkers,
+         const support::DiagnosticSink& sink)
+{
+    RunBaseline base;
+    for (Checker* checker : checkers) {
+        checker->reset();
+        base.errors.push_back(sink.countForChecker(
+            checker->name(), support::Severity::Error));
+        base.warnings.push_back(sink.countForChecker(
+            checker->name(), support::Severity::Warning));
+    }
+    registerRunMetrics();
+    return base;
+}
+
+std::vector<CheckerRunStats>
+finishRun(const std::vector<Checker*>& checkers,
+          const support::DiagnosticSink& sink, const RunBaseline& base,
+          const std::vector<std::chrono::steady_clock::duration>& elapsed)
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    std::vector<CheckerRunStats> stats;
+    for (std::size_t i = 0; i < checkers.size(); ++i) {
+        CheckerRunStats s;
+        s.checker = checkers[i]->name();
+        s.errors = sink.countForChecker(s.checker,
+                                        support::Severity::Error) -
+                   base.errors[i];
+        s.warnings = sink.countForChecker(s.checker,
+                                          support::Severity::Warning) -
+                     base.warnings[i];
+        s.applied = checkers[i]->applied();
+        s.wall_ms =
+            std::chrono::duration<double, std::milli>(elapsed[i]).count();
+        if (metrics.enabled()) {
+            metrics.timer("checker." + s.checker)
+                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    elapsed[i]));
+            metrics.counter("checker." + s.checker + ".errors")
+                .add(static_cast<std::uint64_t>(s.errors));
+            metrics.counter("checker." + s.checker + ".warnings")
+                .add(static_cast<std::uint64_t>(s.warnings));
+            metrics.counter("checker." + s.checker + ".applied")
+                .add(static_cast<std::uint64_t>(s.applied));
+        }
+        stats.push_back(std::move(s));
+    }
+    return stats;
+}
+
 std::vector<CheckerRunStats>
 runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
             const std::vector<Checker*>& checkers,
             support::DiagnosticSink& sink)
 {
     CheckContext ctx{program, spec, sink};
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     support::TraceRecorder& tracer = support::TraceRecorder::global();
-
-    // Pre-registered to match the parallel runner's report: the
-    // sequential runner has no unit containment, so both are honestly
-    // zero — but the key set must not depend on which runner ran.
-    if (metrics.enabled()) {
-        metrics.counter("engine.unit_failures").add(0);
-        metrics.counter("budget.truncations").add(0);
-        metrics.counter("engine.table_memo_hits").add(0);
-        metrics.counter("engine.table_memo_misses").add(0);
-    }
-
-    // Baseline per-checker counts, so stats reflect only this run even if
-    // the sink already held diagnostics.
-    std::vector<int> base_errors;
-    std::vector<int> base_warnings;
-    for (Checker* checker : checkers) {
-        checker->reset();
-        base_errors.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Error));
-        base_warnings.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Warning));
-    }
+    const RunBaseline base = beginRun(checkers, sink);
 
     // Per-checker wall time, accumulated across every function pass plus
     // the program-level pass. One steady_clock read per (function,
@@ -84,34 +134,7 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
         checkers[i]->checkProgram(ctx);
         elapsed[i] += Clock::now() - t0;
     }
-
-    std::vector<CheckerRunStats> stats;
-    for (std::size_t i = 0; i < checkers.size(); ++i) {
-        CheckerRunStats s;
-        s.checker = checkers[i]->name();
-        s.errors = sink.countForChecker(s.checker,
-                                        support::Severity::Error) -
-                   base_errors[i];
-        s.warnings = sink.countForChecker(s.checker,
-                                          support::Severity::Warning) -
-                     base_warnings[i];
-        s.applied = checkers[i]->applied();
-        s.wall_ms =
-            std::chrono::duration<double, std::milli>(elapsed[i]).count();
-        if (metrics.enabled()) {
-            metrics.timer("checker." + s.checker)
-                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed[i]));
-            metrics.counter("checker." + s.checker + ".errors")
-                .add(static_cast<std::uint64_t>(s.errors));
-            metrics.counter("checker." + s.checker + ".warnings")
-                .add(static_cast<std::uint64_t>(s.warnings));
-            metrics.counter("checker." + s.checker + ".applied")
-                .add(static_cast<std::uint64_t>(s.applied));
-        }
-        stats.push_back(std::move(s));
-    }
-    return stats;
+    return finishRun(checkers, sink, base, elapsed);
 }
 
 } // namespace mc::checkers

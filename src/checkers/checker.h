@@ -6,6 +6,7 @@
 #include "lang/program.h"
 #include "support/diagnostics.h"
 
+#include <chrono>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -105,9 +106,45 @@ struct CheckerRunStats
 };
 
 /**
+ * Register, at zero, every metric a checking run reports — unit
+ * containment (engine.unit_failures, budget.truncations), the engine and
+ * walker tallies, witness and ledger counters, and the unit.*
+ * histograms — so a report's key set does not depend on which runner or
+ * substrate ran, and so the registry's map nodes exist before any unit
+ * fans out onto worker threads.
+ */
+void registerRunMetrics();
+
+/** The per-checker finding counts a run's stats are measured from. */
+struct RunBaseline
+{
+    std::vector<int> errors;
+    std::vector<int> warnings;
+};
+
+/**
+ * Start a run of `checkers` into `sink`: reset every checker, record
+ * the findings `sink` already holds for each, and register the run's
+ * metrics.
+ */
+RunBaseline beginRun(const std::vector<Checker*>& checkers,
+                     const support::DiagnosticSink& sink);
+
+/**
+ * Per-checker stats of a finished run: findings added since `base`,
+ * applied counts, and `elapsed` wall time, each also published as
+ * checker.<name>.* metrics.
+ */
+std::vector<CheckerRunStats>
+finishRun(const std::vector<Checker*>& checkers,
+          const support::DiagnosticSink& sink, const RunBaseline& base,
+          const std::vector<std::chrono::steady_clock::duration>& elapsed);
+
+/**
  * Run `checkers` over every function of `program`: build each function's
  * CFG once, invoke every checker on it, then run the program-level passes.
  * Returns per-checker statistics; diagnostics accumulate in `sink`.
+ * The sequential reference the unit pipeline is compared against.
  */
 std::vector<CheckerRunStats>
 runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,

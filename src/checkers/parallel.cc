@@ -16,6 +16,7 @@
 #include <istream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string_view>
 
@@ -90,6 +91,242 @@ replayUnit(const CheckerDef& def, const std::string& function,
     return rebuilt;
 }
 
+const cfg::Cfg&
+CfgCache::get(const lang::FunctionDecl& fn, bool* reused)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = cfgs.find(&fn);
+        if (it != cfgs.end()) {
+            if (reused)
+                *reused = true;
+            return it->second;
+        }
+    }
+    cfg::Cfg built = cfg::CfgBuilder::build(fn);
+    built.backEdges();
+    std::lock_guard<std::mutex> lock(mu);
+    return cfgs.emplace(&fn, std::move(built)).first->second;
+}
+
+std::string
+UnitPlan::label(std::size_t u) const
+{
+    return function(u).name + "/" + def(u).name();
+}
+
+void
+runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
+        const cfg::Cfg* cfg)
+{
+    const lang::FunctionDecl& fn = plan.function(u);
+    const CheckerDef& def = plan.def(u);
+    const std::string label = plan.label(u);
+    support::TraceRecorder& tracer = support::TraceRecorder::global();
+    support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                            def.name(), "checker");
+    if (tracer.enabled())
+        span.arg("function", fn.name);
+    out.checker = def.instantiate();
+    CheckContext ctx{plan.program, plan.spec, out.sink};
+    // Every walk the unit performs publishes its tallies here.
+    support::LedgerUnitScope stats_scope(&out.stats);
+    const auto t0 = std::chrono::steady_clock::now();
+    UnitGuard guard(label, plan.budget, plan.fail_fast);
+    UnitOutcome outcome = guard.run([&] {
+        support::fault::probe("checker.unit", label);
+        out.checker->checkFunction(fn, cfg ? *cfg : plan.cfgs->get(fn), ctx);
+    });
+    out.wall = std::chrono::steady_clock::now() - t0;
+    out.budget_stop = outcome.budget_stop;
+    if (outcome.failed)
+        failUnit(plan, u, out, outcome.error);
+    else if (outcome.budget_stop != support::BudgetStop::None)
+        warnUnitTruncated(out.sink, fn.loc, def.name(), fn.name,
+                          outcome.budget_stop);
+}
+
+void
+failUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
+         std::string error)
+{
+    const lang::FunctionDecl& fn = plan.function(u);
+    out.failed = true;
+    out.error = std::move(error);
+    out.checker = plan.def(u).instantiate();
+    out.sink.clear();
+    warnUnitFailed(out.sink, fn.loc, plan.def(u).name(), fn.name, out.error);
+}
+
+cache::CachedUnit
+captureUnit(const UnitPlan& plan, std::size_t u, const UnitResult& result)
+{
+    cache::CachedUnit unit;
+    unit.checker = plan.def(u).name();
+    unit.function = plan.function(u).name;
+    std::ostringstream state;
+    result.checker->saveState(state);
+    unit.state = state.str();
+    for (const support::Diagnostic& d : result.sink.diagnostics())
+        unit.diags.push_back(cache::AnalysisCache::toCached(
+            d, plan.program.sourceManager()));
+    return unit;
+}
+
+std::vector<CheckerRunStats>
+runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
+                support::DiagnosticSink& sink, cache::AnalysisCache* cache,
+                RunHealth* health, support::ThreadPool& pool,
+                const UnitExecutor& execute)
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    support::TraceRecorder& tracer = support::TraceRecorder::global();
+    support::RunLedger& ledger = support::RunLedger::global();
+    using Clock = std::chrono::steady_clock;
+
+    const std::size_t ncheckers = masters.size();
+    const std::size_t nunits = plan.units();
+
+    const RunBaseline base = beginRun(masters, sink);
+
+    // Phase 0 (cache only): look every unit up by content key. A usable
+    // hit yields a reconstructed checker (state replayed through
+    // loadState) and a sink refilled with the stored diagnostics in
+    // their original order, so the merge cannot tell a replayed unit
+    // from a freshly checked one. Unresolvable file names, a state blob
+    // loadState rejects, or an entry naming another unit (a key
+    // collision) demote the hit to a miss.
+    std::vector<UnitResult> results(nunits);
+    std::vector<std::uint64_t> keys(nunits, 0);
+    if (cache) {
+        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                                "cache.lookup", "cache");
+        support::ScopedTimer timer(
+            metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
+        std::map<std::string, std::uint64_t> fn_fps =
+            lang::fingerprintFunctions(plan.program);
+        std::map<std::string, std::int32_t> file_ids =
+            cache::AnalysisCache::fileIdsByName(plan.program.sourceManager());
+        std::uint64_t spec_fp = flash::specFingerprint(plan.spec);
+        std::vector<support::Fnv1a> key_prefixes;
+        for (const CheckerDef* def : plan.defs)
+            key_prefixes.push_back(unitCacheKeyPrefix(*def));
+        pool.parallelFor(nunits, [&](std::size_t u) {
+            UnitResult& r = results[u];
+            r.cache = UnitCacheTag::Miss;
+            const std::string& name = plan.function(u).name;
+            auto fp = fn_fps.find(name);
+            if (fp == fn_fps.end())
+                return;
+            keys[u] = unitCacheKey(key_prefixes[u % ncheckers], spec_fp,
+                                   fp->second);
+            std::shared_ptr<const cache::CachedUnit> unit =
+                cache->lookup(keys[u]);
+            if (!unit)
+                return;
+            r.checker = replayUnit(plan.def(u), name, *unit, file_ids,
+                                   r.sink);
+            if (r.checker)
+                r.cache = UnitCacheTag::Hit;
+        });
+    }
+
+    std::vector<std::size_t> todo;
+    for (std::size_t u = 0; u < nunits; ++u)
+        if (results[u].cache != UnitCacheTag::Hit)
+            todo.push_back(u);
+    // Misses store their outcome. Failed units never do; neither do
+    // budget-truncated ones, since budget limits are not part of the
+    // content key and a partial result must not masquerade as a full
+    // one. A shard worker's result is stored as it arrived.
+    const bool store = cache && !cache->readonly();
+    execute(todo, results, [&](std::size_t u) {
+        const UnitResult& r = results[u];
+        if (!store || keys[u] == 0 || r.failed ||
+            r.budget_stop != support::BudgetStop::None)
+            return;
+        cache->store(keys[u], r.wire ? *r.wire : captureUnit(plan, u, r));
+    });
+
+    std::set<std::int32_t> degraded_files;
+    if (ledger.enabled())
+        for (const lang::TranslationUnit& tu : plan.program.units())
+            if (!tu.issues.empty())
+                degraded_files.insert(tu.file_id);
+    std::vector<Clock::duration> elapsed(ncheckers,
+                                         Clock::duration::zero());
+    std::uint64_t failures = 0;
+    std::uint64_t truncations = 0;
+    std::uint64_t witness_truncations = 0;
+    for (std::size_t u = 0; u < nunits; ++u) {
+        const std::size_t c = u % ncheckers;
+        const lang::FunctionDecl& fn = plan.function(u);
+        UnitResult& r = results[u];
+        if (plan.fail_fast && r.failed)
+            throw std::runtime_error("unit '" + plan.label(u) +
+                                     "' failed: " + r.error);
+        masters[c]->absorb(*r.checker);
+        elapsed[c] += r.wall;
+        for (const support::Diagnostic& d : r.sink.diagnostics()) {
+            witness_truncations += d.witness.truncated ? 1 : 0;
+            sink.report(d);
+        }
+        const bool truncated = r.budget_stop != support::BudgetStop::None;
+        failures += r.failed ? 1 : 0;
+        truncations += truncated ? 1 : 0;
+        if (ledger.enabled()) {
+            support::LedgerUnitEvent event;
+            event.function = fn.name;
+            event.checker = masters[c]->name();
+            event.wall_ms =
+                std::chrono::duration<double, std::milli>(r.wall).count();
+            event.visits = r.stats.visits;
+            event.pruned_edges = r.stats.pruned_edges;
+            event.prune_cache_hits = r.stats.prune_cache_hits;
+            event.prune_skipped_nary = r.stats.prune_skipped_nary;
+            event.cache = r.cache == UnitCacheTag::Off   ? "off"
+                          : r.cache == UnitCacheTag::Hit ? "hit"
+                                                         : "miss";
+            event.budget_stop = support::budgetStopName(r.budget_stop);
+            event.truncated = truncated;
+            event.failed = r.failed;
+            event.degraded_parse =
+                degraded_files.count(fn.loc.file_id) != 0;
+            event.worker = r.worker;
+            event.attempts = r.attempts;
+            ledger.unit(event);
+        }
+        if (metrics.enabled() && r.cache != UnitCacheTag::Hit) {
+            metrics.histogram("unit.wall_ns")
+                .observe(static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        r.wall)
+                        .count()));
+            metrics.histogram("unit.visits").observe(r.stats.visits);
+        }
+    }
+    if (health) {
+        health->unit_failures += failures;
+        health->budget_truncations += truncations;
+    }
+    if (metrics.enabled()) {
+        metrics.counter("engine.unit_failures").add(failures);
+        metrics.counter("budget.truncations").add(truncations);
+        metrics.counter("witness.truncations").add(witness_truncations);
+    }
+
+    CheckContext ctx{plan.program, plan.spec, sink};
+    for (std::size_t i = 0; i < ncheckers; ++i) {
+        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                                masters[i]->name() + ".program",
+                                "checker");
+        Clock::time_point t0 = Clock::now();
+        masters[i]->checkProgram(ctx);
+        elapsed[i] += Clock::now() - t0;
+    }
+    return finishRun(masters, sink, base, elapsed);
+}
+
 std::vector<CheckerRunStats>
 runCheckersParallel(const lang::Program& program,
                     const flash::ProtocolSpec& spec,
@@ -99,339 +336,78 @@ runCheckersParallel(const lang::Program& program,
 {
     // Any checker without a registered definition (a test double, say)
     // makes private instances impossible, which rules out the unit
-    // machinery entirely. Every registered configuration — including
-    // jobs == 1 — goes through the unit machinery, so fault containment
-    // and cache replay behave identically at any job count.
-    unsigned jobs = options.pool           ? options.pool->jobs()
-                    : options.jobs != 0   ? options.jobs
-                                           : support::ThreadPool::defaultJobs();
+    // pipeline entirely.
     std::vector<const CheckerDef*> defs;
     for (Checker* checker : checkers) {
         defs.push_back(checkerDef(checker->name(), options.checker_options));
         if (!defs.back())
             return runCheckers(program, spec, checkers, sink);
     }
-    cache::AnalysisCache* cache = options.cache;
+    return runCheckersParallel(program, spec, checkers, defs, sink, options);
+}
 
-    support::ThreadPool local_pool(options.pool ? 1 : jobs);
-    support::ThreadPool& pool = options.pool ? *options.pool : local_pool;
+std::vector<CheckerRunStats>
+runCheckersParallel(const lang::Program& program,
+                    const flash::ProtocolSpec& spec,
+                    const std::vector<Checker*>& checkers,
+                    const std::vector<const CheckerDef*>& defs,
+                    support::DiagnosticSink& sink,
+                    const ParallelRunOptions& options)
+{
+    const unsigned jobs = options.jobs != 0
+                              ? options.jobs
+                              : support::ThreadPool::defaultJobs();
+    support::ThreadPool pool(jobs);
+    CfgCache local_cfgs;
+    const UnitPlan plan{program, spec, defs, options.unit_budget,
+                        options.fail_fast,
+                        options.cfg_cache ? options.cfg_cache : &local_cfgs};
 
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    support::TraceRecorder& tracer = support::TraceRecorder::global();
-    using Clock = std::chrono::steady_clock;
-
-    const std::vector<const lang::FunctionDecl*>& fns = program.functions();
-    const std::size_t nfns = fns.size();
-    const std::size_t ncheckers = checkers.size();
-    const std::size_t nunits = nfns * ncheckers;
-
-    std::vector<int> base_errors;
-    std::vector<int> base_warnings;
-    for (Checker* checker : checkers) {
-        checker->reset();
-        base_errors.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Error));
-        base_warnings.push_back(sink.countForChecker(
-            checker->name(), support::Severity::Warning));
-    }
-
     if (metrics.enabled()) {
         metrics.gauge("parallel.jobs").observe(jobs);
-        metrics.counter("parallel.work_units").add(nunits);
-        // Pre-registered so "engine.unit_failures": 0 in a report is a
-        // statement that every unit completed, not an omission — and so
-        // the map nodes exist before phase 2 fans out, keeping first-use
-        // registration off the worker threads entirely.
-        metrics.counter("engine.unit_failures").add(0);
-        metrics.counter("budget.truncations").add(0);
-        metrics.counter("witness.steps").add(0);
-        metrics.counter("witness.truncations").add(0);
-        metrics.counter("ledger.events").add(0);
-        metrics.counter("walker.infeasible_pruned").add(0);
-        metrics.counter("walker.prune_cache_hits").add(0);
-        metrics.counter("walker.prune_skipped_nary").add(0);
-        metrics.counter("engine.table_memo_hits").add(0);
-        metrics.counter("engine.table_memo_misses").add(0);
+        metrics.counter("parallel.work_units").add(plan.units());
         if (options.cfg_cache)
             metrics.counter("parallel.cfg_reused").add(0);
-        metrics.histogram("unit.wall_ns");
-        metrics.histogram("unit.visits");
     }
 
-    std::vector<std::unique_ptr<Checker>> unit_checkers(nunits);
-    std::vector<support::DiagnosticSink> unit_sinks(nunits);
-    std::vector<char> unit_hit(nunits, 0);
-    std::vector<std::uint64_t> unit_keys(nunits, 0);
-
-    // Phase 0 (cache only): look every unit up by content key. A usable
-    // hit yields a reconstructed private checker (state replayed through
-    // loadState) and a private sink refilled with the stored diagnostics
-    // in their original order, so the merge below cannot tell a replayed
-    // unit from a freshly checked one. Unresolvable file names or a
-    // state blob loadState rejects demote the hit to a miss.
-    if (cache) {
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                "cache.lookup", "cache");
+    auto execute = [&](const std::vector<std::size_t>& todo,
+                       std::vector<UnitResult>& results,
+                       const std::function<void(std::size_t)>& done) {
+        // Build every CFG a unit will walk first, one builder per
+        // function: backEdges() is warmed while each Cfg still has a
+        // single owner — its lazily-filled cache is not synchronized, so
+        // it must never be computed from two units at once. Functions
+        // whose every unit replayed from cache skip the build; that
+        // skipped path enumeration is the warm-run speedup.
+        const std::size_t nfns = program.functions().size();
+        std::vector<char> need_cfg(nfns, 0);
+        for (std::size_t u : todo)
+            need_cfg[u / defs.size()] = 1;
+        std::vector<const cfg::Cfg*> cfgs(nfns, nullptr);
+        std::atomic<std::uint64_t> reused{0};
         support::ScopedTimer timer(
-            metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
-        std::map<std::string, std::uint64_t> fn_fps =
-            lang::fingerprintFunctions(program);
-        std::map<std::string, std::int32_t> file_ids =
-            cache::AnalysisCache::fileIdsByName(program.sourceManager());
-        std::uint64_t spec_fp = flash::specFingerprint(spec);
-        std::vector<support::Fnv1a> key_prefixes;
-        for (const CheckerDef* def : defs)
-            key_prefixes.push_back(unitCacheKeyPrefix(*def));
-        pool.parallelFor(nunits, [&](std::size_t u) {
-            std::size_t f = u / ncheckers;
-            std::size_t c = u % ncheckers;
-            auto fp = fn_fps.find(fns[f]->name);
-            if (fp == fn_fps.end())
-                return;
-            unit_keys[u] =
-                unitCacheKey(key_prefixes[c], spec_fp, fp->second);
-            std::shared_ptr<const cache::CachedUnit> unit =
-                cache->lookup(unit_keys[u]);
-            if (!unit)
-                return;
-            unit_checkers[u] = replayUnit(*defs[c], fns[f]->name, *unit,
-                                          file_ids, unit_sinks[u]);
-            unit_hit[u] = unit_checkers[u] != nullptr;
+            metrics.enabled() ? &metrics.timer("parallel.cfg_build")
+                              : nullptr);
+        pool.parallelFor(nfns, [&](std::size_t f) {
+            bool hit = false;
+            if (need_cfg[f])
+                cfgs[f] = &plan.cfgs->get(*program.functions()[f], &hit);
+            if (hit)
+                reused.fetch_add(1, std::memory_order_relaxed);
         });
-    }
-
-    // Phase 1: build every function's CFG concurrently, one builder per
-    // function. backEdges() is warmed here, while each Cfg still has a
-    // single owner — its lazily-filled mutable cache is not synchronized,
-    // so it must never be computed from two phase-2 units at once.
-    // Functions whose every unit replayed from cache skip the build —
-    // that skipped path enumeration is the warm-run speedup.
-    std::vector<char> need_cfg(nfns, cache ? 0 : 1);
-    if (cache)
-        for (std::size_t u = 0; u < nunits; ++u)
-            if (!unit_hit[u])
-                need_cfg[u / ncheckers] = 1;
-    Clock::time_point cfg_t0 = Clock::now();
-    std::vector<cfg::Cfg> cfgs(nfns);
-    std::vector<const cfg::Cfg*> cfg_ptrs(nfns, nullptr);
-    std::atomic<std::uint64_t> cfg_reused{0};
-    pool.parallelFor(nfns, [&](std::size_t f) {
-        if (!need_cfg[f])
-            return;
-        if (CfgCache* resident = options.cfg_cache) {
-            {
-                std::lock_guard<std::mutex> lock(resident->mu);
-                auto it = resident->cfgs.find(fns[f]);
-                if (it != resident->cfgs.end()) {
-                    cfg_ptrs[f] = &it->second;
-                    cfg_reused.fetch_add(1, std::memory_order_relaxed);
-                    return;
-                }
-            }
-            // Build (and warm backEdges) outside the lock, publish under
-            // it. std::map nodes are address-stable, so the pointer stays
-            // good as other functions insert.
-            cfg::Cfg built = cfg::CfgBuilder::build(*fns[f]);
-            built.backEdges();
-            std::lock_guard<std::mutex> lock(resident->mu);
-            cfg_ptrs[f] =
-                &resident->cfgs.emplace(fns[f], std::move(built))
-                     .first->second;
-            return;
-        }
-        cfgs[f] = cfg::CfgBuilder::build(*fns[f]);
-        cfgs[f].backEdges();
-        cfg_ptrs[f] = &cfgs[f];
-    });
-    if (metrics.enabled()) {
-        metrics.timer("parallel.cfg_build")
-            .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - cfg_t0));
-        if (options.cfg_cache)
+        timer.stop();
+        if (metrics.enabled() && options.cfg_cache)
             metrics.counter("parallel.cfg_reused")
-                .add(cfg_reused.load(std::memory_order_relaxed));
-    }
-
-    // Phase 2: (function x checker) units, each against a private checker
-    // instance and private sink, each under a UnitGuard. Unit
-    // u = f * ncheckers + c — the merge below walks u in order to
-    // reproduce the sequential visit order. A unit that throws is
-    // discarded wholesale (fresh instance, no partial findings) and
-    // replaced by one "analysis incomplete" warning, so a crash stays
-    // contained to its unit and the merged bytes stay deterministic.
-    // Cache misses run live and (in read-write mode) store their outcome:
-    // the private sink's diagnostics plus the instance's serialized
-    // state. Failed units are never stored; neither are budget-truncated
-    // ones, since budget limits are not part of the content key and a
-    // partial result must not masquerade as a full one.
-    std::vector<Clock::duration> unit_elapsed(nunits,
-                                              Clock::duration::zero());
-    std::vector<char> unit_failed(nunits, 0);
-    std::vector<support::LedgerUnitStats> unit_walk_stats(nunits);
-    std::vector<support::BudgetStop> unit_stop(
-        nunits, support::BudgetStop::None);
-    pool.parallelFor(nunits, [&](std::size_t u) {
-        if (unit_hit[u])
-            return;
-        std::size_t f = u / ncheckers;
-        std::size_t c = u % ncheckers;
-        const std::string label =
-            fns[f]->name + "/" + checkers[c]->name();
-        unit_checkers[u] = defs[c]->instantiate();
-        support::DiagnosticSink scratch;
-        CheckContext uctx{program, spec, scratch};
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                checkers[c]->name(), "checker");
-        if (tracer.enabled())
-            span.arg("function", fns[f]->name);
-        // Visit accumulator for the ledger: every walk this unit performs
-        // publishes into it through the thread-local scope.
-        support::LedgerUnitStats unit_stats;
-        support::LedgerUnitScope stats_scope(&unit_stats);
-        Clock::time_point t0 = Clock::now();
-        UnitGuard guard(label, options.unit_budget, options.fail_fast);
-        UnitOutcome outcome = guard.run([&] {
-            // Keyed by the unit's identity: the same units fault no
-            // matter how the pool schedules them across lanes.
-            support::fault::probe("checker.unit", label);
-            unit_checkers[u]->checkFunction(*fns[f], *cfg_ptrs[f], uctx);
+                .add(reused.load(std::memory_order_relaxed));
+        pool.parallelFor(todo.size(), [&](std::size_t i) {
+            const std::size_t u = todo[i];
+            runUnit(plan, u, results[u], cfgs[u / defs.size()]);
+            done(u);
         });
-        unit_elapsed[u] = Clock::now() - t0;
-        unit_walk_stats[u] = unit_stats;
-        unit_stop[u] = outcome.budget_stop;
-        if (outcome.failed) {
-            unit_failed[u] = 1;
-            unit_checkers[u] = defs[c]->instantiate();
-            warnUnitFailed(unit_sinks[u], fns[f]->loc, checkers[c]->name(),
-                           fns[f]->name, outcome.error);
-            return;
-        }
-        for (const support::Diagnostic& d : scratch.diagnostics())
-            unit_sinks[u].report(d);
-        if (outcome.budget_stop != support::BudgetStop::None)
-            warnUnitTruncated(unit_sinks[u], fns[f]->loc,
-                              checkers[c]->name(), fns[f]->name,
-                              outcome.budget_stop);
-        if (cache && !cache->readonly() && unit_keys[u] != 0 &&
-            outcome.budget_stop == support::BudgetStop::None) {
-            cache::CachedUnit unit;
-            unit.checker = checkers[c]->name();
-            unit.function = fns[f]->name;
-            std::ostringstream state;
-            unit_checkers[u]->saveState(state);
-            unit.state = state.str();
-            for (const support::Diagnostic& d :
-                 unit_sinks[u].diagnostics())
-                unit.diags.push_back(cache::AnalysisCache::toCached(
-                    d, program.sourceManager()));
-            cache->store(unit_keys[u], unit);
-        }
-    });
-
-    // Sequential merge, in exactly the sequential runner's visit order:
-    // per-checker state absorbs into the masters and each unit's findings
-    // replay through the shared sink (which re-runs the global dedup the
-    // private sinks could not see).
-    support::RunLedger& ledger = support::RunLedger::global();
-    std::set<std::int32_t> degraded_files;
-    if (ledger.enabled())
-        for (const lang::TranslationUnit& tu : program.units())
-            if (!tu.issues.empty())
-                degraded_files.insert(tu.file_id);
-    std::vector<Clock::duration> elapsed(ncheckers,
-                                         Clock::duration::zero());
-    std::uint64_t failures = 0;
-    std::uint64_t truncations = 0;
-    std::uint64_t witness_truncations = 0;
-    for (std::size_t u = 0; u < nunits; ++u) {
-        std::size_t f = u / ncheckers;
-        std::size_t c = u % ncheckers;
-        checkers[c]->absorb(*unit_checkers[u]);
-        elapsed[c] += unit_elapsed[u];
-        for (const support::Diagnostic& d : unit_sinks[u].diagnostics()) {
-            witness_truncations += d.witness.truncated ? 1 : 0;
-            sink.report(d);
-        }
-        failures += unit_failed[u] ? 1 : 0;
-        truncations +=
-            unit_stop[u] != support::BudgetStop::None ? 1 : 0;
-        if (ledger.enabled()) {
-            support::LedgerUnitEvent event;
-            event.function = fns[f]->name;
-            event.checker = checkers[c]->name();
-            event.wall_ms = std::chrono::duration<double, std::milli>(
-                                unit_elapsed[u])
-                                .count();
-            event.visits = unit_walk_stats[u].visits;
-            event.pruned_edges = unit_walk_stats[u].pruned_edges;
-            event.prune_cache_hits = unit_walk_stats[u].prune_cache_hits;
-            event.prune_skipped_nary =
-                unit_walk_stats[u].prune_skipped_nary;
-            event.cache = !cache ? "off" : unit_hit[u] ? "hit" : "miss";
-            event.budget_stop = support::budgetStopName(unit_stop[u]);
-            event.truncated = unit_stop[u] != support::BudgetStop::None;
-            event.failed = unit_failed[u] != 0;
-            event.degraded_parse =
-                degraded_files.count(fns[f]->loc.file_id) != 0;
-            ledger.unit(event);
-        }
-        if (metrics.enabled() && !unit_hit[u]) {
-            metrics.histogram("unit.wall_ns")
-                .observe(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        unit_elapsed[u])
-                        .count()));
-            metrics.histogram("unit.visits")
-                .observe(unit_walk_stats[u].visits);
-        }
-    }
-    if (options.health) {
-        options.health->unit_failures += failures;
-        options.health->budget_truncations += truncations;
-    }
-    if (metrics.enabled()) {
-        metrics.counter("engine.unit_failures").add(failures);
-        metrics.counter("budget.truncations").add(truncations);
-        metrics.counter("witness.truncations").add(witness_truncations);
-    }
-
-    CheckContext ctx{program, spec, sink};
-    for (std::size_t i = 0; i < ncheckers; ++i) {
-        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
-                                checkers[i]->name() + ".program",
-                                "checker");
-        Clock::time_point t0 = Clock::now();
-        checkers[i]->checkProgram(ctx);
-        elapsed[i] += Clock::now() - t0;
-    }
-
-    std::vector<CheckerRunStats> stats;
-    for (std::size_t i = 0; i < ncheckers; ++i) {
-        CheckerRunStats s;
-        s.checker = checkers[i]->name();
-        s.errors = sink.countForChecker(s.checker,
-                                        support::Severity::Error) -
-                   base_errors[i];
-        s.warnings = sink.countForChecker(s.checker,
-                                          support::Severity::Warning) -
-                     base_warnings[i];
-        s.applied = checkers[i]->applied();
-        s.wall_ms =
-            std::chrono::duration<double, std::milli>(elapsed[i]).count();
-        if (metrics.enabled()) {
-            metrics.timer("checker." + s.checker)
-                .add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed[i]));
-            metrics.counter("checker." + s.checker + ".errors")
-                .add(static_cast<std::uint64_t>(s.errors));
-            metrics.counter("checker." + s.checker + ".warnings")
-                .add(static_cast<std::uint64_t>(s.warnings));
-            metrics.counter("checker." + s.checker + ".applied")
-                .add(static_cast<std::uint64_t>(s.applied));
-        }
-        stats.push_back(std::move(s));
-    }
-    return stats;
+    };
+    return runUnitPipeline(plan, checkers, sink, options.cache,
+                           options.health, pool, execute);
 }
 
 } // namespace mc::checkers

@@ -5,11 +5,17 @@
 #include "checkers/checker.h"
 #include "checkers/registry.h"
 #include "support/budget.h"
+#include "support/diagnostics.h"
 #include "support/hash.h"
+#include "support/run_ledger.h"
 #include "support/thread_pool.h"
 
+#include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <vector>
 
 namespace mc::checkers {
 
@@ -25,8 +31,8 @@ namespace mc::checkers {
  * whole cache (the daemon does so whenever it rebuilds a program).
  *
  * Entries are inserted with their backEdges() cache pre-warmed while the
- * CFG still has a single owner, so concurrent phase-2 units only ever
- * *read* a resident CFG.
+ * CFG still has a single owner, so concurrent units only ever *read* a
+ * resident CFG.
  */
 struct CfgCache
 {
@@ -38,6 +44,14 @@ struct CfgCache
         std::lock_guard<std::mutex> lock(mu);
         return cfgs.size();
     }
+
+    /**
+     * The CFG of `fn`: the resident one (setting `*reused`), or one built
+     * now — outside the lock, backEdges warmed — and published. Map
+     * nodes are address-stable, so the reference stays good as other
+     * functions insert. Thread-safe.
+     */
+    const cfg::Cfg& get(const lang::FunctionDecl& fn, bool* reused = nullptr);
 };
 
 /**
@@ -66,12 +80,6 @@ struct ParallelRunOptions
      * masters claim.
      */
     CheckerSetOptions checker_options;
-    /**
-     * Reuse an existing pool (its lane count wins over `jobs`). The run
-     * must not itself be executing on one of the pool's workers — the
-     * pool forbids nested parallelFor.
-     */
-    support::ThreadPool* pool = nullptr;
     /**
      * Persistent analysis cache. When set, each (function, checker) work
      * unit is first looked up by content key — engine version, checker
@@ -104,8 +112,8 @@ struct ParallelRunOptions
     RunHealth* health = nullptr;
     /**
      * Resident CFG store shared across runs over the same Program. When
-     * set, phase 1 consults it before building and publishes what it
-     * builds; reuses tally into the "parallel.cfg_reused" counter. The
+     * set, the CFG build consults it before building and publishes
+     * what it builds; reuses tally into the "parallel.cfg_reused" counter. The
      * cache must only ever be paired with the Program whose declarations
      * key it.
      */
@@ -137,9 +145,8 @@ unitCacheKey(support::Fnv1a prefix, std::uint64_t spec_fp,
  * Content key for one (function, checker) work unit: the prefix above,
  * then the protocol-spec fingerprint and the function token-stream
  * fingerprint. Two runs may share a cache entry only when every
- * ingredient matches. Exposed so the shard coordinator keys its
- * phase-0 lookups exactly as the in-process runner does — byte-identical
- * warm runs depend on both computing the same key from the same inputs.
+ * ingredient matches. The unit pipeline keys every lookup with it;
+ * exposed so tests can pin the prefix path to this one-pass form.
  */
 inline std::uint64_t
 unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
@@ -165,34 +172,162 @@ replayUnit(const CheckerDef& def, const std::string& function,
            const std::map<std::string, std::int32_t>& file_ids,
            support::DiagnosticSink& sink);
 
+/** Where a unit's result came from, in the ledger's words. */
+enum class UnitCacheTag : std::uint8_t
+{
+    /** No analysis cache configured. */
+    Off,
+    /** Replayed from the analysis cache. */
+    Hit,
+    /** Not replayable from the cache, so it ran. */
+    Miss,
+};
+
+/**
+ * The result of one (function x checker) work unit — run in-process,
+ * replayed from the cache, or returned by a shard worker — in the form
+ * the merge consumes. In-process units keep their live checker
+ * instance; a worker's result arrives in its cache encoding (`wire`) and
+ * the coordinator replays it into `checker` and `sink`. Nothing is
+ * encoded unless a cache store or a wire reply needs it.
+ */
+struct UnitResult
+{
+    /** The unit's checker instance, absorbed into its master at merge. */
+    std::unique_ptr<Checker> checker;
+    /** The unit's findings, containment warnings included. */
+    support::DiagnosticSink sink;
+    /** The unit threw: `checker` is fresh, `sink` holds one warning. */
+    bool failed = false;
+    std::string error;
+    /** The budget limit that truncated the unit, or None. */
+    support::BudgetStop budget_stop = support::BudgetStop::None;
+    /** Wall time the unit ran (zero when it replayed from the cache). */
+    std::chrono::steady_clock::duration wall{};
+    /** Walk tallies for the unit's ledger event. */
+    support::LedgerUnitStats stats;
+    UnitCacheTag cache = UnitCacheTag::Off;
+    /** Shard worker slot (-1 in-process) and dispatch attempts. */
+    int worker = -1;
+    std::uint64_t attempts = 0;
+    /** A shard worker's result as decoded off the wire. */
+    std::optional<cache::CachedUnit> wire;
+};
+
+/**
+ * The (function x checker) units of one run. Unit u = f * defs.size() + c
+ * over program.functions() x defs — the sequential runner's visit order,
+ * which the merge walks — so every substrate indexes the same grid.
+ */
+struct UnitPlan
+{
+    const lang::Program& program;
+    const flash::ProtocolSpec& spec;
+    /** The definition each checker column instantiates from. */
+    std::vector<const CheckerDef*> defs;
+    /**
+     * Per-unit resource budget (wall-clock deadline, step and byte
+     * allowances), consulted by the path walker. Exhaustion truncates
+     * the unit gracefully; default-constructed means unlimited.
+     */
+    support::BudgetLimits budget;
+    /** Rethrow a unit's failure instead of containing it. */
+    bool fail_fast = false;
+    /** Where runUnit looks up (or builds) each function's CFG. */
+    CfgCache* cfgs = nullptr;
+
+    std::size_t
+    units() const
+    {
+        return program.functions().size() * defs.size();
+    }
+    const lang::FunctionDecl&
+    function(std::size_t u) const
+    {
+        return *program.functions()[u / defs.size()];
+    }
+    const CheckerDef& def(std::size_t u) const { return *defs[u % defs.size()]; }
+    /** "function/checker": the unit's identity in fault keys and errors. */
+    std::string label(std::size_t u) const;
+};
+
+/**
+ * Run unit `u` of `plan` into a default-constructed `out`: a fresh
+ * instance of the unit's definition checks the function's CFG under a
+ * UnitGuard with the plan's budget, behind the `checker.unit` fault
+ * probe (keyed by the unit's label, so the same units fault at any job
+ * or shard count). A unit that throws is discarded — fresh instance, no
+ * partial findings — and leaves a single "analysis incomplete" warning;
+ * a budget-truncated unit keeps its partial findings plus a
+ * "budget-exhausted" marker. The one unit body of every substrate.
+ * `cfg` is the function's CFG when the caller already looked it up
+ * (sparing each unit a locked map lookup); null asks `plan.cfgs`.
+ */
+void runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
+             const cfg::Cfg* cfg = nullptr);
+
+/**
+ * Contain unit `u`'s failure: `out` becomes a failed unit with a fresh
+ * checker instance and, in place of any findings, the single "analysis
+ * incomplete" warning. Used by runUnit and for failures the shard
+ * coordinator synthesizes (quarantine, merge faults).
+ */
+void failUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
+              std::string error);
+
+/** Unit `u`'s result in the cache (and shard wire) encoding. */
+cache::CachedUnit captureUnit(const UnitPlan& plan, std::size_t u,
+                              const UnitResult& result);
+
+/**
+ * Runs the units `todo` (the cache misses, ascending) of a plan into
+ * `results` — the thread pool in-process, the supervisor when sharded —
+ * calling `done(u)` (from any thread) as soon as unit u's result is
+ * complete, so the pipeline can store it while other units still run.
+ */
+using UnitExecutor = std::function<void(
+    const std::vector<std::size_t>& todo, std::vector<UnitResult>& results,
+    const std::function<void(std::size_t)>& done)>;
+
+/**
+ * The unit pipeline every substrate shares, so a run's bytes, ledger,
+ * metrics and health do not depend on who executed its units:
+ *
+ *  0. with a cache, look every unit up by content key and replay the
+ *     hits (replayUnit);
+ *  1. `execute` the remaining units, storing each completed,
+ *     untruncated one back into the cache as it finishes;
+ *  2. merge sequentially in unit order: each master absorbs its units'
+ *     state, their findings replay through `sink` (which re-runs the
+ *     global dedup the private sinks could not see), and each unit
+ *     emits its ledger event and `unit.*` observations;
+ *  3. run the masters' program-level passes and return their stats.
+ *
+ * Lookups fan out on `pool`. With `plan.fail_fast` a failed unit aborts
+ * the run at merge.
+ */
+std::vector<CheckerRunStats>
+runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
+                support::DiagnosticSink& sink, cache::AnalysisCache* cache,
+                RunHealth* health, support::ThreadPool& pool,
+                const UnitExecutor& execute);
+
 /**
  * Parallel drop-in for runCheckers: same inputs, same outputs, same
  * bytes in the sink — only the wall clock differs.
  *
- * The function passes fan out as (function x checker) work units, each
- * with a private checker instance (instantiated from the shared
- * CheckerDef registered under the master's name — no parsing or
- * compiling per unit) and a private DiagnosticSink. Units are merged back
- * sequentially in (function-major, checker-minor) order — exactly the
- * order the sequential runner visits them — so the shared sink sees the
- * identical diagnostic sequence, dedup decisions and all, for any job
- * count. Master instances absorb the units' per-run state in the same
- * order, then run the program-level passes sequentially, so
- * inter-procedural checkers (lanes) see exactly the sequential state.
+ * Every (function x checker) pair runs as a unit of the pipeline above,
+ * on a thread pool: CFGs are built first, one builder per function
+ * (only for functions with a unit to run), then the units fan out, each
+ * with a private checker instance instantiated from the shared
+ * CheckerDef registered under the master's name. With jobs == 1 the
+ * same machinery runs (the pool spawns no threads), so sequential and
+ * parallel runs degrade and replay identically. Failures tally into
+ * engine.unit_failures and options.health.
  *
  * Checkers whose names have no registered definition force a
  * sequential fallback (their instances cannot be cloned); the result is
  * still correct, just not parallel — and not fault-contained.
- *
- * Fault containment: every unit body runs under a UnitGuard. A unit
- * that throws (checker bug, injected fault, bad_alloc) is discarded —
- * fresh instance absorbed, no partial findings — and replaced by a
- * single "analysis incomplete" warning diagnostic (checker "engine",
- * rule "unit-failure") that flows through the normal sorted merge, so a
- * degraded run is still byte-identical for any job count. Failures
- * tally into the engine.unit_failures metric and options.health. With
- * jobs == 1 the unit machinery (and the guard) is used all the same, so
- * sequential and parallel runs degrade identically.
  */
 std::vector<CheckerRunStats>
 runCheckersParallel(const lang::Program& program,
@@ -200,6 +335,19 @@ runCheckersParallel(const lang::Program& program,
                     const std::vector<Checker*>& checkers,
                     support::DiagnosticSink& sink,
                     const ParallelRunOptions& options = ParallelRunOptions());
+
+/**
+ * runCheckersParallel over explicit definitions: `checkers[i]` is an
+ * instance of `defs[i]`. For checkers no registry name resolves — metal
+ * mode's one-off user checker.
+ */
+std::vector<CheckerRunStats>
+runCheckersParallel(const lang::Program& program,
+                    const flash::ProtocolSpec& spec,
+                    const std::vector<Checker*>& checkers,
+                    const std::vector<const CheckerDef*>& defs,
+                    support::DiagnosticSink& sink,
+                    const ParallelRunOptions& options);
 
 } // namespace mc::checkers
 

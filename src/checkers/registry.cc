@@ -10,6 +10,8 @@
 #include "checkers/msg_length.h"
 #include "checkers/no_float.h"
 #include "checkers/send_wait.h"
+#include "metal/engine.h"
+#include "support/text.h"
 
 #include <algorithm>
 #include <map>
@@ -27,22 +29,58 @@ CheckerSet::byName(const std::string& name) const
     return nullptr;
 }
 
-CheckerDef::CheckerDef(std::string name, CheckerSetOptions options,
-                       const char* metal_source)
-    : name_(std::move(name)), options_(options),
-      metal_source_(metal_source ? metal_source : "")
+namespace {
+
+/** A user-written metal checker: the definition's machine, nothing else. */
+class UserMetalChecker : public Checker
 {
-    if (metal_source) {
-        metal_ = metal::parseMetal(metal_source_, name_ + ".metal");
-        // Compile now, while the definition has a single owner, so no
-        // unit ever pays for (or races on) the first compilation.
-        metal_.sm->compiled();
+  public:
+    explicit UserMetalChecker(const CheckerDef& def) : def_(def) {}
+
+    std::string name() const override { return def_.name(); }
+
+    void
+    checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
+                  CheckContext& ctx) override
+    {
+        (void)fn;
+        metal::SmRunOptions options;
+        options.prune_strategy = def_.options().prune_strategy;
+        metal::runStateMachine(*def_.metal()->sm, cfg, ctx.sink, options);
     }
+
+  private:
+    const CheckerDef& def_;
+};
+
+} // namespace
+
+CheckerDef::CheckerDef(std::string name, CheckerSetOptions options,
+                       std::string metal_source, metal::MetalProgram metal)
+    : name_(std::move(name)), options_(options),
+      metal_source_(std::move(metal_source)), metal_(std::move(metal))
+{
+    // Compile now, while the definition has a single owner, so no unit
+    // ever pays for (or races on) the first compilation.
+    if (metal_.sm)
+        metal_.sm->compiled();
+}
+
+std::unique_ptr<const CheckerDef>
+CheckerDef::fromMetal(std::string source, const std::string& origin,
+                      CheckerSetOptions options)
+{
+    metal::MetalProgram program = metal::parseMetal(source, origin);
+    std::string name = "metal:" + program.name;
+    return std::unique_ptr<const CheckerDef>(new CheckerDef(
+        std::move(name), options, std::move(source), std::move(program)));
 }
 
 std::unique_ptr<Checker>
 CheckerDef::instantiate() const
 {
+    if (support::startsWith(name_, "metal:"))
+        return std::make_unique<UserMetalChecker>(*this);
     const metal::PruneStrategy prune = options_.prune_strategy;
     if (name_ == "buffer_mgmt") {
         BufferMgmtChecker::Options bm;
@@ -83,7 +121,12 @@ checkerDef(const std::string& name, const CheckerSetOptions& options)
         const char* metal_source = name == "msglen_check" ? kMsgLenCheckMetal
                                    : name == "wait_for_db" ? kWaitForDbMetal
                                                            : nullptr;
-        def.reset(new CheckerDef(name, options, metal_source));
+        metal::MetalProgram program;
+        if (metal_source)
+            program = metal::parseMetal(metal_source, name + ".metal");
+        def.reset(new CheckerDef(name, options,
+                                 metal_source ? metal_source : "",
+                                 std::move(program)));
     }
     return def.get();
 }

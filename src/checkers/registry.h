@@ -82,13 +82,25 @@ class CheckerDef
      */
     std::unique_ptr<Checker> instantiate() const;
 
+    /**
+     * A one-off definition for a user-written metal checker (`mccheck
+     * --metal`): `source` parsed (parse errors name `origin`) and
+     * compiled, named "metal:<sm>". Its instances run the state machine
+     * down every path of each function; they keep no per-run state. Not
+     * registered with checkerDef: the caller owns it. Throws
+     * metal::MetalParseError on malformed source.
+     */
+    static std::unique_ptr<const CheckerDef>
+    fromMetal(std::string source, const std::string& origin,
+              CheckerSetOptions options);
+
   private:
     friend const CheckerDef* checkerDef(const std::string&,
                                         const CheckerSetOptions&);
 
-    /** Parses `metal_source` (nullptr: hand-written) and compiles it. */
+    /** Compiles `metal`'s state machine, if any. */
     CheckerDef(std::string name, CheckerSetOptions options,
-               const char* metal_source);
+               std::string metal_source, metal::MetalProgram metal);
 
     std::string name_;
     CheckerSetOptions options_;

@@ -373,7 +373,8 @@ class PathWalker
     /**
      * Fold this walk's tallies into the thread's active per-unit ledger
      * accumulator, if any (installed by the unit runners), and into the
-     * walker.* metrics. One TLS load and one enabled check per walk;
+     * walker.* metrics (walker.visits sums what the ledger's unit
+     * events report). One TLS load and one enabled check per walk;
      * nothing per visit.
      */
     static void
@@ -389,6 +390,7 @@ class PathWalker
         support::MetricsRegistry& metrics =
             support::MetricsRegistry::global();
         if (metrics.enabled()) {
+            metrics.counter("walker.visits").add(result.visits);
             metrics.counter("walker.infeasible_pruned")
                 .add(result.pruned_edges);
             metrics.counter("walker.prune_cache_hits")

@@ -3,6 +3,7 @@
 
 #include "cache/analysis_cache.h"
 #include "metal/engine.h"
+#include "support/budget.h"
 #include "support/diagnostics.h"
 
 #include <cstdint>
@@ -108,6 +109,9 @@ struct CheckOutcome
     /** A resident Program snapshot satisfied the run without rebuild. */
     bool program_reused = false;
 };
+
+/** Per-unit resource limits from the request's budget knobs. */
+support::BudgetLimits unitBudget(const CheckRequest& request);
 
 /**
  * Execute `request`, writing findings to `out` (the bytes a batch run

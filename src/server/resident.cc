@@ -243,15 +243,21 @@ ResidentState::protocolSnapshot(const std::string& protocol,
     return it->second.loaded;
 }
 
-const metal::MetalProgram&
-ResidentState::metalProgram(const std::string& source,
-                            const std::string& origin)
+const checkers::CheckerDef&
+ResidentState::metalChecker(const std::string& source,
+                            const std::string& origin,
+                            const checkers::CheckerSetOptions& options)
 {
-    const std::uint64_t key = support::fnv1a(source);
-    auto it = metal_.find(key);
-    if (it == metal_.end())
-        it = metal_.emplace(key, metal::parseMetal(source, origin)).first;
-    return it->second;
+    const std::uint64_t key =
+        support::Fnv1a()
+            .str(source)
+            .u8(options.value_sensitive_frees ? 1 : 0)
+            .u8(static_cast<std::uint8_t>(options.prune_strategy))
+            .value();
+    std::unique_ptr<const checkers::CheckerDef>& def = metal_[key];
+    if (!def)
+        def = checkers::CheckerDef::fromMetal(source, origin, options);
+    return *def;
 }
 
 std::size_t

@@ -4,8 +4,8 @@
 #include "cache/analysis_cache.h"
 #include "checkers/parallel.h"
 #include "corpus/generator.h"
+#include "checkers/registry.h"
 #include "lang/program.h"
-#include "metal/metal_parser.h"
 
 #include <cstdint>
 #include <functional>
@@ -129,14 +129,15 @@ class ResidentState
                                              bool& reused);
 
     /**
-     * Parse-or-reuse a metal checker by its *source text* (keyed by
-     * content, so an edited .metal re-compiles and an untouched one is
-     * free). `origin` names the source in parse errors, matching what a
-     * batch loadMetalFile run reports. Throws metal::MetalParseError on
-     * malformed source.
+     * Parse-or-reuse a user metal checker's definition by its *source
+     * text* and options (keyed by content, so an edited .metal
+     * re-compiles and an untouched one is free). `origin` names the
+     * source in parse errors, matching what a batch run reports. Throws
+     * metal::MetalParseError on malformed source.
      */
-    const metal::MetalProgram& metalProgram(const std::string& source,
-                                            const std::string& origin);
+    const checkers::CheckerDef&
+    metalChecker(const std::string& source, const std::string& origin,
+                 const checkers::CheckerSetOptions& options);
 
     // ---- introspection for the `status` method ------------------------
 
@@ -171,7 +172,8 @@ class ResidentState
     std::unique_ptr<cache::AnalysisCache> memory_cache_;
     std::vector<FileSnapshot> snapshots_;
     std::map<std::string, ProtocolSnapshot> protocols_;
-    std::map<std::uint64_t, metal::MetalProgram> metal_;
+    std::map<std::uint64_t, std::unique_ptr<const checkers::CheckerDef>>
+        metal_;
     std::uint64_t use_seq_ = 0;
 };
 

@@ -9,33 +9,6 @@
 
 namespace mc::server {
 
-/** Engine-side knobs for runCheckersSharded (the request itself carries
- *  the shard topology: worker count, argv, batch size, timeouts). */
-struct ShardRunOptions
-{
-    /**
-     * Factory options for replayed checker instances. Must match the
-     * options the master `checkers` were built with — and the options
-     * the workers derive from the same CheckRequest.
-     */
-    checkers::CheckerSetOptions checker_options;
-    /**
-     * Persistent analysis cache. Looked up sequentially before any
-     * worker is spawned (hits never cross a process boundary) and
-     * populated with worker results, so a warm re-run spawns workers
-     * only for units that actually changed.
-     */
-    cache::AnalysisCache* cache = nullptr;
-    /**
-     * Abort on the first failed or quarantined unit, in deterministic
-     * merge order, instead of containing it. The abort surfaces as a
-     * thrown std::runtime_error carrying the unit's failure message.
-     */
-    bool fail_fast = false;
-    /** Optional out-param receiving the run's containment tally. */
-    checkers::RunHealth* health = nullptr;
-};
-
 /**
  * Multi-process drop-in for runCheckersParallel: same inputs, same
  * bytes in the sink at any shard count — including `--shards 1`, which
@@ -45,13 +18,13 @@ struct ShardRunOptions
  * (function x checker) units are batched in deterministic order and
  * dispatched by a shard::Supervisor to `request.shards` worker
  * processes (`request.shard_worker_argv`) speaking the mccheckd line
- * protocol's `check_units` method over socketpairs. Each worker runs
- * its units under the same UnitGuard + containment rules as the
- * in-process phase 2 and returns results in the analysis cache's
- * encoded form; the coordinator replays them — checker state through
- * loadState, diagnostics through the private-sink merge — in exactly
- * the sequential visit order, so the shared sink cannot tell a sharded
- * run from an in-process one.
+ * protocol's `check_units` method over socketpairs. This is the shard
+ * executor of checkers::runUnitPipeline: cache lookup, merge, ledger,
+ * metrics and health are the pipeline's, shared with the in-process
+ * runner. Each worker runs its units through checkers::runUnit and
+ * returns results in the analysis cache's encoded form; the coordinator
+ * replays them (replayUnit) into the pipeline's result slots, so the
+ * shared sink cannot tell a sharded run from an in-process one.
  *
  * Robustness: a worker that crashes, EOFs, stalls past the heartbeat
  * activity window, or blows the per-batch deadline is killed and
@@ -61,18 +34,26 @@ struct ShardRunOptions
  * contained "analysis incomplete" unit failure (engine/unit-failure
  * warning, degraded exit code 2), identical bytes at any shard count.
  *
+ * `checkers[i]` is an instance of `defs[i]`, which must be the
+ * registered built-in definitions the workers rebuild from the request
+ * (makeAllCheckers order). Of `options`, the cache, fail_fast and
+ * health apply here; the request carries the per-unit budget to the
+ * workers, which build their own CFGs.
+ *
  * Throws std::runtime_error when no worker can be kept alive, when a
  * worker answers with a protocol error or undecodable payload, or on
- * the first failure under fail_fast — all rendered by runCheckRequest
- * as the fatal "mccheck: <what>" line (exit 3).
+ * the first failure under fail_fast (a failed or quarantined unit, in
+ * merge order) — all rendered by runCheckRequest as the fatal
+ * "mccheck: <what>" line (exit 3).
  */
 std::vector<checkers::CheckerRunStats>
 runCheckersSharded(const lang::Program& program,
                    const flash::ProtocolSpec& spec,
                    const std::vector<checkers::Checker*>& checkers,
+                   const std::vector<const checkers::CheckerDef*>& defs,
                    support::DiagnosticSink& sink,
                    const CheckRequest& request,
-                   const ShardRunOptions& options);
+                   const checkers::ParallelRunOptions& options);
 
 } // namespace mc::server
 

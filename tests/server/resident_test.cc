@@ -299,19 +299,22 @@ TEST(ResidentMetal, ProgramsAreKeyedBySourceContent)
                                "    first:\n"
                                "        assign ==> { err(\"assign seen\"); } ;\n"
                                "}\n";
-    const metal::MetalProgram& first =
-        resident.metalProgram(source, "probe.metal");
+    const checkers::CheckerSetOptions options;
+    const checkers::CheckerDef& first =
+        resident.metalChecker(source, "probe.metal", options);
+    EXPECT_EQ(first.name(), "metal:probe");
     EXPECT_EQ(resident.metalProgramCount(), 1u);
-    const metal::MetalProgram& second =
-        resident.metalProgram(source, "probe.metal");
+    const checkers::CheckerDef& second =
+        resident.metalChecker(source, "probe.metal", options);
     EXPECT_EQ(&second, &first);
     EXPECT_EQ(resident.metalProgramCount(), 1u);
 
     // Different source text compiles a second resident program.
-    resident.metalProgram(source + "\n", "probe.metal");
+    resident.metalChecker(source + "\n", "probe.metal", options);
     EXPECT_EQ(resident.metalProgramCount(), 2u);
 
-    EXPECT_THROW(resident.metalProgram("sm broken {", "broken.metal"),
+    EXPECT_THROW(resident.metalChecker("sm broken {", "broken.metal",
+                                       options),
                  metal::MetalParseError);
 }
 
