@@ -59,7 +59,7 @@ class IrqDepthChecker : public checkers::Checker
         hooks.on_exit = [&](State& st) {
             if (st.depth > 0)
                 ctx.sink.error(fn.loc, name(), "irq-left-disabled",
-                               "'" + fn.name +
+                               "'" + std::string(fn.name) +
                                    "' can return with interrupts "
                                    "disabled");
         };

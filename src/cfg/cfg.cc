@@ -381,7 +381,7 @@ class BuilderImpl
             auto it = labels_.find(label);
             if (it == labels_.end())
                 throw std::runtime_error("goto to undefined label '" +
-                                         label + "'");
+                                         std::string(label) + "'");
             addEdge(from, it->second);
         }
     }
@@ -391,8 +391,9 @@ class BuilderImpl
     std::vector<int> break_targets_;
     std::vector<int> continue_targets_;
     std::vector<int> return_blocks_;
-    std::vector<std::pair<int, std::string>> pending_gotos_;
-    std::map<std::string, int> labels_;
+    // Label names view the AST, which outlives the builder.
+    std::vector<std::pair<int, std::string_view>> pending_gotos_;
+    std::map<std::string_view, int> labels_;
 };
 
 Cfg

@@ -26,7 +26,7 @@ struct AllocState
 };
 
 /** Name of the variable an `x = ALLOCATE_DB()` form assigns, or "". */
-std::string
+std::string_view
 allocTarget(const Stmt& stmt)
 {
     if (stmt.skind == StmtKind::Expr) {
@@ -82,7 +82,7 @@ BufferAllocChecker::checkFunction(const FunctionDecl& fn,
 
     mc::metal::PathWalker<AllocState>::Hooks hooks;
     hooks.on_stmt = [&](AllocState& st, const Stmt& stmt) {
-        std::string target = allocTarget(stmt);
+        std::string_view target = allocTarget(stmt);
         if (!target.empty()) {
             st.var = target;
             st.checked = false;

@@ -256,12 +256,12 @@ BufferMgmtChecker::checkFunction(const FunctionDecl& fn,
             ctx.sink.error(st.last_event.isValid() ? st.last_event : fn.loc,
                            name(), "leak",
                            "data buffer not freed on some path through '" +
-                               fn.name + "'");
+                               std::string(fn.name) + "'");
         }
         if (!st.has_buffer && role == Role::UsingHelper) {
             ctx.sink.error(st.last_event.isValid() ? st.last_event : fn.loc,
                            name(), "helper-freed",
-                           "buffer-using routine '" + fn.name +
+                           "buffer-using routine '" + std::string(fn.name) +
                                "' freed the buffer it does not own");
         }
     };
@@ -283,7 +283,7 @@ BufferMgmtChecker::checkFunction(const FunctionDecl& fn,
             ctx.sink.warning(loc, name(), "annotation-unneeded",
                              "annotation changes nothing on any path "
                              "through '" +
-                                 fn.name + "'");
+                                 std::string(fn.name) + "'");
         }
     }
 }

@@ -19,8 +19,7 @@ classify(const Expr& expr)
     const auto& call = static_cast<const CallExpr&>(expr);
     if (call.callee->ekind != ExprKind::Ident)
         return Op::None;
-    const std::string& callee =
-        static_cast<const IdentExpr*>(call.callee)->name;
+    std::string_view callee = static_cast<const IdentExpr*>(call.callee)->name;
     if (callee == "WAIT_FOR_DB_FULL")
         return Op::Wait;
     if (callee == "MISCBUS_READ_DB" || callee == "MISCBUS_READ_DB_OLD")

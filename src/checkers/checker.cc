@@ -43,6 +43,10 @@ registerRunMetrics()
           "walker.prune_cache_hits", "walker.prune_skipped_nary"})
         metrics.counter(name).add(0);
     metrics.gauge("engine.peak_frontier");
+    // Fed by Program::addSource/updateSource, before any checker runs.
+    metrics.timer("lang.parse");
+    metrics.gauge("lang.ast_nodes");
+    metrics.gauge("lang.arena_bytes");
     metrics.histogram("unit.wall_ns");
     metrics.histogram("unit.visits");
 }
@@ -120,7 +124,7 @@ runCheckers(const lang::Program& program, const flash::ProtocolSpec& spec,
             support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                                     checkers[i]->name(), "checker");
             if (tracer.enabled())
-                span.arg("function", fn->name);
+                span.arg("function", std::string(fn->name));
             Clock::time_point t0 = Clock::now();
             checkers[i]->checkFunction(*fn, cfg, ctx);
             elapsed[i] += Clock::now() - t0;

@@ -45,11 +45,11 @@ ExecRestrictChecker::checkSignature(const FunctionDecl& fn,
     const TypeTable& types = ctx.program.ctx().types();
     if (types.type(fn.return_type).kind != TypeKind::Void)
         ctx.sink.error(fn.loc, name(), "handler-returns-value",
-                       "handler '" + fn.name +
+                       "handler '" + std::string(fn.name) +
                            "' must have void return type");
     if (!fn.params.empty())
         ctx.sink.error(fn.loc, name(), "handler-takes-params",
-                       "handler '" + fn.name +
+                       "handler '" + std::string(fn.name) +
                            "' must take no parameters");
 }
 
@@ -87,27 +87,27 @@ ExecRestrictChecker::checkHooks(const FunctionDecl& fn, CheckContext& ctx)
       case HandlerKind::Hardware:
         if (leadKind(0) != MacroKind::HandlerDefs)
             ctx.sink.error(fn.loc, name(), "missing-hook",
-                           "handler '" + fn.name +
+                           "handler '" + std::string(fn.name) +
                                "' must begin with HANDLER_DEFS()");
         else if (leadKind(1) != MacroKind::HandlerPrologue)
             ctx.sink.error(fn.loc, name(), "missing-hook",
-                           "handler '" + fn.name +
+                           "handler '" + std::string(fn.name) +
                                "' must call HANDLER_PROLOGUE() second");
         break;
       case HandlerKind::Software:
         if (leadKind(0) != MacroKind::SwHandlerDefs)
             ctx.sink.error(fn.loc, name(), "missing-hook",
-                           "software handler '" + fn.name +
+                           "software handler '" + std::string(fn.name) +
                                "' must begin with SWHANDLER_DEFS()");
         else if (leadKind(1) != MacroKind::SwHandlerPrologue)
             ctx.sink.error(fn.loc, name(), "missing-hook",
-                           "software handler '" + fn.name +
+                           "software handler '" + std::string(fn.name) +
                                "' must call SWHANDLER_PROLOGUE() second");
         break;
       case HandlerKind::Normal:
         if (leadKind(0) != MacroKind::ProcHook)
             ctx.sink.error(fn.loc, name(), "missing-hook",
-                           "routine '" + fn.name +
+                           "routine '" + std::string(fn.name) +
                                "' must begin with PROC_HOOK()");
         break;
     }
@@ -134,11 +134,11 @@ ExecRestrictChecker::checkNoStack(const FunctionDecl& fn, CheckContext& ctx)
     }
     if (no_stack_count == 0)
         ctx.sink.error(fn.loc, name(), "no-stack-missing",
-                       "no-stack handler '" + fn.name +
+                       "no-stack handler '" + std::string(fn.name) +
                            "' lacks its NO_STACK() annotation");
     else if (no_stack_count > 1)
         ctx.sink.error(fn.loc, name(), "no-stack-duplicate",
-                       "handler '" + fn.name +
+                       "handler '" + std::string(fn.name) +
                            "' has more than one NO_STACK() annotation");
 
     // Locals: count, size, arrays, address-taken.
@@ -152,10 +152,11 @@ ExecRestrictChecker::checkNoStack(const FunctionDecl& fn, CheckContext& ctx)
                 if (t.kind == TypeKind::Array)
                     ctx.sink.error(v->loc, name(), "no-stack-array",
                                    "no-stack handler declares array '" +
-                                       v->name + "'");
+                                       std::string(v->name) + "'");
                 else if (types.sizeInBits(v->type) > 64)
                     ctx.sink.error(v->loc, name(), "no-stack-large-var",
-                                   "no-stack handler declares '" + v->name +
+                                   "no-stack handler declares '" +
+                                       std::string(v->name) +
                                        "' larger than 64 bits");
             }
         }
@@ -175,14 +176,15 @@ ExecRestrictChecker::checkNoStack(const FunctionDecl& fn, CheckContext& ctx)
                     ctx.sink.error(e.loc, name(), "no-stack-addr-of",
                                    "no-stack handler takes the address of "
                                    "local '" +
-                                       ident->name + "'");
+                                       std::string(ident->name) + "'");
             });
         });
     });
     if (locals > kMaxNoStackLocals)
         ctx.sink.error(fn.loc, name(), "no-stack-too-many-locals",
-                       "no-stack handler '" + fn.name + "' declares " +
-                           std::to_string(locals) + " locals (max " +
+                       "no-stack handler '" + std::string(fn.name) +
+                           "' declares " + std::to_string(locals) +
+                           " locals (max " +
                            std::to_string(kMaxNoStackLocals) + ")");
 
     // SET_STACKPTR pairing with calls, per compound statement sequence.

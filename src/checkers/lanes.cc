@@ -55,7 +55,8 @@ LanesChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
             });
         });
     };
-    summaries_.push_back(global::summarize(fn.name, cfg, extract));
+    summaries_.push_back(
+        global::summarize(std::string(fn.name), cfg, extract));
 }
 
 void

@@ -28,7 +28,8 @@ NoFloatChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
     for (const ParamDecl* p : fn.params)
         if (types.isFloating(p->type))
             ctx.sink.error(p->loc, name(), "float-param",
-                           "floating point parameter '" + p->name + "'");
+                           "floating point parameter '" +
+                               std::string(p->name) + "'");
 
     forEachStmt(*fn.body, [&](const Stmt& stmt) {
         if (stmt.skind == StmtKind::Decl) {
@@ -36,8 +37,8 @@ NoFloatChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                  static_cast<const DeclStmt&>(stmt).decls) {
                 if (types.isFloating(v->type))
                     ctx.sink.error(v->loc, name(), "float-var",
-                                   "floating point variable '" + v->name +
-                                       "'");
+                                   "floating point variable '" +
+                                       std::string(v->name) + "'");
             }
         }
         forEachTopLevelExpr(stmt, [&](const Expr& top) {

@@ -71,7 +71,7 @@ unitCacheKeyPrefix(const CheckerDef& def)
 }
 
 std::unique_ptr<Checker>
-replayUnit(const CheckerDef& def, const std::string& function,
+replayUnit(const CheckerDef& def, std::string_view function,
            const cache::CachedUnit& unit,
            const std::map<std::string, std::int32_t>& file_ids,
            support::DiagnosticSink& sink)
@@ -112,7 +112,7 @@ CfgCache::get(const lang::FunctionDecl& fn, bool* reused)
 std::string
 UnitPlan::label(std::size_t u) const
 {
-    return function(u).name + "/" + def(u).name();
+    return std::string(function(u).name) + "/" + def(u).name();
 }
 
 void
@@ -126,7 +126,7 @@ runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                             def.name(), "checker");
     if (tracer.enabled())
-        span.arg("function", fn.name);
+        span.arg("function", std::string(fn.name));
     out.checker = def.instantiate();
     CheckContext ctx{plan.program, plan.spec, out.sink};
     // Every walk the unit performs publishes its tallies here.
@@ -142,8 +142,8 @@ runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     if (outcome.failed)
         failUnit(plan, u, out, outcome.error);
     else if (outcome.budget_stop != support::BudgetStop::None)
-        warnUnitTruncated(out.sink, fn.loc, def.name(), fn.name,
-                          outcome.budget_stop);
+        warnUnitTruncated(out.sink, fn.loc, def.name(),
+                          std::string(fn.name), outcome.budget_stop);
 }
 
 void
@@ -155,7 +155,8 @@ failUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     out.error = std::move(error);
     out.checker = plan.def(u).instantiate();
     out.sink.clear();
-    warnUnitFailed(out.sink, fn.loc, plan.def(u).name(), fn.name, out.error);
+    warnUnitFailed(out.sink, fn.loc, plan.def(u).name(), std::string(fn.name),
+                   out.error);
 }
 
 cache::CachedUnit
@@ -203,7 +204,7 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
                                 "cache.lookup", "cache");
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
-        std::map<std::string, std::uint64_t> fn_fps =
+        lang::FunctionFingerprints fn_fps =
             lang::fingerprintFunctions(plan.program);
         std::map<std::string, std::int32_t> file_ids =
             cache::AnalysisCache::fileIdsByName(plan.program.sourceManager());
@@ -214,7 +215,7 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         pool.parallelFor(nunits, [&](std::size_t u) {
             UnitResult& r = results[u];
             r.cache = UnitCacheTag::Miss;
-            const std::string& name = plan.function(u).name;
+            std::string_view name = plan.function(u).name;
             auto fp = fn_fps.find(name);
             if (fp == fn_fps.end())
                 return;

@@ -167,7 +167,7 @@ unitCacheKey(const CheckerDef& def, std::uint64_t spec_fp,
  * worker results — so a replayed unit is the same bytes everywhere.
  */
 std::unique_ptr<Checker>
-replayUnit(const CheckerDef& def, const std::string& function,
+replayUnit(const CheckerDef& def, std::string_view function,
            const cache::CachedUnit& unit,
            const std::map<std::string, std::int32_t>& file_ids,
            support::DiagnosticSink& sink);

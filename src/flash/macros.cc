@@ -85,7 +85,7 @@ identArg(const CallExpr& call, std::size_t index)
     const Expr* arg = call.args[index];
     if (arg->ekind != ExprKind::Ident)
         return std::nullopt;
-    return static_cast<const IdentExpr*>(arg)->name;
+    return std::string(static_cast<const IdentExpr*>(arg)->name);
 }
 
 } // namespace

@@ -22,14 +22,14 @@ ProtocolSpec::addHandler(HandlerSpec spec)
 }
 
 const HandlerSpec*
-ProtocolSpec::handler(const std::string& fn_name) const
+ProtocolSpec::handler(std::string_view fn_name) const
 {
     auto it = handlers_.find(fn_name);
     return it == handlers_.end() ? nullptr : &it->second;
 }
 
 int
-ProtocolSpec::laneOf(const std::string& opcode) const
+ProtocolSpec::laneOf(std::string_view opcode) const
 {
     auto it = opcode_lanes_.find(opcode);
     return it == opcode_lanes_.end() ? -1 : it->second;

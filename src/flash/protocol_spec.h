@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mc::flash {
@@ -55,35 +56,35 @@ class ProtocolSpec
     void addHandler(HandlerSpec spec);
 
     /** Spec for `fn_name`, or nullptr if unknown (treated as Normal). */
-    const HandlerSpec* handler(const std::string& fn_name) const;
+    const HandlerSpec* handler(std::string_view fn_name) const;
 
     HandlerKind
-    kindOf(const std::string& fn_name) const
+    kindOf(std::string_view fn_name) const
     {
         const HandlerSpec* spec = handler(fn_name);
         return spec ? spec->kind : HandlerKind::Normal;
     }
 
     bool
-    isHandler(const std::string& fn_name) const
+    isHandler(std::string_view fn_name) const
     {
         HandlerKind kind = kindOf(fn_name);
         return kind == HandlerKind::Hardware ||
                kind == HandlerKind::Software;
     }
 
-    const std::map<std::string, HandlerSpec>& handlers() const
+    const std::map<std::string, HandlerSpec, std::less<>>& handlers() const
     {
         return handlers_;
     }
 
     /** Map an NI message opcode (MSG_*) to its lane. -1 if unknown. */
-    int laneOf(const std::string& opcode) const;
+    int laneOf(std::string_view opcode) const;
 
     /** Assign `opcode` to `lane`. */
     void setLane(const std::string& opcode, int lane);
 
-    const std::map<std::string, int>& opcodeLanes() const
+    const std::map<std::string, int, std::less<>>& opcodeLanes() const
     {
         return opcode_lanes_;
     }
@@ -92,23 +93,23 @@ class ProtocolSpec
      * Routines that consume and free the current buffer when called
      * ("calls to routines that expect buffers and free them").
      */
-    std::set<std::string> freeing_routines;
+    std::set<std::string, std::less<>> freeing_routines;
 
     /** Routines that use the buffer without freeing it. */
-    std::set<std::string> buffer_using_routines;
+    std::set<std::string, std::less<>> buffer_using_routines;
 
     /**
      * Subroutines that modify the directory entry and rely on their
      * caller to write it back (Section 9's main false-positive source).
      */
-    std::set<std::string> dir_deferred_routines;
+    std::set<std::string, std::less<>> dir_deferred_routines;
 
     /** Deprecated macros/functions the restriction checker warns about. */
-    std::set<std::string> deprecated;
+    std::set<std::string, std::less<>> deprecated;
 
   private:
-    std::map<std::string, HandlerSpec> handlers_;
-    std::map<std::string, int> opcode_lanes_;
+    std::map<std::string, HandlerSpec, std::less<>> handlers_;
+    std::map<std::string, int, std::less<>> opcode_lanes_;
 };
 
 /**

@@ -1,9 +1,42 @@
 #include "lang/ast.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 namespace mc::lang {
+
+std::string_view
+AstContext::copyText(std::string_view text)
+{
+    if (text.empty())
+        return {};
+    auto* out = static_cast<char*>(allocate(text.size(), 1));
+    std::memcpy(out, text.data(), text.size());
+    return {out, text.size()};
+}
+
+void*
+AstContext::allocateSlow(std::size_t bytes, std::size_t align)
+{
+    // A request over a quarter chunk gets a chunk of its own, and the
+    // current chunk keeps serving small ones; so at most a quarter of
+    // any chunk is left unused when a new one starts.
+    std::size_t need = bytes + align - 1;
+    if (need > kChunkBytes / 4) {
+        chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(need));
+        chunk_bytes_ += need;
+        auto p = (reinterpret_cast<std::uintptr_t>(chunks_.back().get()) +
+                  align - 1) & ~(align - 1);
+        return reinterpret_cast<void*>(p);
+    }
+    chunks_.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(kChunkBytes));
+    chunk_bytes_ += kChunkBytes;
+    cur_ = chunks_.back().get();
+    end_ = cur_ + kChunkBytes;
+    return allocate(bytes, align);
+}
 
 bool
 isAssignment(BinaryOp op)
@@ -241,27 +274,6 @@ collectStmtIdentIds(const Stmt& stmt,
     });
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-const std::vector<support::SymbolId>&
-stmtIdentIds(const Stmt& stmt)
-{
-    const Stmt::IdentScan* scan =
-        stmt.ident_scan.load(std::memory_order_acquire);
-    if (!scan) {
-        auto* fresh = new Stmt::IdentScan;
-        collectStmtIdentIds(stmt, fresh->ids);
-        const Stmt::IdentScan* expected = nullptr;
-        if (stmt.ident_scan.compare_exchange_strong(
-                expected, fresh, std::memory_order_acq_rel,
-                std::memory_order_acquire)) {
-            scan = fresh;
-        } else {
-            delete fresh; // another thread won the install race
-            scan = expected;
-        }
-    }
-    return scan->ids;
 }
 
 void

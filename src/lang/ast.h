@@ -6,22 +6,31 @@
 #include "support/source_location.h"
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mc::lang {
 
 class AstContext;
 
-/** Root of the AST node hierarchy. Nodes are owned by an AstContext. */
+/**
+ * Root of the AST node hierarchy. Nodes live in an AstContext's arena
+ * and are never destroyed one by one, so every node type is trivially
+ * destructible: names are views of arena-copied text, child lists are
+ * arena spans, and dispatch goes through the ekind/skind/dkind tags
+ * rather than virtual functions.
+ */
 struct Node
 {
     support::SourceLoc loc;
-
-    virtual ~Node() = default;
 };
 
 // --------------------------------------------------------------------------
@@ -70,7 +79,7 @@ struct IntLitExpr : Expr
 {
     std::int64_t value = 0;
     /** Original spelling, so 0x10 and 16 stay distinguishable. */
-    std::string spelling;
+    std::string_view spelling;
 
     IntLitExpr() : Expr(ExprKind::IntLit) {}
 };
@@ -92,14 +101,14 @@ struct CharLitExpr : Expr
 struct StringLitExpr : Expr
 {
     /** Spelling including quotes. */
-    std::string value;
+    std::string_view value;
 
     StringLitExpr() : Expr(ExprKind::StringLit) {}
 };
 
 struct IdentExpr : Expr
 {
-    std::string name;
+    std::string_view name;
     /** Resolved by Sema when the name has a visible declaration. */
     const Decl* decl = nullptr;
     /**
@@ -158,7 +167,7 @@ struct TernaryExpr : Expr
 struct CallExpr : Expr
 {
     Expr* callee = nullptr;
-    std::vector<Expr*> args;
+    std::span<Expr* const> args;
 
     CallExpr() : Expr(ExprKind::Call) {}
 
@@ -172,7 +181,7 @@ struct CallExpr : Expr
 struct MemberExpr : Expr
 {
     Expr* base = nullptr;
-    std::string member;
+    std::string_view member;
     bool is_arrow = false;
 
     MemberExpr() : Expr(ExprKind::Member) {}
@@ -217,26 +226,7 @@ struct Stmt : Node
 {
     StmtKind skind;
 
-    /** Payload of the lazily installed identifier-scan cache. */
-    struct IdentScan
-    {
-        /** Sorted unique interned ids of every identifier in the stmt. */
-        std::vector<support::SymbolId> ids;
-    };
-    /**
-     * Identifier-scan cache, installed once per node by stmtIdentIds()
-     * (compare-and-swap; losers of a racy double-compute delete their
-     * copy). Mutable/atomic for the same reason as IdentExpr::sym_cache:
-     * the AST is immutable after Sema, and concurrent checkers may warm
-     * the cache for the same node simultaneously.
-     */
-    mutable std::atomic<const IdentScan*> ident_scan{nullptr};
-
     explicit Stmt(StmtKind k) : skind(k) {}
-    ~Stmt() override
-    {
-        delete ident_scan.load(std::memory_order_relaxed);
-    }
 };
 
 struct VarDecl;
@@ -250,14 +240,14 @@ struct ExprStmt : Stmt
 
 struct DeclStmt : Stmt
 {
-    std::vector<VarDecl*> decls;
+    std::span<VarDecl* const> decls;
 
     DeclStmt() : Stmt(StmtKind::Decl) {}
 };
 
 struct CompoundStmt : Stmt
 {
-    std::vector<Stmt*> stmts;
+    std::span<Stmt* const> stmts;
 
     CompoundStmt() : Stmt(StmtKind::Compound) {}
 };
@@ -338,7 +328,7 @@ struct ReturnStmt : Stmt
 
 struct GotoStmt : Stmt
 {
-    std::string label;
+    std::string_view label;
 
     GotoStmt() : Stmt(StmtKind::Goto) {}
 };
@@ -346,7 +336,7 @@ struct GotoStmt : Stmt
 /** `name:` marker preceding the next statement in a compound. */
 struct LabelStmt : Stmt
 {
-    std::string name;
+    std::string_view name;
 
     LabelStmt() : Stmt(StmtKind::Label) {}
 };
@@ -368,7 +358,7 @@ enum class DeclKind : std::uint8_t
 struct Decl : Node
 {
     DeclKind dkind;
-    std::string name;
+    std::string_view name;
 
     explicit Decl(DeclKind k) : dkind(k) {}
 };
@@ -393,7 +383,7 @@ struct ParamDecl : Decl
 struct FunctionDecl : Decl
 {
     TypeId return_type = kInvalidType;
-    std::vector<ParamDecl*> params;
+    std::span<ParamDecl* const> params;
     CompoundStmt* body = nullptr; // null for prototypes
     bool is_static = false;
     bool is_inline = false;
@@ -406,7 +396,7 @@ struct FunctionDecl : Decl
 struct RecordDecl : Decl
 {
     bool is_union = false;
-    std::vector<VarDecl*> fields;
+    std::span<VarDecl* const> fields;
     TypeId type = kInvalidType;
 
     RecordDecl() : Decl(DeclKind::Record) {}
@@ -428,7 +418,7 @@ struct EnumConstDecl : Decl
 
 struct EnumDecl : Decl
 {
-    std::vector<EnumConstDecl*> constants;
+    std::span<EnumConstDecl* const> constants;
     TypeId type = kInvalidType;
 
     EnumDecl() : Decl(DeclKind::Enum) {}
@@ -445,7 +435,7 @@ struct EnumDecl : Decl
 struct PoisonedDecl : Decl
 {
     /** The parse error that poisoned this region. */
-    std::string message;
+    std::string_view message;
     /** Where the error was reported (loc is where the region starts). */
     support::SourceLoc error_loc;
     /** First location after the skipped region. */
@@ -506,14 +496,30 @@ struct TranslationUnit
 };
 
 /**
- * Arena that owns every AST node and the type table for one program.
+ * Bump arena that owns every AST node of one program, the text of every
+ * name and literal the nodes carry, and the type table.
+ *
+ * Nodes, copied text and child-list spans are carved out of large chunks
+ * (kChunkBytes; a request too big to share a chunk gets one of its own)
+ * and are never freed one by one: every node type is trivially
+ * destructible, so ~AstContext releases the chunks and nothing else.
+ *
+ * Names are copied into the arena rather than viewed in the
+ * SourceManager buffer on purpose. Program::updateSource replaces a
+ * file's text, but the replaced unit's declarations stay reachable from
+ * the identifiers of unchanged units that resolved into it, so their
+ * names must outlive the text they were lexed from.
  *
  * Raw Node pointers elsewhere in the system are non-owning borrows whose
- * lifetime is that of the context.
+ * lifetime is that of the context. The context is not thread-safe:
+ * one thread allocates (parses) at a time.
  */
 class AstContext
 {
   public:
+    /** Bytes per arena chunk. */
+    static constexpr std::size_t kChunkBytes = 64 * 1024;
+
     AstContext() = default;
 
     AstContext(const AstContext&) = delete;
@@ -524,19 +530,64 @@ class AstContext
     T*
     make(Args&&... args)
     {
-        auto node = std::make_unique<T>(std::forward<Args>(args)...);
-        T* raw = node.get();
-        nodes_.push_back(std::move(node));
-        return raw;
+        static_assert(std::is_base_of_v<Node, T>);
+        static_assert(std::is_trivially_destructible_v<T>,
+                      "arena nodes are never destroyed");
+        ++node_count_;
+        return ::new (allocate(sizeof(T), alignof(T)))
+            T(std::forward<Args>(args)...);
+    }
+
+    /** Copy `text` into the arena; the view lives as long as the context. */
+    std::string_view copyText(std::string_view text);
+
+    /**
+     * Copy `items` into the arena as an immutable child list, converting
+     * each element to `T*` (the caller guarantees the dynamic type).
+     */
+    template <typename T>
+    std::span<T* const>
+    copyList(std::span<Node* const> items)
+    {
+        if (items.empty())
+            return {};
+        auto* out = static_cast<T**>(
+            allocate(items.size() * sizeof(T*), alignof(T*)));
+        for (std::size_t i = 0; i < items.size(); ++i)
+            out[i] = static_cast<T*>(items[i]);
+        return {out, items.size()};
     }
 
     TypeTable& types() { return types_; }
     const TypeTable& types() const { return types_; }
 
-    std::size_t nodeCount() const { return nodes_.size(); }
+    /** Nodes allocated so far. */
+    std::size_t nodeCount() const { return node_count_; }
+
+    /** Bytes held in arena chunks (nodes, text, lists and slack). */
+    std::size_t arenaBytes() const { return chunk_bytes_; }
 
   private:
-    std::vector<std::unique_ptr<Node>> nodes_;
+    /** Raw storage from the arena; `align` must be a power of two. */
+    void*
+    allocate(std::size_t bytes, std::size_t align)
+    {
+        auto p = (reinterpret_cast<std::uintptr_t>(cur_) + align - 1) &
+                 ~(align - 1);
+        if (cur_ && p + bytes <= reinterpret_cast<std::uintptr_t>(end_)) {
+            cur_ = reinterpret_cast<std::byte*>(p + bytes);
+            return reinterpret_cast<void*>(p);
+        }
+        return allocateSlow(bytes, align);
+    }
+
+    void* allocateSlow(std::size_t bytes, std::size_t align);
+
+    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::byte* cur_ = nullptr;
+    std::byte* end_ = nullptr;
+    std::size_t node_count_ = 0;
+    std::size_t chunk_bytes_ = 0;
     TypeTable types_;
 };
 
@@ -568,19 +619,10 @@ void forEachIdent(const Stmt& stmt,
                   const std::function<void(const IdentExpr&)>& fn);
 
 /**
- * The sorted unique interned identifier ids of `stmt`, computed once per
- * node and cached on it (Stmt::ident_scan). This is the per-statement
- * input of pattern prefilters; the cache makes it free on every engine
- * run after the first. Thread-safe; the reference lives as long as the
- * statement's AST.
- */
-const std::vector<support::SymbolId>& stmtIdentIds(const Stmt& stmt);
-
-/**
  * Replace `out` with the sorted unique interned identifier ids of
- * `stmt`, without touching the per-node cache — the allocation-reusing
- * collector behind arena lowering (cfg/flat_cfg.h), where spans are
- * stored inline instead of per node. stmtIdentIds() shares this logic.
+ * `stmt` — the per-statement input of pattern prefilters. FlatCfg
+ * lowering (cfg/flat_cfg.h) runs it once per statement and stores the
+ * result as an arena span; `out` is reused across calls.
  */
 void collectStmtIdentIds(const Stmt& stmt,
                          std::vector<support::SymbolId>& out);

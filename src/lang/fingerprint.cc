@@ -28,10 +28,10 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
     return h.value();
 }
 
-std::map<std::string, std::uint64_t>
+FunctionFingerprints
 fingerprintFunctions(const Program& program)
 {
-    std::map<std::string, std::uint64_t> out;
+    FunctionFingerprints out;
     for (const TranslationUnit& unit : program.units()) {
         // A unit that needed frontend recovery gets no fingerprints at
         // all: its token stream contains the garbage region, so caching
@@ -47,8 +47,9 @@ fingerprintFunctions(const Program& program)
             unit.fingerprint.value.store(unit_fp, std::memory_order_relaxed);
         }
         for (const FunctionDecl* fn : unit.functionDefinitions())
-            out[fn->name] =
-                support::Fnv1a().u64(unit_fp).str(fn->name).value();
+            out.insert_or_assign(
+                std::string(fn->name),
+                support::Fnv1a().u64(unit_fp).str(fn->name).value());
     }
     return out;
 }

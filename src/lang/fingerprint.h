@@ -40,8 +40,10 @@ std::uint64_t unitFingerprint(const support::SourceManager& sm,
  * fingerprint is memoized on its TranslationUnit, so a resident program
  * re-lexes only the units updateSource replaced since the last call.
  */
-std::map<std::string, std::uint64_t>
-fingerprintFunctions(const Program& program);
+using FunctionFingerprints =
+    std::map<std::string, std::uint64_t, std::less<>>;
+
+FunctionFingerprints fingerprintFunctions(const Program& program);
 
 } // namespace mc::lang
 

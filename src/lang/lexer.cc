@@ -2,10 +2,50 @@
 
 #include "support/text.h"
 
-#include <cctype>
+#include <array>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 
 namespace mc::lang {
+
+namespace {
+
+/** Character classes of the "C" locale, as bits of one table byte. */
+enum CharClass : std::uint8_t
+{
+    kSpace = 1,      // isspace
+    kDigit = 2,      // isdigit
+    kHexDigit = 4,   // isxdigit
+    kIdentStart = 8, // isalpha or '_'
+    kIdentBody = 16, // isalnum or '_'
+};
+
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (int c = 0; c < 256; ++c) {
+        std::uint8_t bits = 0;
+        if (c == ' ' || (c >= '\t' && c <= '\r'))
+            bits |= kSpace;
+        if (c >= '0' && c <= '9')
+            bits |= kDigit | kHexDigit | kIdentBody;
+        if ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F'))
+            bits |= kHexDigit;
+        if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_')
+            bits |= kIdentStart | kIdentBody;
+        table[static_cast<std::size_t>(c)] = bits;
+    }
+    return table;
+}();
+
+bool
+inClass(char c, CharClass cls)
+{
+    return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+} // namespace
 
 Lexer::Lexer(const support::SourceManager& sm, std::int32_t file_id)
     : text_(sm.fileContents(file_id)), file_id_(file_id)
@@ -14,13 +54,14 @@ Lexer::Lexer(const support::SourceManager& sm, std::int32_t file_id)
 std::vector<Token>
 Lexer::lexAll()
 {
+    // Protocol C averages a token per ~3 bytes and rarely exceeds one
+    // per 2; reserving that up front keeps a file to one allocation.
     std::vector<Token> out;
-    while (true) {
-        Token tok = next();
-        out.push_back(tok);
-        if (tok.kind == TokKind::End)
-            return out;
-    }
+    out.reserve(text_.size() / 2 + 1);
+    do {
+        out.push_back(next());
+    } while (out.back().kind != TokKind::End);
+    return out;
 }
 
 char
@@ -63,11 +104,18 @@ Lexer::skipTrivia()
 {
     while (!atEnd()) {
         char c = peek();
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (inClass(c, kSpace)) {
             advance();
         } else if (c == '/' && peek(1) == '/') {
-            while (!atEnd() && peek() != '\n')
-                advance();
+            // A line comment holds no newline: jump to its end.
+            const void* nl = std::memchr(text_.data() + pos_, '\n',
+                                         text_.size() - pos_);
+            std::size_t end = nl ? static_cast<std::size_t>(
+                                       static_cast<const char*>(nl) -
+                                       text_.data())
+                                 : text_.size();
+            col_ += static_cast<std::int32_t>(end - pos_);
+            pos_ = end;
         } else if (c == '/' && peek(1) == '*') {
             support::SourceLoc start = here();
             advance();
@@ -121,27 +169,26 @@ Lexer::lexNumber(const support::SourceLoc& loc)
         is_hex = true;
         advance();
         advance();
-        while (std::isxdigit(static_cast<unsigned char>(peek())))
+        while (inClass(peek(), kHexDigit))
             advance();
     } else {
-        while (std::isdigit(static_cast<unsigned char>(peek())))
+        while (inClass(peek(), kDigit))
             advance();
-        if (peek() == '.' &&
-            std::isdigit(static_cast<unsigned char>(peek(1)))) {
+        if (peek() == '.' && inClass(peek(1), kDigit)) {
             is_float = true;
             advance();
-            while (std::isdigit(static_cast<unsigned char>(peek())))
+            while (inClass(peek(), kDigit))
                 advance();
         }
         if (peek() == 'e' || peek() == 'E') {
             char sign = peek(1);
             char digit = (sign == '+' || sign == '-') ? peek(2) : sign;
-            if (std::isdigit(static_cast<unsigned char>(digit))) {
+            if (inClass(digit, kDigit)) {
                 is_float = true;
                 advance();
                 if (peek() == '+' || peek() == '-')
                     advance();
-                while (std::isdigit(static_cast<unsigned char>(peek())))
+                while (inClass(peek(), kDigit))
                     advance();
             }
         }
@@ -158,21 +205,35 @@ Lexer::lexNumber(const support::SourceLoc& loc)
     Token tok = makeToken(is_float ? TokKind::FloatLiteral
                                    : TokKind::IntLiteral,
                           begin, loc);
-    std::string value(text_.substr(begin, value_end - begin));
-    if (is_float)
-        tok.float_value = std::strtod(value.c_str(), nullptr);
-    else
-        tok.int_value = static_cast<std::int64_t>(
-            std::strtoull(value.c_str(), nullptr, is_hex ? 16 : 10));
+    // Values of the literal without its suffix. Integers: the same as
+    // strtoull, without copying the text.
+    const char* first = text_.data() + begin;
+    const char* last = text_.data() + value_end;
+    if (is_float) {
+        tok.float_value =
+            std::strtod(std::string(first, last).c_str(), nullptr);
+    } else {
+        if (is_hex)
+            first += 2; // "0x"; no digits after it leaves the value 0
+        std::uint64_t value = 0;
+        if (std::from_chars(first, last, value, is_hex ? 16 : 10).ec ==
+            std::errc::result_out_of_range)
+            value = ULLONG_MAX; // strtoull saturates
+        tok.int_value = static_cast<std::int64_t>(value);
+    }
     return tok;
 }
 
 Token
 Lexer::lexIdentifier(const support::SourceLoc& loc)
 {
+    // An identifier holds no newline: scan it, then move the column once.
     std::size_t begin = pos_;
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-        advance();
+    std::size_t end = pos_ + 1;
+    while (end < text_.size() && inClass(text_[end], kIdentBody))
+        ++end;
+    col_ += static_cast<std::int32_t>(end - pos_);
+    pos_ = end;
     Token tok = makeToken(TokKind::Identifier, begin, loc);
     tok.kind = keywordKind(tok.text);
     return tok;
@@ -233,9 +294,9 @@ Lexer::next()
         return Token{TokKind::End, "", loc, 0, 0.0};
 
     char c = peek();
-    if (std::isdigit(static_cast<unsigned char>(c)))
+    if (inClass(c, kDigit))
         return lexNumber(loc);
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
+    if (inClass(c, kIdentStart))
         return lexIdentifier(loc);
     if (c == '"')
         return lexString(loc);

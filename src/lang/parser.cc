@@ -148,7 +148,17 @@ Parser::fail(const std::string& message) const
 bool
 Parser::isTypeName(std::string_view name) const
 {
-    return symbols_->typedefs.count(std::string(name)) > 0;
+    return symbols_->typedefs.find(name) != symbols_->typedefs.end();
+}
+
+template <typename T>
+std::span<T* const>
+Parser::takeList(std::size_t mark)
+{
+    std::span<Node* const> items(list_scratch_);
+    std::span<T* const> list = ctx_.copyList<T>(items.subspan(mark));
+    list_scratch_.resize(mark);
+    return list;
 }
 
 bool
@@ -243,10 +253,12 @@ Parser::parseTypeSpecifier()
 
     if (!saw_base && !is_unsigned && !is_signed && longs == 0) {
         // Must be a typedef name.
-        if (check(TokKind::Identifier) && isTypeName(peek().text)) {
-            auto it = symbols_->typedefs.find(std::string(peek().text));
-            advance();
-            return it->second;
+        if (check(TokKind::Identifier)) {
+            auto it = symbols_->typedefs.find(peek().text);
+            if (it != symbols_->typedefs.end()) {
+                advance();
+                return it->second;
+            }
         }
         fail("expected a type");
     }
@@ -296,9 +308,11 @@ Parser::parseTranslationUnit(std::int32_t file_id)
             support::fault::probe("parser.top_level");
             tu.decls.push_back(parseTopLevel());
         } catch (const ParseError& err) {
+            list_scratch_.clear(); // lists the failed decl left open
             tu.decls.push_back(
                 poisonAndSync(start, start_loc, err.loc(), err.what()));
         } catch (const support::InjectedFault& fault) {
+            list_scratch_.clear();
             tu.decls.push_back(
                 poisonAndSync(start, start_loc, start_loc, fault.what()));
         }
@@ -322,8 +336,8 @@ Parser::poisonAndSync(std::size_t start_pos, support::SourceLoc start_loc,
     auto* decl = ctx_.make<PoisonedDecl>();
     decl->loc = start_loc;
     decl->error_loc = error_loc;
-    decl->message = message;
-    decl->name = guessDeclaratorName(start_pos);
+    decl->message = ctx_.copyText(message);
+    decl->name = ctx_.copyText(guessDeclaratorName(start_pos));
 
     synchronizeTopLevel(start_pos);
     decl->end_loc = peek().loc;
@@ -375,16 +389,16 @@ Parser::synchronizeTopLevel(std::size_t start_pos)
  * before the first '(' (a function declarator), else the last
  * identifier before the error. Purely cosmetic — used in diagnostics.
  */
-std::string
+std::string_view
 Parser::guessDeclaratorName(std::size_t start_pos) const
 {
-    std::string last_ident;
+    std::string_view last_ident;
     for (std::size_t i = start_pos; i < pos_ && i < tokens_.size(); ++i) {
         const Token& tok = tokens_[i];
         if (tok.kind == TokKind::LParen && !last_ident.empty())
             return last_ident;
         if (tok.kind == TokKind::Identifier)
-            last_ident = std::string(tok.text);
+            last_ident = tok.text;
     }
     return last_ident;
 }
@@ -416,9 +430,9 @@ Parser::parseTypedef()
 
     auto* decl = ctx_.make<TypedefDecl>();
     decl->loc = loc;
-    decl->name = std::string(name.text);
+    decl->name = ctx_.copyText(name.text);
     decl->type = type;
-    symbols_->typedefs[decl->name] = type;
+    symbols_->typedefs.insert_or_assign(std::string(name.text), type);
     return decl;
 }
 
@@ -433,12 +447,13 @@ Parser::parseRecordDefinition()
     auto* decl = ctx_.make<RecordDecl>();
     decl->loc = loc;
     decl->is_union = is_union;
-    decl->name = std::string(tag.text);
+    decl->name = ctx_.copyText(tag.text);
     decl->type = ctx_.types().named(
-        is_union ? TypeKind::Union : TypeKind::Struct, decl->name);
+        is_union ? TypeKind::Union : TypeKind::Struct, std::string(tag.text));
 
     expect(TokKind::LBrace, "to open struct body");
     std::vector<TypeId> field_types;
+    std::size_t mark = list_scratch_.size();
     while (!check(TokKind::RBrace)) {
         TypeId base = parseTypeSpecifier();
         do {
@@ -453,15 +468,16 @@ Parser::parseRecordDefinition()
             }
             auto* field = ctx_.make<VarDecl>();
             field->loc = fname.loc;
-            field->name = std::string(fname.text);
+            field->name = ctx_.copyText(fname.text);
             field->type = ft;
-            decl->fields.push_back(field);
+            list_scratch_.push_back(field);
             field_types.push_back(ft);
         } while (accept(TokKind::Comma));
         expect(TokKind::Semicolon, "after field");
     }
     expect(TokKind::RBrace, "to close struct body");
     expect(TokKind::Semicolon, "after struct definition");
+    decl->fields = takeList<VarDecl>(mark);
     ctx_.types().defineRecord(decl->type, std::move(field_types));
     return decl;
 }
@@ -475,17 +491,18 @@ Parser::parseEnumDefinition()
 
     auto* decl = ctx_.make<EnumDecl>();
     decl->loc = loc;
-    decl->name = std::string(tag.text);
-    decl->type = ctx_.types().named(TypeKind::Enum, decl->name);
+    decl->name = ctx_.copyText(tag.text);
+    decl->type = ctx_.types().named(TypeKind::Enum, std::string(tag.text));
 
     expect(TokKind::LBrace, "to open enum body");
+    std::size_t mark = list_scratch_.size();
     std::int64_t next_value = 0;
     while (!check(TokKind::RBrace)) {
         const Token& cname =
             expect(TokKind::Identifier, "as enum constant");
         auto* constant = ctx_.make<EnumConstDecl>();
         constant->loc = cname.loc;
-        constant->name = std::string(cname.text);
+        constant->name = ctx_.copyText(cname.text);
         if (accept(TokKind::Assign)) {
             bool negative = accept(TokKind::Minus);
             const Token& value =
@@ -496,12 +513,13 @@ Parser::parseEnumDefinition()
             constant->value = next_value;
         }
         next_value = constant->value + 1;
-        decl->constants.push_back(constant);
+        list_scratch_.push_back(constant);
         if (!accept(TokKind::Comma))
             break;
     }
     expect(TokKind::RBrace, "to close enum body");
     expect(TokKind::Semicolon, "after enum definition");
+    decl->constants = takeList<EnumConstDecl>(mark);
     return decl;
 }
 
@@ -529,13 +547,13 @@ Parser::parseFunctionOrGlobal()
     const Token& name = expect(TokKind::Identifier, "as declarator name");
 
     if (check(TokKind::LParen))
-        return parseFunctionRest(type, std::string(name.text), loc,
+        return parseFunctionRest(type, ctx_.copyText(name.text), loc,
                                  is_static, is_inline);
 
     // Global variable(s).
     auto* first = ctx_.make<VarDecl>();
     first->loc = loc;
-    first->name = std::string(name.text);
+    first->name = ctx_.copyText(name.text);
     first->type = type;
     first->is_static = is_static;
     first->is_extern = is_extern;
@@ -554,13 +572,13 @@ Parser::parseFunctionOrGlobal()
 }
 
 FunctionDecl*
-Parser::parseFunctionRest(TypeId ret, std::string name,
+Parser::parseFunctionRest(TypeId ret, std::string_view name,
                           support::SourceLoc loc, bool is_static,
                           bool is_inline)
 {
     auto* fn = ctx_.make<FunctionDecl>();
     fn->loc = loc;
-    fn->name = std::move(name);
+    fn->name = name;
     fn->return_type = ret;
     fn->is_static = is_static;
     fn->is_inline = is_inline;
@@ -570,6 +588,7 @@ Parser::parseFunctionRest(TypeId ret, std::string name,
         if (check(TokKind::KwVoid) && peek(1).kind == TokKind::RParen) {
             advance();
         } else {
+            std::size_t mark = list_scratch_.size();
             do {
                 TypeId base = parseTypeSpecifier();
                 TypeId pt = parseDeclaratorPointers(base);
@@ -577,9 +596,10 @@ Parser::parseFunctionRest(TypeId ret, std::string name,
                 param->loc = peek().loc;
                 param->type = pt;
                 if (check(TokKind::Identifier))
-                    param->name = std::string(advance().text);
-                fn->params.push_back(param);
+                    param->name = ctx_.copyText(advance().text);
+                list_scratch_.push_back(param);
             } while (accept(TokKind::Comma));
+            fn->params = takeList<ParamDecl>(mark);
         }
     }
     expect(TokKind::RParen, "to close parameter list");
@@ -599,12 +619,13 @@ Parser::parseLocalDecl()
 
     bool is_static = accept(TokKind::KwStatic);
     TypeId base = parseTypeSpecifier();
+    std::size_t mark = list_scratch_.size();
     do {
         TypeId type = parseDeclaratorPointers(base);
         const Token& name = expect(TokKind::Identifier, "as variable name");
         auto* var = ctx_.make<VarDecl>();
         var->loc = name.loc;
-        var->name = std::string(name.text);
+        var->name = ctx_.copyText(name.text);
         var->type = type;
         var->is_static = is_static;
         if (accept(TokKind::LBracket)) {
@@ -615,8 +636,9 @@ Parser::parseLocalDecl()
         }
         if (accept(TokKind::Assign))
             var->init = parseAssignment();
-        stmt->decls.push_back(var);
+        list_scratch_.push_back(var);
     } while (accept(TokKind::Comma));
+    stmt->decls = takeList<VarDecl>(mark);
     expectStatementEnd();
     return stmt;
 }
@@ -715,7 +737,7 @@ Parser::parseStatement()
         expectStatementEnd();
         auto* stmt = ctx_.make<GotoStmt>();
         stmt->loc = loc;
-        stmt->label = std::string(label.text);
+        stmt->label = ctx_.copyText(label.text);
         return stmt;
       }
       case TokKind::Semicolon: {
@@ -732,7 +754,7 @@ Parser::parseStatement()
     if (check(TokKind::Identifier) && peek(1).kind == TokKind::Colon) {
         auto* stmt = ctx_.make<LabelStmt>();
         stmt->loc = loc;
-        stmt->name = std::string(advance().text);
+        stmt->name = ctx_.copyText(advance().text);
         advance(); // ':'
         return stmt;
     }
@@ -753,12 +775,15 @@ Parser::parseCompound()
     auto* block = ctx_.make<CompoundStmt>();
     block->loc = peek().loc;
     expect(TokKind::LBrace, "to open block");
+    std::size_t mark = list_scratch_.size();
     while (!check(TokKind::RBrace)) {
         if (check(TokKind::End))
             fail("unexpected end of file inside block");
-        block->stmts.push_back(parseStatement());
+        Stmt* stmt = parseStatement();
+        list_scratch_.push_back(stmt);
     }
     expect(TokKind::RBrace, "to close block");
+    block->stmts = takeList<Stmt>(mark);
     return block;
 }
 
@@ -1003,12 +1028,15 @@ Parser::parsePostfix(Expr* base)
             auto* call = ctx_.make<CallExpr>();
             call->loc = base->loc;
             call->callee = base;
+            std::size_t mark = list_scratch_.size();
             if (!check(TokKind::RParen)) {
                 do {
-                    call->args.push_back(parseAssignment());
+                    Expr* arg = parseAssignment();
+                    list_scratch_.push_back(arg);
                 } while (accept(TokKind::Comma));
             }
             expect(TokKind::RParen, "to close call");
+            call->args = takeList<Expr>(mark);
             base = call;
         } else if (accept(TokKind::LBracket)) {
             auto* index = ctx_.make<IndexExpr>();
@@ -1024,7 +1052,7 @@ Parser::parsePostfix(Expr* base)
             auto* mem = ctx_.make<MemberExpr>();
             mem->loc = loc;
             mem->base = base;
-            mem->member = std::string(member.text);
+            mem->member = ctx_.copyText(member.text);
             mem->is_arrow = arrow;
             base = mem;
         } else if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
@@ -1050,7 +1078,7 @@ Parser::parsePrimary()
         auto* lit = ctx_.make<IntLitExpr>();
         lit->loc = loc;
         lit->value = tok.int_value;
-        lit->spelling = std::string(tok.text);
+        lit->spelling = ctx_.copyText(tok.text);
         lit->type = ctx_.types().builtin(TypeKind::Int);
         return lit;
       }
@@ -1074,14 +1102,14 @@ Parser::parsePrimary()
         const Token& tok = advance();
         auto* lit = ctx_.make<StringLitExpr>();
         lit->loc = loc;
-        lit->value = std::string(tok.text);
+        lit->value = ctx_.copyText(tok.text);
         return lit;
       }
       case TokKind::Identifier: {
         const Token& tok = advance();
         auto* ident = ctx_.make<IdentExpr>();
         ident->loc = loc;
-        ident->name = std::string(tok.text);
+        ident->name = ctx_.copyText(tok.text);
         return ident;
       }
       case TokKind::LParen: {

@@ -32,7 +32,8 @@ class ParseError : public std::runtime_error
  */
 struct ParserSymbols
 {
-    std::map<std::string, TypeId> typedefs;
+    /** Transparent, so a token's text probes it without a copy. */
+    std::map<std::string, TypeId, std::less<>> typedefs;
 };
 
 /**
@@ -96,7 +97,7 @@ class Parser
                                 support::SourceLoc error_loc,
                                 const std::string& message);
     void synchronizeTopLevel(std::size_t start_pos);
-    std::string guessDeclaratorName(std::size_t start_pos) const;
+    std::string_view guessDeclaratorName(std::size_t start_pos) const;
 
     // Token access.
     const Token& peek(int ahead = 0) const;
@@ -118,7 +119,7 @@ class Parser
     RecordDecl* parseRecordDefinition();
     EnumDecl* parseEnumDefinition();
     Decl* parseFunctionOrGlobal();
-    FunctionDecl* parseFunctionRest(TypeId ret, std::string name,
+    FunctionDecl* parseFunctionRest(TypeId ret, std::string_view name,
                                     support::SourceLoc loc, bool is_static,
                                     bool is_inline);
     DeclStmt* parseLocalDecl();
@@ -143,6 +144,14 @@ class Parser
     Expr* parsePrimary();
     bool looksLikeCast() const;
 
+    /**
+     * Copy list_scratch_[mark, end) into the arena as a child list and
+     * pop it off the scratch stack. Lists nest (a call argument holds a
+     * call), so each list pushes above the mark taken when it opened.
+     */
+    template <typename T>
+    std::span<T* const> takeList(std::size_t mark);
+
     AstContext& ctx_;
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
@@ -150,6 +159,8 @@ class Parser
     ParserSymbols* symbols_;
     Options options_;
     std::vector<ParseIssue> issues_;
+    /** Stack of the child lists being parsed; see takeList. */
+    std::vector<Node*> list_scratch_;
 };
 
 /**

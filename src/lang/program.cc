@@ -1,6 +1,30 @@
 #include "lang/program.h"
 
+#include "support/metrics.h"
+
 namespace mc::lang {
+
+namespace {
+
+/** The "lang.parse" timer when --metrics is on, else null. */
+support::Timer*
+parseTimer()
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    return metrics.enabled() ? &metrics.timer("lang.parse") : nullptr;
+}
+
+} // namespace
+
+void
+Program::publishArenaMetrics() const
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    if (!metrics.enabled())
+        return;
+    metrics.gauge("lang.ast_nodes").observe(ctx_.nodeCount());
+    metrics.gauge("lang.arena_bytes").observe(ctx_.arenaBytes());
+}
 
 TranslationUnit
 Program::parseUnit(std::int32_t id)
@@ -25,7 +49,7 @@ Program::parseUnit(std::int32_t id)
         poison->loc = err.loc();
         poison->error_loc = err.loc();
         poison->end_loc = err.loc();
-        poison->message = err.what();
+        poison->message = ctx_.copyText(err.what());
         tu.decls.push_back(poison);
         tu.issues.push_back(ParseIssue{err.loc(), err.what(), "lex-error"});
     }
@@ -35,14 +59,17 @@ Program::parseUnit(std::int32_t id)
 TranslationUnit&
 Program::addSource(std::string name, std::string source)
 {
+    support::ScopedTimer timer(parseTimer());
     std::int32_t id = sm_.addFile(std::move(name), std::move(source));
     units_.push_back(parseUnit(id));
     TranslationUnit& stored = units_.back();
     sema_.run(stored);
     for (const FunctionDecl* fn : stored.functionDefinitions()) {
         functions_.push_back(fn);
-        by_name_[fn->name] = fn;
+        by_name_.insert_or_assign(std::string(fn->name), fn);
     }
+    timer.stop();
+    publishArenaMetrics();
     return stored;
 }
 
@@ -61,6 +88,7 @@ Program::updateSource(const std::string& name, std::string source)
     }
     if (slot == units_.size())
         return nullptr;
+    support::ScopedTimer timer(parseTimer());
     arena_waste_ += sm_.fileContents(id).size();
     if (!sm_.replaceFile(id, std::move(source)))
         return nullptr;
@@ -68,6 +96,8 @@ Program::updateSource(const std::string& name, std::string source)
     TranslationUnit& stored = units_[slot];
     sema_.run(stored);
     reindexFunctions();
+    timer.stop();
+    publishArenaMetrics();
     return &stored;
 }
 
@@ -81,7 +111,7 @@ Program::reindexFunctions()
     for (TranslationUnit& unit : units_) {
         for (const FunctionDecl* fn : unit.functionDefinitions()) {
             functions_.push_back(fn);
-            by_name_[fn->name] = fn;
+            by_name_.insert_or_assign(std::string(fn->name), fn);
         }
     }
 }
@@ -96,7 +126,7 @@ Program::degraded() const
 }
 
 const FunctionDecl*
-Program::findFunction(const std::string& name) const
+Program::findFunction(std::string_view name) const
 {
     auto it = by_name_.find(name);
     return it == by_name_.end() ? nullptr : it->second;

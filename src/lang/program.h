@@ -38,7 +38,8 @@ class Program
 
     /**
      * Parse `source` as a new translation unit named `name`, run Sema
-     * over it, and index its function definitions.
+     * over it, and index its function definitions. With metrics on, the
+     * whole step feeds the "lang.parse" timer.
      * Throws LexError / ParseError on malformed input unless the
      * program was built with recover = true.
      */
@@ -97,7 +98,7 @@ class Program
     }
 
     /** Definition of `name`, or nullptr. */
-    const FunctionDecl* findFunction(const std::string& name) const;
+    const FunctionDecl* findFunction(std::string_view name) const;
 
   private:
     AstContext ctx_;
@@ -110,9 +111,12 @@ class Program
     /** Rebuild functions_/by_name_ from units_ in slot order. */
     void reindexFunctions();
 
+    /** Feed the lang.ast_nodes / lang.arena_bytes gauges (--metrics). */
+    void publishArenaMetrics() const;
+
     std::deque<TranslationUnit> units_;
     std::vector<const FunctionDecl*> functions_;
-    std::map<std::string, const FunctionDecl*> by_name_;
+    std::map<std::string, const FunctionDecl*, std::less<>> by_name_;
     bool recover_ = false;
     std::size_t arena_waste_ = 0;
 };

@@ -4,32 +4,46 @@
 
 namespace mc::lang {
 
-/** Lexical scope stack mapping names to declarations. */
+/**
+ * Lexical scopes of one function over the program's globals. A
+ * function declares a handful of locals, so they live in one flat
+ * stack searched innermost (latest) first; a scope is a mark into it.
+ * Names view arena-owned text, which outlives every scope.
+ */
 class Sema::ScopeStack
 {
   public:
-    void push() { scopes_.emplace_back(); }
-    void pop() { scopes_.pop_back(); }
+    explicit ScopeStack(const Scope& globals) : globals_(globals) {}
+
+    void push() { marks_.push_back(locals_.size()); }
 
     void
-    declare(const std::string& name, const Decl* decl)
+    pop()
     {
-        scopes_.back()[name] = decl;
+        locals_.resize(marks_.back());
+        marks_.pop_back();
+    }
+
+    void
+    declare(std::string_view name, const Decl* decl)
+    {
+        locals_.emplace_back(name, decl);
     }
 
     const Decl*
-    lookup(const std::string& name) const
+    lookup(std::string_view name) const
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto found = it->find(name);
-            if (found != it->end())
-                return found->second;
-        }
-        return nullptr;
+        for (auto it = locals_.rbegin(); it != locals_.rend(); ++it)
+            if (it->first == name)
+                return it->second;
+        auto found = globals_.find(name);
+        return found == globals_.end() ? nullptr : found->second;
     }
 
   private:
-    std::vector<std::map<std::string, const Decl*>> scopes_;
+    const Scope& globals_;
+    std::vector<std::pair<std::string_view, const Decl*>> locals_;
+    std::vector<std::size_t> marks_;
 };
 
 namespace {
@@ -276,16 +290,13 @@ void
 Sema::addGlobal(const Decl* decl)
 {
     if (decl && !decl->name.empty())
-        globals_[decl->name] = decl;
+        globals_.insert_or_assign(decl->name, decl);
 }
 
 void
 Sema::analyzeFunction(FunctionDecl& fn)
 {
-    ScopeStack scopes;
-    scopes.push();
-    for (const auto& [name, decl] : globals_)
-        scopes.declare(name, decl);
+    ScopeStack scopes(globals_);
     scopes.push();
     for (ParamDecl* p : fn.params)
         if (!p->name.empty())
@@ -293,7 +304,6 @@ Sema::analyzeFunction(FunctionDecl& fn)
     FunctionAnalyzer analyzer(ctx_, scopes);
     if (fn.body)
         analyzer.analyzeStmt(fn.body);
-    scopes.pop();
     scopes.pop();
 }
 

@@ -3,6 +3,9 @@
 
 #include "lang/ast.h"
 
+#include <map>
+#include <string_view>
+
 namespace mc::lang {
 
 /**
@@ -35,12 +38,15 @@ class Sema
 
     class ScopeStack;
 
+    /** Names to declarations; keys view the declarations' arena names. */
+    using Scope = std::map<std::string_view, const Decl*, std::less<>>;
+
   private:
     AstContext& ctx_;
 
     void analyzeFunction(FunctionDecl& fn);
 
-    std::map<std::string, const Decl*> globals_;
+    Scope globals_;
 };
 
 } // namespace mc::lang

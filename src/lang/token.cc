@@ -1,7 +1,5 @@
 #include "lang/token.h"
 
-#include <unordered_map>
-
 namespace mc::lang {
 
 const char*
@@ -99,26 +97,82 @@ tokKindName(TokKind kind)
 TokKind
 keywordKind(std::string_view text)
 {
-    static const std::unordered_map<std::string_view, TokKind> table = {
-        {"void", TokKind::KwVoid},         {"char", TokKind::KwChar},
-        {"short", TokKind::KwShort},       {"int", TokKind::KwInt},
-        {"long", TokKind::KwLong},         {"unsigned", TokKind::KwUnsigned},
-        {"signed", TokKind::KwSigned},     {"float", TokKind::KwFloat},
-        {"double", TokKind::KwDouble},     {"struct", TokKind::KwStruct},
-        {"union", TokKind::KwUnion},       {"enum", TokKind::KwEnum},
-        {"typedef", TokKind::KwTypedef},   {"static", TokKind::KwStatic},
-        {"extern", TokKind::KwExtern},     {"const", TokKind::KwConst},
-        {"volatile", TokKind::KwVolatile}, {"inline", TokKind::KwInline},
-        {"register", TokKind::KwRegister}, {"if", TokKind::KwIf},
-        {"else", TokKind::KwElse},         {"while", TokKind::KwWhile},
-        {"for", TokKind::KwFor},           {"do", TokKind::KwDo},
-        {"switch", TokKind::KwSwitch},     {"case", TokKind::KwCase},
-        {"default", TokKind::KwDefault},   {"break", TokKind::KwBreak},
-        {"continue", TokKind::KwContinue}, {"return", TokKind::KwReturn},
-        {"goto", TokKind::KwGoto},         {"sizeof", TokKind::KwSizeof},
+    // Dispatch on length, then first byte, then one compare: no hashing
+    // on the lexer's per-identifier path.
+    auto is = [&](const char* kw, TokKind kind) {
+        return text == kw ? kind : TokKind::Identifier;
     };
-    auto it = table.find(text);
-    return it == table.end() ? TokKind::Identifier : it->second;
+    switch (text.size()) {
+      case 2:
+        switch (text[0]) {
+          case 'i': return is("if", TokKind::KwIf);
+          case 'd': return is("do", TokKind::KwDo);
+        }
+        break;
+      case 3:
+        switch (text[0]) {
+          case 'i': return is("int", TokKind::KwInt);
+          case 'f': return is("for", TokKind::KwFor);
+        }
+        break;
+      case 4:
+        switch (text[0]) {
+          case 'v': return is("void", TokKind::KwVoid);
+          case 'c':
+            return text[1] == 'h' ? is("char", TokKind::KwChar)
+                                  : is("case", TokKind::KwCase);
+          case 'l': return is("long", TokKind::KwLong);
+          case 'e':
+            return text[1] == 'n' ? is("enum", TokKind::KwEnum)
+                                  : is("else", TokKind::KwElse);
+          case 'g': return is("goto", TokKind::KwGoto);
+        }
+        break;
+      case 5:
+        switch (text[0]) {
+          case 's': return is("short", TokKind::KwShort);
+          case 'f': return is("float", TokKind::KwFloat);
+          case 'u': return is("union", TokKind::KwUnion);
+          case 'c': return is("const", TokKind::KwConst);
+          case 'w': return is("while", TokKind::KwWhile);
+          case 'b': return is("break", TokKind::KwBreak);
+        }
+        break;
+      case 6:
+        switch (text[0]) {
+          case 's':
+            switch (text[1]) {
+              case 'i':
+                return text[2] == 'g' ? is("signed", TokKind::KwSigned)
+                                      : is("sizeof", TokKind::KwSizeof);
+              case 't':
+                return text[2] == 'r' ? is("struct", TokKind::KwStruct)
+                                      : is("static", TokKind::KwStatic);
+              case 'w': return is("switch", TokKind::KwSwitch);
+            }
+            break;
+          case 'd': return is("double", TokKind::KwDouble);
+          case 'e': return is("extern", TokKind::KwExtern);
+          case 'i': return is("inline", TokKind::KwInline);
+          case 'r': return is("return", TokKind::KwReturn);
+        }
+        break;
+      case 7:
+        switch (text[0]) {
+          case 't': return is("typedef", TokKind::KwTypedef);
+          case 'd': return is("default", TokKind::KwDefault);
+        }
+        break;
+      case 8:
+        switch (text[0]) {
+          case 'u': return is("unsigned", TokKind::KwUnsigned);
+          case 'v': return is("volatile", TokKind::KwVolatile);
+          case 'r': return is("register", TokKind::KwRegister);
+          case 'c': return is("continue", TokKind::KwContinue);
+        }
+        break;
+    }
+    return TokKind::Identifier;
 }
 
 bool

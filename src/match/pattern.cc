@@ -86,10 +86,9 @@ Pattern::computeRequiredIdent(Alternative& alt) const
                 return;
             if (e.ekind != ExprKind::Ident)
                 return;
-            const std::string& name =
-                static_cast<const IdentExpr&>(e).name;
+            std::string_view name = static_cast<const IdentExpr&>(e).name;
             if (!findWildcard(name))
-                alt.required_ident = name;
+                alt.required_ident = std::string(name);
         });
     };
     if (alt.expr) {
@@ -137,20 +136,7 @@ Pattern::couldMatchIds(const support::SymbolId* ids,
 void
 Pattern::collectIdents(const lang::Stmt& stmt, std::set<std::string>& out)
 {
-    forEachIdent(stmt, [&](const IdentExpr& e) { out.insert(e.name); });
-}
-
-void
-Pattern::collectIdentIds(const lang::Stmt& stmt,
-                         std::vector<support::SymbolId>& out)
-{
-    const std::vector<support::SymbolId>& ids = lang::stmtIdentIds(stmt);
-    out.insert(out.end(), ids.begin(), ids.end());
-    if (out.size() != ids.size()) {
-        // Appended to a non-empty vector: restore the sorted-unique form.
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
+    forEachIdent(stmt, [&](const IdentExpr& e) { out.emplace(e.name); });
 }
 
 bool
@@ -180,7 +166,7 @@ Pattern::addAlternatives(const Pattern& other)
 }
 
 const WildcardDecl*
-Pattern::findWildcard(const std::string& name) const
+Pattern::findWildcard(std::string_view name) const
 {
     for (const WildcardDecl& wd : wildcards_)
         if (wd.name == name)

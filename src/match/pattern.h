@@ -154,8 +154,9 @@ class Pattern
 
     /**
      * Interned-id prefilter: same contract as couldMatch, but `ids`
-     * is the sorted unique output of collectIdentIds and membership is
-     * a binary search over uint32s instead of a string-set probe.
+     * is the sorted unique output of lang::collectStmtIdentIds and
+     * membership is a binary search over uint32s instead of a
+     * string-set probe.
      */
     bool couldMatchIds(const std::vector<support::SymbolId>& ids) const;
 
@@ -169,13 +170,6 @@ class Pattern
     /** Collect every identifier occurring in `stmt` into `out`. */
     static void collectIdents(const lang::Stmt& stmt,
                               std::set<std::string>& out);
-
-    /**
-     * Collect the interned ids of every identifier in `stmt` into
-     * `out`, sorted and deduplicated — the form couldMatchIds expects.
-     */
-    static void collectIdentIds(const lang::Stmt& stmt,
-                                std::vector<support::SymbolId>& out);
 
     /**
      * Append every alternative's required-identifier symbol to `out` and
@@ -200,7 +194,7 @@ class Pattern
 
     void computeRequiredIdent(Alternative& alt) const;
 
-    const WildcardDecl* findWildcard(const std::string& name) const;
+    const WildcardDecl* findWildcard(std::string_view name) const;
     bool unifyExpr(const lang::Expr& pat, const lang::Expr& cand,
                    Bindings& bindings) const;
     bool unifyStmt(const lang::Stmt& pat, const lang::Stmt& cand,

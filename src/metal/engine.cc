@@ -378,7 +378,7 @@ runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
         if (!options.trace_label.empty())
             span.arg("function", options.trace_label);
         else if (cfg.function)
-            span.arg("function", cfg.function->name);
+            span.arg("function", std::string(cfg.function->name));
     }
 
     // Keyed by (machine, function): the same walks fault at any --jobs.
@@ -389,7 +389,7 @@ runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
             sm.name() + "/" +
                 (!options.trace_label.empty()
                      ? options.trace_label
-                     : (cfg.function ? cfg.function->name
+                     : (cfg.function ? std::string(cfg.function->name)
                                      : std::string())));
 
     MatchStrategy strategy = options.match_strategy;

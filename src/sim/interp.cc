@@ -20,7 +20,7 @@ class Interpreter::Env
     void pop() { scopes_.pop_back(); }
 
     std::int64_t*
-    find(const std::string& name)
+    find(std::string_view name)
     {
         for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
             auto found = it->find(name);
@@ -31,13 +31,13 @@ class Interpreter::Env
     }
 
     void
-    declare(const std::string& name, std::int64_t value)
+    declare(std::string_view name, std::int64_t value)
     {
         scopes_.back()[name] = value;
     }
 
     void
-    set(const std::string& name, std::int64_t value)
+    set(std::string_view name, std::int64_t value)
     {
         if (std::int64_t* slot = find(name))
             *slot = value;
@@ -46,7 +46,8 @@ class Interpreter::Env
     }
 
   private:
-    std::vector<std::map<std::string, std::int64_t>> scopes_;
+    // Names view the AST, which outlives every interpreter run.
+    std::vector<std::map<std::string_view, std::int64_t>> scopes_;
 };
 
 Interpreter::Interpreter(const Program& program,
@@ -69,7 +70,7 @@ Interpreter::Interpreter(const Program& program,
 }
 
 std::int64_t
-Interpreter::constantValue(const std::string& name) const
+Interpreter::constantValue(std::string_view name) const
 {
     auto it = constants_.find(name);
     return it == constants_.end() ? 0 : it->second;

@@ -53,7 +53,7 @@ class Interpreter
     Flow execSwitch(const lang::SwitchStmt& stmt, Env& env);
     std::int64_t eval(const lang::Expr& expr, Env& env);
     std::int64_t evalCall(const lang::CallExpr& call, Env& env);
-    std::int64_t constantValue(const std::string& name) const;
+    std::int64_t constantValue(std::string_view name) const;
     void assign(const lang::Expr& lhs, std::int64_t value, Env& env);
 
     const lang::Program& program_;
@@ -65,7 +65,7 @@ class Interpreter
     /** Steps from completed invocations. */
     std::uint64_t total_steps_ = 0;
     int depth_ = 0;
-    std::map<std::string, std::int64_t> constants_;
+    std::map<std::string, std::int64_t, std::less<>> constants_;
 };
 
 } // namespace mc::sim

@@ -50,13 +50,13 @@ WorkloadDriver::run(std::uint64_t messages)
             handlers_[static_cast<std::size_t>(
                 rng.below(handlers_.size()))];
         std::int64_t payload = static_cast<std::int64_t>(rng.below(32));
-        if (!node.deliverMessage(payload, handler->name)) {
+        if (!node.deliverMessage(payload, std::string(handler->name))) {
             result.deadlocked = true;
             break;
         }
         interp.runFunction(*handler);
         if (node.finishHandler())
-            ++result.leaks_by_handler[handler->name];
+            ++result.leaks_by_handler[std::string(handler->name)];
         ++result.messages_handled;
     }
 

@@ -1,6 +1,7 @@
 #include "support/source_manager.h"
 
 #include <cassert>
+#include <cstring>
 #include <sstream>
 
 namespace mc::support {
@@ -12,18 +13,32 @@ SourceManager::SourceManager()
     files_.push_back(File{"<unknown>", "", {0, 0}});
 }
 
+namespace {
+
+/** Byte offset of each line start, plus the end-of-file sentinel. */
+std::vector<std::size_t>
+lineOffsets(const std::string& contents)
+{
+    std::vector<std::size_t> offsets{0};
+    const char* begin = contents.data();
+    const char* end = begin + contents.size();
+    for (const char* p = begin;
+         (p = static_cast<const char*>(std::memchr(p, '\n', end - p)));
+         ++p)
+        offsets.push_back(static_cast<std::size_t>(p - begin) + 1);
+    offsets.push_back(contents.size() + 1);
+    return offsets;
+}
+
+} // namespace
+
 std::int32_t
 SourceManager::addFile(std::string name, std::string contents)
 {
     File f;
     f.name = std::move(name);
     f.contents = std::move(contents);
-    f.line_offsets.push_back(0);
-    for (std::size_t i = 0; i < f.contents.size(); ++i) {
-        if (f.contents[i] == '\n')
-            f.line_offsets.push_back(i + 1);
-    }
-    f.line_offsets.push_back(f.contents.size() + 1);
+    f.line_offsets = lineOffsets(f.contents);
     files_.push_back(std::move(f));
     return static_cast<std::int32_t>(files_.size()) - 1;
 }
@@ -35,13 +50,7 @@ SourceManager::replaceFile(std::int32_t file_id, std::string contents)
         return false;
     File& f = files_[static_cast<std::size_t>(file_id)];
     f.contents = std::move(contents);
-    f.line_offsets.clear();
-    f.line_offsets.push_back(0);
-    for (std::size_t i = 0; i < f.contents.size(); ++i) {
-        if (f.contents[i] == '\n')
-            f.line_offsets.push_back(i + 1);
-    }
-    f.line_offsets.push_back(f.contents.size() + 1);
+    f.line_offsets = lineOffsets(f.contents);
     return true;
 }
 

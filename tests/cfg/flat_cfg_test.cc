@@ -46,17 +46,14 @@ expectFlatMatchesPointerCfg(const Cfg& cfg)
             // Statement order round-trips pointer-identically.
             ASSERT_EQ(flat.stmt(row), bb.stmts[pos]);
 
-            // The inline ident span equals both the uncached AST scan
-            // and the per-node cached scan (sorted unique).
+            // The inline ident span equals a fresh AST scan (sorted
+            // unique).
             std::vector<support::SymbolId> fresh;
             lang::collectStmtIdentIds(*bb.stmts[pos], fresh);
-            const std::vector<support::SymbolId>& cached =
-                lang::stmtIdentIds(*bb.stmts[pos]);
             std::vector<support::SymbolId> span(
                 flat.identBegin(row),
                 flat.identBegin(row) + flat.identCount(row));
             ASSERT_EQ(span, fresh);
-            ASSERT_EQ(span, cached);
             ASSERT_TRUE(std::is_sorted(span.begin(), span.end()));
             ASSERT_TRUE(std::adjacent_find(span.begin(), span.end()) ==
                         span.end());

@@ -41,7 +41,7 @@ functionNames(const Program& program)
 {
     std::vector<std::string> names;
     for (const FunctionDecl* fn : program.functions())
-        names.push_back(fn->name);
+        names.emplace_back(fn->name);
     return names;
 }
 

@@ -199,7 +199,7 @@ TEST(TransitionTable, PrefilterNeverRejectsAMatch)
                 std::set<std::string> idents;
                 match::Pattern::collectIdents(*stmt, idents);
                 std::vector<support::SymbolId> ids;
-                match::Pattern::collectIdentIds(*stmt, ids);
+                lang::collectStmtIdentIds(*stmt, ids);
                 // The two collections are the same set of names.
                 ASSERT_EQ(ids.size(), idents.size());
                 for (support::SymbolId id : ids)
