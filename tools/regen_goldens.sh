@@ -22,6 +22,8 @@ MCHECK_REGEN_GOLDENS=1 "$build_dir/tests/test_observability" \
     --gtest_brief=1 >/dev/null
 MCHECK_REGEN_GOLDENS=1 "$build_dir/tests/test_recovery" \
     --gtest_brief=1 >/dev/null
+MCHECK_REGEN_GOLDENS=1 "$build_dir/tests/test_run_stats" \
+    --gtest_brief=1 >/dev/null
 # Metal-mode goldens (tests/goldens/metal_*): src/driver/compare_metal.cmake
 # rewrites them when run with the same variable set.
 MCHECK_REGEN_GOLDENS=1 ctest --test-dir "$build_dir" \
