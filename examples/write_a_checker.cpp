@@ -9,6 +9,7 @@
  * PathWalker, which is the route for rules that need richer state.
  */
 #include "cfg/cfg.h"
+#include "cfg/flat_cfg.h"
 #include "checkers/checker.h"
 #include "lang/program.h"
 #include "metal/engine.h"
@@ -35,25 +36,30 @@ class IrqDepthChecker : public checkers::Checker
         struct State
         {
             int depth = 0;
-            std::string key() const { return std::to_string(depth); }
+            // An integral key packs with the block id into one exact
+            // visited-set word; a std::string key would be hashed.
+            std::uint32_t key() const { return depth; }
             bool dead() const { return false; }
         };
 
+        // Every call of every statement, lowered once per function: the
+        // hook reads its row's calls instead of re-walking the AST.
+        const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
         metal::PathWalker<State>::Hooks hooks;
-        hooks.on_stmt = [&](State& st, const lang::Stmt& stmt) {
-            const lang::CallExpr* call = lang::stmtAsCall(stmt);
-            if (!call)
-                return;
-            std::string_view callee = call->calleeName();
-            if (callee == "DISABLE_IRQ") {
-                ++st.depth;
-            } else if (callee == "ENABLE_IRQ") {
-                if (st.depth == 0)
-                    ctx.sink.error(stmt.loc, name(), "unbalanced-enable",
-                                   "ENABLE_IRQ with no matching "
-                                   "DISABLE_IRQ");
-                else
-                    --st.depth;
+        hooks.on_stmt = [&](State& st, const lang::Stmt&, std::uint32_t row) {
+            for (const cfg::CallRow& c : flat.calls(row)) {
+                std::string_view callee = c.call->calleeName();
+                if (callee == "DISABLE_IRQ") {
+                    ++st.depth;
+                } else if (callee == "ENABLE_IRQ") {
+                    if (st.depth == 0)
+                        ctx.sink.error(c.call->loc, name(),
+                                       "unbalanced-enable",
+                                       "ENABLE_IRQ with no matching "
+                                       "DISABLE_IRQ");
+                    else
+                        --st.depth;
+                }
             }
         };
         hooks.on_exit = [&](State& st) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <utility>
 
 namespace mc::cfg {
 
@@ -11,6 +13,72 @@ nextFlatCfgId()
 {
     static std::atomic<std::uint64_t> counter{1};
     return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/**
+ * Lower one statement: append its identifier ids (unsorted) to `idents`
+ * and its calls to `calls`, both in forEachTopLevelExpr/forEachSubExpr
+ * pre-order. The assignment facts are pointer-exact: a call is the
+ * direct lhs of `=` iff it is visited right after that `=` node, and a
+ * target belongs only to the one call that is the whole right-hand side
+ * of a statement-level `x = ...` or a declarator's initializer.
+ */
+void
+lowerStmt(const lang::Stmt& stmt, std::vector<support::SymbolId>& idents,
+          std::vector<CallRow>& calls)
+{
+    using namespace lang;
+    const Expr* assign_lhs = nullptr;
+    const Expr* target_call = nullptr;
+    support::SymbolId target = support::kInvalidSymbol;
+    auto visit = [&](const Expr& e) {
+        const Expr* lhs = std::exchange(assign_lhs, nullptr);
+        if (e.ekind == ExprKind::Ident) {
+            idents.push_back(identSymbol(static_cast<const IdentExpr&>(e)));
+        } else if (e.ekind == ExprKind::Binary) {
+            const auto& b = static_cast<const BinaryExpr&>(e);
+            if (b.op == BinaryOp::Assign)
+                assign_lhs = b.lhs;
+        } else if (e.ekind == ExprKind::Call) {
+            const auto& c = static_cast<const CallExpr&>(e);
+            CallRow row;
+            row.call = &c;
+            if (c.callee && c.callee->ekind == ExprKind::Ident)
+                row.callee =
+                    identSymbol(static_cast<const IdentExpr&>(*c.callee));
+            if (&e == target_call) {
+                assert(target < CallRow::kNoTarget);
+                row.assign_target = target;
+            }
+            row.assign_lhs = &e == lhs;
+            calls.push_back(row);
+        }
+    };
+
+    if (stmt.skind == StmtKind::Decl) {
+        for (const VarDecl* v : static_cast<const DeclStmt&>(stmt).decls) {
+            if (!v->init)
+                continue;
+            if (v->init->ekind == ExprKind::Call) {
+                target_call = v->init;
+                target = support::SymbolInterner::global().intern(v->name);
+            }
+            visitExprsFast(*v->init, visit);
+        }
+        return;
+    }
+    const Expr* e = stmt.skind == StmtKind::Expr
+                        ? static_cast<const ExprStmt&>(stmt).expr
+                        : nullptr;
+    if (e && e->ekind == ExprKind::Binary) {
+        const auto& b = static_cast<const BinaryExpr&>(*e);
+        if (b.op == BinaryOp::Assign && b.lhs->ekind == ExprKind::Ident) {
+            target_call = b.rhs;
+            target = identSymbol(static_cast<const IdentExpr&>(*b.lhs));
+        }
+    }
+    visitTopLevelExprsFast(
+        stmt, [&](const Expr& top) { visitExprsFast(top, visit); });
 }
 } // namespace
 
@@ -30,18 +98,32 @@ FlatCfg::FlatCfg(const Cfg& cfg) : id_(nextFlatCfgId())
         for (const lang::Stmt* stmt : bb.stmts)
             stmts_.push_back(stmt);
 
-    // One shared scratch keeps the per-statement ident scan free of
-    // per-node heap caches; the spans land inline in one flat pool.
+    // One pre-order pass per statement fills both of its spans: the
+    // identifiers (sorted unique in a reused scratch) and the calls.
     ident_offsets_.resize(total + 1);
+    call_offsets_.resize(total + 1);
     std::vector<support::SymbolId> scratch;
     for (std::uint32_t row = 0; row < total; ++row) {
         ident_offsets_[row] =
             static_cast<std::uint32_t>(ident_ids_.size());
-        lang::collectStmtIdentIds(*stmts_[row], scratch);
+        call_offsets_[row] = static_cast<std::uint32_t>(calls_.size());
+        scratch.clear();
+        lowerStmt(*stmts_[row], scratch, calls_);
+        std::sort(scratch.begin(), scratch.end());
+        scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                      scratch.end());
         ident_ids_.insert(ident_ids_.end(), scratch.begin(),
                           scratch.end());
     }
     ident_offsets_[total] = static_cast<std::uint32_t>(ident_ids_.size());
+    call_offsets_[total] = static_cast<std::uint32_t>(calls_.size());
+}
+
+bool
+FlatCfg::mentions(std::uint32_t row, support::SymbolId sym) const
+{
+    const support::SymbolId* ids = identBegin(row);
+    return std::binary_search(ids, ids + identCount(row), sym);
 }
 
 const FlatCfg::MaskIndex&

@@ -8,9 +8,42 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 namespace mc::cfg {
+
+/**
+ * One call site of a statement row, lowered once per function so no
+ * checker re-walks the AST to find it. Holds only syntax: what the
+ * callee means (a FLASH macro, a protocol routine) is the reader's
+ * business, so this layer stays free of any protocol vocabulary.
+ */
+struct CallRow
+{
+    /** `assign_target` value meaning "no target". */
+    static constexpr std::uint32_t kNoTarget = 0x7FFFFFFFu;
+
+    const lang::CallExpr* call = nullptr;
+    /** Interned callee name; kInvalidSymbol when the callee is not a
+     *  plain identifier. */
+    support::SymbolId callee = support::kInvalidSymbol;
+    /** The identifier a statement-level `x = call(...)` or a
+     *  `T x = call(...)` declarator assigns (see target()). */
+    std::uint32_t assign_target : 31 = kNoTarget;
+    /** True when the call is the direct left operand of `=`
+     *  (`HANDLER_GLOBALS(f) = v`). */
+    std::uint32_t assign_lhs : 1 = 0;
+
+    /** assign_target as a symbol, kInvalidSymbol when there is none. */
+    support::SymbolId
+    target() const
+    {
+        return assign_target == kNoTarget ? support::kInvalidSymbol
+                                          : assign_target;
+    }
+};
+static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
 
 /**
  * Arena-flattened view of one Cfg: the lowering pass behind the
@@ -28,8 +61,12 @@ namespace mc::cfg {
  *     the pointer CFG's iteration order.
  *   - `stmts_` — the statement pointers themselves, flat.
  *   - `ident_offsets_` / `ident_ids_` — each row's sorted-unique
- *     interned identifier ids stored inline as a span, so the
- *     visitIdentsFast AST scan becomes a precomputed slice lookup.
+ *     interned identifier ids stored inline as a span, so an
+ *     identifier AST scan becomes a precomputed slice lookup.
+ *   - `call_offsets_` / `calls_` — each row's call sites (CallRow) in
+ *     the pre-order forEachTopLevelExpr/forEachSubExpr visit, built in
+ *     the same pass as the ident spans. The hand-written checkers read
+ *     their call events from these rows.
  *
  * On top of the arena, maskIndex() folds the spans into per-statement /
  * per-block / per-block-range 64-bit masks for a caller-supplied symbol
@@ -94,6 +131,18 @@ class FlatCfg
         return ident_offsets_[row + 1] - ident_offsets_[row];
     }
 
+    /** True if row `row`'s expressions mention identifier `sym`. */
+    bool mentions(std::uint32_t row, support::SymbolId sym) const;
+
+    /** Row `row`'s call sites, in pre-order. */
+    std::span<const CallRow> calls(std::uint32_t row) const
+    {
+        return {calls_.data() + call_offsets_[row],
+                calls_.data() + call_offsets_[row + 1]};
+    }
+    /** Every call site of the function, row by row. */
+    std::span<const CallRow> calls() const { return calls_; }
+
     /**
      * Prefilter masks for one symbol set (a CompiledSm's sorted
      * mask-symbol list): bit i of a statement mask is set iff the
@@ -123,6 +172,8 @@ class FlatCfg
     std::vector<const lang::Stmt*> stmts_;
     std::vector<std::uint32_t> ident_offsets_;
     std::vector<support::SymbolId> ident_ids_;
+    std::vector<std::uint32_t> call_offsets_;
+    std::vector<CallRow> calls_;
     mutable std::mutex mask_mutex_;
     mutable std::map<std::vector<support::SymbolId>,
                      std::unique_ptr<MaskIndex>>

@@ -1,5 +1,6 @@
 #include "checkers/buffer_mgmt.h"
 
+#include "cfg/flat_cfg.h"
 #include "flash/macros.h"
 #include "metal/path_walker.h"
 
@@ -18,17 +19,17 @@ struct BufState
     bool has_buffer = false;
     bool no_free_needed = false;
     /** Variable the last ALLOCATE_DB() was assigned to (may yet fail). */
-    std::string alloc_var;
+    support::SymbolId alloc_var = support::kInvalidSymbol;
     support::SourceLoc last_event;
 
-    std::string
+    /** (alloc_var + 1) << 2 | flags: "no variable" wraps to 0, and
+     *  symbol ids stay far below 2^30, so the packing is exact. */
+    std::uint32_t
     key() const
     {
-        std::string k;
-        k += has_buffer ? '1' : '0';
-        k += no_free_needed ? '1' : '0';
-        k += alloc_var;
-        return k;
+        return static_cast<std::uint32_t>(alloc_var + 1) << 2 |
+               static_cast<std::uint32_t>(has_buffer) << 1 |
+               static_cast<std::uint32_t>(no_free_needed);
     }
 
     bool dead() const { return false; }
@@ -41,13 +42,14 @@ struct BufState
  * test.
  */
 int
-allocFailureEdge(const Expr& cond, const std::string& var)
+allocFailureEdge(const Expr& cond, support::SymbolId var)
 {
-    if (var.empty())
+    if (var == support::kInvalidSymbol)
         return -1;
     switch (cond.ekind) {
       case ExprKind::Ident:
-        return static_cast<const IdentExpr&>(cond).name == var ? 1 : -1;
+        return identSymbol(static_cast<const IdentExpr&>(cond)) == var ? 1
+                                                                       : -1;
       case ExprKind::Unary: {
         const auto& u = static_cast<const UnaryExpr&>(cond);
         if (u.op != UnaryOp::Not)
@@ -59,8 +61,9 @@ allocFailureEdge(const Expr& cond, const std::string& var)
       }
       case ExprKind::Binary: {
         const auto& b = static_cast<const BinaryExpr&>(cond);
-        bool lhs_var = b.lhs->ekind == ExprKind::Ident &&
-                       static_cast<const IdentExpr&>(*b.lhs).name == var;
+        bool lhs_var =
+            b.lhs->ekind == ExprKind::Ident &&
+            identSymbol(static_cast<const IdentExpr&>(*b.lhs)) == var;
         bool rhs_zero = b.rhs->ekind == ExprKind::IntLit &&
                         static_cast<const IntLitExpr&>(*b.rhs).value == 0;
         if (!lhs_var || !rhs_zero)
@@ -110,119 +113,94 @@ BufferMgmtChecker::checkFunction(const FunctionDecl& fn,
     // state the annotation actually changes?
     std::map<support::SourceLoc, bool> annotation_useful;
 
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
     mc::metal::PathWalker<BufState>::Hooks hooks;
-    hooks.on_stmt = [&](BufState& st, const Stmt& stmt) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                const CallExpr* call = asCall(e);
-                if (!call)
-                    return;
-                std::string callee(call->calleeName());
-                MacroKind kind = flash::classifyMacro(callee);
+    hooks.on_stmt = [&](BufState& st, const Stmt&, std::uint32_t row) {
+        for (const cfg::CallRow& c : flat.calls(row)) {
+            const std::string_view callee = c.call->calleeName();
+            const MacroKind kind = flash::macroKind(c.callee);
+            const support::SourceLoc& loc = c.call->loc;
 
-                bool is_free = kind == MacroKind::FreeDb ||
-                               ctx.spec.freeing_routines.count(callee) > 0;
-                bool is_use =
-                    kind == MacroKind::ReadDb ||
-                    kind == MacroKind::ReadDbDeprecated ||
-                    kind == MacroKind::WriteDb ||
-                    ctx.spec.buffer_using_routines.count(callee) > 0;
+            bool is_free = kind == MacroKind::FreeDb ||
+                           ctx.spec.freeing_routines.count(callee) > 0;
+            bool is_use =
+                kind == MacroKind::ReadDb ||
+                kind == MacroKind::ReadDbDeprecated ||
+                kind == MacroKind::WriteDb ||
+                ctx.spec.buffer_using_routines.count(callee) > 0;
 
-                if (kind == MacroKind::MaybeFreeDb &&
-                    !options_.value_sensitive_frees) {
-                    // Naive mode: conservatively freed on both edges.
-                    is_free = true;
-                }
+            if (kind == MacroKind::MaybeFreeDb &&
+                !options_.value_sensitive_frees) {
+                // Naive mode: conservatively freed on both edges.
+                is_free = true;
+            }
 
-                if (is_free) {
-                    ++applied_;
-                    if (!st.has_buffer) {
-                        ctx.sink.error(e.loc, name(), "double-free",
-                                       "buffer freed twice (or freed "
-                                       "without being held)");
-                        return;
-                    }
-                    st.has_buffer = false;
-                    st.last_event = e.loc;
-                    return;
+            if (is_free) {
+                ++applied_;
+                if (!st.has_buffer) {
+                    ctx.sink.error(loc, name(), "double-free",
+                                   "buffer freed twice (or freed "
+                                   "without being held)");
+                    continue;
                 }
-                if (kind == MacroKind::AllocDb) {
-                    ++applied_;
-                    if (st.has_buffer) {
-                        ctx.sink.error(e.loc, name(), "alloc-overwrites",
-                                       "allocation while already holding "
-                                       "a buffer leaks the current one");
-                        return;
-                    }
-                    st.has_buffer = true;
-                    st.last_event = e.loc;
-                    // Remember the variable so a later `if (buf == 0)`
-                    // failure branch can retract the buffer.
-                    st.alloc_var.clear();
-                    if (stmt.skind == StmtKind::Expr) {
-                        const Expr* se =
-                            static_cast<const ExprStmt&>(stmt).expr;
-                        if (se->ekind == ExprKind::Binary) {
-                            const auto& bin =
-                                static_cast<const BinaryExpr&>(*se);
-                            if (bin.op == BinaryOp::Assign &&
-                                bin.lhs->ekind == ExprKind::Ident)
-                                st.alloc_var = static_cast<const IdentExpr*>(
-                                                   bin.lhs)
-                                                   ->name;
-                        }
-                    } else if (stmt.skind == StmtKind::Decl) {
-                        for (const VarDecl* v :
-                             static_cast<const DeclStmt&>(stmt).decls)
-                            if (v->init && flash::classifyCall(*v->init) ==
-                                               MacroKind::AllocDb)
-                                st.alloc_var = v->name;
-                    }
-                    return;
+                st.has_buffer = false;
+                st.last_event = loc;
+                continue;
+            }
+            if (kind == MacroKind::AllocDb) {
+                ++applied_;
+                if (st.has_buffer) {
+                    ctx.sink.error(loc, name(), "alloc-overwrites",
+                                   "allocation while already holding "
+                                   "a buffer leaks the current one");
+                    continue;
                 }
-                if (flash::isSend(kind)) {
-                    ++applied_;
-                    if (!st.has_buffer)
-                        ctx.sink.error(e.loc, name(), "send-without-buffer",
-                                       "send issued with no data buffer "
-                                       "held");
-                    return;
-                }
-                if (is_use) {
-                    ++applied_;
-                    if (!st.has_buffer)
-                        ctx.sink.error(e.loc, name(), "use-after-free",
-                                       "data buffer used after being "
-                                       "freed (or never allocated)");
-                    return;
-                }
-                if (kind == MacroKind::RefcntIncr) {
-                    // Section 11: the call that blinded the tool once;
-                    // now aggressively objected to.
-                    ctx.sink.error(e.loc, name(), "manual-refcount",
-                                   "manual reference-count manipulation "
-                                   "(DB_REFCNT_INCR) defeats buffer "
-                                   "checking");
-                    return;
-                }
-                if (kind == MacroKind::AnnotHasBuffer) {
-                    auto [it, inserted] =
-                        annotation_useful.emplace(e.loc, false);
-                    if (!st.has_buffer)
-                        it->second = true; // it changed something
-                    st.has_buffer = true;
-                    return;
-                }
-                if (kind == MacroKind::AnnotNoFreeNeeded) {
-                    auto [it, inserted] =
-                        annotation_useful.emplace(e.loc, false);
-                    if (st.has_buffer && !st.no_free_needed)
-                        it->second = true;
-                    st.no_free_needed = true;
-                    return;
-                }
-            });
-        });
+                st.has_buffer = true;
+                st.last_event = loc;
+                // Remember the variable so a later `if (buf == 0)`
+                // failure branch can retract the buffer.
+                st.alloc_var = c.target();
+                continue;
+            }
+            if (flash::isSend(kind)) {
+                ++applied_;
+                if (!st.has_buffer)
+                    ctx.sink.error(loc, name(), "send-without-buffer",
+                                   "send issued with no data buffer "
+                                   "held");
+                continue;
+            }
+            if (is_use) {
+                ++applied_;
+                if (!st.has_buffer)
+                    ctx.sink.error(loc, name(), "use-after-free",
+                                   "data buffer used after being "
+                                   "freed (or never allocated)");
+                continue;
+            }
+            if (kind == MacroKind::RefcntIncr) {
+                // Section 11: the call that blinded the tool once;
+                // now aggressively objected to.
+                ctx.sink.error(loc, name(), "manual-refcount",
+                               "manual reference-count manipulation "
+                               "(DB_REFCNT_INCR) defeats buffer "
+                               "checking");
+                continue;
+            }
+            if (kind == MacroKind::AnnotHasBuffer) {
+                auto [it, inserted] = annotation_useful.emplace(loc, false);
+                if (!st.has_buffer)
+                    it->second = true; // it changed something
+                st.has_buffer = true;
+                continue;
+            }
+            if (kind == MacroKind::AnnotNoFreeNeeded) {
+                auto [it, inserted] = annotation_useful.emplace(loc, false);
+                if (st.has_buffer && !st.no_free_needed)
+                    it->second = true;
+                st.no_free_needed = true;
+            }
+        }
     };
     hooks.on_branch = [&](BufState& st, const Expr& cond,
                           std::size_t edge) {
@@ -232,14 +210,14 @@ BufferMgmtChecker::checkFunction(const FunctionDecl& fn,
         if (fail_edge >= 0) {
             if (static_cast<std::size_t>(fail_edge) == edge)
                 st.has_buffer = false;
-            st.alloc_var.clear();
+            st.alloc_var = support::kInvalidSymbol;
             return;
         }
         if (options_.value_sensitive_frees) {
             // `if (MAYBE_FREE_DB_x(...))`: true edge freed, false edge
             // kept — the Section 6.1 refinement.
             bool maybe_free = false;
-            forEachSubExpr(cond, [&](const Expr& e) {
+            visitExprsFast(cond, [&](const Expr& e) {
                 if (flash::classifyCall(e) == MacroKind::MaybeFreeDb)
                     maybe_free = true;
             });

@@ -1,5 +1,6 @@
 #include "checkers/buffer_race.h"
 
+#include "cfg/flat_cfg.h"
 #include "checkers/metal_sources.h"
 #include "checkers/registry.h"
 #include "flash/macros.h"
@@ -43,17 +44,11 @@ BufferRaceChecker::checkFunction(const lang::FunctionDecl& fn,
     mc::metal::runStateMachine(sm_, cfg, ctx.sink, options);
 
     // "Applied" = data-buffer reads encountered (Table 2).
-    for (const cfg::BasicBlock& bb : cfg.blocks()) {
-        for (const lang::Stmt* stmt : bb.stmts) {
-            lang::forEachTopLevelExpr(*stmt, [&](const lang::Expr& top) {
-                lang::forEachSubExpr(top, [&](const lang::Expr& e) {
-                    flash::MacroKind kind = flash::classifyCall(e);
-                    if (kind == flash::MacroKind::ReadDb ||
-                        kind == flash::MacroKind::ReadDbDeprecated)
-                        ++applied_;
-                });
-            });
-        }
+    for (const cfg::CallRow& c : cfg::flatCfg(cfg).calls()) {
+        const flash::MacroKind kind = flash::macroKind(c.callee);
+        if (kind == flash::MacroKind::ReadDb ||
+            kind == flash::MacroKind::ReadDbDeprecated)
+            ++applied_;
     }
 }
 

@@ -1,5 +1,6 @@
 #include "checkers/directory.h"
 
+#include "cfg/flat_cfg.h"
 #include "flash/macros.h"
 #include "metal/path_walker.h"
 #include "support/text.h"
@@ -19,12 +20,11 @@ struct DirWalkState
     bool nak_sent = false;
     support::SourceLoc last_modify;
 
-    std::string
+    std::uint32_t
     key() const
     {
-        char buf[3] = {static_cast<char>('0' + static_cast<int>(dir)),
-                       nak_sent ? '1' : '0', 0};
-        return buf;
+        return static_cast<std::uint32_t>(dir) << 1 |
+               static_cast<std::uint32_t>(nak_sent);
     }
 
     bool dead() const { return false; }
@@ -36,86 +36,75 @@ void
 DirectoryChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                                 CheckContext& ctx)
 {
+    (void)fn;
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+
     // A function containing the expects_dir_writeback() annotation
     // intentionally leaves the modified entry to its caller.
     bool exempt = false;
-    forEachStmt(*fn.body, [&](const Stmt& stmt) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                if (flash::classifyCall(e) ==
-                    MacroKind::AnnotExpectsDirWriteback)
-                    exempt = true;
-            });
-        });
-    });
+    for (const cfg::CallRow& c : flat.calls())
+        if (flash::macroKind(c.callee) == MacroKind::AnnotExpectsDirWriteback)
+            exempt = true;
 
     mc::metal::PathWalker<DirWalkState>::Hooks hooks;
-    hooks.on_stmt = [&](DirWalkState& st, const Stmt& stmt) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                const CallExpr* call = asCall(e);
-                if (!call)
-                    return;
-                std::string callee(call->calleeName());
-                MacroKind kind = flash::classifyMacro(callee);
-                switch (kind) {
-                  case MacroKind::DirLoad:
-                    ++applied_;
-                    st.dir = DirState::Loaded;
-                    return;
-                  case MacroKind::DirRead:
-                    ++applied_;
-                    if (st.dir == DirState::NotLoaded)
-                        ctx.sink.error(e.loc, name(), "use-before-load",
-                                       "directory entry read before "
-                                       "DIR_LOAD()");
-                    return;
-                  case MacroKind::DirWrite:
-                    ++applied_;
-                    if (st.dir == DirState::NotLoaded) {
-                        ctx.sink.error(e.loc, name(), "use-before-load",
-                                       "directory entry modified before "
-                                       "DIR_LOAD()");
-                        return;
-                    }
-                    st.dir = DirState::Modified;
-                    st.last_modify = e.loc;
-                    return;
-                  case MacroKind::DirWriteback:
-                    ++applied_;
-                    if (st.dir == DirState::NotLoaded) {
-                        ctx.sink.warning(e.loc, name(),
-                                         "writeback-without-load",
-                                         "DIR_WRITEBACK() with no loaded "
-                                         "entry");
-                        return;
-                    }
-                    st.dir = DirState::Loaded;
-                    return;
-                  case MacroKind::SendNi: {
-                    auto opcode = flash::niSendOpcode(*call);
-                    if (opcode &&
-                        support::startsWith(*opcode, flash::kNakPrefix))
-                        st.nak_sent = true;
-                    return;
-                  }
-                  default:
-                    break;
+    hooks.on_stmt = [&](DirWalkState& st, const Stmt&, std::uint32_t row) {
+        for (const cfg::CallRow& c : flat.calls(row)) {
+            const support::SourceLoc& loc = c.call->loc;
+            switch (flash::macroKind(c.callee)) {
+              case MacroKind::DirLoad:
+                ++applied_;
+                st.dir = DirState::Loaded;
+                continue;
+              case MacroKind::DirRead:
+                ++applied_;
+                if (st.dir == DirState::NotLoaded)
+                    ctx.sink.error(loc, name(), "use-before-load",
+                                   "directory entry read before "
+                                   "DIR_LOAD()");
+                continue;
+              case MacroKind::DirWrite:
+                ++applied_;
+                if (st.dir == DirState::NotLoaded) {
+                    ctx.sink.error(loc, name(), "use-before-load",
+                                   "directory entry modified before "
+                                   "DIR_LOAD()");
+                    continue;
                 }
-                // Calls into subroutines that modify the entry on the
-                // caller's behalf.
-                if (ctx.spec.dir_deferred_routines.count(callee)) {
-                    if (st.dir == DirState::NotLoaded) {
-                        ctx.sink.error(e.loc, name(), "use-before-load",
-                                       "subroutine modifies directory "
-                                       "entry before DIR_LOAD()");
-                        return;
-                    }
-                    st.dir = DirState::Modified;
-                    st.last_modify = e.loc;
+                st.dir = DirState::Modified;
+                st.last_modify = loc;
+                continue;
+              case MacroKind::DirWriteback:
+                ++applied_;
+                if (st.dir == DirState::NotLoaded) {
+                    ctx.sink.warning(loc, name(), "writeback-without-load",
+                                     "DIR_WRITEBACK() with no loaded "
+                                     "entry");
+                    continue;
                 }
-            });
-        });
+                st.dir = DirState::Loaded;
+                continue;
+              case MacroKind::SendNi:
+                if (support::startsWith(flash::niSendOpcode(*c.call),
+                                        flash::kNakPrefix))
+                    st.nak_sent = true;
+                continue;
+              default:
+                break;
+            }
+            // Calls into subroutines that modify the entry on the
+            // caller's behalf.
+            if (ctx.spec.dir_deferred_routines.count(
+                    c.call->calleeName())) {
+                if (st.dir == DirState::NotLoaded) {
+                    ctx.sink.error(loc, name(), "use-before-load",
+                                   "subroutine modifies directory "
+                                   "entry before DIR_LOAD()");
+                    continue;
+                }
+                st.dir = DirState::Modified;
+                st.last_modify = loc;
+            }
+        }
     };
     hooks.on_exit = [&](DirWalkState& st) {
         if (exempt)

@@ -1,5 +1,6 @@
 #include "checkers/exec_restrict.h"
 
+#include "cfg/flat_cfg.h"
 #include "flash/macros.h"
 
 namespace mc::checkers {
@@ -15,9 +16,7 @@ MacroKind
 stmtMacroKind(const Stmt& stmt)
 {
     const CallExpr* call = stmtAsCall(stmt);
-    if (!call)
-        return MacroKind::None;
-    return flash::classifyMacro(call->calleeName());
+    return call ? flash::classifyCall(*call) : MacroKind::None;
 }
 
 /** True if `stmt` is a call statement to a protocol-defined function. */
@@ -25,12 +24,10 @@ bool
 isProtocolCallStmt(const Stmt& stmt, CheckContext& ctx)
 {
     const CallExpr* call = stmtAsCall(stmt);
-    if (!call)
+    if (!call || flash::classifyCall(*call) != MacroKind::None)
         return false;
-    std::string name(call->calleeName());
+    std::string_view name = call->calleeName();
     if (name.empty())
-        return false;
-    if (flash::classifyMacro(name) != MacroKind::None)
         return false;
     return ctx.program.findFunction(name) != nullptr ||
            ctx.spec.handler(name) != nullptr;
@@ -216,34 +213,22 @@ ExecRestrictChecker::checkNoStack(const FunctionDecl& fn, CheckContext& ctx)
 }
 
 void
-ExecRestrictChecker::checkDeprecated(const FunctionDecl& fn,
-                                     CheckContext& ctx)
+ExecRestrictChecker::checkDeprecated(const cfg::Cfg& cfg, CheckContext& ctx)
 {
-    forEachStmt(*fn.body, [&](const Stmt& stmt) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                const CallExpr* call = asCall(e);
-                if (!call)
-                    return;
-                std::string callee(call->calleeName());
-                bool deprecated =
-                    flash::classifyMacro(callee) ==
-                        MacroKind::ReadDbDeprecated ||
-                    ctx.spec.deprecated.count(callee) > 0;
-                if (deprecated)
-                    ctx.sink.warning(e.loc, name(), "deprecated-macro",
-                                     "use of deprecated macro '" + callee +
-                                         "'");
-            });
-        });
-    });
+    for (const cfg::CallRow& c : cfg::flatCfg(cfg).calls()) {
+        const std::string_view callee = c.call->calleeName();
+        if (flash::macroKind(c.callee) == MacroKind::ReadDbDeprecated ||
+            ctx.spec.deprecated.count(callee) > 0)
+            ctx.sink.warning(c.call->loc, name(), "deprecated-macro",
+                             "use of deprecated macro '" +
+                                 std::string(callee) + "'");
+    }
 }
 
 void
 ExecRestrictChecker::checkFunction(const FunctionDecl& fn,
                                    const cfg::Cfg& cfg, CheckContext& ctx)
 {
-    (void)cfg;
     ++handlers_checked_;
     ++applied_;
 
@@ -262,7 +247,7 @@ ExecRestrictChecker::checkFunction(const FunctionDecl& fn,
     checkHooks(fn, ctx);
     if (spec && spec->no_stack)
         checkNoStack(fn, ctx);
-    checkDeprecated(fn, ctx);
+    checkDeprecated(cfg, ctx);
 }
 
 } // namespace mc::checkers

@@ -89,7 +89,7 @@ class ExecRestrictChecker : public Checker
     void checkSignature(const lang::FunctionDecl& fn, CheckContext& ctx);
     void checkHooks(const lang::FunctionDecl& fn, CheckContext& ctx);
     void checkNoStack(const lang::FunctionDecl& fn, CheckContext& ctx);
-    void checkDeprecated(const lang::FunctionDecl& fn, CheckContext& ctx);
+    void checkDeprecated(const cfg::Cfg& cfg, CheckContext& ctx);
 
     int handlers_checked_ = 0;
     int vars_checked_ = 0;

@@ -1,5 +1,6 @@
 #include "checkers/lanes.h"
 
+#include "cfg/flat_cfg.h"
 #include "flash/macros.h"
 #include "global/callgraph.h"
 
@@ -16,44 +17,29 @@ LanesChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                             CheckContext& ctx)
 {
     // Local pass: annotate sends with lanes and record calls.
-    auto extract = [&](const Stmt& stmt, std::vector<global::Event>& out) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                const CallExpr* call = asCall(e);
-                if (!call)
-                    return;
-                std::string callee(call->calleeName());
-                MacroKind kind = flash::classifyMacro(callee);
-
-                if (kind == MacroKind::SendNi) {
-                    global::Event ev;
-                    ev.kind = global::Event::Kind::Send;
-                    auto opcode = flash::niSendOpcode(*call);
-                    ev.lane = opcode ? ctx.spec.laneOf(*opcode) : -1;
-                    ev.loc = e.loc;
-                    out.push_back(std::move(ev));
-                    ++applied_;
-                    return;
-                }
-                if (kind == MacroKind::WaitForSpace) {
-                    global::Event ev;
-                    ev.kind = global::Event::Kind::LaneWait;
-                    auto opcode = flash::waitForSpaceOpcode(*call);
-                    ev.lane = opcode ? ctx.spec.laneOf(*opcode) : -1;
-                    ev.loc = e.loc;
-                    out.push_back(std::move(ev));
-                    return;
-                }
-                if (kind == MacroKind::None && !callee.empty() &&
-                    ctx.program.findFunction(callee)) {
-                    global::Event ev;
-                    ev.kind = global::Event::Kind::Call;
-                    ev.callee = callee;
-                    ev.loc = e.loc;
-                    out.push_back(std::move(ev));
-                }
-            });
-        });
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+    auto extract = [&](const Stmt&, std::uint32_t row,
+                       std::vector<global::Event>& out) {
+        for (const cfg::CallRow& c : flat.calls(row)) {
+            const MacroKind kind = flash::macroKind(c.callee);
+            global::Event ev;
+            ev.loc = c.call->loc;
+            if (kind == MacroKind::SendNi) {
+                ev.kind = global::Event::Kind::Send;
+                ev.lane = ctx.spec.laneOf(flash::niSendOpcode(*c.call));
+                ++applied_;
+            } else if (kind == MacroKind::WaitForSpace) {
+                ev.kind = global::Event::Kind::LaneWait;
+                ev.lane = ctx.spec.laneOf(flash::waitForSpaceOpcode(*c.call));
+            } else if (kind == MacroKind::None &&
+                       ctx.program.findFunction(c.call->calleeName())) {
+                ev.kind = global::Event::Kind::Call;
+                ev.callee = c.call->calleeName();
+            } else {
+                continue;
+            }
+            out.push_back(std::move(ev));
+        }
     };
     summaries_.push_back(
         global::summarize(std::string(fn.name), cfg, extract));
@@ -62,21 +48,9 @@ LanesChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
 void
 LanesChecker::checkProgram(CheckContext& ctx)
 {
-    // The paper's local passes write their annotated flow graphs to
-    // files which the global pass reads back; optionally exercise that
-    // exact pipeline.
-    std::vector<global::FunctionSummary> summaries;
-    if (options_.roundtrip_through_text) {
-        std::stringstream file;
-        global::writeSummaries(file, summaries_);
-        summaries = global::readSummaries(file);
-    } else {
-        summaries = summaries_;
-    }
-
     // Global pass: link all emitted summaries and traverse from each
     // handler.
-    global::CallGraph graph(summaries);
+    global::CallGraph graph(summaries_);
 
     global::LocDescriber describe =
         [&ctx](const support::SourceLoc& loc) {

@@ -26,20 +26,6 @@ namespace mc::checkers {
 class LanesChecker : public Checker
 {
   public:
-    struct Options
-    {
-        /**
-         * Serialize every local-pass summary to the textual flow-graph
-         * format and parse it back before the global pass — exactly the
-         * paper's emit-to-file / read-back pipeline. Off by default
-         * (results are identical; tests assert it).
-         */
-        bool roundtrip_through_text = false;
-    };
-
-    LanesChecker() = default;
-    explicit LanesChecker(Options options) : options_(options) {}
-
     std::string name() const override { return "lanes"; }
 
     void checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
@@ -83,7 +69,6 @@ class LanesChecker : public Checker
     }
 
   private:
-    Options options_;
     std::vector<global::FunctionSummary> summaries_;
 };
 

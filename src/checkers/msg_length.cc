@@ -1,5 +1,6 @@
 #include "checkers/msg_length.h"
 
+#include "cfg/flat_cfg.h"
 #include "checkers/metal_sources.h"
 #include "checkers/registry.h"
 #include "flash/macros.h"
@@ -43,27 +44,12 @@ MsgLengthChecker::checkFunction(const lang::FunctionDecl& fn,
     mc::metal::runStateMachine(sm_, cfg, ctx.sink, options);
 
     // "Applied" = sends plus length assignments the checker examined.
-    for (const cfg::BasicBlock& bb : cfg.blocks()) {
-        for (const lang::Stmt* stmt : bb.stmts) {
-            lang::forEachTopLevelExpr(*stmt, [&](const lang::Expr& top) {
-                lang::forEachSubExpr(top, [&](const lang::Expr& e) {
-                    if (flash::isSend(flash::classifyCall(e))) {
-                        ++applied_;
-                        return;
-                    }
-                    // Length assignments: HANDLER_GLOBALS(...) = LEN_*.
-                    if (e.ekind != lang::ExprKind::Binary)
-                        return;
-                    const auto& bin =
-                        static_cast<const lang::BinaryExpr&>(e);
-                    if (bin.op != lang::BinaryOp::Assign)
-                        return;
-                    if (flash::classifyCall(*bin.lhs) ==
-                        flash::MacroKind::HandlerGlobals)
-                        ++applied_;
-                });
-            });
-        }
+    for (const cfg::CallRow& c : cfg::flatCfg(cfg).calls()) {
+        const flash::MacroKind kind = flash::macroKind(c.callee);
+        // Length assignments: HANDLER_GLOBALS(...) = LEN_*.
+        if (flash::isSend(kind) ||
+            (c.assign_lhs && kind == flash::MacroKind::HandlerGlobals))
+            ++applied_;
     }
 }
 

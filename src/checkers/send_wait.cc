@@ -1,5 +1,6 @@
 #include "checkers/send_wait.h"
 
+#include "cfg/flat_cfg.h"
 #include "flash/macros.h"
 #include "metal/path_walker.h"
 
@@ -16,12 +17,7 @@ struct WaitState
     Interface awaiting = Interface::None;
     support::SourceLoc pending_send;
 
-    std::string
-    key() const
-    {
-        return std::string(1, static_cast<char>('0' +
-                                                static_cast<int>(awaiting)));
-    }
+    std::uint32_t key() const { return static_cast<std::uint32_t>(awaiting); }
 
     bool dead() const { return false; }
 };
@@ -44,57 +40,52 @@ SendWaitChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                                CheckContext& ctx)
 {
     (void)fn;
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
 
     mc::metal::PathWalker<WaitState>::Hooks hooks;
-    hooks.on_stmt = [&](WaitState& st, const Stmt& stmt) {
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, [&](const Expr& e) {
-                const CallExpr* call = asCall(e);
-                if (!call)
-                    return;
-                MacroKind kind =
-                    flash::classifyMacro(call->calleeName());
+    hooks.on_stmt = [&](WaitState& st, const Stmt&, std::uint32_t row) {
+        for (const cfg::CallRow& c : flat.calls(row)) {
+            const MacroKind kind = flash::macroKind(c.callee);
+            const support::SourceLoc& loc = c.call->loc;
 
-                if (flash::isSend(kind)) {
-                    if (st.awaiting != Interface::None) {
-                        ctx.sink.error(
-                            e.loc, name(), "send-while-waiting",
-                            std::string("send issued while a wait on the ") +
-                                interfaceName(st.awaiting) +
-                                " interface is pending");
-                        st.awaiting = Interface::None; // stop the cascade
-                    }
-                    auto wait_flag = flash::sendWaitArg(*call);
-                    if (wait_flag && *wait_flag == flash::kFWait) {
-                        st.awaiting = flash::interfaceOf(kind);
-                        st.pending_send = e.loc;
-                        ++applied_;
-                    }
-                    return;
+            if (flash::isSend(kind)) {
+                if (st.awaiting != Interface::None) {
+                    ctx.sink.error(loc, name(), "send-while-waiting",
+                                   std::string("send issued while a wait "
+                                               "on the ") +
+                                       interfaceName(st.awaiting) +
+                                       " interface is pending");
+                    st.awaiting = Interface::None; // stop the cascade
                 }
-
-                if (kind == MacroKind::WaitPiReply ||
-                    kind == MacroKind::WaitIoReply) {
+                if (flash::sendWaitArg(*c.call) == flash::kFWait) {
+                    st.awaiting = flash::interfaceOf(kind);
+                    st.pending_send = loc;
                     ++applied_;
-                    Interface wait_iface = flash::interfaceOf(kind);
-                    if (st.awaiting == Interface::None) {
-                        ctx.sink.warning(e.loc, name(), "wait-without-send",
-                                         "wait with no pending synchronous "
-                                         "send");
-                        return;
-                    }
-                    if (st.awaiting != wait_iface) {
-                        ctx.sink.error(
-                            e.loc, name(), "wait-wrong-interface",
-                            std::string("wait on the ") +
-                                interfaceName(wait_iface) +
-                                " interface but the pending send targeted " +
-                                interfaceName(st.awaiting));
-                    }
-                    st.awaiting = Interface::None;
                 }
-            });
-        });
+                continue;
+            }
+
+            if (kind == MacroKind::WaitPiReply ||
+                kind == MacroKind::WaitIoReply) {
+                ++applied_;
+                Interface wait_iface = flash::interfaceOf(kind);
+                if (st.awaiting == Interface::None) {
+                    ctx.sink.warning(loc, name(), "wait-without-send",
+                                     "wait with no pending synchronous "
+                                     "send");
+                    continue;
+                }
+                if (st.awaiting != wait_iface) {
+                    ctx.sink.error(
+                        loc, name(), "wait-wrong-interface",
+                        std::string("wait on the ") +
+                            interfaceName(wait_iface) +
+                            " interface but the pending send targeted " +
+                            interfaceName(st.awaiting));
+                }
+                st.awaiting = Interface::None;
+            }
+        }
     };
     hooks.on_exit = [&](WaitState& st) {
         if (st.awaiting != Interface::None) {

@@ -1,6 +1,7 @@
 #include "flash/macros.h"
 
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace mc::flash {
 
@@ -9,54 +10,92 @@ using lang::Expr;
 using lang::ExprKind;
 using lang::IdentExpr;
 
+namespace {
+
+/** The one macro vocabulary table; every lookup goes through it. */
+constexpr std::pair<std::string_view, MacroKind> kVocabulary[] = {
+    {"PI_SEND", MacroKind::SendPi},
+    {"IO_SEND", MacroKind::SendIo},
+    {"NI_SEND", MacroKind::SendNi},
+    {"WAIT_FOR_DB_FULL", MacroKind::WaitDbFull},
+    {"MISCBUS_READ_DB", MacroKind::ReadDb},
+    {"MISCBUS_READ_DB_OLD", MacroKind::ReadDbDeprecated},
+    {"MISCBUS_WRITE_DB", MacroKind::WriteDb},
+    {"ALLOCATE_DB", MacroKind::AllocDb},
+    {"FREE_DB", MacroKind::FreeDb},
+    {"MAYBE_FREE_DB_A", MacroKind::MaybeFreeDb},
+    {"MAYBE_FREE_DB_B", MacroKind::MaybeFreeDb},
+    {"MAYBE_FREE_DB_C", MacroKind::MaybeFreeDb},
+    {"MAYBE_FREE_DB_D", MacroKind::MaybeFreeDb},
+    {"DB_REFCNT_INCR", MacroKind::RefcntIncr},
+    {"DIR_LOAD", MacroKind::DirLoad},
+    {"DIR_READ", MacroKind::DirRead},
+    {"DIR_WRITE", MacroKind::DirWrite},
+    {"DIR_WRITEBACK", MacroKind::DirWriteback},
+    {"WAIT_FOR_PI_REPLY", MacroKind::WaitPiReply},
+    {"WAIT_FOR_IO_REPLY", MacroKind::WaitIoReply},
+    {"WAIT_FOR_SPACE", MacroKind::WaitForSpace},
+    {"HANDLER_DEFS", MacroKind::HandlerDefs},
+    {"HANDLER_PROLOGUE", MacroKind::HandlerPrologue},
+    {"SWHANDLER_DEFS", MacroKind::SwHandlerDefs},
+    {"SWHANDLER_PROLOGUE", MacroKind::SwHandlerPrologue},
+    {"PROC_HOOK", MacroKind::ProcHook},
+    {"NO_STACK", MacroKind::NoStack},
+    {"SET_STACKPTR", MacroKind::SetStackPtr},
+    {"has_buffer", MacroKind::AnnotHasBuffer},
+    {"no_free_needed", MacroKind::AnnotNoFreeNeeded},
+    {"expects_dir_writeback", MacroKind::AnnotExpectsDirWriteback},
+    {"HANDLER_GLOBALS", MacroKind::HandlerGlobals},
+};
+
+/** MacroKind by SymbolId, dense up to the largest vocabulary symbol. */
+const std::vector<MacroKind>&
+kindBySymbol()
+{
+    static const std::vector<MacroKind> table = [] {
+        std::vector<MacroKind> t;
+        for (const auto& [name, kind] : kVocabulary) {
+            support::SymbolId id =
+                support::SymbolInterner::global().intern(name);
+            if (id >= t.size())
+                t.resize(id + 1, MacroKind::None);
+            t[id] = kind;
+        }
+        return t;
+    }();
+    return table;
+}
+
+// Intern the vocabulary before main so its symbols take the first ids.
+[[maybe_unused]] const std::vector<MacroKind>& kWarmVocabulary =
+    kindBySymbol();
+
+} // namespace
+
+MacroKind
+macroKind(support::SymbolId callee)
+{
+    const std::vector<MacroKind>& table = kindBySymbol();
+    return callee < table.size() ? table[callee] : MacroKind::None;
+}
+
 MacroKind
 classifyMacro(std::string_view callee)
 {
-    static const std::unordered_map<std::string_view, MacroKind> table = {
-        {"PI_SEND", MacroKind::SendPi},
-        {"IO_SEND", MacroKind::SendIo},
-        {"NI_SEND", MacroKind::SendNi},
-        {"WAIT_FOR_DB_FULL", MacroKind::WaitDbFull},
-        {"MISCBUS_READ_DB", MacroKind::ReadDb},
-        {"MISCBUS_READ_DB_OLD", MacroKind::ReadDbDeprecated},
-        {"MISCBUS_WRITE_DB", MacroKind::WriteDb},
-        {"ALLOCATE_DB", MacroKind::AllocDb},
-        {"FREE_DB", MacroKind::FreeDb},
-        {"MAYBE_FREE_DB_A", MacroKind::MaybeFreeDb},
-        {"MAYBE_FREE_DB_B", MacroKind::MaybeFreeDb},
-        {"MAYBE_FREE_DB_C", MacroKind::MaybeFreeDb},
-        {"MAYBE_FREE_DB_D", MacroKind::MaybeFreeDb},
-        {"DB_REFCNT_INCR", MacroKind::RefcntIncr},
-        {"DIR_LOAD", MacroKind::DirLoad},
-        {"DIR_READ", MacroKind::DirRead},
-        {"DIR_WRITE", MacroKind::DirWrite},
-        {"DIR_WRITEBACK", MacroKind::DirWriteback},
-        {"WAIT_FOR_PI_REPLY", MacroKind::WaitPiReply},
-        {"WAIT_FOR_IO_REPLY", MacroKind::WaitIoReply},
-        {"WAIT_FOR_SPACE", MacroKind::WaitForSpace},
-        {"HANDLER_DEFS", MacroKind::HandlerDefs},
-        {"HANDLER_PROLOGUE", MacroKind::HandlerPrologue},
-        {"SWHANDLER_DEFS", MacroKind::SwHandlerDefs},
-        {"SWHANDLER_PROLOGUE", MacroKind::SwHandlerPrologue},
-        {"PROC_HOOK", MacroKind::ProcHook},
-        {"NO_STACK", MacroKind::NoStack},
-        {"SET_STACKPTR", MacroKind::SetStackPtr},
-        {"has_buffer", MacroKind::AnnotHasBuffer},
-        {"no_free_needed", MacroKind::AnnotNoFreeNeeded},
-        {"expects_dir_writeback", MacroKind::AnnotExpectsDirWriteback},
-        {"HANDLER_GLOBALS", MacroKind::HandlerGlobals},
-    };
-    auto it = table.find(callee);
-    return it == table.end() ? MacroKind::None : it->second;
+    kindBySymbol(); // the vocabulary is interned before it is looked up
+    std::optional<support::SymbolId> id =
+        support::SymbolInterner::global().lookup(callee);
+    return id ? macroKind(*id) : MacroKind::None;
 }
 
 MacroKind
 classifyCall(const Expr& expr)
 {
     const CallExpr* call = lang::asCall(expr);
-    if (!call)
+    if (!call || !call->callee || call->callee->ekind != ExprKind::Ident)
         return MacroKind::None;
-    return classifyMacro(call->calleeName());
+    return macroKind(
+        lang::identSymbol(static_cast<const IdentExpr&>(*call->callee)));
 }
 
 bool
@@ -76,26 +115,26 @@ isAnnotation(MacroKind kind)
 
 namespace {
 
-/** Identifier spelling of argument `index`, if it is a plain identifier. */
-std::optional<std::string>
+/** Identifier spelling of argument `index`, or "" if it is not a plain
+ *  identifier. */
+std::string_view
 identArg(const CallExpr& call, std::size_t index)
 {
     if (index >= call.args.size())
-        return std::nullopt;
+        return {};
     const Expr* arg = call.args[index];
     if (arg->ekind != ExprKind::Ident)
-        return std::nullopt;
-    return std::string(static_cast<const IdentExpr*>(arg)->name);
+        return {};
+    return static_cast<const IdentExpr*>(arg)->name;
 }
 
 } // namespace
 
-std::optional<std::string>
+std::string_view
 sendHasDataArg(const CallExpr& call)
 {
-    MacroKind kind = classifyMacro(call.calleeName());
     std::size_t index;
-    switch (kind) {
+    switch (classifyCall(call)) {
       case MacroKind::SendPi:
       case MacroKind::SendIo:
         index = 0;
@@ -104,47 +143,34 @@ sendHasDataArg(const CallExpr& call)
         index = 1;
         break;
       default:
-        return std::nullopt;
+        return {};
     }
-    auto name = identArg(call, index);
-    if (name && (*name == kFData || *name == kFNoData))
-        return name;
-    return std::nullopt;
+    std::string_view name = identArg(call, index);
+    return name == kFData || name == kFNoData ? name : std::string_view();
 }
 
-std::optional<std::string>
+std::string_view
 sendWaitArg(const CallExpr& call)
 {
-    MacroKind kind = classifyMacro(call.calleeName());
-    std::size_t index;
-    switch (kind) {
-      case MacroKind::SendPi:
-      case MacroKind::SendIo:
-      case MacroKind::SendNi:
-        index = 3;
-        break;
-      default:
-        return std::nullopt;
-    }
-    auto name = identArg(call, index);
-    if (name && (*name == kFWait || *name == kFNoWait))
-        return name;
-    return std::nullopt;
+    if (!isSend(classifyCall(call)))
+        return {};
+    std::string_view name = identArg(call, 3);
+    return name == kFWait || name == kFNoWait ? name : std::string_view();
 }
 
-std::optional<std::string>
+std::string_view
 niSendOpcode(const CallExpr& call)
 {
-    if (classifyMacro(call.calleeName()) != MacroKind::SendNi)
-        return std::nullopt;
+    if (classifyCall(call) != MacroKind::SendNi)
+        return {};
     return identArg(call, 0);
 }
 
-std::optional<std::string>
+std::string_view
 waitForSpaceOpcode(const CallExpr& call)
 {
-    if (classifyMacro(call.calleeName()) != MacroKind::WaitForSpace)
-        return std::nullopt;
+    if (classifyCall(call) != MacroKind::WaitForSpace)
+        return {};
     return identArg(call, 0);
 }
 

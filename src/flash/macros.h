@@ -2,9 +2,8 @@
 #define MCHECK_FLASH_MACROS_H
 
 #include "lang/ast.h"
+#include "support/interner.h"
 
-#include <optional>
-#include <string>
 #include <string_view>
 
 namespace mc::flash {
@@ -104,7 +103,16 @@ enum class MacroKind : std::uint8_t
     HandlerGlobals,
 };
 
-/** Classify a callee name against the macro vocabulary. */
+/**
+ * Kind of the callee whose interned name is `callee` (a CallRow's
+ * callee, cfg/flat_cfg.h): one bounds-checked array load, no hashing.
+ * The vocabulary is interned when the program starts, so its table
+ * stays a few dozen bytes; kInvalidSymbol and every symbol outside the
+ * vocabulary are MacroKind::None.
+ */
+MacroKind macroKind(support::SymbolId callee);
+
+/** Classify a callee name: macroKind of its symbol, if interned. */
 MacroKind classifyMacro(std::string_view callee);
 
 /** Kind of the call if `expr` is a call to a known macro. */
@@ -134,20 +142,20 @@ inline constexpr std::string_view kNakPrefix = "MSG_NAK";
 
 /**
  * For a send call, the identifier spelling of its has-data argument
- * ("F_DATA"/"F_NODATA"), or nullopt if the argument is not a plain
- * constant (run-time send parameters — the coma false-positive source
- * in Table 3).
+ * ("F_DATA"/"F_NODATA"), or "" if the argument is not a plain constant
+ * (run-time send parameters — the coma false-positive source in
+ * Table 3). Like the three below, the view aliases the AST's text.
  */
-std::optional<std::string> sendHasDataArg(const lang::CallExpr& call);
+std::string_view sendHasDataArg(const lang::CallExpr& call);
 
 /** For a send call, the wait flag argument ("F_WAIT"/"F_NOWAIT"). */
-std::optional<std::string> sendWaitArg(const lang::CallExpr& call);
+std::string_view sendWaitArg(const lang::CallExpr& call);
 
 /** For an NI_SEND, the MSG_* opcode identifier. */
-std::optional<std::string> niSendOpcode(const lang::CallExpr& call);
+std::string_view niSendOpcode(const lang::CallExpr& call);
 
 /** For WAIT_FOR_SPACE, the MSG_* opcode identifier. */
-std::optional<std::string> waitForSpaceOpcode(const lang::CallExpr& call);
+std::string_view waitForSpaceOpcode(const lang::CallExpr& call);
 
 /** Interface a send targets / a wait listens on. */
 enum class Interface : std::uint8_t { None, Pi, Io, Ni };

@@ -1,5 +1,7 @@
 #include "global/flowgraph.h"
 
+#include "cfg/flat_cfg.h"
+
 #include <sstream>
 #include <stdexcept>
 
@@ -7,9 +9,10 @@ namespace mc::global {
 
 FunctionSummary
 summarize(const std::string& name, const cfg::Cfg& cfg,
-          const std::function<void(const lang::Stmt&,
+          const std::function<void(const lang::Stmt&, std::uint32_t,
                                    std::vector<Event>&)>& extract)
 {
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
     FunctionSummary summary;
     summary.name = name;
     summary.entry = cfg.entryId();
@@ -19,8 +22,9 @@ summarize(const std::string& name, const cfg::Cfg& cfg,
         FunctionSummary::Block& out =
             summary.blocks[static_cast<std::size_t>(bb.id)];
         out.succs = bb.succs;
-        for (const lang::Stmt* stmt : bb.stmts)
-            extract(*stmt, out.events);
+        for (std::uint32_t row = flat.stmtBegin(bb.id);
+             row < flat.stmtEnd(bb.id); ++row)
+            extract(*flat.stmt(row), row, out.events);
     }
     return summary;
 }

@@ -4,6 +4,7 @@
 #include "cfg/cfg.h"
 #include "support/source_location.h"
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -54,12 +55,12 @@ struct FunctionSummary
 
 /**
  * Build a summary from a CFG. `extract` is the client annotation hook:
- * it receives each statement and appends any events it derives to the
- * output vector.
+ * it receives each statement with its FlatCfg row (cfg/flat_cfg.h) and
+ * appends any events it derives to the output vector.
  */
 FunctionSummary
 summarize(const std::string& name, const cfg::Cfg& cfg,
-          const std::function<void(const lang::Stmt&,
+          const std::function<void(const lang::Stmt&, std::uint32_t,
                                    std::vector<Event>&)>& extract);
 
 /**

@@ -265,18 +265,6 @@ forEachIdent(const Stmt& stmt,
 }
 
 void
-collectStmtIdentIds(const Stmt& stmt,
-                    std::vector<support::SymbolId>& out)
-{
-    out.clear();
-    visitIdentsFast(stmt, [&](const IdentExpr& e) {
-        out.push_back(identSymbol(e));
-    });
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-void
 forEachStmt(const Stmt& stmt, const std::function<void(const Stmt&)>& fn)
 {
     fn(stmt);

@@ -619,126 +619,110 @@ void forEachIdent(const Stmt& stmt,
                   const std::function<void(const IdentExpr&)>& fn);
 
 /**
- * Replace `out` with the sorted unique interned identifier ids of
- * `stmt` — the per-statement input of pattern prefilters. FlatCfg
- * lowering (cfg/flat_cfg.h) runs it once per statement and stores the
- * result as an arena span; `out` is reused across calls.
- */
-void collectStmtIdentIds(const Stmt& stmt,
-                         std::vector<support::SymbolId>& out);
-
-/**
- * Statically-dispatched twin of forEachIdent for hot paths: same visit
- * order and coverage, but direct switch recursion instead of per-node
- * std::function indirection.
+ * Statically-dispatched twin of forEachSubExpr for hot paths: `fn` on
+ * `expr` and every subexpression, in the same pre-order, but by direct
+ * switch recursion instead of per-node std::function indirection.
  */
 template <typename Fn>
 void
-visitIdentsFast(const Expr& expr, Fn&& fn)
+visitExprsFast(const Expr& expr, Fn&& fn)
 {
+    fn(expr);
     switch (expr.ekind) {
       case ExprKind::IntLit:
       case ExprKind::FloatLit:
       case ExprKind::CharLit:
       case ExprKind::StringLit:
-        return;
       case ExprKind::Ident:
-        fn(static_cast<const IdentExpr&>(expr));
         return;
       case ExprKind::Unary: {
         const auto& u = static_cast<const UnaryExpr&>(expr);
-        if (u.operand) visitIdentsFast(*u.operand, fn);
+        if (u.operand) visitExprsFast(*u.operand, fn);
         return;
       }
       case ExprKind::Binary: {
         const auto& b = static_cast<const BinaryExpr&>(expr);
-        if (b.lhs) visitIdentsFast(*b.lhs, fn);
-        if (b.rhs) visitIdentsFast(*b.rhs, fn);
+        if (b.lhs) visitExprsFast(*b.lhs, fn);
+        if (b.rhs) visitExprsFast(*b.rhs, fn);
         return;
       }
       case ExprKind::Ternary: {
         const auto& t = static_cast<const TernaryExpr&>(expr);
-        if (t.cond) visitIdentsFast(*t.cond, fn);
-        if (t.then_expr) visitIdentsFast(*t.then_expr, fn);
-        if (t.else_expr) visitIdentsFast(*t.else_expr, fn);
+        if (t.cond) visitExprsFast(*t.cond, fn);
+        if (t.then_expr) visitExprsFast(*t.then_expr, fn);
+        if (t.else_expr) visitExprsFast(*t.else_expr, fn);
         return;
       }
       case ExprKind::Call: {
         const auto& c = static_cast<const CallExpr&>(expr);
-        if (c.callee) visitIdentsFast(*c.callee, fn);
+        if (c.callee) visitExprsFast(*c.callee, fn);
         for (const Expr* a : c.args)
-            if (a) visitIdentsFast(*a, fn);
+            if (a) visitExprsFast(*a, fn);
         return;
       }
       case ExprKind::Member: {
         const auto& m = static_cast<const MemberExpr&>(expr);
-        if (m.base) visitIdentsFast(*m.base, fn);
+        if (m.base) visitExprsFast(*m.base, fn);
         return;
       }
       case ExprKind::Index: {
         const auto& i = static_cast<const IndexExpr&>(expr);
-        if (i.base) visitIdentsFast(*i.base, fn);
-        if (i.index) visitIdentsFast(*i.index, fn);
+        if (i.base) visitExprsFast(*i.base, fn);
+        if (i.index) visitExprsFast(*i.index, fn);
         return;
       }
       case ExprKind::Cast: {
         const auto& c = static_cast<const CastExpr&>(expr);
-        if (c.operand) visitIdentsFast(*c.operand, fn);
+        if (c.operand) visitExprsFast(*c.operand, fn);
         return;
       }
       case ExprKind::Sizeof: {
         const auto& s = static_cast<const SizeofExpr&>(expr);
-        if (s.operand) visitIdentsFast(*s.operand, fn);
+        if (s.operand) visitExprsFast(*s.operand, fn);
         return;
       }
     }
 }
 
+/** Statically-dispatched twin of forEachTopLevelExpr. */
 template <typename Fn>
 void
-visitIdentsFast(const Stmt& stmt, Fn&& fn)
+visitTopLevelExprsFast(const Stmt& stmt, Fn&& fn)
 {
     switch (stmt.skind) {
-      case StmtKind::Expr: {
-        const auto& s = static_cast<const ExprStmt&>(stmt);
-        if (s.expr) visitIdentsFast(*s.expr, fn);
+      case StmtKind::Expr:
+        if (const Expr* e = static_cast<const ExprStmt&>(stmt).expr) fn(*e);
         return;
-      }
-      case StmtKind::Decl: {
-        const auto& s = static_cast<const DeclStmt&>(stmt);
-        for (const VarDecl* v : s.decls)
-            if (v->init) visitIdentsFast(*v->init, fn);
+      case StmtKind::Decl:
+        for (const VarDecl* v : static_cast<const DeclStmt&>(stmt).decls)
+            if (v->init) fn(*v->init);
         return;
-      }
       case StmtKind::If:
-        if (const Expr* e = static_cast<const IfStmt&>(stmt).cond)
-            visitIdentsFast(*e, fn);
+        if (const Expr* e = static_cast<const IfStmt&>(stmt).cond) fn(*e);
         return;
       case StmtKind::While:
-        if (const Expr* e = static_cast<const WhileStmt&>(stmt).cond)
-            visitIdentsFast(*e, fn);
+        if (const Expr* e = static_cast<const WhileStmt&>(stmt).cond) fn(*e);
         return;
       case StmtKind::DoWhile:
         if (const Expr* e = static_cast<const DoWhileStmt&>(stmt).cond)
-            visitIdentsFast(*e, fn);
+            fn(*e);
         return;
       case StmtKind::For: {
         const auto& s = static_cast<const ForStmt&>(stmt);
-        if (s.cond) visitIdentsFast(*s.cond, fn);
-        if (s.step) visitIdentsFast(*s.step, fn);
+        if (s.cond) fn(*s.cond);
+        if (s.step) fn(*s.step);
         return;
       }
       case StmtKind::Switch:
         if (const Expr* e = static_cast<const SwitchStmt&>(stmt).cond)
-            visitIdentsFast(*e, fn);
+            fn(*e);
         return;
       case StmtKind::Case:
-        if (const Expr* e = static_cast<const CaseStmt&>(stmt).value)
-            visitIdentsFast(*e, fn);
+        if (const Expr* e = static_cast<const CaseStmt&>(stmt).value) fn(*e);
         return;
       case StmtKind::Return:
         if (const Expr* e = static_cast<const ReturnStmt&>(stmt).value)
-            visitIdentsFast(*e, fn);
+            fn(*e);
         return;
       default:
         return;

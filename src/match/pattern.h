@@ -154,7 +154,7 @@ class Pattern
 
     /**
      * Interned-id prefilter: same contract as couldMatch, but `ids`
-     * is the sorted unique output of lang::collectStmtIdentIds and
+     * is a statement's sorted unique ident span (FlatCfg) and
      * membership is a binary search over uint32s instead of a
      * string-set probe.
      */

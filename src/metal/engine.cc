@@ -208,10 +208,9 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
     } ctx{table, csm, sm, sink, result, fired, wit, wlimit};
 
     typename PathWalker<TableSmState>::Hooks hooks;
-    hooks.on_stmt_at = [c = &ctx](TableSmState& st, const lang::Stmt& stmt,
-                                  int block, std::size_t pos) {
-        const TransitionTable::Cell& cell =
-            c->table.cell(block, pos, st.state);
+    hooks.on_stmt = [c = &ctx](TableSmState& st, const lang::Stmt& stmt,
+                               std::uint32_t row) {
+        const TransitionTable::Cell& cell = c->table.cell(row, st.state);
         if (!cell.rule)
             return; // no match: fill() left cell.next == state
         bool is_new = c->fired.insert(cell.id_sym, stmt.loc);
@@ -305,7 +304,7 @@ runLegacy(const StateMachine& sm, const cfg::Cfg& cfg,
     };
 
     PathWalker<SmState>::Hooks hooks;
-    hooks.on_stmt = [&](SmState& st, const lang::Stmt& stmt) {
+    hooks.on_stmt = [&](SmState& st, const lang::Stmt& stmt, std::uint32_t) {
         std::set<std::string> idents;
         match::Pattern::collectIdents(stmt, idents);
         if (try_rules(st, stmt, idents, sm.rulesFor(st.state)))

@@ -2,6 +2,7 @@
 #define MCHECK_METAL_PATH_WALKER_H
 
 #include "cfg/cfg.h"
+#include "cfg/flat_cfg.h"
 #include "metal/feasibility.h"
 #include "support/budget.h"
 #include "support/hash.h"
@@ -54,16 +55,14 @@ class PathWalker
   public:
     struct Hooks
     {
-        /** Called for each statement of each visited block, in order. */
-        std::function<void(State&, const lang::Stmt&)> on_stmt;
         /**
-         * Indexed twin of on_stmt: additionally receives the block id and
-         * the statement's position within that block, so clients can
-         * address precomputed per-(block, position) tables without any
-         * pointer hashing. When set, it is called instead of on_stmt.
+         * Called for each statement of each visited block, in order,
+         * with the statement's FlatCfg row (cfg/flat_cfg.h): clients read
+         * the row's lowered calls and identifiers, or address per-row
+         * tables, without re-walking the AST or hashing pointers.
          */
-        std::function<void(State&, const lang::Stmt&, int, std::size_t)>
-            on_stmt_at;
+        std::function<void(State&, const lang::Stmt&, std::uint32_t)>
+            on_stmt;
         /**
          * Called when leaving a branch block, once per out-edge, with
          * the branch condition and the index of the taken edge (0 = the
@@ -148,6 +147,7 @@ class PathWalker
     walk(const cfg::Cfg& cfg, const State& initial)
     {
         Result result;
+        const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
         FeasibilityContext feas(options_.prune_strategy);
         const bool pruning = feas.enabled();
         // Per-thread scratch: the visited-set slab and the four frontier
@@ -252,19 +252,19 @@ class PathWalker
             }
 
             const cfg::BasicBlock& bb = cfg.block(block);
+            const std::uint32_t row_end = flat.stmtEnd(block);
             // The prefilter consults per-state bits, so it runs after
             // the visit is committed but before any statement work; a
             // skipped block performs zero per-statement hook calls.
             const bool scan =
-                !bb.stmts.empty() &&
+                flat.stmtBegin(block) != row_end &&
                 !(can_skip && hooks_.skip_block(state, block));
             if (scan) {
-                for (std::size_t si = 0; si < bb.stmts.size(); ++si) {
-                    const lang::Stmt* stmt = bb.stmts[si];
-                    if (hooks_.on_stmt_at)
-                        hooks_.on_stmt_at(state, *stmt, block, si);
-                    else if (hooks_.on_stmt)
-                        hooks_.on_stmt(state, *stmt);
+                for (std::uint32_t row = flat.stmtBegin(block);
+                     row < row_end; ++row) {
+                    const lang::Stmt* stmt = flat.stmt(row);
+                    if (hooks_.on_stmt)
+                        hooks_.on_stmt(state, *stmt, row);
                     if (pruning)
                         feas.invalidate(*stmt, facts);
                     if (state.dead())

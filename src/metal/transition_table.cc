@@ -122,33 +122,29 @@ TransitionTable::TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg)
       masks_(&flat_->maskIndex(csm.maskSyms())),
       state_count_(csm.stateCount())
 {
-    // Construction is O(blocks): the arena (flat statement rows, ident
+    // Construction is O(rows): the arena (flat statement rows, ident
     // spans) and this machine's masks are shared per CFG and were built
-    // at most once; all this table owns is the lazily-filled block →
+    // at most once; all this table owns is the lazily-filled row →
     // cell map and the per-state skip bitsets. Both are sticky — cells
     // and bits, once computed, serve every later walk of this
     // (machine, function) pair (the engine memoizes tables per thread).
-    block_cells_.assign(flat_->blockCount(), nullptr);
+    row_cells_.assign(flat_->stmtCount(), nullptr);
     skip_words_ = flat_->rangeCount();
     skip_bits_.assign(skip_words_ * state_count_, 0);
     skip_built_.assign(state_count_, 0);
 }
 
 TransitionTable::Cell*
-TransitionTable::materialize(std::uint32_t block)
+TransitionTable::materialize(std::uint32_t row)
 {
-    const std::size_t need =
-        static_cast<std::size_t>(flat_->stmtEnd(block) -
-                                 flat_->stmtBegin(block)) *
-        state_count_;
-    if (slab_size_ - slab_used_ < need) {
-        slab_size_ = std::max<std::size_t>(need, 1024);
+    if (slab_size_ - slab_used_ < state_count_) {
+        slab_size_ = std::max<std::size_t>(state_count_, 1024);
         slabs_.push_back(std::make_unique<Cell[]>(slab_size_)); // zeroed
         slab_used_ = 0;
     }
     Cell* base = slabs_.back().get() + slab_used_;
-    slab_used_ += need;
-    block_cells_[block] = base;
+    slab_used_ += state_count_;
+    row_cells_[row] = base;
     return base;
 }
 

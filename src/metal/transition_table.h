@@ -163,15 +163,14 @@ class CompiledSm
  * Per-(function, SM) transition table: one cell per (CFG statement, SM
  * state) holding the first matching rule, its wildcard bindings, and the
  * resulting state. The walker's per-visit work is an indexed lookup —
- * statements are addressed by (block id, position in block) against the
- * function's FlatCfg arena, so neither construction nor lookup touches a
- * hash table.
+ * statements are addressed by their row in the function's FlatCfg
+ * arena, so neither construction nor lookup touches a hash table.
  *
- * Construction is O(blocks), not O(statements × states): cell storage is
- * materialized per block on first touch from zero-initialized slabs, so
- * a run that (like most) visits a handful of blocks never pays for the
- * whole function's cell array. Full pattern unification still runs at
- * most once per (statement, state).
+ * Construction is O(statements), not O(statements × states): cell
+ * storage is materialized per row on first touch from zero-initialized
+ * slabs, so a run that (like most) visits a handful of blocks never pays
+ * for the whole function's cell array. Full pattern unification still
+ * runs at most once per (statement, state).
  *
  * blockSkippable() is the block-range prefilter: per state, a bitset
  * over blocks marking those whose identifier sets cannot intersect any
@@ -211,23 +210,20 @@ class TransitionTable
     };
 
     /**
-     * The cell for the `pos`-th statement of block `block` in state
-     * `state`, matching on first touch. `block`/`pos` must come from the
-     * CFG this table was built for (the walker guarantees this). The
-     * reference stays valid for the table's lifetime (cells live in
-     * stable slabs).
+     * The cell for FlatCfg row `row` in state `state`, matching on first
+     * touch. `row` must come from the CFG this table was built for (the
+     * walker guarantees this). The reference stays valid for the table's
+     * lifetime (cells live in stable slabs).
      */
     const Cell&
-    cell(int block, std::size_t pos, StateIdx state)
+    cell(std::uint32_t row, StateIdx state)
     {
-        const std::uint32_t b = static_cast<std::uint32_t>(block);
-        Cell* base = block_cells_[b];
+        Cell* base = row_cells_[row];
         if (!base)
-            base = materialize(b);
-        Cell& c = base[pos * state_count_ + state];
+            base = materialize(row);
+        Cell& c = base[state];
         if (!c.ready)
-            fill(flat_->stmtBegin(b) + static_cast<std::uint32_t>(pos),
-                 state, c);
+            fill(row, state, c);
         return c;
     }
 
@@ -256,16 +252,16 @@ class TransitionTable
 
   private:
     void fill(std::uint32_t row, StateIdx state, Cell& cell);
-    Cell* materialize(std::uint32_t block);
+    Cell* materialize(std::uint32_t row);
     void buildSkipBits(StateIdx state);
 
     const CompiledSm* csm_;
     const cfg::FlatCfg* flat_;
     const cfg::FlatCfg::MaskIndex* masks_;
     std::uint32_t state_count_;
-    /** Per block: its first cell, or nullptr until materialized. */
-    std::vector<Cell*> block_cells_;
-    /** Zero-initialized slabs the per-block cell runs are carved from;
+    /** Per row: its first cell, or nullptr until materialized. */
+    std::vector<Cell*> row_cells_;
+    /** Zero-initialized slabs the per-row cell runs are carved from;
      *  growth never moves already-handed-out cells. */
     std::vector<std::unique_ptr<Cell[]>> slabs_;
     std::size_t slab_used_ = 0;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace mc::checkers {
 namespace {
 
@@ -250,9 +252,10 @@ TEST(Lanes, UnknownOpcodeSendIgnored)
 TEST(Lanes, TextRoundtripGivesIdenticalResults)
 {
     // The paper's pipeline writes flow graphs to files and reads them
-    // back; the checker's roundtrip mode must change nothing.
-    auto run = [](bool roundtrip) {
-        Harness h;
+    // back; the shard wire does exactly that through saveState and
+    // loadState. A global pass over the reloaded summaries must report
+    // what a global pass over the live ones does.
+    auto setup = [](Harness& h) {
         setupLanes(h);
         h.addSource("helper.c",
                     "void send_one(void) {"
@@ -262,17 +265,36 @@ TEST(Lanes, TextRoundtripGivesIdenticalResults)
                        "NI_SEND(MSG_GET, F_NODATA, k, w, d, n);"
                        "send_one();",
                        {1, 1, 1, 1});
-        LanesChecker::Options options;
-        options.roundtrip_through_text = roundtrip;
-        LanesChecker checker(options);
-        h.run(checker);
+    };
+    auto rendered = [](const Harness& h) {
         std::vector<std::string> out;
         for (const auto& d : h.sink.diagnostics())
             out.push_back(d.rule + "@" + std::to_string(d.loc.line));
         return out;
     };
-    EXPECT_EQ(run(false), run(true));
-    EXPECT_FALSE(run(true).empty());
+
+    Harness live;
+    setup(live);
+    LanesChecker checker;
+    live.run(checker);
+
+    Harness wire;
+    setup(wire);
+    CheckContext ctx{wire.program, wire.spec, wire.sink};
+    LanesChecker local;
+    for (const lang::FunctionDecl* fn : wire.program.functions()) {
+        cfg::Cfg cfg = cfg::CfgBuilder::build(*fn);
+        local.checkFunction(*fn, cfg, ctx);
+    }
+    std::stringstream file;
+    local.saveState(file);
+    LanesChecker global;
+    ASSERT_TRUE(global.loadState(file));
+    global.checkProgram(ctx);
+
+    EXPECT_EQ(rendered(live), rendered(wire));
+    EXPECT_EQ(global.applied(), checker.applied());
+    EXPECT_FALSE(rendered(wire).empty());
 }
 
 TEST(Lanes, SharedHelperAnalyzedPerCallingContext)

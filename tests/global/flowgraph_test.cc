@@ -74,6 +74,7 @@ TEST(FlowGraph, SummarizeExtractsEventsPerBlock)
     cfg::Cfg cfg = cfg::CfgBuilder::build(*program.findFunction("f"));
 
     FunctionSummary fn = summarize("f", cfg, [](const lang::Stmt& stmt,
+                                                std::uint32_t,
                                                 std::vector<Event>& out) {
         if (const lang::CallExpr* call = lang::stmtAsCall(stmt)) {
             Event ev;

@@ -257,7 +257,8 @@ walkWith(const Built& b, PruneStrategy strategy)
                           std::size_t edge) {
         out.branches.emplace_back(lang::exprToString(cond), edge);
     };
-    hooks.on_stmt = [&](NullState&, const lang::Stmt& stmt) {
+    hooks.on_stmt = [&](NullState&, const lang::Stmt& stmt,
+                        std::uint32_t) {
         out.stmts.push_back(lang::stmtToString(stmt));
     };
     typename PathWalker<NullState>::WalkOptions options;
@@ -459,7 +460,8 @@ TEST(FeasibilityWalk, RepeatedDecisionsHitThePruneCache)
                    "if (x == 5) { if (x > 10) { d(); } }");
     typename PathWalker<MarkState>::Hooks hooks;
     std::vector<std::string> stmts;
-    hooks.on_stmt = [&](MarkState& st, const lang::Stmt& stmt) {
+    hooks.on_stmt = [&](MarkState& st, const lang::Stmt& stmt,
+                        std::uint32_t) {
         const std::string text = lang::stmtToString(stmt);
         if (text == "a();")
             st.marker = 1;

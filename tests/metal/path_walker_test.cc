@@ -38,7 +38,7 @@ TEST(PathWalker, VisitsEveryStatementOnce)
     auto b = build("a(); b(); c();");
     std::vector<std::string> seen;
     PathWalker<TraceState>::Hooks hooks;
-    hooks.on_stmt = [&](TraceState&, const lang::Stmt& stmt) {
+    hooks.on_stmt = [&](TraceState&, const lang::Stmt& stmt, std::uint32_t) {
         seen.push_back(lang::stmtToString(stmt));
     };
     PathWalker<TraceState> walker(std::move(hooks));
@@ -78,7 +78,7 @@ TEST(PathWalker, DeadStateStopsPath)
     auto b = build("a(); b();");
     int visited = 0;
     PathWalker<TraceState>::Hooks hooks;
-    hooks.on_stmt = [&](TraceState& st, const lang::Stmt&) {
+    hooks.on_stmt = [&](TraceState& st, const lang::Stmt&, std::uint32_t) {
         ++visited;
         st.stop = true; // die after the first statement
     };

@@ -8,6 +8,7 @@
 #include "metal/transition_table.h"
 
 #include "cfg/cfg.h"
+#include "cfg/flat_cfg.h"
 #include "corpus/generator.h"
 #include "lang/program.h"
 #include "metal/engine.h"
@@ -123,24 +124,26 @@ TEST(TransitionTable, CellMatchesAndTransitions)
     const CompiledSm& csm = mp.sm->compiled();
     TransitionTable table(csm, cfg);
 
-    // Find the block holding the two statements.
+    // Find the row of the first of the block's two statements.
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
     int block = -1;
     for (const cfg::BasicBlock& bb : cfg.blocks())
         if (bb.stmts.size() == 2)
             block = bb.id;
     ASSERT_NE(block, -1);
+    const std::uint32_t row = flat.stmtBegin(block);
 
-    const TransitionTable::Cell& miss = table.cell(block, 0, csm.start());
+    const TransitionTable::Cell& miss = table.cell(row, csm.start());
     EXPECT_EQ(miss.rule, nullptr);
     EXPECT_EQ(miss.next, csm.start());
 
-    const TransitionTable::Cell& hit = table.cell(block, 1, csm.start());
+    const TransitionTable::Cell& hit = table.cell(row + 1, csm.start());
     ASSERT_NE(hit.rule, nullptr);
     EXPECT_EQ(hit.next, csm.stop());
     // The wildcard `addr` bound to the call argument.
     EXPECT_NE(table.bindings(hit).lookup("addr"), nullptr);
     // Idempotent: the same cell comes back ready.
-    EXPECT_EQ(&table.cell(block, 1, csm.start()), &hit);
+    EXPECT_EQ(&table.cell(row + 1, csm.start()), &hit);
 }
 
 TEST(TransitionTable, StopStateCellsAreInert)
@@ -151,13 +154,11 @@ TEST(TransitionTable, StopStateCellsAreInert)
     cfg::Cfg cfg = cfg::CfgBuilder::build(*program.findFunction("f"));
     const CompiledSm& csm = mp.sm->compiled();
     TransitionTable table(csm, cfg);
-    for (const cfg::BasicBlock& bb : cfg.blocks())
-        for (std::size_t pos = 0; pos < bb.stmts.size(); ++pos) {
-            const TransitionTable::Cell& cell =
-                table.cell(bb.id, pos, csm.stop());
-            EXPECT_EQ(cell.rule, nullptr);
-            EXPECT_EQ(cell.next, csm.stop());
-        }
+    for (std::uint32_t row = 0; row < cfg::flatCfg(cfg).stmtCount(); ++row) {
+        const TransitionTable::Cell& cell = table.cell(row, csm.stop());
+        EXPECT_EQ(cell.rule, nullptr);
+        EXPECT_EQ(cell.next, csm.stop());
+    }
 }
 
 /** All rule patterns of both paper checkers. */
@@ -193,26 +194,27 @@ TEST(TransitionTable, PrefilterNeverRejectsAMatch)
     std::uint64_t stmts = 0, matches = 0;
     for (const lang::FunctionDecl* fn : loaded.program->functions()) {
         cfg::Cfg cfg = cfg::CfgBuilder::build(*fn);
-        for (const cfg::BasicBlock& bb : cfg.blocks())
-            for (const lang::Stmt* stmt : bb.stmts) {
-                ++stmts;
-                std::set<std::string> idents;
-                match::Pattern::collectIdents(*stmt, idents);
-                std::vector<support::SymbolId> ids;
-                lang::collectStmtIdentIds(*stmt, ids);
-                // The two collections are the same set of names.
-                ASSERT_EQ(ids.size(), idents.size());
-                for (support::SymbolId id : ids)
-                    EXPECT_TRUE(
-                        idents.count(std::string(interner.name(id))));
-                for (const match::Pattern* pattern : patterns) {
-                    if (!pattern->matchInStmt(*stmt))
-                        continue;
-                    ++matches;
-                    EXPECT_TRUE(pattern->couldMatch(idents));
-                    EXPECT_TRUE(pattern->couldMatchIds(ids));
-                }
+        const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+        for (std::uint32_t row = 0; row < flat.stmtCount(); ++row) {
+            const lang::Stmt* stmt = flat.stmt(row);
+            ++stmts;
+            std::set<std::string> idents;
+            match::Pattern::collectIdents(*stmt, idents);
+            std::vector<support::SymbolId> ids(
+                flat.identBegin(row),
+                flat.identBegin(row) + flat.identCount(row));
+            // The two collections are the same set of names.
+            ASSERT_EQ(ids.size(), idents.size());
+            for (support::SymbolId id : ids)
+                EXPECT_TRUE(idents.count(std::string(interner.name(id))));
+            for (const match::Pattern* pattern : patterns) {
+                if (!pattern->matchInStmt(*stmt))
+                    continue;
+                ++matches;
+                EXPECT_TRUE(pattern->couldMatch(idents));
+                EXPECT_TRUE(pattern->couldMatchIds(ids));
             }
+        }
     }
     // The property is vacuous unless the corpus actually exercised it.
     EXPECT_GT(stmts, 1000u);
