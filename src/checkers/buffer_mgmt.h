@@ -68,10 +68,10 @@ class BufferMgmtChecker : public Checker
     }
 
     void
-    absorb(Checker& other) override
+    absorb(const Checker& other) override
     {
         Checker::absorb(other);
-        if (auto* o = dynamic_cast<BufferMgmtChecker*>(&other)) {
+        if (auto* o = dynamic_cast<const BufferMgmtChecker*>(&other)) {
             annotations_seen_ += o->annotations_seen_;
             annotations_unneeded_ += o->annotations_unneeded_;
         }

@@ -40,8 +40,10 @@ registerRunMetrics()
           "engine.table_memo_misses", "budget.truncations",
           "witness.steps", "witness.truncations", "ledger.events",
           "walker.visits", "walker.infeasible_pruned",
-          "walker.prune_cache_hits", "walker.prune_skipped_nary"})
+          "walker.prune_cache_hits", "walker.prune_skipped_nary",
+          "resident.reused"})
         metrics.counter(name).add(0);
+    metrics.timer("resident.lookup");
     metrics.gauge("engine.peak_frontier");
     // Fed by Program::addSource/updateSource, before any checker runs.
     metrics.timer("lang.parse");

@@ -68,10 +68,11 @@ class Checker
      * instance, then absorbs them back — in program function order — into
      * one instance before the program-level pass, so inter-procedural
      * state (e.g. the lanes checker's summaries) ends up exactly as a
-     * sequential run would have left it. `other` is dead afterwards;
-     * overrides may steal from it.
+     * sequential run would have left it. `other` is only read: a daemon
+     * keeps finished units resident and absorbs the same instance again
+     * on every re-check that leaves its function unchanged.
      */
-    virtual void absorb(Checker& other) { applied_ += other.applied_; }
+    virtual void absorb(const Checker& other) { applied_ += other.applied_; }
 
     /**
      * Serialize the per-run state the function passes accumulated — the
@@ -108,7 +109,8 @@ struct CheckerRunStats
 /**
  * Register, at zero, every metric a checking run reports — unit
  * containment (engine.unit_failures, budget.truncations), the engine and
- * walker tallies, witness and ledger counters, and the unit.*
+ * walker tallies, witness and ledger counters, resident-store reuse
+ * (resident.reused, resident.lookup), and the unit.*
  * histograms — so a report's key set does not depend on which runner or
  * substrate ran, and so the registry's map nodes exist before any unit
  * fans out onto worker threads.

@@ -49,10 +49,10 @@ class ExecRestrictChecker : public Checker
     }
 
     void
-    absorb(Checker& other) override
+    absorb(const Checker& other) override
     {
         Checker::absorb(other);
-        if (auto* o = dynamic_cast<ExecRestrictChecker*>(&other)) {
+        if (auto* o = dynamic_cast<const ExecRestrictChecker*>(&other)) {
             handlers_checked_ += o->handlers_checked_;
             vars_checked_ += o->vars_checked_;
         }

@@ -41,8 +41,8 @@ LanesChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
             out.push_back(std::move(ev));
         }
     };
-    summaries_.push_back(
-        global::summarize(std::string(fn.name), cfg, extract));
+    summaries_.push_back(std::make_shared<const global::FunctionSummary>(
+        global::summarize(std::string(fn.name), cfg, extract)));
 }
 
 void
@@ -50,7 +50,11 @@ LanesChecker::checkProgram(CheckContext& ctx)
 {
     // Global pass: link all emitted summaries and traverse from each
     // handler.
-    global::CallGraph graph(summaries_);
+    std::vector<const global::FunctionSummary*> summaries;
+    summaries.reserve(summaries_.size());
+    for (const auto& summary : summaries_)
+        summaries.push_back(summary.get());
+    global::CallGraph graph(summaries);
 
     global::LocDescriber describe =
         [&ctx](const support::SourceLoc& loc) {
@@ -104,7 +108,8 @@ void
 LanesChecker::saveState(std::ostream& os) const
 {
     Checker::saveState(os);
-    global::writeSummaries(os, summaries_);
+    for (const auto& summary : summaries_)
+        global::writeSummary(os, *summary);
 }
 
 bool
@@ -116,7 +121,10 @@ LanesChecker::loadState(std::istream& is)
     // of the stream to the flow-graph parser (it reads to EOF).
     is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
     try {
-        summaries_ = global::readSummaries(is);
+        for (global::FunctionSummary& summary : global::readSummaries(is))
+            summaries_.push_back(
+                std::make_shared<const global::FunctionSummary>(
+                    std::move(summary)));
     } catch (const std::exception&) {
         return false;
     }

@@ -4,6 +4,8 @@
 #include "checkers/checker.h"
 #include "global/flowgraph.h"
 
+#include <memory>
+
 namespace mc::checkers {
 
 /**
@@ -40,18 +42,18 @@ class LanesChecker : public Checker
         summaries_.clear();
     }
 
-    /** Steal `other`'s emitted summaries, preserving append order. */
+    /**
+     * Append `other`'s emitted summaries, preserving append order. The
+     * summaries are shared and never written after they are emitted, so
+     * absorbing a unit copies pointers, not flow graphs.
+     */
     void
-    absorb(Checker& other) override
+    absorb(const Checker& other) override
     {
         Checker::absorb(other);
-        if (auto* o = dynamic_cast<LanesChecker*>(&other)) {
-            summaries_.insert(
-                summaries_.end(),
-                std::make_move_iterator(o->summaries_.begin()),
-                std::make_move_iterator(o->summaries_.end()));
-            o->summaries_.clear();
-        }
+        if (auto* o = dynamic_cast<const LanesChecker*>(&other))
+            summaries_.insert(summaries_.end(), o->summaries_.begin(),
+                              o->summaries_.end());
     }
 
     /**
@@ -62,14 +64,8 @@ class LanesChecker : public Checker
     void saveState(std::ostream& os) const override;
     bool loadState(std::istream& is) override;
 
-    /** The local pass's emitted summaries (exposed for tests/benches). */
-    const std::vector<global::FunctionSummary>& summaries() const
-    {
-        return summaries_;
-    }
-
   private:
-    std::vector<global::FunctionSummary> summaries_;
+    std::vector<std::shared_ptr<const global::FunctionSummary>> summaries_;
 };
 
 } // namespace mc::checkers

@@ -153,6 +153,7 @@ failUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     const lang::FunctionDecl& fn = plan.function(u);
     out.failed = true;
     out.error = std::move(error);
+    out.resident.reset();
     out.checker = plan.def(u).instantiate();
     out.sink.clear();
     warnUnitFailed(out.sink, fn.loc, plan.def(u).name(), std::string(fn.name),
@@ -177,8 +178,8 @@ captureUnit(const UnitPlan& plan, std::size_t u, const UnitResult& result)
 std::vector<CheckerRunStats>
 runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
                 support::DiagnosticSink& sink, cache::AnalysisCache* cache,
-                RunHealth* health, support::ThreadPool& pool,
-                const UnitExecutor& execute)
+                ResidentUnits* resident, RunHealth* health,
+                support::ThreadPool& pool, const UnitExecutor& execute)
 {
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     support::TraceRecorder& tracer = support::TraceRecorder::global();
@@ -190,43 +191,79 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
 
     const RunBaseline base = beginRun(masters, sink);
 
-    // Phase 0 (cache only): look every unit up by content key. A usable
-    // hit yields a reconstructed checker (state replayed through
-    // loadState) and a sink refilled with the stored diagnostics in
-    // their original order, so the merge cannot tell a replayed unit
-    // from a freshly checked one. Unresolvable file names, a state blob
-    // loadState rejects, or an entry naming another unit (a key
-    // collision) demote the hit to a miss.
+    // Phase 0 (with a store only): key every unit by content. A unit
+    // whose function has no fingerprint (its file needed parse
+    // recovery) keeps key 0, which no store may serve or keep.
     std::vector<UnitResult> results(nunits);
     std::vector<std::uint64_t> keys(nunits, 0);
+    auto computeKeys = [&] {
+        const lang::FunctionFingerprints fn_fps =
+            lang::fingerprintFunctions(plan.program);
+        const std::uint64_t spec_fp = flash::specFingerprint(plan.spec);
+        std::vector<support::Fnv1a> key_prefixes;
+        for (const CheckerDef* def : plan.defs)
+            key_prefixes.push_back(unitCacheKeyPrefix(*def));
+        for (std::size_t u = 0; u < nunits; u += ncheckers) {
+            auto fp = fn_fps.find(plan.function(u).name);
+            if (fp == fn_fps.end())
+                continue;
+            for (std::size_t c = 0; c < ncheckers; ++c)
+                keys[u + c] =
+                    unitCacheKey(key_prefixes[c], spec_fp, fp->second);
+        }
+    };
+
+    // The resident store first: a unit it holds under the same key
+    // merges as it was stored.
+    std::uint64_t resident_reused = 0;
+    if (resident) {
+        support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
+                                "resident.lookup", "cache");
+        support::ScopedTimer timer(
+            metrics.enabled() ? &metrics.timer("resident.lookup") : nullptr);
+        computeKeys();
+        for (std::size_t u = 0; u < nunits; ++u) {
+            UnitResult& r = results[u];
+            r.cache = UnitCacheTag::Miss;
+            auto it = keys[u] ? resident->units.find(keys[u])
+                              : resident->units.end();
+            if (it == resident->units.end())
+                continue;
+            r.resident = it->second;
+            r.cache = UnitCacheTag::Resident;
+            ++resident_reused;
+        }
+    }
+
+    // Then the analysis cache. A usable hit yields a reconstructed
+    // checker (state replayed through loadState) and a sink refilled
+    // with the stored diagnostics in their original order, so the merge
+    // cannot tell a replayed unit from a freshly checked one.
+    // Unresolvable file names, a state blob loadState rejects, or an
+    // entry naming another unit (a key collision) demote the hit to a
+    // miss.
     if (cache) {
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                                 "cache.lookup", "cache");
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
-        lang::FunctionFingerprints fn_fps =
-            lang::fingerprintFunctions(plan.program);
+        if (!resident)
+            computeKeys();
         std::map<std::string, std::int32_t> file_ids =
             cache::AnalysisCache::fileIdsByName(plan.program.sourceManager());
-        std::uint64_t spec_fp = flash::specFingerprint(plan.spec);
-        std::vector<support::Fnv1a> key_prefixes;
-        for (const CheckerDef* def : plan.defs)
-            key_prefixes.push_back(unitCacheKeyPrefix(*def));
         pool.parallelFor(nunits, [&](std::size_t u) {
             UnitResult& r = results[u];
-            r.cache = UnitCacheTag::Miss;
-            std::string_view name = plan.function(u).name;
-            auto fp = fn_fps.find(name);
-            if (fp == fn_fps.end())
+            if (r.cache == UnitCacheTag::Resident)
                 return;
-            keys[u] = unitCacheKey(key_prefixes[u % ncheckers], spec_fp,
-                                   fp->second);
+            r.cache = UnitCacheTag::Miss;
+            if (keys[u] == 0)
+                return;
             std::shared_ptr<const cache::CachedUnit> unit =
                 cache->lookup(keys[u]);
             if (!unit)
                 return;
-            r.checker = replayUnit(plan.def(u), name, *unit, file_ids,
-                                   r.sink);
+            r.checker = replayUnit(plan.def(u), plan.function(u).name,
+                                   *unit, file_ids, r.sink);
             if (r.checker)
                 r.cache = UnitCacheTag::Hit;
         });
@@ -234,17 +271,20 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
 
     std::vector<std::size_t> todo;
     for (std::size_t u = 0; u < nunits; ++u)
-        if (results[u].cache != UnitCacheTag::Hit)
+        if (results[u].cache != UnitCacheTag::Hit &&
+            results[u].cache != UnitCacheTag::Resident)
             todo.push_back(u);
     // Misses store their outcome. Failed units never do; neither do
     // budget-truncated ones, since budget limits are not part of the
     // content key and a partial result must not masquerade as a full
     // one. A shard worker's result is stored as it arrived.
     const bool store = cache && !cache->readonly();
+    auto completed = [&](const UnitResult& r) {
+        return !r.failed && r.budget_stop == support::BudgetStop::None;
+    };
     execute(todo, results, [&](std::size_t u) {
         const UnitResult& r = results[u];
-        if (!store || keys[u] == 0 || r.failed ||
-            r.budget_stop != support::BudgetStop::None)
+        if (!store || keys[u] == 0 || !completed(r))
             return;
         cache->store(keys[u], r.wire ? *r.wire : captureUnit(plan, u, r));
     });
@@ -266,9 +306,9 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         if (plan.fail_fast && r.failed)
             throw std::runtime_error("unit '" + plan.label(u) +
                                      "' failed: " + r.error);
-        masters[c]->absorb(*r.checker);
+        masters[c]->absorb(r.unitChecker());
         elapsed[c] += r.wall;
-        for (const support::Diagnostic& d : r.sink.diagnostics()) {
+        for (const support::Diagnostic& d : r.findings()) {
             witness_truncations += d.witness.truncated ? 1 : 0;
             sink.report(d);
         }
@@ -285,9 +325,10 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
             event.pruned_edges = r.stats.pruned_edges;
             event.prune_cache_hits = r.stats.prune_cache_hits;
             event.prune_skipped_nary = r.stats.prune_skipped_nary;
-            event.cache = r.cache == UnitCacheTag::Off   ? "off"
-                          : r.cache == UnitCacheTag::Hit ? "hit"
-                                                         : "miss";
+            event.cache = r.cache == UnitCacheTag::Off        ? "off"
+                          : r.cache == UnitCacheTag::Hit      ? "hit"
+                          : r.cache == UnitCacheTag::Resident ? "resident"
+                                                              : "miss";
             event.budget_stop = support::budgetStopName(r.budget_stop);
             event.truncated = truncated;
             event.failed = r.failed;
@@ -297,7 +338,8 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
             event.attempts = r.attempts;
             ledger.unit(event);
         }
-        if (metrics.enabled() && r.cache != UnitCacheTag::Hit) {
+        if (metrics.enabled() && r.cache != UnitCacheTag::Hit &&
+            r.cache != UnitCacheTag::Resident) {
             metrics.histogram("unit.wall_ns")
                 .observe(static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -314,6 +356,29 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         metrics.counter("engine.unit_failures").add(failures);
         metrics.counter("budget.truncations").add(truncations);
         metrics.counter("witness.truncations").add(witness_truncations);
+        metrics.counter("resident.reused").add(resident_reused);
+    }
+
+    // Keep exactly the units this run used: reused ones as they were,
+    // completed ones as they finished. Later runs only read them.
+    if (resident) {
+        std::unordered_map<std::uint64_t, std::shared_ptr<const ResidentUnit>>
+            kept;
+        kept.reserve(nunits);
+        for (std::size_t u = 0; u < nunits; ++u) {
+            UnitResult& r = results[u];
+            if (keys[u] == 0 || !completed(r))
+                continue;
+            if (!r.resident) {
+                auto unit = std::make_shared<ResidentUnit>();
+                unit->diags = r.sink.diagnostics();
+                unit->checker = std::move(r.checker);
+                r.resident = std::move(unit);
+            }
+            kept.emplace(keys[u], std::move(r.resident));
+        }
+        resident->units = std::move(kept);
+        resident->reused = resident_reused;
     }
 
     CheckContext ctx{plan.program, plan.spec, sink};
@@ -408,7 +473,7 @@ runCheckersParallel(const lang::Program& program,
         });
     };
     return runUnitPipeline(plan, checkers, sink, options.cache,
-                           options.health, pool, execute);
+                           options.resident, options.health, pool, execute);
 }
 
 } // namespace mc::checkers

@@ -13,8 +13,11 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::checkers {
@@ -52,6 +55,43 @@ struct CfgCache
      * functions insert. Thread-safe.
      */
     const cfg::Cfg& get(const lang::FunctionDecl& fn, bool* reused = nullptr);
+};
+
+/**
+ * One finished unit kept resident: its checker instance and its
+ * findings in unit order. Never written after it is stored, so every
+ * re-check that reuses it reads the same objects in place.
+ */
+struct ResidentUnit
+{
+    std::unique_ptr<const Checker> checker;
+    std::vector<support::Diagnostic> diags;
+};
+
+/**
+ * Resident unit results for long-lived callers (the checking daemon):
+ * one program snapshot's finished units, keyed by unitCacheKey. The
+ * key covers everything a unit's output depends on, exactly as the
+ * analysis cache trusts it, so a re-check runs only the units whose key
+ * changed and merges the rest from here with no encode, decode or
+ * re-instantiation.
+ *
+ * The unit pipeline rewrites the store after every run to hold exactly
+ * the keys that run used: reused and completed units stay, failed and
+ * budget-truncated ones are left out (the rule the cache uses for
+ * storing), so it never holds more than units_total entries.
+ * Diagnostics carry file ids of the program they came from: the owner
+ * drops the store whenever it rebuilds or evicts that program. Not
+ * synchronized; the pipeline reads it only from the calling thread.
+ */
+struct ResidentUnits
+{
+    std::unordered_map<std::uint64_t, std::shared_ptr<const ResidentUnit>>
+        units;
+    /** Units the most recent completed run took from the store. */
+    std::uint64_t reused = 0;
+
+    std::size_t size() const { return units.size(); }
 };
 
 /**
@@ -118,6 +158,13 @@ struct ParallelRunOptions
      * key it.
      */
     CfgCache* cfg_cache = nullptr;
+    /**
+     * Resident unit results shared across runs over the same Program.
+     * When set, each unit is looked up here first, then in `cache`, and
+     * only then run; the store keeps this run's finished units. Reuses
+     * tally into the "resident.reused" counter.
+     */
+    ResidentUnits* resident = nullptr;
 };
 
 /**
@@ -175,12 +222,14 @@ replayUnit(const CheckerDef& def, std::string_view function,
 /** Where a unit's result came from, in the ledger's words. */
 enum class UnitCacheTag : std::uint8_t
 {
-    /** No analysis cache configured. */
+    /** No resident store and no analysis cache configured. */
     Off,
     /** Replayed from the analysis cache. */
     Hit,
-    /** Not replayable from the cache, so it ran. */
+    /** Not reusable from the resident store or the cache, so it ran. */
     Miss,
+    /** Merged from the resident store. */
+    Resident,
 };
 
 /**
@@ -212,6 +261,21 @@ struct UnitResult
     std::uint64_t attempts = 0;
     /** A shard worker's result as decoded off the wire. */
     std::optional<cache::CachedUnit> wire;
+    /** The resident unit the merge reads instead of `checker`/`sink`. */
+    std::shared_ptr<const ResidentUnit> resident;
+
+    /** The checker instance the merge absorbs. */
+    const Checker&
+    unitChecker() const
+    {
+        return resident ? *resident->checker : *checker;
+    }
+    /** The findings the merge reports, in unit order. */
+    const std::vector<support::Diagnostic>&
+    findings() const
+    {
+        return resident ? resident->diags : sink.diagnostics();
+    }
 };
 
 /**
@@ -293,24 +357,26 @@ using UnitExecutor = std::function<void(
  * The unit pipeline every substrate shares, so a run's bytes, ledger,
  * metrics and health do not depend on who executed its units:
  *
- *  0. with a cache, look every unit up by content key and replay the
- *     hits (replayUnit);
+ *  0. key every unit by content (unitCacheKey) when there is a store to
+ *     look in; take the units `resident` holds, then replay the units
+ *     `cache` holds (replayUnit);
  *  1. `execute` the remaining units, storing each completed,
  *     untruncated one back into the cache as it finishes;
  *  2. merge sequentially in unit order: each master absorbs its units'
  *     state, their findings replay through `sink` (which re-runs the
  *     global dedup the private sinks could not see), and each unit
  *     emits its ledger event and `unit.*` observations;
- *  3. run the masters' program-level passes and return their stats.
+ *  3. keep this run's completed units in `resident`;
+ *  4. run the masters' program-level passes and return their stats.
  *
- * Lookups fan out on `pool`. With `plan.fail_fast` a failed unit aborts
- * the run at merge.
+ * Cache lookups fan out on `pool`. With `plan.fail_fast` a failed unit
+ * aborts the run at merge.
  */
 std::vector<CheckerRunStats>
 runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
                 support::DiagnosticSink& sink, cache::AnalysisCache* cache,
-                RunHealth* health, support::ThreadPool& pool,
-                const UnitExecutor& execute);
+                ResidentUnits* resident, RunHealth* health,
+                support::ThreadPool& pool, const UnitExecutor& execute);
 
 /**
  * Parallel drop-in for runCheckers: same inputs, same outputs, same

@@ -17,8 +17,8 @@
  *
  * Options:
  *     --jobs <n>               default --jobs for check requests
- *     --cache <dir>            persistent analysis cache (default: a
- *                              process-resident in-memory cache)
+ *     --cache <dir>            persistent analysis cache behind the
+ *                              resident unit results (default: none)
  *     --cache-readonly         consult the cache but never write it
  *     --cache-limit-mb <n>     evict oldest entries past n MiB after
  *                              each check request
@@ -69,7 +69,8 @@ const char* const kUsage =
     "options:\n"
     "  --jobs <n>               default --jobs for check requests\n"
     "  --cache <dir>            persistent analysis cache directory\n"
-    "                           (default: in-memory, process lifetime)\n"
+    "                           (default: none; unit results stay\n"
+    "                           resident with each program snapshot)\n"
     "  --cache-readonly         read the cache but never write it\n"
     "  --cache-limit-mb <n>     evict oldest entries past n MiB after\n"
     "                           each check request\n"

@@ -1,22 +1,23 @@
 #include "global/callgraph.h"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 namespace mc::global {
 
-CallGraph::CallGraph(std::vector<FunctionSummary> summaries)
+CallGraph::CallGraph(const std::vector<const FunctionSummary*>& summaries)
 {
-    for (FunctionSummary& fn : summaries) {
-        std::string name = fn.name;
-        by_name_.emplace(std::move(name), std::move(fn));
-    }
+    by_name_.reserve(summaries.size());
+    for (const FunctionSummary* fn : summaries)
+        by_name_.emplace(fn->name, fn);
 }
 
 const FunctionSummary*
-CallGraph::find(const std::string& name) const
+CallGraph::find(std::string_view name) const
 {
     auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : &it->second;
+    return it == by_name_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string>
@@ -24,12 +25,13 @@ CallGraph::functionNames() const
 {
     std::vector<std::string> out;
     for (const auto& [name, fn] : by_name_)
-        out.push_back(name);
+        out.emplace_back(name);
+    std::sort(out.begin(), out.end());
     return out;
 }
 
 std::set<std::string>
-CallGraph::calleesOf(const std::string& name) const
+CallGraph::calleesOf(std::string_view name) const
 {
     std::set<std::string> out;
     const FunctionSummary* fn = find(name);

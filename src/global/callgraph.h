@@ -5,9 +5,10 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::global {
@@ -16,23 +17,26 @@ namespace mc::global {
  * The linked global call graph: all function summaries of a protocol,
  * indexed by name. This is the paper's "second, global pass" input —
  * typically produced by reading back the files the local passes emitted.
+ *
+ * The graph indexes summaries it does not own: they must outlive it.
+ * When two summaries share a name, the first one wins.
  */
 class CallGraph
 {
   public:
-    explicit CallGraph(std::vector<FunctionSummary> summaries);
+    explicit CallGraph(const std::vector<const FunctionSummary*>& summaries);
 
     /** Summary for `name`, or nullptr for external/unknown routines. */
-    const FunctionSummary* find(const std::string& name) const;
+    const FunctionSummary* find(std::string_view name) const;
 
-    /** Names of all summarized functions. */
+    /** Names of all summarized functions, sorted. */
     std::vector<std::string> functionNames() const;
 
     /** Direct callees of `name` (unknown callees included by name). */
-    std::set<std::string> calleesOf(const std::string& name) const;
+    std::set<std::string> calleesOf(std::string_view name) const;
 
   private:
-    std::map<std::string, FunctionSummary> by_name_;
+    std::unordered_map<std::string_view, const FunctionSummary*> by_name_;
 };
 
 /** Number of lanes tracked by the lane analysis. */

@@ -30,36 +30,33 @@ summarize(const std::string& name, const cfg::Cfg& cfg,
 }
 
 void
-writeSummaries(std::ostream& os,
-               const std::vector<FunctionSummary>& summaries)
+writeSummary(std::ostream& os, const FunctionSummary& fn)
 {
-    for (const FunctionSummary& fn : summaries) {
-        os << "fn " << fn.name << " entry " << fn.entry << " exit "
-           << fn.exit << " blocks " << fn.blocks.size() << '\n';
-        for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
-            const FunctionSummary::Block& bb = fn.blocks[i];
-            os << "block " << i << " succs " << bb.succs.size();
-            for (int s : bb.succs)
-                os << ' ' << s;
-            os << '\n';
-            for (const Event& ev : bb.events) {
-                switch (ev.kind) {
-                  case Event::Kind::Call:
-                    os << "call " << ev.callee;
-                    break;
-                  case Event::Kind::Send:
-                    os << "send " << ev.lane;
-                    break;
-                  case Event::Kind::LaneWait:
-                    os << "lanewait " << ev.lane;
-                    break;
-                }
-                os << ' ' << ev.loc.file_id << ' ' << ev.loc.line << ' '
-                   << ev.loc.column << '\n';
+    os << "fn " << fn.name << " entry " << fn.entry << " exit "
+       << fn.exit << " blocks " << fn.blocks.size() << '\n';
+    for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
+        const FunctionSummary::Block& bb = fn.blocks[i];
+        os << "block " << i << " succs " << bb.succs.size();
+        for (int s : bb.succs)
+            os << ' ' << s;
+        os << '\n';
+        for (const Event& ev : bb.events) {
+            switch (ev.kind) {
+              case Event::Kind::Call:
+                os << "call " << ev.callee;
+                break;
+              case Event::Kind::Send:
+                os << "send " << ev.lane;
+                break;
+              case Event::Kind::LaneWait:
+                os << "lanewait " << ev.lane;
+                break;
             }
+            os << ' ' << ev.loc.file_id << ' ' << ev.loc.line << ' '
+               << ev.loc.column << '\n';
         }
-        os << "end\n";
     }
+    os << "end\n";
 }
 
 namespace {

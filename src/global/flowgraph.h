@@ -64,7 +64,7 @@ summarize(const std::string& name, const cfg::Cfg& cfg,
                                    std::vector<Event>&)>& extract);
 
 /**
- * Serialize summaries to the textual flow-graph format:
+ * Serialize one summary to the textual flow-graph format:
  *
  *     fn <name> entry <id> exit <id> blocks <n>
  *     block <id> succs <k> <s0> <s1> ...
@@ -76,10 +76,9 @@ summarize(const std::string& name, const cfg::Cfg& cfg,
  * This mirrors xg++'s emit-to-file / read-back interface so the global
  * pass can be run over summaries produced by separate local passes.
  */
-void writeSummaries(std::ostream& os,
-                    const std::vector<FunctionSummary>& summaries);
+void writeSummary(std::ostream& os, const FunctionSummary& fn);
 
-/** Parse summaries written by writeSummaries. Throws on bad input. */
+/** Parse summaries written by writeSummary. Throws on bad input. */
 std::vector<FunctionSummary> readSummaries(std::istream& is);
 
 } // namespace mc::global

@@ -10,10 +10,10 @@
  * Output is deterministic for any jobs value, warm or cold cache, and
  * one-shot or resident program state: diagnostics are ordered by (file,
  * line, column, checker, rule) at emission, the parallel runner merges
- * worker results in the sequential visit order, cached units replay
- * their stored diagnostics and checker state through that same merge
- * path, and resident programs keep their file ids stable across
- * in-place re-parses so emission order cannot drift.
+ * worker results in the sequential visit order, resident and cached
+ * units feed their stored diagnostics and checker state through that
+ * same merge path, and resident programs keep their file ids stable
+ * across in-place re-parses so emission order cannot drift.
  */
 #include "server/check_request.h"
 
@@ -194,6 +194,7 @@ check(const CheckRequest& req, cache::AnalysisCache* cache,
     prun.health = &health;
     prun.checker_options = copts;
     prun.cfg_cache = target.cfgs;
+    prun.resident = target.units;
     const std::vector<checkers::CheckerRunStats> stats =
         req.shards > 0
             ? runCheckersSharded(program, *target.spec, masters, defs, sink,
@@ -202,6 +203,7 @@ check(const CheckRequest& req, cache::AnalysisCache* cache,
                                             defs, sink, prun);
     span.finish();
     outcome.units_total = program.functions().size() * masters.size();
+    outcome.units_reused = target.units ? target.units->reused : 0;
 
     // Protocol runs append the per-checker table; the others a summary.
     const bool table = req.mode == CheckRequest::Mode::Protocol;
@@ -249,7 +251,7 @@ runCheckRequest(const CheckRequest& request, cache::AnalysisCache* cache,
         err << "mccheck: " << e.what() << '\n';
         outcome.exit_code = 3;
     }
-    outcome.units_reused = cacheHits(cache) - hits_before;
+    outcome.units_reused += cacheHits(cache) - hits_before;
     return outcome;
 }
 

@@ -102,7 +102,8 @@ struct CheckOutcome
     int warnings = 0;
     /** (function x checker) work units this run covered. */
     std::uint64_t units_total = 0;
-    /** Units replayed from the analysis cache instead of re-walked. */
+    /** Units merged from the resident store or replayed from the
+     *  analysis cache instead of re-walked. */
     std::uint64_t units_reused = 0;
     /** Source files lexed+parsed serving this run. */
     std::uint64_t files_reparsed = 0;
@@ -118,10 +119,11 @@ support::BudgetLimits unitBudget(const CheckRequest& request);
  * would put on stdout) and operational messages to `err` (stderr).
  *
  * `cache` may be null (no caching). `resident` may be null (batch: all
- * state is built fresh and dropped); when set, programs, CFGs, and
- * compiled metal checkers are reused from / published into it, keyed so
- * that reuse can never change output bytes — unchanged units replay via
- * the fingerprint-keyed cache exactly as a warm batch run would.
+ * state is built fresh and dropped); when set, programs, CFGs, finished
+ * unit results and compiled metal checkers are reused from / published
+ * into it, keyed so that reuse can never change output bytes — an
+ * unchanged unit merges its resident result under the same content key
+ * a warm batch run replays by.
  *
  * Never throws: internal errors (unknown protocol, --fail-fast aborts,
  * escaped faults) render as the batch driver's "mccheck: <what>" line on

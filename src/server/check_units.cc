@@ -59,8 +59,8 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
     if (request.mode == CheckRequest::Mode::Protocol) {
         corpus::LoadedProtocol* loaded = &target.protocol;
         if (resident)
-            loaded = &resident->protocolSnapshot(request.protocol,
-                                                 target.cfgs, target.reused);
+            loaded = &resident->protocolSnapshot(
+                request.protocol, target.cfgs, target.units, target.reused);
         else
             target.protocol =
                 corpus::loadProtocol(corpus::profileByName(request.protocol));
@@ -77,6 +77,7 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
         return target.files.error;
     target.program = target.files.program;
     target.cfgs = target.files.cfg_cache;
+    target.units = target.files.units;
     target.files_reparsed = target.files.files_reparsed;
     target.reused = target.files.reused;
     if (request.mode == CheckRequest::Mode::Files)

@@ -35,6 +35,8 @@ struct CheckTarget
     const flash::ProtocolSpec* spec = nullptr;
     /** Resident CFGs for the program; null for one-shot runs. */
     checkers::CfgCache* cfgs = nullptr;
+    /** Resident unit results for the program; null for one-shot runs. */
+    checkers::ResidentUnits* units = nullptr;
     std::uint64_t files_reparsed = 0;
     /** A resident snapshot served the program. */
     bool reused = false;

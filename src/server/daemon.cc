@@ -264,15 +264,19 @@ Daemon::handleCheck(const JsonValue* params,
     const Clock::time_point t0 = Clock::now();
     std::ostringstream out;
     std::ostringstream err;
+    // Unit results stay resident per snapshot; only a disk cache, when
+    // the daemon was given one, is a second tier behind them.
     const CheckOutcome outcome =
-        runCheckRequest(request, &cache(), &resident_, out, err);
+        runCheckRequest(request, disk_cache_.get(), &resident_, out, err);
     const double wall_ms = millisSince(t0);
 
-    if (options_.cache_limit_mb > 0)
-        cache().trim(options_.cache_limit_mb * 1024ull * 1024ull);
     std::string stderr_text = err.str();
-    for (const std::string& warning : cache().takeWarnings())
-        stderr_text += "mccheck: cache: " + warning + "\n";
+    if (disk_cache_) {
+        if (options_.cache_limit_mb > 0)
+            disk_cache_->trim(options_.cache_limit_mb * 1024ull * 1024ull);
+        for (const std::string& warning : disk_cache_->takeWarnings())
+            stderr_text += "mccheck: cache: " + warning + "\n";
+    }
 
     event.status = "ok";
     event.exit_code = outcome.exit_code;
@@ -416,6 +420,7 @@ Daemon::statusResult()
                  uintNumber(resident_.metalProgramCount()));
     resident.set("functions", uintNumber(resident_.residentFunctionCount()));
     resident.set("cfgs", uintNumber(resident_.residentCfgCount()));
+    resident.set("units", uintNumber(resident_.residentUnitCount()));
     resident.set("arena_waste_bytes",
                  uintNumber(resident_.arenaWasteBytes()));
 

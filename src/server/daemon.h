@@ -21,9 +21,9 @@ namespace mc::server {
 struct DaemonOptions
 {
     /**
-     * Persistent analysis cache directory. Empty means per-unit results
-     * live in the resident in-memory cache instead — still
-     * fingerprint-keyed, still byte-neutral, just process-lifetime.
+     * Persistent analysis cache directory. Per-unit results always stay
+     * resident with their program snapshot; a cache directory adds a
+     * second tier that outlives the process. Empty means none.
      */
     std::string cache_dir;
     bool cache_readonly = false;
@@ -44,8 +44,8 @@ struct DaemonOptions
 /**
  * The long-lived checking server behind mccheckd.
  *
- * One instance holds all resident state (ResidentState plus the
- * analysis cache) and maps protocol request lines to response lines.
+ * One instance holds all resident state (ResidentState plus an optional
+ * disk analysis cache) and maps protocol request lines to response lines.
  * `handleRequestLine` is safe to call from any thread: request
  * *decoding* is lock-free, request *execution* serializes on one
  * mutex — which is not an implementation shortcut but a correctness
@@ -95,7 +95,11 @@ class Daemon
         shutdown_.store(true, std::memory_order_release);
     }
 
-    /** The cache check requests run against (disk or resident). */
+    /**
+     * The disk cache when the daemon has one, else the in-memory tier,
+     * which check requests no longer fill. Kept for callers that drive
+     * the unit pipeline with the daemon's resident programs themselves.
+     */
     cache::AnalysisCache& cache();
 
     /** Test access; synchronize externally (or use protocol requests). */

@@ -9,9 +9,6 @@ namespace mc::server {
 
 namespace {
 
-/** Resident file snapshots kept before the least-recently-used drops. */
-constexpr std::size_t kMaxFileSnapshots = 4;
-
 /**
  * Arena waste (bytes of replaced source) past which an in-place
  * re-parse is traded for a full rebuild: append-only arenas make edits
@@ -180,6 +177,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
             snap->last_used = ++use_seq_;
             prepared.program = snap->program.get();
             prepared.cfg_cache = snap->cfg_cache.get();
+            prepared.units = snap->units.get();
             prepared.files_reparsed = reparsed;
             prepared.reused = true;
             prepared.ok = true;
@@ -197,6 +195,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         // failed in-place update): replace the stale snapshot's guts.
         snap->program = std::move(program);
         snap->cfg_cache = std::make_unique<checkers::CfgCache>();
+        snap->units = std::make_unique<checkers::ResidentUnits>();
         snap->last_used = ++use_seq_;
     } else {
         if (snapshots_.size() >= kMaxFileSnapshots) {
@@ -212,6 +211,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         fresh.files = files;
         fresh.program = std::move(program);
         fresh.cfg_cache = std::make_unique<checkers::CfgCache>();
+        fresh.units = std::make_unique<checkers::ResidentUnits>();
         fresh.last_used = ++use_seq_;
         snapshots_.push_back(std::move(fresh));
         snap = &snapshots_.back();
@@ -219,6 +219,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
 
     prepared.program = snap->program.get();
     prepared.cfg_cache = snap->cfg_cache.get();
+    prepared.units = snap->units.get();
     prepared.files_reparsed = files.size();
     prepared.ok = true;
     return prepared;
@@ -226,7 +227,8 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
 
 corpus::LoadedProtocol&
 ResidentState::protocolSnapshot(const std::string& protocol,
-                                checkers::CfgCache*& cfgs, bool& reused)
+                                checkers::CfgCache*& cfgs,
+                                checkers::ResidentUnits*& units, bool& reused)
 {
     auto it = protocols_.find(protocol);
     if (it == protocols_.end()) {
@@ -234,12 +236,14 @@ ResidentState::protocolSnapshot(const std::string& protocol,
         snap.loaded =
             corpus::loadProtocol(corpus::profileByName(protocol));
         snap.cfg_cache = std::make_unique<checkers::CfgCache>();
+        snap.units = std::make_unique<checkers::ResidentUnits>();
         it = protocols_.emplace(protocol, std::move(snap)).first;
         reused = false;
     } else {
         reused = true;
     }
     cfgs = it->second.cfg_cache.get();
+    units = it->second.units.get();
     return it->second.loaded;
 }
 
@@ -279,6 +283,17 @@ ResidentState::residentCfgCount() const
         n += snap.cfg_cache->size();
     for (const auto& [name, snap] : protocols_)
         n += snap.cfg_cache->size();
+    return n;
+}
+
+std::size_t
+ResidentState::residentUnitCount() const
+{
+    std::size_t n = 0;
+    for (const FileSnapshot& snap : snapshots_)
+        n += snap.units->size();
+    for (const auto& [name, snap] : protocols_)
+        n += snap.units->size();
     return n;
 }
 

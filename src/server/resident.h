@@ -47,6 +47,8 @@ struct PreparedProgram
     std::unique_ptr<lang::Program> owned;
     /** Resident CFGs for this program; null for one-shot runs. */
     checkers::CfgCache* cfg_cache = nullptr;
+    /** Resident unit results for this program; null for one-shot runs. */
+    checkers::ResidentUnits* units = nullptr;
     /** Files lexed+parsed to satisfy this request. */
     std::uint64_t files_reparsed = 0;
     /** A resident snapshot matched (even if some files re-parsed). */
@@ -59,26 +61,34 @@ struct PreparedProgram
 /**
  * Everything the checking daemon keeps warm between requests.
  *
- * Three tiers, cheapest reuse first:
+ * Reuse, cheapest first:
  *
- *  1. Process globals (symbol interner, compiled SM transition tables,
- *     registered metric nodes) are resident for free — they live for
- *     the process regardless.
- *  2. Per-unit analysis results live in `memoryCache` (or the disk
- *     cache the daemon was pointed at), keyed by token-stream
- *     fingerprints: an edited file invalidates exactly its own
- *     functions' entries.
- *  3. Parsed programs + their CFGs live in snapshots keyed by the
- *     *ordered file list*. A request over the same file set reuses the
- *     snapshot; files whose bytes changed re-parse in place
+ *  1. Process globals (symbol interner, shared CheckerDefs and their
+ *     compiled SM transition tables, registered metric nodes) are
+ *     resident for free — they live for the process regardless.
+ *  2. Parsed programs live in snapshots keyed by the *ordered file
+ *     list*. A request over the same file set reuses the snapshot;
+ *     files whose bytes changed re-parse in place
  *     (Program::updateSource — file ids stay stable, so diagnostic
  *     emission order matches a cold batch run); a different file set
  *     rebuilds from scratch.
+ *  3. Next to each snapshot's program sit its CFGs (CfgCache, keyed by
+ *     declaration) and its finished units (ResidentUnits, keyed by
+ *     unitCacheKey: checker definition and options, witness
+ *     configuration, spec and function fingerprints). A re-check runs
+ *     only the units whose key changed and merges the rest in place;
+ *     an edited file invalidates exactly its own functions' units.
+ *     Both stores are dropped with the program they describe, whenever
+ *     the snapshot is rebuilt or evicted.
+ *
+ * A daemon started with `--cache DIR` also consults that disk cache for
+ * units its snapshot does not hold. The in-memory AnalysisCache
+ * (`memoryCache`) is no longer filled by check requests.
  *
  * Byte-parity invariant: nothing here may change output bytes. Reuse
  * either reproduces exactly what a fresh build would produce (stable
- * file ids + slot-ordered function index) or replays through the same
- * fingerprint-keyed cache path a warm batch run takes.
+ * file ids + slot-ordered function index) or merges a unit result kept
+ * under the same content key a warm batch run replays by.
  *
  * Not internally synchronized: the daemon serializes every access under
  * its request-execution mutex (which the protocol needs anyway — witness
@@ -87,6 +97,9 @@ struct PreparedProgram
 class ResidentState
 {
   public:
+    /** Resident file snapshots kept before the least-recently-used drops. */
+    static constexpr std::size_t kMaxFileSnapshots = 4;
+
     ResidentState();
 
     // ---- document overlays (open/change/close) ------------------------
@@ -102,9 +115,13 @@ class ResidentState
     bool readFile(const std::string& path, std::string& contents,
                   std::string& error) const;
 
-    // ---- resident per-unit results ------------------------------------
+    // ---- the in-memory analysis cache ----------------------------------
 
-    /** The in-memory analysis cache (used when no disk cache is set). */
+    /**
+     * An in-memory analysis cache. Check requests no longer fill it:
+     * unit results stay resident per snapshot instead. Kept for the
+     * callers that drive the unit pipeline themselves.
+     */
     cache::AnalysisCache& memoryCache() { return *memory_cache_; }
 
     // ---- program snapshots --------------------------------------------
@@ -122,10 +139,12 @@ class ResidentState
      * verbatim afterwards (generation is deterministic, so the resident
      * program equals a fresh load). Throws std::out_of_range for names
      * profileByName does not know. `reused` reports whether a resident
-     * snapshot served the request.
+     * snapshot served the request; `cfgs` and `units` receive the
+     * snapshot's resident stores.
      */
     corpus::LoadedProtocol& protocolSnapshot(const std::string& protocol,
                                              checkers::CfgCache*& cfgs,
+                                             checkers::ResidentUnits*& units,
                                              bool& reused);
 
     /**
@@ -148,6 +167,8 @@ class ResidentState
     std::size_t residentFunctionCount() const;
     /** CFGs resident across all snapshot caches. */
     std::size_t residentCfgCount() const;
+    /** Unit results resident across all snapshots. */
+    std::size_t residentUnitCount() const;
     /** Arena bytes wasted by in-place re-parses (rebuild pressure). */
     std::size_t arenaWasteBytes() const;
 
@@ -157,6 +178,7 @@ class ResidentState
         std::vector<std::string> files;
         std::unique_ptr<lang::Program> program;
         std::unique_ptr<checkers::CfgCache> cfg_cache;
+        std::unique_ptr<checkers::ResidentUnits> units;
         std::uint64_t last_used = 0;
     };
 
@@ -164,6 +186,7 @@ class ResidentState
     {
         corpus::LoadedProtocol loaded;
         std::unique_ptr<checkers::CfgCache> cfg_cache;
+        std::unique_ptr<checkers::ResidentUnits> units;
     };
 
     FileSnapshot* findSnapshot(const std::vector<std::string>& files);

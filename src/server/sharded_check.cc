@@ -97,9 +97,11 @@ makeCheckUnitsRequest(const CheckRequest& request,
     return line.dump();
 }
 
-/** Decode one worker response line into per-unit results. Anything
- *  malformed is fatal: the worker is alive but talking nonsense, which
- *  retrying cannot fix. */
+/** The longest wall time a worker may report for one unit. */
+constexpr double kMaxUnitWallMs = 24.0 * 60 * 60 * 1000;
+
+} // namespace
+
 void
 absorbWorkerResponse(const std::vector<std::uint64_t>& units,
                      const std::string& line, unsigned slot,
@@ -133,9 +135,16 @@ absorbWorkerResponse(const std::vector<std::uint64_t>& units,
             throw std::runtime_error(
                 "shard worker response units out of order");
         checkers::UnitResult& r = results[units[i]];
-        auto count = [&](const char* key) {
+        auto count = [&](const char* key) -> std::uint64_t {
             const JsonValue* v = entry.get(key);
-            return v ? static_cast<std::uint64_t>(v->asInt()) : 0;
+            if (!v)
+                return 0;
+            bool ok = false;
+            const std::int64_t n = v->asInt(0, &ok);
+            if (!ok || n < 0)
+                throw std::runtime_error(
+                    std::string("shard worker sent a bad '") + key + "'");
+            return static_cast<std::uint64_t>(n);
         };
         const JsonValue* failed = entry.get("failed");
         r.failed = failed && failed->asBool();
@@ -143,10 +152,17 @@ absorbWorkerResponse(const std::vector<std::uint64_t>& units,
             r.error = error->asString();
         if (const JsonValue* stop = entry.get("budget_stop"))
             r.budget_stop = parseBudgetStop(stop->asString());
-        if (const JsonValue* ms = entry.get("wall_ms"))
+        if (const JsonValue* ms = entry.get("wall_ms")) {
+            // A day bounds any unit's wall time and keeps the
+            // conversion to the clock's integer ticks in range.
+            const double wall_ms = ms->asDouble(-1.0);
+            if (!(wall_ms >= 0.0 && wall_ms <= kMaxUnitWallMs))
+                throw std::runtime_error(
+                    "shard worker sent a bad 'wall_ms'");
             r.wall = std::chrono::duration_cast<
                 std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(ms->asDouble()));
+                std::chrono::duration<double, std::milli>(wall_ms));
+        }
         r.stats.visits = count("visits");
         r.stats.pruned_edges = count("pruned_edges");
         r.stats.prune_cache_hits = count("prune_cache_hits");
@@ -165,8 +181,6 @@ absorbWorkerResponse(const std::vector<std::uint64_t>& units,
         r.wire = std::move(unit);
     }
 }
-
-} // namespace
 
 std::vector<checkers::CheckerRunStats>
 runCheckersSharded(const lang::Program& program,
@@ -270,7 +284,8 @@ runCheckersSharded(const lang::Program& program,
                 support::fault::probe("shard.merge", plan.label(u));
             } catch (const support::InjectedFault& e) {
                 checkers::UnitResult& r = results[u];
-                if (r.cache == checkers::UnitCacheTag::Hit)
+                if (r.cache == checkers::UnitCacheTag::Hit ||
+                    r.cache == checkers::UnitCacheTag::Resident)
                     r.cache = checkers::UnitCacheTag::Miss;
                 checkers::failUnit(plan, u, r, e.what());
             }
@@ -279,7 +294,8 @@ runCheckersSharded(const lang::Program& program,
     // Lookups run on the coordinator's thread, in unit order.
     support::ThreadPool pool(1);
     return checkers::runUnitPipeline(plan, checkers, sink, options.cache,
-                                     options.health, pool, execute);
+                                     options.resident, options.health, pool,
+                                     execute);
 }
 
 } // namespace mc::server

@@ -5,6 +5,7 @@
 #include "checkers/parallel.h"
 #include "server/check_request.h"
 
+#include <string>
 #include <vector>
 
 namespace mc::server {
@@ -54,6 +55,24 @@ runCheckersSharded(const lang::Program& program,
                    support::DiagnosticSink& sink,
                    const CheckRequest& request,
                    const checkers::ParallelRunOptions& options);
+
+/**
+ * Decode one worker's `check_units` response line into the result
+ * slots of `units` (the batch it was sent, in order): failure, budget
+ * stop, wall time, walk tallies, worker `slot` and dispatch `attempts`,
+ * and the unit's decoded wire payload. Does not replay the payload.
+ *
+ * Anything malformed is fatal and throws std::runtime_error: a line
+ * that is not a JSON object, an error response, a batch not covered
+ * unit for unit in order, a negative or non-integral count, a wall
+ * time outside [0, 1 day], or undecodable `data`. The worker is alive
+ * but talking nonsense, which retrying cannot fix. `results` must have
+ * a slot for every id in `units`.
+ */
+void absorbWorkerResponse(const std::vector<std::uint64_t>& units,
+                          const std::string& line, unsigned slot,
+                          const std::vector<unsigned>& attempts,
+                          std::vector<checkers::UnitResult>& results);
 
 } // namespace mc::server
 

@@ -107,6 +107,7 @@ RunLedger::unit(const LedgerUnitEvent& event)
     truncations_ += event.truncated ? 1 : 0;
     cache_hits_ += std::string_view(event.cache) == "hit" ? 1 : 0;
     cache_misses_ += std::string_view(event.cache) == "miss" ? 1 : 0;
+    cache_resident_ += std::string_view(event.cache) == "resident" ? 1 : 0;
     total_visits_ += event.visits;
     std::ostringstream os;
     os.precision(3);
@@ -180,6 +181,7 @@ RunLedger::runEnd(int exit_code, int errors, int warnings)
        << ", \"budget_truncations\": " << truncations_
        << ", \"cache_hits\": " << cache_hits_
        << ", \"cache_misses\": " << cache_misses_
+       << ", \"cache_resident\": " << cache_resident_
        << ", \"total_visits\": " << total_visits_ << "}";
     emitLine(os.str());
     out_.close();

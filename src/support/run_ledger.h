@@ -27,7 +27,8 @@ struct LedgerUnitEvent
     std::uint64_t prune_cache_hits = 0;
     /** Branch blocks pruning skipped for fanning out != 2 ways. */
     std::uint64_t prune_skipped_nary = 0;
-    /** "hit", "miss", or "off" (no cache configured). */
+    /** "resident" (merged from the daemon's resident store), "hit",
+     *  "miss", or "off" (no store and no cache configured). */
     const char* cache = "off";
     /** Budget truncation: "none", "deadline", "steps", "bytes". */
     const char* budget_stop = "none";
@@ -61,7 +62,7 @@ struct LedgerRequestEvent
     int exit_code = 0;
     double wall_ms = 0.0;
     std::uint64_t units_total = 0;
-    /** Units replayed from the resident analysis cache. */
+    /** Units merged from the resident store or replayed from the cache. */
     std::uint64_t units_reused = 0;
     /** Files re-parsed (incremental updateSource or full rebuild). */
     std::uint64_t files_reparsed = 0;
@@ -167,6 +168,7 @@ class RunLedger
     std::uint64_t truncations_ = 0;
     std::uint64_t cache_hits_ = 0;
     std::uint64_t cache_misses_ = 0;
+    std::uint64_t cache_resident_ = 0;
     std::uint64_t total_visits_ = 0;
 };
 

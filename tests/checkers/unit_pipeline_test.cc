@@ -106,7 +106,7 @@ viaWire(const corpus::LoadedProtocol& loaded,
     Outcome out;
     support::ThreadPool pool(1);
     out.stats = runUnitPipeline(plan, set.pointers(), sink, nullptr,
-                                &out.health, pool, execute);
+                                nullptr, &out.health, pool, execute);
     out.json = render(sink, loaded);
     return out;
 }

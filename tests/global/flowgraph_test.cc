@@ -36,7 +36,8 @@ TEST(FlowGraph, WriteReadRoundtrip)
     std::vector<FunctionSummary> in = {makeSummary("HandlerA"),
                                        makeSummary("HandlerB")};
     std::ostringstream os;
-    writeSummaries(os, in);
+    for (const FunctionSummary& fn : in)
+        writeSummary(os, fn);
 
     std::istringstream is(os.str());
     std::vector<FunctionSummary> out = readSummaries(is);
@@ -95,8 +96,8 @@ TEST(FlowGraph, SummarizeExtractsEventsPerBlock)
 
 TEST(CallGraph, FindAndCallees)
 {
-    std::vector<FunctionSummary> fns = {makeSummary("A")};
-    CallGraph graph(std::move(fns));
+    const FunctionSummary a = makeSummary("A");
+    CallGraph graph({&a});
     EXPECT_NE(graph.find("A"), nullptr);
     EXPECT_EQ(graph.find("Z"), nullptr);
     auto callees = graph.calleesOf("A");
@@ -119,7 +120,7 @@ TEST(LaneAnalysis, SimpleOverflowDetected)
         send.loc = {1, 10 + i, 1};
         fn.blocks[0].events.push_back(send);
     }
-    CallGraph graph({fn});
+    CallGraph graph({&fn});
     auto result = analyzeLanes(graph, "H", {1, 1, 1, 1});
     // Two sends beyond the allowance of 1, each reported once.
     EXPECT_EQ(result.violations.size(), 2u);
@@ -145,7 +146,7 @@ TEST(LaneAnalysis, LaneWaitResets)
     Event send2 = send;
     send2.loc = {1, 3, 1};
     fn.blocks[0].events = {send, wait, send2};
-    CallGraph graph({fn});
+    CallGraph graph({&fn});
     auto result = analyzeLanes(graph, "H", {1, 1, 1, 1});
     EXPECT_TRUE(result.violations.empty());
 }

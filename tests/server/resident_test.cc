@@ -3,13 +3,21 @@
  * ResidentState and memory-cache tests: overlay precedence for the
  * daemon's open/change/close documents, snapshot reuse with in-place
  * re-parse of exactly the changed files (stable file ids), LRU
- * eviction of file snapshots, protocol/metal snapshot reuse, and the
+ * eviction of file snapshots, protocol/metal snapshot reuse, resident
+ * unit results (ResidentUnits: what a re-check may reuse, and what the
+ * store keeps, always byte-identical to a fresh batch run), and the
  * in-memory AnalysisCache mode (decoded units that equal a disk round
  * trip, zero filesystem traffic, safe to share across threads).
  */
 #include "server/resident.h"
 
 #include "cache/analysis_cache.h"
+#include "corpus/generator.h"
+#include "corpus/profile.h"
+#include "metal/feasibility.h"
+#include "server/check_request.h"
+#include "server/daemon.h"
+#include "server/json.h"
 #include "support/fault_injection.h"
 #include "tests/cache/unit_fixtures.h"
 
@@ -17,6 +25,8 @@
 
 #include <atomic>
 #include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -272,22 +282,26 @@ TEST(ResidentPrograms, ProtocolSnapshotLoadsOnceAndReuses)
 {
     ResidentState resident;
     checkers::CfgCache* cfgs = nullptr;
+    checkers::ResidentUnits* units = nullptr;
     bool reused = true;
     corpus::LoadedProtocol& first =
-        resident.protocolSnapshot("bitvector", cfgs, reused);
+        resident.protocolSnapshot("bitvector", cfgs, units, reused);
     EXPECT_FALSE(reused);
     ASSERT_NE(cfgs, nullptr);
+    ASSERT_NE(units, nullptr);
     ASSERT_NE(first.program, nullptr);
     EXPECT_EQ(resident.protocolSnapshotCount(), 1u);
 
     checkers::CfgCache* cfgs2 = nullptr;
+    checkers::ResidentUnits* units2 = nullptr;
     corpus::LoadedProtocol& second =
-        resident.protocolSnapshot("bitvector", cfgs2, reused);
+        resident.protocolSnapshot("bitvector", cfgs2, units2, reused);
     EXPECT_TRUE(reused);
     EXPECT_EQ(&second, &first);
     EXPECT_EQ(cfgs2, cfgs);
+    EXPECT_EQ(units2, units);
 
-    EXPECT_THROW(resident.protocolSnapshot("no_such", cfgs, reused),
+    EXPECT_THROW(resident.protocolSnapshot("no_such", cfgs, units, reused),
                  std::out_of_range);
 }
 
@@ -316,6 +330,355 @@ TEST(ResidentMetal, ProgramsAreKeyedBySourceContent)
     EXPECT_THROW(resident.metalChecker("sm broken {", "broken.metal",
                                        options),
                  metal::MetalParseError);
+}
+
+// ---- resident unit results ------------------------------------------------
+
+/** The knobs of a check that change what a unit produces. */
+struct RunConfig
+{
+    bool witness = false;
+    metal::PruneStrategy prune = metal::PruneStrategy::Off;
+    unsigned long max_steps = 0;
+};
+
+/** What a check answered: its bytes and the daemon's reuse stats. */
+struct Answer
+{
+    std::string output;
+    int exit_code = 3;
+    std::int64_t units_total = 0;
+    std::int64_t units_reused = 0;
+};
+
+/**
+ * A daemon over overlay documents, checked side by side with a fresh
+ * batch run of the same bytes: every check asserts the two agree.
+ */
+class ResidentSession
+{
+  public:
+    explicit ResidentSession(std::map<std::string, std::string> files)
+        : daemon_({}), files_(std::move(files))
+    {
+        for (const auto& [path, text] : files_)
+            send("open", path, text);
+    }
+
+    std::vector<std::string> paths() const
+    {
+        std::vector<std::string> out;
+        for (const auto& [path, _] : files_)
+            out.push_back(path);
+        return out;
+    }
+
+    const std::string& text(const std::string& path) const
+    {
+        return files_.at(path);
+    }
+
+    void change(const std::string& path, std::string text)
+    {
+        files_[path] = text;
+        send("change", path, text);
+    }
+
+    /** Check `files` in the daemon and in batch; they must agree. */
+    Answer check(const std::vector<std::string>& files,
+                 const RunConfig& config = {})
+    {
+        JsonValue params = JsonValue::object();
+        JsonValue list = JsonValue::array();
+        for (const std::string& f : files)
+            list.push(JsonValue::string(f));
+        params.set("files", std::move(list));
+        params.set("format", JsonValue::string("json"));
+        params.set("jobs", JsonValue::number(std::int64_t{2}));
+        params.set("witness", JsonValue::boolean(config.witness));
+        params.set("prune_paths", JsonValue::string(metal::pruneStrategyName(
+                                      config.prune)));
+        if (config.max_steps != 0)
+            params.set("unit_max_steps",
+                       JsonValue::number(
+                           static_cast<std::uint64_t>(config.max_steps)));
+        JsonValue request = JsonValue::object();
+        request.set("method", JsonValue::string("check"));
+        request.set("params", std::move(params));
+        const std::string line = daemon_.handleRequestLine(request.dump());
+        JsonValue response;
+        std::string error;
+        EXPECT_TRUE(JsonValue::parse(line, response, error)) << line;
+        const JsonValue* result = response.get("result");
+        EXPECT_NE(result, nullptr) << line;
+        Answer answer;
+        if (!result)
+            return answer;
+        answer.output = result->get("output")->asString();
+        answer.exit_code =
+            static_cast<int>(result->get("exit_code")->asInt());
+        const JsonValue* stats = result->get("stats");
+        answer.units_total = stats->get("units_total")->asInt();
+        answer.units_reused = stats->get("units_reused")->asInt();
+
+        const Answer batch = batchRun(files, config);
+        EXPECT_EQ(answer.output, batch.output);
+        EXPECT_EQ(answer.exit_code, batch.exit_code);
+        return answer;
+    }
+
+    /** Unit results resident across every snapshot. */
+    std::size_t residentUnits() { return daemon_.resident().residentUnitCount(); }
+
+  private:
+    Answer batchRun(const std::vector<std::string>& files,
+                    const RunConfig& config) const
+    {
+        CheckRequest request;
+        request.mode = CheckRequest::Mode::Files;
+        request.files = files;
+        request.format = support::OutputFormat::Json;
+        request.jobs = 2;
+        request.witness = config.witness;
+        request.prune_strategy = config.prune;
+        request.unit_max_steps = config.max_steps;
+        request.read_file = [this](const std::string& path,
+                                   std::string& contents,
+                                   std::string& error) {
+            auto it = files_.find(path);
+            if (it == files_.end()) {
+                error = "cannot open " + path;
+                return false;
+            }
+            contents = it->second;
+            return true;
+        };
+        std::ostringstream out;
+        std::ostringstream err;
+        const CheckOutcome outcome =
+            runCheckRequest(request, nullptr, nullptr, out, err);
+        Answer answer;
+        answer.output = out.str();
+        answer.exit_code = outcome.exit_code;
+        return answer;
+    }
+
+    void send(const std::string& method, const std::string& path,
+              const std::string& text)
+    {
+        JsonValue params = JsonValue::object();
+        params.set("path", JsonValue::string(path));
+        params.set("text", JsonValue::string(text));
+        JsonValue request = JsonValue::object();
+        request.set("method", JsonValue::string(method));
+        request.set("params", std::move(params));
+        const std::string line = daemon_.handleRequestLine(request.dump());
+        EXPECT_EQ(line.find("\"error\""), std::string::npos) << line;
+    }
+
+    Daemon daemon_;
+    std::map<std::string, std::string> files_;
+};
+
+/** The first `n` files of a generated protocol: real handler code. */
+std::map<std::string, std::string>
+corpusFiles(std::size_t n)
+{
+    const corpus::GeneratedProtocol gen =
+        corpus::generateProtocol(corpus::profileByName("bitvector"));
+    std::map<std::string, std::string> files;
+    for (const corpus::GeneratedFile& file : gen.files) {
+        if (files.size() == n)
+            break;
+        files.emplace(file.name, file.source);
+    }
+    return files;
+}
+
+TEST(ResidentUnits, AnEditReusesEveryUnitOutsideTheEditedFile)
+{
+    ResidentSession session(corpusFiles(4));
+    const std::vector<std::string> files = session.paths();
+    const Answer cold = session.check(files);
+    EXPECT_EQ(cold.units_reused, 0);
+    EXPECT_EQ(static_cast<std::int64_t>(session.residentUnits()),
+              cold.units_total);
+
+    // A declaration appended to one file: its units re-run, no other.
+    const std::string& edited = files[1];
+    const std::int64_t edited_units =
+        session.check({edited}).units_total;
+    session.change(edited, session.text(edited) + "int probe_decl;\n");
+    const Answer warm = session.check(files);
+    EXPECT_EQ(warm.units_reused, cold.units_total - edited_units);
+
+    const Answer again = session.check(files);
+    EXPECT_EQ(again.units_reused, again.units_total);
+}
+
+TEST(ResidentUnits, AddingOrRemovingAFunctionReusesNothing)
+{
+    ResidentSession session(corpusFiles(4));
+    const std::vector<std::string> files = session.paths();
+    const std::string original = session.text(files[2]);
+    session.check(files);
+
+    // Files mode classifies every function into the spec, so a new
+    // function changes every unit's key...
+    session.change(files[2], original + "void added_fn(void) { y = 1; }\n");
+    const Answer added = session.check(files);
+    EXPECT_GT(added.units_total, 0);
+    EXPECT_EQ(added.units_reused, 0);
+
+    // ...and so does taking it away again.
+    session.change(files[2], original);
+    const Answer removed = session.check(files);
+    EXPECT_EQ(removed.units_reused, 0);
+    EXPECT_EQ(removed.units_total + 9, added.units_total);
+}
+
+TEST(ResidentUnits, ConfigurationsNeverShareResults)
+{
+    ResidentSession session(corpusFiles(3));
+    const std::vector<std::string> files = session.paths();
+    RunConfig witness_on;
+    witness_on.witness = true;
+    RunConfig witness_off;
+    RunConfig correlated;
+    correlated.prune = metal::PruneStrategy::Correlated;
+    RunConfig constraints;
+    constraints.prune = metal::PruneStrategy::Constraints;
+
+    EXPECT_EQ(session.check(files, witness_on).units_reused, 0);
+    EXPECT_EQ(session.check(files, witness_off).units_reused, 0);
+    EXPECT_EQ(session.check(files, witness_on).units_reused, 0);
+    // The same configuration twice in a row reuses everything.
+    const Answer repeat = session.check(files, witness_on);
+    EXPECT_EQ(repeat.units_reused, repeat.units_total);
+
+    EXPECT_EQ(session.check(files, correlated).units_reused, 0);
+    EXPECT_EQ(session.check(files, constraints).units_reused, 0);
+    EXPECT_EQ(session.check(files, witness_off).units_reused, 0);
+    EXPECT_EQ(session.check(files, correlated).units_reused, 0);
+}
+
+TEST(ResidentUnits, FailedUnitsAreNotKept)
+{
+    ResidentSession session(corpusFiles(4));
+    const std::vector<std::string> files = session.paths();
+    if (!support::fault::arm("checker.unit:5"))
+        GTEST_SKIP() << "fault injection compiled out";
+    const Answer faulted = session.check(files);
+    support::fault::disarm();
+    EXPECT_EQ(faulted.exit_code, 2);
+    const std::size_t kept = session.residentUnits();
+    EXPECT_GT(kept, 0u);
+    EXPECT_LT(static_cast<std::int64_t>(kept), faulted.units_total);
+
+    // Every failed unit runs again; every completed one is reused.
+    const Answer healed = session.check(files);
+    EXPECT_NE(healed.exit_code, 2);
+    EXPECT_EQ(healed.units_reused, static_cast<std::int64_t>(kept));
+    EXPECT_EQ(static_cast<std::int64_t>(session.residentUnits()),
+              healed.units_total);
+}
+
+TEST(ResidentUnits, BudgetTruncatedUnitsAreNotKept)
+{
+    ResidentSession session(corpusFiles(4));
+    const std::vector<std::string> files = session.paths();
+    RunConfig tight;
+    tight.max_steps = 1;
+    const Answer truncated = session.check(files, tight);
+    EXPECT_EQ(truncated.exit_code, 2);
+    const std::size_t kept = session.residentUnits();
+    EXPECT_LT(static_cast<std::int64_t>(kept), truncated.units_total);
+
+    const Answer full = session.check(files);
+    EXPECT_NE(full.exit_code, 2);
+    EXPECT_EQ(full.units_reused, static_cast<std::int64_t>(kept));
+    EXPECT_EQ(static_cast<std::int64_t>(session.residentUnits()),
+              full.units_total);
+}
+
+TEST(ResidentUnits, StoreHoldsExactlyUnitsTotalAfter200Edits)
+{
+    ResidentSession session(corpusFiles(4));
+    const std::vector<std::string> files = session.paths();
+    std::map<std::string, std::string> original;
+    for (const std::string& path : files)
+        original[path] = session.text(path);
+    std::mt19937 rng(17);
+    Answer last = session.check(files);
+    for (int edit = 1; edit <= 200; ++edit) {
+        SCOPED_TRACE("edit " + std::to_string(edit));
+        const std::string& path = files[rng() % files.size()];
+        const std::string n = std::to_string(edit);
+        switch (rng() % 3) {
+          case 0:
+            session.change(path, session.text(path) + "int edit_" + n +
+                                     ";\n");
+            break;
+          case 1:
+            session.change(path, session.text(path) + "void edit_fn_" + n +
+                                     "(void) { y = " + n + "; }\n");
+            break;
+          default:
+            session.change(path, original[path]);
+            break;
+        }
+        last = session.check(files);
+        ASSERT_EQ(static_cast<std::int64_t>(session.residentUnits()),
+                  last.units_total);
+    }
+    EXPECT_GT(last.units_total, 0);
+}
+
+TEST(ResidentUnits, EvictingASnapshotDropsItsUnits)
+{
+    ResidentSession session(corpusFiles(ResidentState::kMaxFileSnapshots + 1));
+    const std::vector<std::string> files = session.paths();
+    ASSERT_EQ(files.size(), ResidentState::kMaxFileSnapshots + 1);
+    // One single-file set per snapshot; the fifth evicts the first.
+    std::int64_t held = 0;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        const Answer cold = session.check({files[i]});
+        EXPECT_EQ(cold.units_reused, 0);
+        if (i > 0)
+            held += cold.units_total;
+    }
+    EXPECT_EQ(static_cast<std::int64_t>(session.residentUnits()), held);
+
+    EXPECT_EQ(session.check({files[0]}).units_reused, 0);
+    // The most recent sets still reuse everything.
+    const Answer recent = session.check({files.back()});
+    EXPECT_EQ(recent.units_reused, recent.units_total);
+}
+
+TEST(ResidentUnits, RebuildingASnapshotDropsItsUnits)
+{
+    std::map<std::string, std::string> base = corpusFiles(3);
+    // A file large enough that two in-place re-parses pass the arena
+    // waste bound, so the third check rebuilds the program.
+    const std::string big = base.begin()->first;
+    base[big] += "/*" + std::string(4u << 20, 'x') + "*/\n";
+    ResidentSession session(std::move(base));
+    const std::vector<std::string> files = session.paths();
+    const Answer cold = session.check(files);
+
+    session.change(big, session.text(big) + "int edit_1;\n");
+    const Answer first = session.check(files);
+    EXPECT_GT(first.units_reused, 0);
+    session.change(big, session.text(big) + "int edit_2;\n");
+    const Answer second = session.check(files);
+    EXPECT_GT(second.units_reused, 0);
+
+    // No edit: only the rebuild can make this check reuse nothing.
+    const Answer rebuilt = session.check(files);
+    EXPECT_EQ(rebuilt.units_reused, 0);
+    EXPECT_EQ(rebuilt.units_total, cold.units_total);
+    const Answer again = session.check(files);
+    EXPECT_EQ(again.units_reused, again.units_total);
 }
 
 TEST(MemoryCache, StoresAndReplaysWithoutAFilesystem)

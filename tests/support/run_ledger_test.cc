@@ -124,8 +124,38 @@ TEST(RunLedger, EmitsValidJsonlWithRunEndTallies)
     EXPECT_EQ(end.at("budget_truncations").number, 1.0);
     EXPECT_EQ(end.at("cache_hits").number, 1.0);
     EXPECT_EQ(end.at("cache_misses").number, 1.0);
+    EXPECT_EQ(end.at("cache_resident").number, 0.0);
     EXPECT_EQ(end.at("total_visits").number, 42.0);
 
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, TalliesResidentUnitsApartFromCacheHits)
+{
+    const std::string path = tempLedgerPath("resident");
+    std::remove(path.c_str());
+    {
+        RunLedger ledger;
+        ASSERT_TRUE(ledger.open(path));
+        LedgerUnitEvent event;
+        event.function = "PILocalGet";
+        event.checker = "lanes";
+        event.cache = "resident";
+        ledger.unit(event);
+        ledger.unit(event);
+        event.cache = "miss";
+        ledger.unit(event);
+        ledger.runEnd(0, 0, 0);
+    }
+    std::vector<std::string> lines = readLines(path);
+    ASSERT_EQ(lines.size(), 4u);
+    testjson::Value unit = testjson::parse(lines[0]);
+    EXPECT_EQ(unit.at("cache").string, "resident");
+    testjson::Value end = testjson::parse(lines[3]);
+    EXPECT_EQ(end.at("units").number, 3.0);
+    EXPECT_EQ(end.at("cache_resident").number, 2.0);
+    EXPECT_EQ(end.at("cache_hits").number, 0.0);
+    EXPECT_EQ(end.at("cache_misses").number, 1.0);
     std::remove(path.c_str());
 }
 

@@ -12,6 +12,12 @@ its (function x checker) units through the same pipeline, so its
       daemon, the response's and the request event's units_total);
     * with a cache, cache.hits + cache.misses == units, ledger
       `"cache": "hit"` events == cache.hits and `"miss"` == cache.misses;
+    * the daemon case is a cold `check` of the protocol's files, a
+      one-file `change`, then a re-check: every unit is `"resident"`,
+      `"hit"` or `"miss"`, ledger `"resident"` events == resident.reused,
+      nothing is resident on the cold check, and the re-check's resident
+      count is the units minus the edited file's units (those counted
+      by a batch run of that file alone);
     * in-process, the ledger's visits sum to walker.visits, and the
       visits of units on the compiled state-machine engine (the two
       shipped metal checkers, any metal-mode checker) sum to
@@ -19,8 +25,9 @@ its (function x checker) units through the same pipeline, so its
 
 ``keys``
     Protocol --jobs 1, --shards 2 and --metal reports register the same
-    engine.*, budget.*, witness.*, ledger.* and unit.* keys (per-machine
-    engine.sm.<name> timers excepted: they name the checkers that ran).
+    engine.*, budget.*, witness.*, ledger.*, resident.* and unit.* keys
+    (per-machine engine.sm.<name> timers excepted: they name the
+    checkers that ran).
 
 Usage:
   accounting_check.py --mccheck BIN --mccheckd BIN --metal FILE.metal
@@ -41,7 +48,8 @@ from mccheckd_client import DaemonClient  # noqa: E402
 
 PROTOCOL = "bitvector"
 ENGINE_CHECKERS = ("msglen_check", "wait_for_db")
-KEY_PREFIXES = ("engine.", "budget.", "witness.", "ledger.", "unit.")
+KEY_PREFIXES = ("engine.", "budget.", "witness.", "ledger.", "resident.",
+                "unit.")
 
 
 class Failure(Exception):
@@ -79,17 +87,21 @@ class Runner:
                "%s: exit %d: %s" % (tag, proc.returncode, proc.stderr))
         return read_ledger(ledger), read_metrics(metrics)
 
-    def daemon(self, tag, params):
-        """One `check` against a fresh daemon; ledger, metrics, result."""
+    def daemon_session(self, tag, params, edited, text):
+        """A fresh daemon: `check`, `change` one file, `check` again.
+
+        Returns the ledger, the metrics and both check results."""
         ledger = os.path.join(self.work, tag + ".jsonl")
         metrics = os.path.join(self.work, tag + ".metrics.json")
         client = DaemonClient(
             daemon=self.args.mccheckd,
             daemon_args=["--ledger", ledger, "--metrics", metrics])
         with client:
-            result = client.check(params)
+            cold = client.check(params)
+            client.open(edited, text)
+            warm = client.check(params)
             client.shutdown()
-        return read_ledger(ledger), read_metrics(metrics), result
+        return read_ledger(ledger), read_metrics(metrics), cold, warm
 
 
 def read_ledger(path):
@@ -110,7 +122,8 @@ def units_of(ledger):
     return [e for e in ledger if e.get("event") == "unit"]
 
 
-def check_run(tag, ledger, metrics, total, in_process, cached):
+def check_run(tag, ledger, metrics, total, in_process, cached,
+              resident=False):
     units = units_of(ledger)
     n = len(units)
     work = counter(metrics, "parallel.work_units" if in_process
@@ -130,6 +143,9 @@ def check_run(tag, ledger, metrics, total, in_process, cached):
         expect(hits == c_hits and misses == c_misses,
                "%s: ledger hit/miss events %d/%d, cache.hits/misses %d/%d"
                % (tag, hits, misses, c_hits, c_misses))
+    elif resident:
+        # A resident store alone: its misses ran, nothing replayed.
+        expect(hits == 0, "%s: cache hits without a cache" % tag)
     else:
         expect(hits == misses == 0,
                "%s: cache events without a cache" % tag)
@@ -148,7 +164,8 @@ def check_run(tag, ledger, metrics, total, in_process, cached):
                "%s: compiled-engine ledger visits %d != engine.visits %d"
                % (tag, engine_visits, engine))
     print("%s: %d units conserve (cache %s)"
-          % (tag, n, "%d hits" % hits if cached else "off"))
+          % (tag, n, "%d hits" % hits if cached
+             else "off, resident store" if resident else "off"))
 
 
 def run_end_units(ledger):
@@ -186,18 +203,70 @@ def conservation(r):
     check_run("metal_warm", ledger, metrics, run_end_units(ledger), True,
               True)
 
-    # The daemon keeps an in-memory cache, so its one request is a cold
-    # cached run.
-    ledger, metrics, result = r.daemon(
-        "daemon", {"protocol": PROTOCOL, "format": "json"})
-    requests = [e for e in ledger if e.get("event") == "request"
-                and e.get("method") == "check"]
-    expect(len(requests) == 1, "daemon: expected one check request event")
-    total = result["stats"]["units_total"]
-    expect(requests[0]["units_total"] == total,
-           "daemon: request event units_total %d != response %d"
-           % (requests[0]["units_total"], total))
-    check_run("daemon", ledger, metrics, total, True, True)
+    daemon(r)
+
+
+def requests_of(ledger):
+    """Split a daemon ledger into (request event, its unit events)."""
+    out, units = [], []
+    for e in ledger:
+        if e.get("event") == "unit":
+            units.append(e)
+        elif e.get("event") == "request" and e.get("method") == "check":
+            out.append((e, units))
+            units = []
+    return out
+
+
+def daemon(r):
+    """Resident reuse conserves units across a cold check and a re-check."""
+    edited = r.sources[0]
+    with open(edited) as f:
+        text = f.read() + "\nextern int accounting_edit;\n"
+    ledger, metrics, cold, warm = r.daemon_session(
+        "daemon", {"files": r.sources, "format": "json"}, edited, text)
+    total = cold["stats"]["units_total"]
+    expect(warm["stats"]["units_total"] == total,
+           "daemon: re-check covers %d units, cold check %d"
+           % (warm["stats"]["units_total"], total))
+    checks = requests_of(ledger)
+    expect(len(checks) == 2, "daemon: expected two check request events")
+    for (event, _), result in zip(checks, (cold, warm)):
+        expect(event["units_total"] == result["stats"]["units_total"],
+               "daemon: request event units_total %d != response %d"
+               % (event["units_total"], result["stats"]["units_total"]))
+    check_run("daemon", ledger, metrics, 2 * total, True, False,
+              resident=True)
+
+    units = units_of(ledger)
+    tags = {}
+    for u in units:
+        tags[u["cache"]] = tags.get(u["cache"], 0) + 1
+    resident = tags.get("resident", 0)
+    expect(resident + tags.get("hit", 0) + tags.get("miss", 0) == len(units),
+           "daemon: resident + hit + miss != %d units: %r"
+           % (len(units), tags))
+    reused = counter(metrics, "resident.reused")
+    expect(resident == reused,
+           "daemon: %d ledger resident events, resident.reused %d"
+           % (resident, reused))
+
+    per_check = [sum(1 for u in us if u["cache"] == "resident")
+                 for _, us in checks]
+    expect(per_check[0] == 0,
+           "daemon: cold check took %d units from the store" % per_check[0])
+    edited_units = run_end_units(r.batch("daemon_edited", [edited])[0])
+    expect(edited_units > 0, "daemon: the edited file has no units")
+    expect(per_check[1] == total - edited_units,
+           "daemon: re-check took %d units from the store, expected %d "
+           "units - %d of the edited file" % (per_check[1], total,
+                                              edited_units))
+    for (event, _), n in zip(checks, per_check):
+        expect(event["units_reused"] == n,
+               "daemon: request units_reused %d != %d resident events"
+               % (event["units_reused"], n))
+    print("daemon: re-check reused %d of %d units (%d re-ran)"
+          % (per_check[1], total, edited_units))
 
 
 def metric_keys(metrics):
