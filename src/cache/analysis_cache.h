@@ -88,6 +88,10 @@ struct CacheStats
     std::uint64_t bytes_written = 0;
 };
 
+/** The largest --cache-limit-mb a front end accepts: 1 TiB, so the cap
+ *  in bytes cannot wrap. */
+inline constexpr std::uint64_t kMaxCacheLimitMb = 1u << 20;
+
 /**
  * Persistent, content-addressed store of per-(function, checker)
  * analysis results.

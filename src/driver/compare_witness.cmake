@@ -1,7 +1,8 @@
 # Witness-determinism harness: with --witness on, the machine-readable
 # output (witness objects included) must be byte-identical whatever
-# --jobs says, whichever --match-strategy matched, and whether the
-# findings were computed cold or replayed from a warm cache.
+# --jobs says and whether the findings were computed cold or replayed
+# from a warm cache. The table-vs-legacy matcher arm is in-process: see
+# tests/metal/strategy_differential_test.cc.
 #
 # Usage:
 #   cmake -DMCCHECK=<path> -DPROTOCOL=<name> -DWORKDIR=<scratch dir>
@@ -21,7 +22,7 @@ file(MAKE_DIRECTORY ${WORKDIR})
 set(cache_dir ${WORKDIR}/cache)
 
 # run(<tag> <args...>): one witness-enabled JSON run; extra args select
-# the jobs / strategy / cache axis under test.
+# the jobs / cache axis under test.
 function(run tag)
     execute_process(
         COMMAND ${MCCHECK} --protocol ${PROTOCOL} --format json --witness
@@ -34,7 +35,7 @@ function(run tag)
     set(rc_${tag} "${rc}" PARENT_SCOPE)
 endfunction()
 
-run(base --jobs 1 --match-strategy table)
+run(base --jobs 1)
 if(out_base STREQUAL "")
     message(FATAL_ERROR
         "witness run produced no stdout for ${PROTOCOL} "
@@ -46,12 +47,11 @@ if(NOT out_base MATCHES "\"witness\"")
         "object; the comparison is vacuous:\n${out_base}")
 endif()
 
-run(jobs4 --jobs 4 --match-strategy table)
-run(legacy --jobs 4 --match-strategy legacy)
-run(cold --jobs 4 --match-strategy table --cache ${cache_dir})
-run(warm --jobs 4 --match-strategy table --cache ${cache_dir})
+run(jobs4 --jobs 4)
+run(cold --jobs 4 --cache ${cache_dir})
+run(warm --jobs 4 --cache ${cache_dir})
 
-foreach(tag jobs4 legacy cold warm)
+foreach(tag jobs4 cold warm)
     if(NOT rc_base EQUAL rc_${tag})
         message(FATAL_ERROR
             "exit codes differ for ${PROTOCOL} with --witness: "
@@ -62,10 +62,10 @@ foreach(tag jobs4 legacy cold warm)
         message(FATAL_ERROR
             "stdout differs between the base and ${tag} runs for "
             "${PROTOCOL} with --witness; witness bytes must be identical "
-            "across jobs, match strategies, and cache temperature")
+            "across jobs and cache temperature")
     endif()
 endforeach()
 
 message(STATUS
-    "${PROTOCOL} (--witness): jobs 1/4, table/legacy, cold/warm agree "
+    "${PROTOCOL} (--witness): jobs 1/4, cold/warm agree "
     "byte-for-byte")

@@ -36,6 +36,7 @@
  * Per-request outcomes (including check exit codes) travel in
  * responses, never in the process exit code.
  */
+#include "server/check_request.h"
 #include "server/daemon.h"
 #include "support/fault_injection.h"
 #include "support/metrics.h"
@@ -48,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,11 @@ const char* const kUsage =
     "  --inject-fault <site:n>  arm a fault-injection probe (testing)\n"
     "  --help                   show this help\n"
     "  --version                print version and exit\n";
+
+/** Count flag bounds: a 1 GiB request line, and as many requests in
+ *  flight as one request may run threads. */
+constexpr std::uint64_t kMaxRequestBytes = 1u << 30;
+constexpr std::uint64_t kMaxInFlight = server::kMaxJobs;
 
 struct DaemonCli
 {
@@ -134,26 +141,6 @@ usageError(const std::string& what)
     return 3;
 }
 
-bool
-parseCount(const std::string& flag, const std::string& value,
-           unsigned long& out)
-{
-    std::size_t used = 0;
-    try {
-        out = std::stoul(value, &used);
-    } catch (const std::exception&) {
-        std::cerr << "mccheckd: " << flag << ": '" << value
-                  << "' is not a valid count\n";
-        return false;
-    }
-    if (used != value.size()) {
-        std::cerr << "mccheckd: " << flag << ": trailing characters in '"
-                  << value << "'\n";
-        return false;
-    }
-    return true;
-}
-
 /** Returns -1 on success or the exit code to return immediately. */
 int
 parseArgs(const std::vector<std::string>& args, DaemonCli& out)
@@ -167,6 +154,18 @@ parseArgs(const std::vector<std::string>& args, DaemonCli& out)
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string& arg = args[i];
+        // Decode args[i]'s count value into `value`, or the usage
+        // message into `error`.
+        std::uint64_t value = 0;
+        std::string error;
+        auto count = [&](const char* what, std::uint64_t max) {
+            const std::string* text =
+                i + 1 < args.size() ? &args[++i] : nullptr;
+            const std::optional<std::uint64_t> n =
+                server::parseCountArg(arg, what, max, text, error);
+            value = n.value_or(0);
+            return n.has_value();
+        };
         if (arg == "--help" || arg == "-h") {
             out.help = true;
             return -1;
@@ -180,15 +179,9 @@ parseArgs(const std::vector<std::string>& args, DaemonCli& out)
                 return usageError("--socket needs a path");
             ++i;
         } else if (arg == "--jobs") {
-            std::string value;
-            unsigned long parsed = 0;
-            if (!need_value(i, value) ||
-                !parseCount(arg, value, parsed) || parsed == 0 ||
-                parsed > 1024)
-                return usageError(
-                    "--jobs needs a thread count in 1..1024");
-            out.options.default_jobs = static_cast<unsigned>(parsed);
-            ++i;
+            if (!count("a thread count", server::kMaxJobs))
+                return usageError(error);
+            out.options.default_jobs = static_cast<unsigned>(value);
         } else if (arg == "--cache") {
             if (!need_value(i, out.options.cache_dir))
                 return usageError("--cache needs a directory");
@@ -196,14 +189,9 @@ parseArgs(const std::vector<std::string>& args, DaemonCli& out)
         } else if (arg == "--cache-readonly") {
             out.options.cache_readonly = true;
         } else if (arg == "--cache-limit-mb") {
-            std::string value;
-            unsigned long parsed = 0;
-            if (!need_value(i, value) ||
-                !parseCount(arg, value, parsed) || parsed == 0)
-                return usageError(
-                    "--cache-limit-mb needs a positive size in MiB");
-            out.options.cache_limit_mb = parsed;
-            ++i;
+            if (!count("a positive size in MiB", cache::kMaxCacheLimitMb))
+                return usageError(error);
+            out.options.cache_limit_mb = value;
         } else if (arg == "--ledger") {
             if (!need_value(i, out.ledger_path))
                 return usageError("--ledger needs an output path");
@@ -213,21 +201,13 @@ parseArgs(const std::vector<std::string>& args, DaemonCli& out)
                 return usageError("--metrics needs an output path");
             ++i;
         } else if (arg == "--max-request-bytes") {
-            std::string value;
-            unsigned long parsed = 0;
-            if (!need_value(i, value) ||
-                !parseCount(arg, value, parsed) || parsed == 0)
-                return usageError(
-                    "--max-request-bytes needs a positive byte count");
-            out.options.max_request_bytes = parsed;
-            ++i;
+            if (!count("a positive byte count", kMaxRequestBytes))
+                return usageError(error);
+            out.options.max_request_bytes = value;
         } else if (arg == "--max-in-flight") {
-            std::string value;
-            unsigned long parsed = 0;
-            if (!need_value(i, value) || !parseCount(arg, value, parsed))
-                return usageError("--max-in-flight needs a count");
-            out.options.max_in_flight = static_cast<unsigned>(parsed);
-            ++i;
+            if (!count("a positive request count", kMaxInFlight))
+                return usageError(error);
+            out.options.max_in_flight = static_cast<unsigned>(value);
         } else if (arg == "--inject-fault") {
             if (!need_value(i, out.inject_fault))
                 return usageError(

@@ -322,28 +322,6 @@ runLegacy(const StateMachine& sm, const cfg::Cfg& cfg,
 
 } // namespace
 
-const char*
-matchStrategyName(MatchStrategy strategy)
-{
-    return strategy == MatchStrategy::Legacy ? "legacy" : "table";
-}
-
-std::optional<MatchStrategy>
-parseMatchStrategy(std::string_view text)
-{
-    if (text == "table")
-        return MatchStrategy::Table;
-    if (text == "legacy")
-        return MatchStrategy::Legacy;
-    return std::nullopt;
-}
-
-const char*
-matchStrategyChoices()
-{
-    return "'table' or 'legacy'";
-}
-
 MatchStrategy
 defaultMatchStrategy()
 {

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <string_view>
 
 namespace mc::metal {
 
@@ -71,19 +69,6 @@ MatchStrategy defaultMatchStrategy();
 
 /** Override the process-wide default (Default resets to Table). */
 void setDefaultMatchStrategy(MatchStrategy strategy);
-
-/** Stable CLI spelling ("table", "legacy"; Default → "table"). */
-const char* matchStrategyName(MatchStrategy strategy);
-
-/** Parse a CLI spelling; nullopt for anything unknown. */
-std::optional<MatchStrategy> parseMatchStrategy(std::string_view text);
-
-/**
- * The valid --match-strategy spellings, for usage and error text:
- * "'table' or 'legacy'". One definition so the flag's contract can't
- * drift from the parser.
- */
-const char* matchStrategyChoices();
 
 /** Options controlling one engine run. */
 struct SmRunOptions

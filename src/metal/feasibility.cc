@@ -19,18 +19,6 @@ pruneStrategyName(PruneStrategy strategy)
     return "off";
 }
 
-std::optional<PruneStrategy>
-parsePruneStrategy(std::string_view text)
-{
-    if (text == "off")
-        return PruneStrategy::Off;
-    if (text == "correlated")
-        return PruneStrategy::Correlated;
-    if (text == "constraints")
-        return PruneStrategy::Constraints;
-    return std::nullopt;
-}
-
 // --------------------------------------------------------------------
 // CondTable
 

@@ -48,11 +48,9 @@ enum class PruneStrategy : std::uint8_t
     Constraints = 2,
 };
 
-/** Stable CLI spelling ("off", "correlated", "constraints"). */
+/** Stable CLI spelling ("off", "correlated", "constraints"); the
+ *  request-option table parses it. */
 const char* pruneStrategyName(PruneStrategy strategy);
-
-/** Parse a CLI spelling; nullopt for anything unknown. */
-std::optional<PruneStrategy> parsePruneStrategy(std::string_view text);
 
 /** Recorded branch outcomes: (condition id, value), sorted by id. */
 using Outcomes = std::vector<std::pair<std::uint32_t, bool>>;

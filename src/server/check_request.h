@@ -9,7 +9,10 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mc::server {
@@ -61,8 +64,13 @@ struct CheckRequest
     bool witness = false;
     /** Witness step/block cap; 0 = the built-in default. */
     unsigned witness_limit = 0;
-    /** SM matching strategy (process-global default, installed per run;
-     *  both strategies produce identical bytes). */
+    /**
+     * SM matching strategy (process-global default, installed per run;
+     * both strategies produce identical bytes). In-process only: no
+     * flag, param or shard-worker line carries it. Legacy is the
+     * reference implementation the strategy differential tests compare
+     * against.
+     */
     metal::MatchStrategy match_strategy = metal::MatchStrategy::Table;
 
     /**
@@ -92,6 +100,107 @@ struct CheckRequest
     std::function<bool(const std::string&, std::string&, std::string&)>
         read_file;
 };
+
+/**
+ * One option of the check-request vocabulary.
+ *
+ * The rows of requestOptions() are the one place an option's flag, JSON
+ * key, accepted values and help text are written down. mccheck's argv
+ * parser (parseRequestArg) and --help (requestOptionsHelp), the daemon's
+ * `check` params decoder (parseCheckParams) and the shard coordinator's
+ * `check_units` encoder (encodeCheckParams) all walk the same rows, so a
+ * flag and its key accept exactly the same values.
+ */
+struct RequestOption
+{
+    enum class Kind : std::uint8_t
+    {
+        /** A whole number in [1, max]. */
+        Count,
+        /** A switch: a bare flag storing `bare_value`, a JSON boolean. */
+        Bool,
+        /** One of `choices`; the member holds the choice's index. */
+        Enum,
+        /** The check's target, stored in `text`; it also selects `mode`. */
+        String,
+    };
+
+    /** The mccheck flag. */
+    const char* flag;
+    /** The `check` params key, or nullptr for a CLI-only knob. */
+    const char* key;
+    Kind kind;
+    /** The value's placeholder in --help; empty for Bool. */
+    const char* metavar = "";
+    /** Noun phrase for the value in usage errors ("a thread count"). */
+    const char* what = "";
+    /** --help text; each '\n' starts a continuation line. */
+    const char* help = "";
+    /** Count: the largest accepted value. */
+    std::uint64_t max = 0;
+    /** Bool: what the bare flag stores (false for a negating flag). */
+    bool bare_value = true;
+    /** Enum: the spellings, indexed by the member's value. */
+    std::span<const char* const> choices = {};
+    /** String: the member the value goes to, and the mode it selects. */
+    std::string CheckRequest::*text = nullptr;
+    CheckRequest::Mode mode = CheckRequest::Mode::Files;
+    /** Count, Bool, Enum: the member, read and written as a number. */
+    std::uint64_t (*get)(const CheckRequest&) = nullptr;
+    void (*set)(CheckRequest&, std::uint64_t) = nullptr;
+};
+
+/** The largest `jobs` either front end accepts. */
+inline constexpr std::uint64_t kMaxJobs = 1024;
+
+/** The params key naming the source files (positional on the CLI). */
+inline constexpr const char* kFilesKey = "files";
+
+/** Every request option, in --help order. */
+std::span<const RequestOption> requestOptions();
+
+/** An Enum row's spellings for messages: "'off', 'on' or 'auto'". */
+std::string choiceList(const RequestOption& row);
+
+/**
+ * The one count parser of every front end: decimal digits only (no
+ * sign, no whitespace, nothing trailing), no overflow, value in
+ * [1, max]. nullopt for anything else.
+ */
+std::optional<std::uint64_t> parseCount(std::string_view text,
+                                        std::uint64_t max);
+
+/**
+ * parseCount for a command-line flag's value (`text`, null when the
+ * flag was last on the line). On rejection, `error` gets the usage
+ * message "<flag> needs <what> (1..<max>)[, got '<text>']".
+ */
+std::optional<std::uint64_t> parseCountArg(std::string_view flag,
+                                           std::string_view what,
+                                           std::uint64_t max,
+                                           const std::string* text,
+                                           std::string& error);
+
+/**
+ * Store a Count, Enum or String row's value given as text (digits, a
+ * spelling, the target) into `request`; a String also selects its
+ * mode. False when the row rejects the text.
+ */
+bool applyRequestValue(const RequestOption& row, const std::string& text,
+                       CheckRequest& request);
+
+/**
+ * Apply args[i] to `request` when it is a request option's flag,
+ * consuming its value (advancing `i`). Returns nullptr when args[i] is
+ * no row's flag; otherwise the row, with `error` set to the usage
+ * message when the value is missing or rejected.
+ */
+const RequestOption* parseRequestArg(const std::vector<std::string>& args,
+                                     std::size_t& i, CheckRequest& request,
+                                     std::string& error);
+
+/** The rows' --help lines, flag column and all. */
+std::string requestOptionsHelp();
 
 /** What one run produced, beyond the bytes written to the streams. */
 struct CheckOutcome

@@ -1,9 +1,5 @@
 #include "server/protocol.h"
 
-#include "metal/engine.h"
-
-#include <optional>
-
 namespace mc::server {
 
 JsonValue
@@ -37,35 +33,44 @@ failParam(std::string& error, const std::string& what)
     return false;
 }
 
-/** Positive integral param in [1, max]; absent leaves `out` untouched. */
+/**
+ * Decode one row's param `v` into `out`. Counts go through the command
+ * line's parser (on the number's decimal form), so both front ends
+ * accept the same values.
+ */
 bool
-takeCount(const JsonValue& params, const std::string& key,
-          std::uint64_t max, std::optional<std::uint64_t>& out,
-          std::string& error)
+decodeParam(const RequestOption& row, const JsonValue& v, CheckRequest& out)
 {
-    const JsonValue* v = params.get(key);
-    if (!v)
-        return true;
-    bool ok = false;
-    std::int64_t n = v->asInt(0, &ok);
-    if (!ok || n < 1 || static_cast<std::uint64_t>(n) > max)
-        return failParam(error, "'" + key + "' must be an integer in 1.." +
-                                    std::to_string(max));
-    out = static_cast<std::uint64_t>(n);
-    return true;
+    switch (row.kind) {
+      case RequestOption::Kind::Bool:
+        if (v.isBool())
+            row.set(out, v.asBool());
+        return v.isBool();
+      case RequestOption::Kind::Count:
+        return v.isIntegral() &&
+               applyRequestValue(row, std::to_string(v.asInt()), out);
+      case RequestOption::Kind::Enum:
+      case RequestOption::Kind::String:
+        break;
+    }
+    return v.isString() && applyRequestValue(row, v.asString(), out);
 }
 
-bool
-takeBool(const JsonValue& params, const std::string& key, bool& out,
-         std::string& error)
+/** What a row's param must be, for the InvalidParams message. */
+std::string
+paramNeeds(const RequestOption& row)
 {
-    const JsonValue* v = params.get(key);
-    if (!v)
-        return true;
-    if (!v->isBool())
-        return failParam(error, "'" + key + "' must be a boolean");
-    out = v->asBool();
-    return true;
+    switch (row.kind) {
+      case RequestOption::Kind::Count:
+        return "an integer in 1.." + std::to_string(row.max);
+      case RequestOption::Kind::Bool:
+        return "a boolean";
+      case RequestOption::Kind::Enum:
+        return "one of " + choiceList(row);
+      case RequestOption::Kind::String:
+        break;
+    }
+    return "a string";
 }
 
 } // namespace
@@ -77,27 +82,36 @@ parseCheckParams(const JsonValue* params, unsigned default_jobs,
     if (!params || !params->isObject())
         return failParam(error, "'check' needs a params object");
 
-    // Strictness keeps the wire honest: a typo'd key is an error the
-    // client sees, not an option silently ignored — and it keeps this
-    // decoder and tools/daemon_protocol_schema.json provably in sync
-    // (the schema-validation test round-trips both).
-    static const char* const kKnown[] = {
-        "protocol",     "metal",          "files",
-        "format",       "jobs",           "prune_paths",
-        "match_strategy", "witness",      "witness_limit",
-        "unit_timeout_ms", "unit_max_steps", "fail_fast",
-    };
+    out.mode = CheckRequest::Mode::Files;
+    out.jobs = default_jobs;
+    const JsonValue* files = nullptr;
+    // The String row given (protocol or metal) names the target.
+    const RequestOption* target = nullptr;
     for (const auto& [key, value] : params->members()) {
-        bool known = false;
-        for (const char* k : kKnown)
-            known = known || key == k;
-        if (!known)
+        if (key == kFilesKey) {
+            files = &value;
+            continue;
+        }
+        const RequestOption* row = nullptr;
+        for (const RequestOption& r : requestOptions())
+            if (r.key && key == r.key)
+                row = &r;
+        // Strictness keeps the wire honest: a typo'd key is an error the
+        // client sees, not an option silently ignored — and the
+        // request-options test keeps the rows and
+        // tools/daemon_protocol_schema.json in sync.
+        if (!row)
             return failParam(error, "unknown check param '" + key + "'");
+        if (!decodeParam(*row, value, out))
+            return failParam(error,
+                             "'" + key + "' must be " + paramNeeds(*row));
+        if (row->kind != RequestOption::Kind::String)
+            continue;
+        if (target)
+            return failParam(error, "'" + std::string(target->key) +
+                                        "' excludes '" + key + "'");
+        target = row;
     }
-
-    const JsonValue* protocol = params->get("protocol");
-    const JsonValue* metal = params->get("metal");
-    const JsonValue* files = params->get("files");
 
     if (files) {
         if (!files->isArray())
@@ -109,89 +123,60 @@ parseCheckParams(const JsonValue* params, unsigned default_jobs,
             out.files.push_back(f.asString());
         }
     }
-
-    if (protocol) {
-        if (!protocol->isString())
-            return failParam(error, "'protocol' must be a string");
-        if (metal || files)
-            return failParam(
-                error, "'protocol' excludes 'metal' and 'files'");
-        out.mode = CheckRequest::Mode::Protocol;
-        out.protocol = protocol->asString();
-    } else if (metal) {
-        if (!metal->isString())
-            return failParam(error, "'metal' must be a string path");
-        if (out.files.empty())
-            return failParam(error, "'metal' needs source files to check");
-        out.mode = CheckRequest::Mode::Metal;
-        out.metal_path = metal->asString();
-    } else if (files) {
-        if (out.files.empty())
-            return failParam(error, "no input files");
-        out.mode = CheckRequest::Mode::Files;
-    } else {
-        return failParam(error,
-                         "check needs 'protocol', 'metal', or 'files'");
+    if (!target && !files) {
+        std::string targets;
+        for (const RequestOption& row : requestOptions())
+            if (row.key && row.kind == RequestOption::Kind::String)
+                targets += "'" + std::string(row.key) + "', ";
+        return failParam(error, "check needs " + targets + "or 'files'");
     }
-
-    if (const JsonValue* format = params->get("format")) {
-        if (!format->isString() ||
-            !support::parseOutputFormat(format->asString(), out.format))
-            return failParam(error,
-                             "'format' must be text, json, or sarif");
-    }
-
-    out.jobs = default_jobs;
-    std::optional<std::uint64_t> jobs;
-    if (!takeCount(*params, "jobs", 1024, jobs, error))
-        return false;
-    if (jobs)
-        out.jobs = static_cast<unsigned>(*jobs);
-
-    if (const JsonValue* prune = params->get("prune_paths")) {
-        std::optional<metal::PruneStrategy> strategy;
-        if (prune->isString())
-            strategy = metal::parsePruneStrategy(prune->asString());
-        if (!strategy)
-            return failParam(error, "'prune_paths' must be off, "
-                                    "correlated, or constraints");
-        out.prune_strategy = *strategy;
-    }
-
-    if (const JsonValue* match = params->get("match_strategy")) {
-        if (match->isString() && match->asString() == "table")
-            out.match_strategy = metal::MatchStrategy::Table;
-        else if (match->isString() && match->asString() == "legacy")
-            out.match_strategy = metal::MatchStrategy::Legacy;
-        else
-            return failParam(error,
-                             "'match_strategy' must be table or legacy");
-    }
-
-    if (!takeBool(*params, "witness", out.witness, error))
-        return false;
-    std::optional<std::uint64_t> witness_limit;
-    if (!takeCount(*params, "witness_limit", 1u << 20, witness_limit,
-                   error))
-        return false;
-    if (witness_limit)
-        out.witness_limit = static_cast<unsigned>(*witness_limit);
-
-    std::optional<std::uint64_t> timeout;
-    if (!takeCount(*params, "unit_timeout_ms", ~0ull >> 1, timeout, error))
-        return false;
-    if (timeout)
-        out.unit_timeout_ms = static_cast<unsigned long>(*timeout);
-    std::optional<std::uint64_t> steps;
-    if (!takeCount(*params, "unit_max_steps", ~0ull >> 1, steps, error))
-        return false;
-    if (steps)
-        out.unit_max_steps = static_cast<unsigned long>(*steps);
-
-    if (!takeBool(*params, "fail_fast", out.fail_fast, error))
-        return false;
-
+    if (out.mode == CheckRequest::Mode::Protocol && files)
+        return failParam(error, "'" + std::string(target->key) +
+                                    "' excludes 'files'");
+    if (out.mode != CheckRequest::Mode::Protocol && out.files.empty())
+        return failParam(error, target ? "'" + std::string(target->key) +
+                                             "' needs source files to check"
+                                       : std::string("no input files"));
     return true;
+}
+
+JsonValue
+encodeCheckParams(const CheckRequest& request)
+{
+    const CheckRequest defaults;
+    JsonValue params = JsonValue::object();
+    for (const RequestOption& row : requestOptions()) {
+        if (!row.key)
+            continue;
+        if (row.kind == RequestOption::Kind::String) {
+            if (request.mode == row.mode)
+                params.set(row.key, JsonValue::string(request.*(row.text)));
+            continue;
+        }
+        const std::uint64_t value = row.get(request);
+        if (value == row.get(defaults))
+            continue;
+        switch (row.kind) {
+          case RequestOption::Kind::Count:
+            params.set(row.key, JsonValue::number(value));
+            break;
+          case RequestOption::Kind::Bool:
+            params.set(row.key, JsonValue::boolean(value != 0));
+            break;
+          case RequestOption::Kind::Enum:
+            params.set(row.key, JsonValue::string(row.choices[value]));
+            break;
+          case RequestOption::Kind::String:
+            break;
+        }
+    }
+    if (request.mode != CheckRequest::Mode::Protocol) {
+        JsonValue files = JsonValue::array();
+        for (const std::string& f : request.files)
+            files.push(JsonValue::string(f));
+        params.set(kFilesKey, std::move(files));
+    }
+    return params;
 }
 
 bool

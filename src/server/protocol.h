@@ -65,13 +65,21 @@ JsonValue makeErrorResponse(bool has_id, std::int64_t id, int code,
 JsonValue makeResultResponse(std::int64_t id, JsonValue result);
 
 /**
- * Decode a `check` request's params into a CheckRequest. Strict: any
- * unknown key, wrong type, or out-of-range value is rejected with a
- * message naming the offender (the daemon returns it as an
- * InvalidParams error). `default_jobs` fills `jobs` when absent.
+ * Decode a `check` request's params into a CheckRequest: `files` plus
+ * the keyed rows of requestOptions(). Strict: any unknown key, wrong
+ * type, or out-of-range value is rejected with a message naming the
+ * offender (the daemon returns it as an InvalidParams error).
+ * `default_jobs` fills `jobs` when absent.
  */
 bool parseCheckParams(const JsonValue* params, unsigned default_jobs,
                       CheckRequest& out, std::string& error);
+
+/**
+ * The inverse of parseCheckParams (with `default_jobs` 0): the target,
+ * its files, and every keyed row whose value differs from a default
+ * CheckRequest's. CLI-only rows and in-process fields stay out.
+ */
+JsonValue encodeCheckParams(const CheckRequest& request);
 
 /**
  * Decode a `check_units` request's params: the `units` array of

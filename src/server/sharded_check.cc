@@ -15,8 +15,7 @@
 #include "server/sharded_check.h"
 
 #include "checkers/registry.h"
-#include "metal/feasibility.h"
-#include "server/json.h"
+#include "server/protocol.h"
 #include "shard/supervisor.h"
 #include "support/fault_injection.h"
 #include "support/metrics.h"
@@ -44,47 +43,17 @@ parseBudgetStop(const std::string& name)
     return support::BudgetStop::None;
 }
 
-/**
- * Render one check_units request line. The vocabulary is the `check`
- * params that shape analysis *results*; presentation knobs (format,
- * jobs) and containment policy (fail_fast — workers always contain,
- * the coordinator enforces the policy at merge) stay home.
- */
+/** The longest wall time a worker may report for one unit. */
+constexpr double kMaxUnitWallMs = 24.0 * 60 * 60 * 1000;
+
+} // namespace
+
 std::string
 makeCheckUnitsRequest(const CheckRequest& request,
                       const std::vector<std::uint64_t>& units,
                       std::uint64_t id)
 {
-    JsonValue params = JsonValue::object();
-    if (request.mode == CheckRequest::Mode::Protocol) {
-        params.set("protocol", JsonValue::string(request.protocol));
-    } else {
-        JsonValue files = JsonValue::array();
-        for (const std::string& f : request.files)
-            files.push(JsonValue::string(f));
-        params.set("files", std::move(files));
-    }
-    params.set("prune_paths",
-               JsonValue::string(
-                   metal::pruneStrategyName(request.prune_strategy)));
-    params.set("match_strategy",
-               JsonValue::string(request.match_strategy ==
-                                         metal::MatchStrategy::Legacy
-                                     ? "legacy"
-                                     : "table"));
-    params.set("witness", JsonValue::boolean(request.witness));
-    if (request.witness_limit != 0)
-        params.set("witness_limit",
-                   JsonValue::number(
-                       static_cast<std::uint64_t>(request.witness_limit)));
-    if (request.unit_timeout_ms != 0)
-        params.set("unit_timeout_ms",
-                   JsonValue::number(static_cast<std::uint64_t>(
-                       request.unit_timeout_ms)));
-    if (request.unit_max_steps != 0)
-        params.set("unit_max_steps",
-                   JsonValue::number(static_cast<std::uint64_t>(
-                       request.unit_max_steps)));
+    JsonValue params = encodeCheckParams(request);
     JsonValue ids = JsonValue::array();
     for (std::uint64_t u : units)
         ids.push(JsonValue::number(u));
@@ -96,11 +65,6 @@ makeCheckUnitsRequest(const CheckRequest& request,
     line.set("params", std::move(params));
     return line.dump();
 }
-
-/** The longest wall time a worker may report for one unit. */
-constexpr double kMaxUnitWallMs = 24.0 * 60 * 60 * 1000;
-
-} // namespace
 
 void
 absorbWorkerResponse(const std::vector<std::uint64_t>& units,

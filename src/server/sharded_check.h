@@ -57,6 +57,17 @@ runCheckersSharded(const lang::Program& program,
                    const checkers::ParallelRunOptions& options);
 
 /**
+ * One `check_units` request line for worker batch `units`: the
+ * request's params as encodeCheckParams writes them, plus the unit ids.
+ * Workers ignore the presentation (format, jobs) and policy (fail_fast)
+ * params: they always contain failures, and the coordinator renders and
+ * enforces fail-fast at merge.
+ */
+std::string makeCheckUnitsRequest(const CheckRequest& request,
+                                  const std::vector<std::uint64_t>& units,
+                                  std::uint64_t id);
+
+/**
  * Decode one worker's `check_units` response line into the result
  * slots of `units` (the batch it was sent, in order): failure, budget
  * stop, wall time, walk tallies, worker `slot` and dispatch `attempts`,

@@ -23,21 +23,6 @@ severityName(Severity sev)
 }
 
 bool
-parseOutputFormat(const std::string& name, OutputFormat& out)
-{
-    if (name == "text") {
-        out = OutputFormat::Text;
-    } else if (name == "json") {
-        out = OutputFormat::Json;
-    } else if (name == "sarif") {
-        out = OutputFormat::Sarif;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
 DiagnosticSink::report(Diagnostic diag)
 {
     // Attach path provenance at the moment of reporting: if the calling

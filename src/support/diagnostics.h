@@ -40,12 +40,6 @@ enum class OutputFormat
 };
 
 /**
- * Parse "text" / "json" / "sarif" into a format. Returns false (leaving
- * `out` untouched) for anything else.
- */
-bool parseOutputFormat(const std::string& name, OutputFormat& out);
-
-/**
  * One SM transition (or rule firing) on the path that produced a
  * finding: the state before and after, the statement it happened at,
  * and a note naming the rule plus its rendered wildcard bindings.

@@ -3,14 +3,20 @@
  * Byte-for-byte differential of the table-driven matcher against the
  * legacy re-match-per-visit strategy: for all five paper protocols, the
  * rendered diagnostics (text, JSON, SARIF) must be identical at --jobs 1
- * and 4, cold and against a warm analysis cache. This pins the tentpole
- * optimization's hard constraint: the strategy may never change output.
+ * and 4, cold and against a warm analysis cache, with witnesses off and
+ * on, and the engine must count the same visits, transitions and
+ * firings. This pins the table matcher's hard constraint: the strategy
+ * may never change output. The legacy matcher is reachable only
+ * in-process (metal::setDefaultMatchStrategy), so this is where its
+ * reference runs live.
  */
 #include "cache/analysis_cache.h"
 #include "checkers/parallel.h"
 #include "checkers/registry.h"
 #include "corpus/generator.h"
 #include "metal/engine.h"
+#include "support/metrics.h"
+#include "support/witness.h"
 
 #include <gtest/gtest.h>
 
@@ -67,11 +73,22 @@ class StrategyDifferential : public ::testing::Test
   protected:
     void TearDown() override
     {
-        // The strategy default is process-global; never leak Legacy into
-        // other tests.
+        // The strategy default and the witness configuration are
+        // process-global; never leak Legacy or witnesses into other
+        // tests.
         metal::setDefaultMatchStrategy(metal::MatchStrategy::Table);
+        support::setWitnessConfig(false, 0);
+        support::MetricsRegistry::global().setEnabled(false);
     }
 };
+
+void
+useStrategy(const std::string& strategy)
+{
+    metal::setDefaultMatchStrategy(strategy == "legacy"
+                                       ? metal::MatchStrategy::Legacy
+                                       : metal::MatchStrategy::Table);
+}
 
 TEST_F(StrategyDifferential, ByteIdenticalAcrossProtocolsJobsAndCache)
 {
@@ -173,6 +190,79 @@ TEST_F(StrategyDifferential, ByteIdenticalUnderConstraintsPruning)
                 << name << " table arm " << arm[i];
             EXPECT_EQ(legacy[i].json, legacy[0].json)
                 << name << " legacy arm " << arm[i];
+        }
+    }
+}
+
+/**
+ * With --witness on, each finding carries its SM transition history and
+ * CFG block path; those bytes too must not depend on the matcher, the
+ * job count or cache temperature (the cache key includes the witness
+ * configuration, so the warm arms replay witness-bearing entries).
+ */
+TEST_F(StrategyDifferential, WitnessBytesIdenticalAcrossJobsAndCache)
+{
+    fs::path cache_root =
+        fs::temp_directory_path() / "mccheck_strategy_witness_cache";
+    fs::remove_all(cache_root);
+    support::setWitnessConfig(true, 0);
+
+    for (const char* name : {"bitvector", "sci"}) {
+        corpus::LoadedProtocol loaded =
+            corpus::loadProtocol(corpus::profileByName(name));
+        std::vector<std::string> arms;
+        std::vector<std::string> json;
+        for (const char* strategy : {"table", "legacy"}) {
+            useStrategy(strategy);
+            for (unsigned jobs : {1u, 4u}) {
+                json.push_back(checkProtocol(loaded, jobs, nullptr).json);
+                arms.push_back(std::string(strategy) + " cold j" +
+                               std::to_string(jobs));
+            }
+            const fs::path dir =
+                cache_root / (std::string(name) + "_" + strategy);
+            for (const char* temperature : {"cold", "warm"}) {
+                cache::AnalysisCache cache(dir.string());
+                json.push_back(checkProtocol(loaded, 4, &cache).json);
+                arms.push_back(std::string(strategy) + " " + temperature +
+                               " cache j4");
+                if (temperature == std::string("warm")) {
+                    EXPECT_GT(cache.stats().hits, 0u) << name << " "
+                                                       << strategy;
+                }
+            }
+        }
+        ASSERT_NE(json[0].find("\"witness\""), std::string::npos)
+            << name << ": no witness objects; the comparison is vacuous";
+        for (std::size_t i = 1; i < json.size(); ++i)
+            EXPECT_EQ(json[i], json[0]) << name << " " << arms[i];
+    }
+    fs::remove_all(cache_root);
+}
+
+/**
+ * Counting semantics, not wall time: on sci both matchers must visit,
+ * transition and fire exactly as the goldens say (the counts
+ * `mccheck --protocol sci --metrics` reports).
+ */
+TEST_F(StrategyDifferential, SciEngineCountersMatchGoldensUnderBothMatchers)
+{
+    corpus::LoadedProtocol loaded =
+        corpus::loadProtocol(corpus::profileByName("sci"));
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    for (const char* strategy : {"table", "legacy"}) {
+        useStrategy(strategy);
+        for (unsigned jobs : {1u, 4u}) {
+            metrics.reset();
+            metrics.setEnabled(true);
+            checkProtocol(loaded, jobs, nullptr);
+            metrics.setEnabled(false);
+            EXPECT_EQ(metrics.counterValue("engine.visits"), 3096u)
+                << strategy << " j" << jobs;
+            EXPECT_EQ(metrics.counterValue("engine.sm_transitions"), 158u)
+                << strategy << " j" << jobs;
+            EXPECT_EQ(metrics.counterValue("engine.rule_firings"), 158u)
+                << strategy << " j" << jobs;
         }
     }
 }

@@ -314,19 +314,6 @@ TEST(DiagnosticFormats, WriteDispatchesOnFormat)
     EXPECT_NE(sarif.str().find("\"2.1.0\""), std::string::npos);
 }
 
-TEST(DiagnosticFormats, ParseOutputFormat)
-{
-    support::OutputFormat f = support::OutputFormat::Text;
-    EXPECT_TRUE(support::parseOutputFormat("json", f));
-    EXPECT_EQ(f, support::OutputFormat::Json);
-    EXPECT_TRUE(support::parseOutputFormat("sarif", f));
-    EXPECT_EQ(f, support::OutputFormat::Sarif);
-    EXPECT_TRUE(support::parseOutputFormat("text", f));
-    EXPECT_EQ(f, support::OutputFormat::Text);
-    EXPECT_FALSE(support::parseOutputFormat("yaml", f));
-    EXPECT_EQ(f, support::OutputFormat::Text); // untouched on failure
-}
-
 TEST(DiagnosticSink, DedupKeyIsNotFooledByDelimiters)
 {
     // With string-concatenated keys, ("a\x1f" "b", "c") and ("a", "b\x1f"

@@ -156,8 +156,6 @@ def _check_params(args):
         params["jobs"] = args.jobs
     if args.prune_paths:
         params["prune_paths"] = args.prune_paths
-    if args.match_strategy:
-        params["match_strategy"] = args.match_strategy
     if args.witness:
         params["witness"] = True
     if args.witness_limit:
@@ -203,11 +201,6 @@ def main(argv=None):
         "--prune-paths",
         dest="prune_paths",
         choices=["off", "correlated", "constraints"],
-    )
-    check.add_argument(
-        "--match-strategy",
-        dest="match_strategy",
-        choices=["table", "legacy"],
     )
     check.add_argument("--witness", action="store_true")
     check.add_argument("--witness-limit", dest="witness_limit", type=int)
