@@ -21,7 +21,9 @@ nextFlatCfgId()
  * pre-order. The assignment facts are pointer-exact: a call is the
  * direct lhs of `=` iff it is visited right after that `=` node, and a
  * target belongs only to the one call that is the whole right-hand side
- * of a statement-level `x = ...` or a declarator's initializer.
+ * of a statement-level `x = ...` or a declarator's initializer. Every
+ * symbol comes from the AST, where the parser put it: lowering never
+ * calls the interner.
  */
 void
 lowerStmt(const lang::Stmt& stmt, std::vector<support::SymbolId>& idents,
@@ -61,7 +63,7 @@ lowerStmt(const lang::Stmt& stmt, std::vector<support::SymbolId>& idents,
                 continue;
             if (v->init->ekind == ExprKind::Call) {
                 target_call = v->init;
-                target = support::SymbolInterner::global().intern(v->name);
+                target = v->sym;
             }
             visitExprsFast(*v->init, visit);
         }

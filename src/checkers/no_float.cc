@@ -31,7 +31,7 @@ NoFloatChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                            "floating point parameter '" +
                                std::string(p->name) + "'");
 
-    forEachStmt(*fn.body, [&](const Stmt& stmt) {
+    visitStmtsFast(*fn.body, [&](const Stmt& stmt) {
         if (stmt.skind == StmtKind::Decl) {
             for (const VarDecl* v :
                  static_cast<const DeclStmt&>(stmt).decls) {
@@ -41,8 +41,8 @@ NoFloatChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
                                        std::string(v->name) + "'");
             }
         }
-        forEachTopLevelExpr(stmt, [&](const Expr& top) {
-            forEachSubExpr(top, check_expr);
+        visitTopLevelExprsFast(stmt, [&](const Expr& top) {
+            visitExprsFast(top, check_expr);
         });
     });
 }

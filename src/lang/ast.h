@@ -24,9 +24,10 @@ class AstContext;
 /**
  * Root of the AST node hierarchy. Nodes live in an AstContext's arena
  * and are never destroyed one by one, so every node type is trivially
- * destructible: names are views of arena-copied text, child lists are
- * arena spans, and dispatch goes through the ekind/skind/dkind tags
- * rather than virtual functions.
+ * destructible: names are views of the interner's spellings, literal
+ * text is copied into the arena, child lists are arena spans, and
+ * dispatch goes through the ekind/skind/dkind tags rather than virtual
+ * functions.
  */
 struct Node
 {
@@ -108,34 +109,21 @@ struct StringLitExpr : Expr
 
 struct IdentExpr : Expr
 {
+    /** The interner's stable spelling of `sym`. */
     std::string_view name;
+    /** Interned name, set by the parser from the identifier's token. */
+    support::SymbolId sym = support::kInvalidSymbol;
     /** Resolved by Sema when the name has a visible declaration. */
     const Decl* decl = nullptr;
-    /**
-     * Lazily cached interned id of `name` (see identSymbol()). Relaxed
-     * atomic: concurrent fills race benignly — every writer stores the
-     * same value, since the global interner is idempotent per string.
-     */
-    mutable std::atomic<support::SymbolId> sym_cache{
-        support::kInvalidSymbol};
 
     IdentExpr() : Expr(ExprKind::Ident) {}
 };
 
-/**
- * The interned symbol id of an identifier node, cached on the node so the
- * matching hot path pays the interner's hash-and-lock cost once per node
- * per process instead of once per visit.
- */
+/** The interned symbol id of an identifier node. */
 inline support::SymbolId
 identSymbol(const IdentExpr& e)
 {
-    support::SymbolId sym = e.sym_cache.load(std::memory_order_relaxed);
-    if (sym == support::kInvalidSymbol) {
-        sym = support::SymbolInterner::global().intern(e.name);
-        e.sym_cache.store(sym, std::memory_order_relaxed);
-    }
-    return sym;
+    return e.sym;
 }
 
 struct UnaryExpr : Expr
@@ -359,6 +347,8 @@ struct Decl : Node
 {
     DeclKind dkind;
     std::string_view name;
+    /** Interned `name`; kInvalidSymbol when the decl has none. */
+    support::SymbolId sym = support::kInvalidSymbol;
 
     explicit Decl(DeclKind k) : dkind(k) {}
 };
@@ -497,18 +487,20 @@ struct TranslationUnit
 
 /**
  * Bump arena that owns every AST node of one program, the text of every
- * name and literal the nodes carry, and the type table.
+ * literal the nodes carry, and the type table.
  *
  * Nodes, copied text and child-list spans are carved out of large chunks
  * (kChunkBytes; a request too big to share a chunk gets one of its own)
  * and are never freed one by one: every node type is trivially
  * destructible, so ~AstContext releases the chunks and nothing else.
  *
- * Names are copied into the arena rather than viewed in the
- * SourceManager buffer on purpose. Program::updateSource replaces a
- * file's text, but the replaced unit's declarations stay reachable from
- * the identifiers of unchanged units that resolved into it, so their
- * names must outlive the text they were lexed from.
+ * Nothing views the SourceManager buffer. Program::updateSource
+ * replaces a file's text, but the replaced unit's declarations stay
+ * reachable from the identifiers of unchanged units that resolved into
+ * it, so their names must outlive the text they were lexed from:
+ * identifier and declaration names view the global SymbolInterner's
+ * spellings (which live for the process), and literal spellings and
+ * messages are copied into the arena.
  *
  * Raw Node pointers elsewhere in the system are non-owning borrows whose
  * lifetime is that of the context. The context is not thread-safe:
@@ -731,6 +723,46 @@ visitTopLevelExprsFast(const Stmt& stmt, Fn&& fn)
 
 /** Invoke `fn` on `stmt` and all nested statements, pre-order. */
 void forEachStmt(const Stmt& stmt, const std::function<void(const Stmt&)>& fn);
+
+/** Statically-dispatched twin of forEachStmt, in the same pre-order. */
+template <typename Fn>
+void
+visitStmtsFast(const Stmt& stmt, Fn&& fn)
+{
+    fn(stmt);
+    switch (stmt.skind) {
+      case StmtKind::Compound:
+        for (const Stmt* child : static_cast<const CompoundStmt&>(stmt).stmts)
+            visitStmtsFast(*child, fn);
+        return;
+      case StmtKind::If: {
+        const auto& s = static_cast<const IfStmt&>(stmt);
+        if (s.then_branch) visitStmtsFast(*s.then_branch, fn);
+        if (s.else_branch) visitStmtsFast(*s.else_branch, fn);
+        return;
+      }
+      case StmtKind::While:
+        if (const Stmt* b = static_cast<const WhileStmt&>(stmt).body)
+            visitStmtsFast(*b, fn);
+        return;
+      case StmtKind::DoWhile:
+        if (const Stmt* b = static_cast<const DoWhileStmt&>(stmt).body)
+            visitStmtsFast(*b, fn);
+        return;
+      case StmtKind::For: {
+        const auto& s = static_cast<const ForStmt&>(stmt);
+        if (s.init) visitStmtsFast(*s.init, fn);
+        if (s.body) visitStmtsFast(*s.body, fn);
+        return;
+      }
+      case StmtKind::Switch:
+        if (const Stmt* b = static_cast<const SwitchStmt&>(stmt).body)
+            visitStmtsFast(*b, fn);
+        return;
+      default:
+        return;
+    }
+}
 
 /** Structural equality of expressions (ignores locations and types). */
 bool exprEquals(const Expr& a, const Expr& b);

@@ -11,6 +11,7 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
     support::Fnv1a h;
     h.str(sm.fileName(file_id));
     Lexer lexer(sm, file_id);
+    const TokenSource& src = lexer.source();
     // Units reaching the cache already parsed once, so lexAll cannot
     // throw here; a LexError would simply propagate to the caller.
     for (const Token& tok : lexer.lexAll()) {
@@ -18,10 +19,11 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
         // location would make a trailing comment invalidate the unit.
         if (tok.kind == TokKind::End)
             break;
+        support::SourceLoc loc = src.loc(tok);
         h.u8(static_cast<std::uint8_t>(tok.kind));
-        h.str(tok.text);
-        h.i64(tok.loc.line);
-        h.i64(tok.loc.column);
+        h.str(src.spelling(tok));
+        h.i64(loc.line);
+        h.i64(loc.column);
     }
     for (const std::string& directive : lexer.directives())
         h.str(directive);

@@ -3,10 +3,8 @@
 #include "support/text.h"
 
 #include <array>
-#include <charconv>
-#include <climits>
-#include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace mc::lang {
 
@@ -47,9 +45,27 @@ inClass(char c, CharClass cls)
 
 } // namespace
 
-Lexer::Lexer(const support::SourceManager& sm, std::int32_t file_id)
-    : text_(sm.fileContents(file_id)), file_id_(file_id)
-{}
+std::uint32_t
+checkedTokenField(std::size_t value, std::size_t limit,
+                  const support::SourceLoc& loc, const char* what)
+{
+    if (value > limit)
+        throw LexError(loc, std::string(what) + " of " +
+                                std::to_string(value) +
+                                " bytes exceeds the limit of " +
+                                std::to_string(limit));
+    return static_cast<std::uint32_t>(value);
+}
+
+Lexer::Lexer(const support::SourceManager& sm, std::int32_t file_id,
+             support::SpellingTable* symbols)
+    : text_(sm.fileContents(file_id)),
+      source_(text_, file_id, sm.lineStarts(file_id)), symbols_(symbols),
+      file_id_(file_id)
+{
+    checkedTokenField(text_.size(), kMaxFileBytes,
+                      support::SourceLoc{file_id, 1, 1}, "file");
+}
 
 std::vector<Token>
 Lexer::lexAll()
@@ -77,9 +93,7 @@ Lexer::advance()
     char c = text_[pos_++];
     if (c == '\n') {
         ++line_;
-        col_ = 1;
-    } else {
-        ++col_;
+        line_start_ = pos_;
     }
     return c;
 }
@@ -96,26 +110,37 @@ Lexer::match(char c)
 support::SourceLoc
 Lexer::here() const
 {
-    return support::SourceLoc{file_id_, line_, col_};
+    return support::SourceLoc{file_id_, static_cast<std::int32_t>(line_),
+                              static_cast<std::int32_t>(pos_ - line_start_ +
+                                                        1)};
+}
+
+support::SourceLoc
+Lexer::tokenLoc() const
+{
+    return support::SourceLoc{
+        file_id_, static_cast<std::int32_t>(tok_line_),
+        static_cast<std::int32_t>(tok_begin_ - tok_line_start_ + 1)};
 }
 
 void
 Lexer::skipTrivia()
 {
     while (!atEnd()) {
-        char c = peek();
-        if (inClass(c, kSpace)) {
-            advance();
+        char c = text_[pos_];
+        if (c == '\n') {
+            ++pos_;
+            ++line_;
+            line_start_ = pos_;
+        } else if (inClass(c, kSpace)) {
+            ++pos_;
         } else if (c == '/' && peek(1) == '/') {
             // A line comment holds no newline: jump to its end.
             const void* nl = std::memchr(text_.data() + pos_, '\n',
                                          text_.size() - pos_);
-            std::size_t end = nl ? static_cast<std::size_t>(
-                                       static_cast<const char*>(nl) -
-                                       text_.data())
-                                 : text_.size();
-            col_ += static_cast<std::int32_t>(end - pos_);
-            pos_ = end;
+            pos_ = nl ? static_cast<std::size_t>(
+                            static_cast<const char*>(nl) - text_.data())
+                      : text_.size();
         } else if (c == '/' && peek(1) == '*') {
             support::SourceLoc start = here();
             advance();
@@ -127,7 +152,7 @@ Lexer::skipTrivia()
             }
             advance();
             advance();
-        } else if (c == '#' && col_ == 1) {
+        } else if (c == '#' && pos_ == line_start_) {
             // Preprocessor directive: record and skip to end of line,
             // honoring backslash continuations.
             std::string directive;
@@ -149,24 +174,24 @@ Lexer::skipTrivia()
 }
 
 Token
-Lexer::makeToken(TokKind kind, std::size_t begin,
-                 const support::SourceLoc& loc) const
+Lexer::makeToken(TokKind kind) const
 {
+    std::size_t length = pos_ - tok_begin_;
+    if (length > kMaxTokenBytes) [[unlikely]]
+        checkedTokenField(length, kMaxTokenBytes, tokenLoc(), "token");
     Token tok;
     tok.kind = kind;
-    tok.text = text_.substr(begin, pos_ - begin);
-    tok.loc = loc;
+    tok.offset = static_cast<std::uint32_t>(tok_begin_);
+    tok.line = tok_line_;
+    tok.length = static_cast<std::uint16_t>(length);
     return tok;
 }
 
 Token
-Lexer::lexNumber(const support::SourceLoc& loc)
+Lexer::lexNumber()
 {
-    std::size_t begin = pos_;
     bool is_float = false;
-    bool is_hex = false;
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        is_hex = true;
         advance();
         advance();
         while (inClass(peek(), kHexDigit))
@@ -193,7 +218,8 @@ Lexer::lexNumber(const support::SourceLoc& loc)
             }
         }
     }
-    std::size_t value_end = pos_;
+    // The suffix belongs to the token; TokenSource strips it when the
+    // parser asks for the value.
     if (is_float) {
         if (peek() == 'f' || peek() == 'F' || peek() == 'l' || peek() == 'L')
             advance();
@@ -202,110 +228,82 @@ Lexer::lexNumber(const support::SourceLoc& loc)
                peek() == 'L')
             advance();
     }
-    Token tok = makeToken(is_float ? TokKind::FloatLiteral
-                                   : TokKind::IntLiteral,
-                          begin, loc);
-    // Values of the literal without its suffix. Integers: the same as
-    // strtoull, without copying the text.
-    const char* first = text_.data() + begin;
-    const char* last = text_.data() + value_end;
-    if (is_float) {
-        tok.float_value =
-            std::strtod(std::string(first, last).c_str(), nullptr);
-    } else {
-        if (is_hex)
-            first += 2; // "0x"; no digits after it leaves the value 0
-        std::uint64_t value = 0;
-        if (std::from_chars(first, last, value, is_hex ? 16 : 10).ec ==
-            std::errc::result_out_of_range)
-            value = ULLONG_MAX; // strtoull saturates
-        tok.int_value = static_cast<std::int64_t>(value);
-    }
-    return tok;
+    return makeToken(is_float ? TokKind::FloatLiteral : TokKind::IntLiteral);
 }
 
 Token
-Lexer::lexIdentifier(const support::SourceLoc& loc)
+Lexer::lexIdentifier()
 {
-    // An identifier holds no newline: scan it, then move the column once.
-    std::size_t begin = pos_;
+    // An identifier holds no newline: scan it, then move once.
     std::size_t end = pos_ + 1;
     while (end < text_.size() && inClass(text_[end], kIdentBody))
         ++end;
-    col_ += static_cast<std::int32_t>(end - pos_);
     pos_ = end;
-    Token tok = makeToken(TokKind::Identifier, begin, loc);
-    tok.kind = keywordKind(tok.text);
+    Token tok = makeToken(TokKind::Identifier);
+    std::string_view spelling = text_.substr(tok_begin_, end - tok_begin_);
+    tok.kind = keywordKind(spelling);
+    if (tok.kind == TokKind::Identifier)
+        tok.payload = symbols_ ? symbols_->intern(spelling)
+                               : support::kInvalidSymbol;
     return tok;
 }
 
 Token
-Lexer::lexString(const support::SourceLoc& loc)
+Lexer::lexString()
 {
-    std::size_t begin = pos_;
     advance(); // opening quote
     while (peek() != '"') {
         if (atEnd() || peek() == '\n')
-            throw LexError(loc, "unterminated string literal");
+            throw LexError(tokenLoc(), "unterminated string literal");
         if (peek() == '\\')
             advance();
         advance();
     }
     advance(); // closing quote
-    return makeToken(TokKind::StringLiteral, begin, loc);
+    return makeToken(TokKind::StringLiteral);
 }
 
 Token
-Lexer::lexChar(const support::SourceLoc& loc)
+Lexer::lexChar()
 {
-    std::size_t begin = pos_;
     advance(); // opening quote
-    std::int64_t value = 0;
     if (peek() == '\\') {
         advance();
-        char esc = advance();
-        switch (esc) {
-          case 'n': value = '\n'; break;
-          case 't': value = '\t'; break;
-          case 'r': value = '\r'; break;
-          case '0': value = '\0'; break;
-          case '\\': value = '\\'; break;
-          case '\'': value = '\''; break;
-          default: value = esc; break;
-        }
+        if (atEnd())
+            throw LexError(tokenLoc(), "unterminated char literal");
+        advance(); // the escaped character; TokenSource decodes it
     } else {
         if (atEnd() || peek() == '\n')
-            throw LexError(loc, "unterminated char literal");
-        value = advance();
+            throw LexError(tokenLoc(), "unterminated char literal");
+        advance();
     }
     if (!match('\''))
-        throw LexError(loc, "unterminated char literal");
-    Token tok = makeToken(TokKind::CharLiteral, begin, loc);
-    tok.int_value = value;
-    return tok;
+        throw LexError(tokenLoc(), "unterminated char literal");
+    return makeToken(TokKind::CharLiteral);
 }
 
 Token
 Lexer::next()
 {
     skipTrivia();
-    support::SourceLoc loc = here();
+    tok_begin_ = pos_;
+    tok_line_ = line_;
+    tok_line_start_ = line_start_;
     if (atEnd())
-        return Token{TokKind::End, "", loc, 0, 0.0};
+        return makeToken(TokKind::End);
 
     char c = peek();
     if (inClass(c, kDigit))
-        return lexNumber(loc);
+        return lexNumber();
     if (inClass(c, kIdentStart))
-        return lexIdentifier(loc);
+        return lexIdentifier();
     if (c == '"')
-        return lexString(loc);
+        return lexString();
     if (c == '\'')
-        return lexChar(loc);
+        return lexChar();
 
-    std::size_t begin = pos_;
     advance();
-    auto tok = [&](TokKind kind) { return makeToken(kind, begin, loc); };
+    auto tok = [&](TokKind kind) { return makeToken(kind); };
     switch (c) {
       case '(': return tok(TokKind::LParen);
       case ')': return tok(TokKind::RParen);
@@ -371,16 +369,9 @@ Lexer::next()
         if (match('=')) return tok(TokKind::EqEq);
         return tok(TokKind::Assign);
       default:
-        throw LexError(loc, std::string("unexpected character '") + c + "'");
+        throw LexError(tokenLoc(),
+                       std::string("unexpected character '") + c + "'");
     }
-}
-
-std::vector<Token>
-lexString(support::SourceManager& sm, std::string name, std::string source)
-{
-    std::int32_t id = sm.addFile(std::move(name), std::move(source));
-    Lexer lexer(sm, id);
-    return lexer.lexAll();
 }
 
 } // namespace mc::lang

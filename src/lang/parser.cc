@@ -87,9 +87,10 @@ assignOpFor(TokKind kind)
 
 } // namespace
 
-Parser::Parser(AstContext& ctx, std::vector<Token> tokens,
-               ParserSymbols* symbols, Options options)
-    : ctx_(ctx), tokens_(std::move(tokens)),
+Parser::Parser(AstContext& ctx, const TokenSource& source,
+               std::vector<Token> tokens, ParserSymbols* symbols,
+               Options options)
+    : ctx_(ctx), src_(source), tokens_(std::move(tokens)),
       symbols_(symbols ? symbols : &local_symbols_), options_(options)
 {
     assert(!tokens_.empty() && tokens_.back().kind == TokKind::End);
@@ -138,7 +139,20 @@ Parser::expect(TokKind kind, const char* context)
 void
 Parser::fail(const std::string& message) const
 {
-    throw ParseError(peek().loc, message);
+    throw ParseError(locOf(peek()), message);
+}
+
+std::string_view
+Parser::identName(const Token& tok) const
+{
+    return symbols_->spellings.name(tok.symbol());
+}
+
+void
+Parser::nameDecl(Decl& decl, const Token& tok) const
+{
+    decl.name = identName(tok);
+    decl.sym = tok.symbol();
 }
 
 // --------------------------------------------------------------------------
@@ -146,9 +160,9 @@ Parser::fail(const std::string& message) const
 // --------------------------------------------------------------------------
 
 bool
-Parser::isTypeName(std::string_view name) const
+Parser::isTypeName(const Token& tok) const
 {
-    return symbols_->typedefs.find(name) != symbols_->typedefs.end();
+    return symbols_->typedefs.find(tok.symbol()) != kInvalidType;
 }
 
 template <typename T>
@@ -170,7 +184,7 @@ Parser::atTypeStart() const
         k == TokKind::KwExtern || k == TokKind::KwRegister ||
         k == TokKind::KwInline)
         return true;
-    if (k == TokKind::Identifier && isTypeName(peek().text)) {
+    if (k == TokKind::Identifier && isTypeName(peek())) {
         // `T x`, `T *x`: a type name followed by something that can start
         // a declarator. `T = 3` is an expression.
         TokKind n = peek(1).kind;
@@ -192,15 +206,15 @@ Parser::parseTypeSpecifier()
 
     if (accept(TokKind::KwStruct)) {
         const Token& tag = expect(TokKind::Identifier, "after 'struct'");
-        return types.named(TypeKind::Struct, std::string(tag.text));
+        return types.named(TypeKind::Struct, tag.symbol());
     }
     if (accept(TokKind::KwUnion)) {
         const Token& tag = expect(TokKind::Identifier, "after 'union'");
-        return types.named(TypeKind::Union, std::string(tag.text));
+        return types.named(TypeKind::Union, tag.symbol());
     }
     if (accept(TokKind::KwEnum)) {
         const Token& tag = expect(TokKind::Identifier, "after 'enum'");
-        return types.named(TypeKind::Enum, std::string(tag.text));
+        return types.named(TypeKind::Enum, tag.symbol());
     }
 
     bool is_unsigned = false;
@@ -254,10 +268,10 @@ Parser::parseTypeSpecifier()
     if (!saw_base && !is_unsigned && !is_signed && longs == 0) {
         // Must be a typedef name.
         if (check(TokKind::Identifier)) {
-            auto it = symbols_->typedefs.find(peek().text);
-            if (it != symbols_->typedefs.end()) {
+            TypeId named = symbols_->typedefs.find(peek().symbol());
+            if (named != kInvalidType) {
                 advance();
-                return it->second;
+                return named;
             }
         }
         fail("expected a type");
@@ -303,7 +317,7 @@ Parser::parseTranslationUnit(std::int32_t file_id)
             continue;
         }
         std::size_t start = pos_;
-        support::SourceLoc start_loc = peek().loc;
+        support::SourceLoc start_loc = locOf(peek());
         try {
             support::fault::probe("parser.top_level");
             tu.decls.push_back(parseTopLevel());
@@ -337,10 +351,11 @@ Parser::poisonAndSync(std::size_t start_pos, support::SourceLoc start_loc,
     decl->loc = start_loc;
     decl->error_loc = error_loc;
     decl->message = ctx_.copyText(message);
-    decl->name = ctx_.copyText(guessDeclaratorName(start_pos));
+    if (const Token* name = guessDeclaratorName(start_pos))
+        nameDecl(*decl, *name);
 
     synchronizeTopLevel(start_pos);
-    decl->end_loc = peek().loc;
+    decl->end_loc = locOf(peek());
     return decl;
 }
 
@@ -389,16 +404,16 @@ Parser::synchronizeTopLevel(std::size_t start_pos)
  * before the first '(' (a function declarator), else the last
  * identifier before the error. Purely cosmetic — used in diagnostics.
  */
-std::string_view
+const Token*
 Parser::guessDeclaratorName(std::size_t start_pos) const
 {
-    std::string_view last_ident;
+    const Token* last_ident = nullptr;
     for (std::size_t i = start_pos; i < pos_ && i < tokens_.size(); ++i) {
         const Token& tok = tokens_[i];
-        if (tok.kind == TokKind::LParen && !last_ident.empty())
+        if (tok.kind == TokKind::LParen && last_ident)
             return last_ident;
         if (tok.kind == TokKind::Identifier)
-            last_ident = tok.text;
+            last_ident = &tok;
     }
     return last_ident;
 }
@@ -421,7 +436,7 @@ Parser::parseTopLevel()
 Decl*
 Parser::parseTypedef()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     expect(TokKind::KwTypedef, "at typedef");
     TypeId base = parseTypeSpecifier();
     TypeId type = parseDeclaratorPointers(base);
@@ -430,16 +445,16 @@ Parser::parseTypedef()
 
     auto* decl = ctx_.make<TypedefDecl>();
     decl->loc = loc;
-    decl->name = ctx_.copyText(name.text);
+    nameDecl(*decl, name);
     decl->type = type;
-    symbols_->typedefs.insert_or_assign(std::string(name.text), type);
+    symbols_->typedefs.set(name.symbol(), type);
     return decl;
 }
 
 RecordDecl*
 Parser::parseRecordDefinition()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     bool is_union = check(TokKind::KwUnion);
     advance(); // struct / union
     const Token& tag = expect(TokKind::Identifier, "after struct/union");
@@ -447,9 +462,9 @@ Parser::parseRecordDefinition()
     auto* decl = ctx_.make<RecordDecl>();
     decl->loc = loc;
     decl->is_union = is_union;
-    decl->name = ctx_.copyText(tag.text);
+    nameDecl(*decl, tag);
     decl->type = ctx_.types().named(
-        is_union ? TypeKind::Union : TypeKind::Struct, std::string(tag.text));
+        is_union ? TypeKind::Union : TypeKind::Struct, tag.symbol());
 
     expect(TokKind::LBrace, "to open struct body");
     std::vector<TypeId> field_types;
@@ -464,11 +479,11 @@ Parser::parseRecordDefinition()
                 const Token& size =
                     expect(TokKind::IntLiteral, "as array size");
                 expect(TokKind::RBracket, "after array size");
-                ft = ctx_.types().arrayOf(ft, size.int_value);
+                ft = ctx_.types().arrayOf(ft, src_.intValue(size));
             }
             auto* field = ctx_.make<VarDecl>();
-            field->loc = fname.loc;
-            field->name = ctx_.copyText(fname.text);
+            field->loc = locOf(fname);
+            nameDecl(*field, fname);
             field->type = ft;
             list_scratch_.push_back(field);
             field_types.push_back(ft);
@@ -485,14 +500,14 @@ Parser::parseRecordDefinition()
 EnumDecl*
 Parser::parseEnumDefinition()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     expect(TokKind::KwEnum, "at enum");
     const Token& tag = expect(TokKind::Identifier, "after enum");
 
     auto* decl = ctx_.make<EnumDecl>();
     decl->loc = loc;
-    decl->name = ctx_.copyText(tag.text);
-    decl->type = ctx_.types().named(TypeKind::Enum, std::string(tag.text));
+    nameDecl(*decl, tag);
+    decl->type = ctx_.types().named(TypeKind::Enum, tag.symbol());
 
     expect(TokKind::LBrace, "to open enum body");
     std::size_t mark = list_scratch_.size();
@@ -501,14 +516,14 @@ Parser::parseEnumDefinition()
         const Token& cname =
             expect(TokKind::Identifier, "as enum constant");
         auto* constant = ctx_.make<EnumConstDecl>();
-        constant->loc = cname.loc;
-        constant->name = ctx_.copyText(cname.text);
+        constant->loc = locOf(cname);
+        nameDecl(*constant, cname);
         if (accept(TokKind::Assign)) {
             bool negative = accept(TokKind::Minus);
             const Token& value =
                 expect(TokKind::IntLiteral, "as enum value");
-            constant->value =
-                negative ? -value.int_value : value.int_value;
+            std::int64_t v = src_.intValue(value);
+            constant->value = negative ? -v : v;
         } else {
             constant->value = next_value;
         }
@@ -526,7 +541,7 @@ Parser::parseEnumDefinition()
 Decl*
 Parser::parseFunctionOrGlobal()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     bool is_static = false;
     bool is_inline = false;
     bool is_extern = false;
@@ -547,20 +562,19 @@ Parser::parseFunctionOrGlobal()
     const Token& name = expect(TokKind::Identifier, "as declarator name");
 
     if (check(TokKind::LParen))
-        return parseFunctionRest(type, ctx_.copyText(name.text), loc,
-                                 is_static, is_inline);
+        return parseFunctionRest(type, name, loc, is_static, is_inline);
 
     // Global variable(s).
     auto* first = ctx_.make<VarDecl>();
     first->loc = loc;
-    first->name = ctx_.copyText(name.text);
+    nameDecl(*first, name);
     first->type = type;
     first->is_static = is_static;
     first->is_extern = is_extern;
     if (accept(TokKind::LBracket)) {
         const Token& size = expect(TokKind::IntLiteral, "as array size");
         expect(TokKind::RBracket, "after array size");
-        first->type = ctx_.types().arrayOf(first->type, size.int_value);
+        first->type = ctx_.types().arrayOf(first->type, src_.intValue(size));
     }
     if (accept(TokKind::Assign))
         first->init = parseAssignment();
@@ -572,13 +586,13 @@ Parser::parseFunctionOrGlobal()
 }
 
 FunctionDecl*
-Parser::parseFunctionRest(TypeId ret, std::string_view name,
+Parser::parseFunctionRest(TypeId ret, const Token& name,
                           support::SourceLoc loc, bool is_static,
                           bool is_inline)
 {
     auto* fn = ctx_.make<FunctionDecl>();
     fn->loc = loc;
-    fn->name = name;
+    nameDecl(*fn, name);
     fn->return_type = ret;
     fn->is_static = is_static;
     fn->is_inline = is_inline;
@@ -593,10 +607,10 @@ Parser::parseFunctionRest(TypeId ret, std::string_view name,
                 TypeId base = parseTypeSpecifier();
                 TypeId pt = parseDeclaratorPointers(base);
                 auto* param = ctx_.make<ParamDecl>();
-                param->loc = peek().loc;
+                param->loc = locOf(peek());
                 param->type = pt;
                 if (check(TokKind::Identifier))
-                    param->name = ctx_.copyText(advance().text);
+                    nameDecl(*param, advance());
                 list_scratch_.push_back(param);
             } while (accept(TokKind::Comma));
             fn->params = takeList<ParamDecl>(mark);
@@ -615,7 +629,7 @@ DeclStmt*
 Parser::parseLocalDecl()
 {
     auto* stmt = ctx_.make<DeclStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
 
     bool is_static = accept(TokKind::KwStatic);
     TypeId base = parseTypeSpecifier();
@@ -624,15 +638,15 @@ Parser::parseLocalDecl()
         TypeId type = parseDeclaratorPointers(base);
         const Token& name = expect(TokKind::Identifier, "as variable name");
         auto* var = ctx_.make<VarDecl>();
-        var->loc = name.loc;
-        var->name = ctx_.copyText(name.text);
+        var->loc = locOf(name);
+        nameDecl(*var, name);
         var->type = type;
         var->is_static = is_static;
         if (accept(TokKind::LBracket)) {
             const Token& size =
                 expect(TokKind::IntLiteral, "as array size");
             expect(TokKind::RBracket, "after array size");
-            var->type = ctx_.types().arrayOf(var->type, size.int_value);
+            var->type = ctx_.types().arrayOf(var->type, src_.intValue(size));
         }
         if (accept(TokKind::Assign))
             var->init = parseAssignment();
@@ -679,7 +693,7 @@ Parser::parseSingleExpression()
 Stmt*
 Parser::parseStatement()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     switch (peek().kind) {
       case TokKind::LBrace:
         return parseCompound();
@@ -737,7 +751,7 @@ Parser::parseStatement()
         expectStatementEnd();
         auto* stmt = ctx_.make<GotoStmt>();
         stmt->loc = loc;
-        stmt->label = ctx_.copyText(label.text);
+        stmt->label = identName(label);
         return stmt;
       }
       case TokKind::Semicolon: {
@@ -754,7 +768,7 @@ Parser::parseStatement()
     if (check(TokKind::Identifier) && peek(1).kind == TokKind::Colon) {
         auto* stmt = ctx_.make<LabelStmt>();
         stmt->loc = loc;
-        stmt->name = ctx_.copyText(advance().text);
+        stmt->name = identName(advance());
         advance(); // ':'
         return stmt;
     }
@@ -773,7 +787,7 @@ CompoundStmt*
 Parser::parseCompound()
 {
     auto* block = ctx_.make<CompoundStmt>();
-    block->loc = peek().loc;
+    block->loc = locOf(peek());
     expect(TokKind::LBrace, "to open block");
     std::size_t mark = list_scratch_.size();
     while (!check(TokKind::RBrace)) {
@@ -791,7 +805,7 @@ Stmt*
 Parser::parseIf()
 {
     auto* stmt = ctx_.make<IfStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
     expect(TokKind::KwIf, "at if");
     expect(TokKind::LParen, "after 'if'");
     stmt->cond = parseExpression();
@@ -806,7 +820,7 @@ Stmt*
 Parser::parseWhile()
 {
     auto* stmt = ctx_.make<WhileStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
     expect(TokKind::KwWhile, "at while");
     expect(TokKind::LParen, "after 'while'");
     stmt->cond = parseExpression();
@@ -819,7 +833,7 @@ Stmt*
 Parser::parseDoWhile()
 {
     auto* stmt = ctx_.make<DoWhileStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
     expect(TokKind::KwDo, "at do");
     stmt->body = parseStatement();
     expect(TokKind::KwWhile, "after do body");
@@ -834,7 +848,7 @@ Stmt*
 Parser::parseFor()
 {
     auto* stmt = ctx_.make<ForStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
     expect(TokKind::KwFor, "at for");
     expect(TokKind::LParen, "after 'for'");
     if (!accept(TokKind::Semicolon)) {
@@ -842,7 +856,7 @@ Parser::parseFor()
             stmt->init = parseLocalDecl();
         } else {
             auto* init = ctx_.make<ExprStmt>();
-            init->loc = peek().loc;
+            init->loc = locOf(peek());
             init->expr = parseExpression();
             expect(TokKind::Semicolon, "after for initializer");
             stmt->init = init;
@@ -862,7 +876,7 @@ Stmt*
 Parser::parseSwitch()
 {
     auto* stmt = ctx_.make<SwitchStmt>();
-    stmt->loc = peek().loc;
+    stmt->loc = locOf(peek());
     expect(TokKind::KwSwitch, "at switch");
     expect(TokKind::LParen, "after 'switch'");
     stmt->cond = parseExpression();
@@ -880,7 +894,7 @@ Parser::parseExpression()
 {
     Expr* expr = parseAssignment();
     while (check(TokKind::Comma)) {
-        support::SourceLoc loc = peek().loc;
+        support::SourceLoc loc = locOf(peek());
         advance();
         auto* comma = ctx_.make<BinaryExpr>();
         comma->loc = loc;
@@ -897,7 +911,7 @@ Parser::parseAssignment()
 {
     Expr* lhs = parseTernary();
     if (isAssignOp(peek().kind)) {
-        support::SourceLoc loc = peek().loc;
+        support::SourceLoc loc = locOf(peek());
         BinaryOp op = assignOpFor(advance().kind);
         auto* assign = ctx_.make<BinaryExpr>();
         assign->loc = loc;
@@ -915,7 +929,7 @@ Parser::parseTernary()
     Expr* cond = parseBinary(1);
     if (!check(TokKind::Question))
         return cond;
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     advance();
     auto* ternary = ctx_.make<TernaryExpr>();
     ternary->loc = loc;
@@ -934,7 +948,7 @@ Parser::parseBinary(int min_precedence)
         int prec = binaryPrecedence(peek().kind);
         if (prec < min_precedence || prec == 0)
             return lhs;
-        support::SourceLoc loc = peek().loc;
+        support::SourceLoc loc = locOf(peek());
         BinaryOp op = binaryOpFor(advance().kind);
         Expr* rhs = parseBinary(prec + 1);
         auto* bin = ctx_.make<BinaryExpr>();
@@ -954,7 +968,7 @@ Parser::looksLikeCast() const
     TokKind k = peek(1).kind;
     if (isTypeKeyword(k))
         return true;
-    if (k == TokKind::Identifier && isTypeName(peek(1).text)) {
+    if (k == TokKind::Identifier && isTypeName(peek(1))) {
         TokKind after = peek(2).kind;
         return after == TokKind::RParen || after == TokKind::Star;
     }
@@ -964,11 +978,11 @@ Parser::looksLikeCast() const
 Expr*
 Parser::parseUnary()
 {
-    support::SourceLoc loc = peek().loc;
+    const Token& start = peek();
     auto make_unary = [&](UnaryOp op) -> Expr* {
         advance();
         auto* u = ctx_.make<UnaryExpr>();
-        u->loc = loc;
+        u->loc = locOf(start);
         u->op = op;
         u->operand = parseUnary();
         return u;
@@ -986,11 +1000,11 @@ Parser::parseUnary()
       case TokKind::KwSizeof: {
         advance();
         auto* s = ctx_.make<SizeofExpr>();
-        s->loc = loc;
+        s->loc = locOf(start);
         if (check(TokKind::LParen) &&
             (isTypeKeyword(peek(1).kind) ||
              (peek(1).kind == TokKind::Identifier &&
-              isTypeName(peek(1).text)))) {
+              isTypeName(peek(1))))) {
             advance();
             TypeId base = parseTypeSpecifier();
             s->type_operand = parseDeclaratorPointers(base);
@@ -1007,7 +1021,7 @@ Parser::parseUnary()
             TypeId target = parseDeclaratorPointers(base);
             expect(TokKind::RParen, "after cast type");
             auto* cast = ctx_.make<CastExpr>();
-            cast->loc = loc;
+            cast->loc = locOf(start);
             cast->target = target;
             cast->operand = parseUnary();
             return cast;
@@ -1023,7 +1037,7 @@ Expr*
 Parser::parsePostfix(Expr* base)
 {
     while (true) {
-        support::SourceLoc loc = peek().loc;
+        const Token& op = peek();
         if (accept(TokKind::LParen)) {
             auto* call = ctx_.make<CallExpr>();
             call->loc = base->loc;
@@ -1040,7 +1054,7 @@ Parser::parsePostfix(Expr* base)
             base = call;
         } else if (accept(TokKind::LBracket)) {
             auto* index = ctx_.make<IndexExpr>();
-            index->loc = loc;
+            index->loc = locOf(op);
             index->base = base;
             index->index = parseExpression();
             expect(TokKind::RBracket, "to close index");
@@ -1050,15 +1064,15 @@ Parser::parsePostfix(Expr* base)
             const Token& member =
                 expect(TokKind::Identifier, "as member name");
             auto* mem = ctx_.make<MemberExpr>();
-            mem->loc = loc;
+            mem->loc = locOf(op);
             mem->base = base;
-            mem->member = ctx_.copyText(member.text);
+            mem->member = identName(member);
             mem->is_arrow = arrow;
             base = mem;
         } else if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
             bool inc = advance().kind == TokKind::PlusPlus;
             auto* u = ctx_.make<UnaryExpr>();
-            u->loc = loc;
+            u->loc = locOf(op);
             u->op = inc ? UnaryOp::PostInc : UnaryOp::PostDec;
             u->operand = base;
             base = u;
@@ -1071,14 +1085,14 @@ Parser::parsePostfix(Expr* base)
 Expr*
 Parser::parsePrimary()
 {
-    support::SourceLoc loc = peek().loc;
+    support::SourceLoc loc = locOf(peek());
     switch (peek().kind) {
       case TokKind::IntLiteral: {
         const Token& tok = advance();
         auto* lit = ctx_.make<IntLitExpr>();
         lit->loc = loc;
-        lit->value = tok.int_value;
-        lit->spelling = ctx_.copyText(tok.text);
+        lit->value = src_.intValue(tok);
+        lit->spelling = ctx_.copyText(src_.spelling(tok));
         lit->type = ctx_.types().builtin(TypeKind::Int);
         return lit;
       }
@@ -1086,7 +1100,7 @@ Parser::parsePrimary()
         const Token& tok = advance();
         auto* lit = ctx_.make<FloatLitExpr>();
         lit->loc = loc;
-        lit->value = tok.float_value;
+        lit->value = src_.floatValue(tok);
         lit->type = ctx_.types().builtin(TypeKind::Double);
         return lit;
       }
@@ -1094,7 +1108,7 @@ Parser::parsePrimary()
         const Token& tok = advance();
         auto* lit = ctx_.make<CharLitExpr>();
         lit->loc = loc;
-        lit->value = tok.int_value;
+        lit->value = src_.intValue(tok);
         lit->type = ctx_.types().builtin(TypeKind::Char);
         return lit;
       }
@@ -1102,14 +1116,15 @@ Parser::parsePrimary()
         const Token& tok = advance();
         auto* lit = ctx_.make<StringLitExpr>();
         lit->loc = loc;
-        lit->value = ctx_.copyText(tok.text);
+        lit->value = ctx_.copyText(src_.spelling(tok));
         return lit;
       }
       case TokKind::Identifier: {
         const Token& tok = advance();
         auto* ident = ctx_.make<IdentExpr>();
         ident->loc = loc;
-        ident->name = ctx_.copyText(tok.text);
+        ident->name = identName(tok);
+        ident->sym = tok.symbol();
         return ident;
       }
       case TokKind::LParen: {
@@ -1129,9 +1144,12 @@ parseSource(AstContext& ctx, support::SourceManager& sm, std::string name,
             std::string source, ParserSymbols* symbols)
 {
     std::int32_t id = sm.addFile(std::move(name), std::move(source));
-    Lexer lexer(sm, id);
+    ParserSymbols local;
+    if (!symbols)
+        symbols = &local;
+    Lexer lexer(sm, id, &symbols->spellings);
     std::vector<Token> tokens = lexer.lexAll();
-    Parser parser(ctx, std::move(tokens), symbols);
+    Parser parser(ctx, lexer.source(), std::move(tokens), symbols);
     TranslationUnit tu = parser.parseTranslationUnit(id);
     tu.directives = lexer.directives();
     return tu;

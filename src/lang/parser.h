@@ -4,7 +4,6 @@
 #include "lang/ast.h"
 #include "lang/lexer.h"
 
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,14 +25,17 @@ class ParseError : public std::runtime_error
 };
 
 /**
- * Typedef environment shared between the translation units of a program,
+ * Name environment shared between the translation units of a program,
  * so a typedef in one (header-like) unit is visible when parsing later
- * units.
+ * units, and an identifier is hashed once per program rather than once
+ * per use.
  */
 struct ParserSymbols
 {
-    /** Transparent, so a token's text probes it without a copy. */
-    std::map<std::string, TypeId, std::less<>> typedefs;
+    /** What the lexer interns identifiers through. */
+    support::SpellingTable spellings;
+    /** Typedef names by symbol. */
+    support::SymbolMap<TypeId> typedefs{kInvalidType};
 };
 
 /**
@@ -72,11 +74,15 @@ class Parser
 
     /**
      * @param ctx Arena receiving all created nodes.
-     * @param tokens Token stream from a Lexer (must end with End).
-     * @param symbols Shared typedef environment (may be null).
+     * @param source What the tokens resolve against (Lexer::source()).
+     * @param tokens Token stream from a Lexer (must end with End) that
+     *   interned identifiers through `symbols->spellings`.
+     * @param symbols Shared name environment (may be null only for a
+     *   token stream without identifiers).
      */
-    Parser(AstContext& ctx, std::vector<Token> tokens,
-           ParserSymbols* symbols = nullptr, Options options = Options());
+    Parser(AstContext& ctx, const TokenSource& source,
+           std::vector<Token> tokens, ParserSymbols* symbols = nullptr,
+           Options options = Options());
 
     /** Parse a whole file's worth of top-level declarations. */
     TranslationUnit parseTranslationUnit(std::int32_t file_id);
@@ -97,7 +103,7 @@ class Parser
                                 support::SourceLoc error_loc,
                                 const std::string& message);
     void synchronizeTopLevel(std::size_t start_pos);
-    std::string_view guessDeclaratorName(std::size_t start_pos) const;
+    const Token* guessDeclaratorName(std::size_t start_pos) const;
 
     // Token access.
     const Token& peek(int ahead = 0) const;
@@ -106,10 +112,15 @@ class Parser
     bool accept(TokKind kind);
     const Token& expect(TokKind kind, const char* context);
     [[noreturn]] void fail(const std::string& message) const;
+    support::SourceLoc locOf(const Token& tok) const { return src_.loc(tok); }
+    /** An identifier token's stable spelling (the interner's copy). */
+    std::string_view identName(const Token& tok) const;
+    /** Set `decl`'s name and symbol from identifier token `tok`. */
+    void nameDecl(Decl& decl, const Token& tok) const;
 
     // Types.
     bool atTypeStart() const;
-    bool isTypeName(std::string_view name) const;
+    bool isTypeName(const Token& tok) const;
     TypeId parseTypeSpecifier();
     TypeId parseDeclaratorPointers(TypeId base);
 
@@ -119,7 +130,7 @@ class Parser
     RecordDecl* parseRecordDefinition();
     EnumDecl* parseEnumDefinition();
     Decl* parseFunctionOrGlobal();
-    FunctionDecl* parseFunctionRest(TypeId ret, std::string_view name,
+    FunctionDecl* parseFunctionRest(TypeId ret, const Token& name,
                                     support::SourceLoc loc, bool is_static,
                                     bool is_inline);
     DeclStmt* parseLocalDecl();
@@ -153,6 +164,7 @@ class Parser
     std::span<T* const> takeList(std::size_t mark);
 
     AstContext& ctx_;
+    TokenSource src_;
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
     ParserSymbols local_symbols_;

@@ -6,12 +6,12 @@ namespace mc::lang {
 
 namespace {
 
-/** The "lang.parse" timer when --metrics is on, else null. */
+/** The named frontend timer when --metrics is on, else null. */
 support::Timer*
-parseTimer()
+langTimer(const char* name)
 {
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    return metrics.enabled() ? &metrics.timer("lang.parse") : nullptr;
+    return metrics.enabled() ? &metrics.timer(name) : nullptr;
 }
 
 } // namespace
@@ -31,11 +31,14 @@ Program::parseUnit(std::int32_t id)
 {
     TranslationUnit tu;
     try {
-        Lexer lexer(sm_, id);
+        Lexer lexer(sm_, id, &symbols_.spellings);
+        support::ScopedTimer lex_timer(langTimer("lang.lex"));
         std::vector<Token> tokens = lexer.lexAll();
+        lex_timer.stop();
         ParserOptions options;
         options.recover = recover_;
-        Parser parser(ctx_, std::move(tokens), &symbols_, options);
+        Parser parser(ctx_, lexer.source(), std::move(tokens), &symbols_,
+                      options);
         tu = parser.parseTranslationUnit(id);
         tu.directives = lexer.directives();
     } catch (const LexError& err) {
@@ -59,11 +62,11 @@ Program::parseUnit(std::int32_t id)
 TranslationUnit&
 Program::addSource(std::string name, std::string source)
 {
-    support::ScopedTimer timer(parseTimer());
+    support::ScopedTimer timer(langTimer("lang.parse"));
     std::int32_t id = sm_.addFile(std::move(name), std::move(source));
     units_.push_back(parseUnit(id));
     TranslationUnit& stored = units_.back();
-    sema_.run(stored);
+    runSema(stored);
     for (const FunctionDecl* fn : stored.functionDefinitions()) {
         functions_.push_back(fn);
         by_name_.insert_or_assign(std::string(fn->name), fn);
@@ -88,17 +91,24 @@ Program::updateSource(const std::string& name, std::string source)
     }
     if (slot == units_.size())
         return nullptr;
-    support::ScopedTimer timer(parseTimer());
+    support::ScopedTimer timer(langTimer("lang.parse"));
     arena_waste_ += sm_.fileContents(id).size();
     if (!sm_.replaceFile(id, std::move(source)))
         return nullptr;
     units_[slot] = parseUnit(id);
     TranslationUnit& stored = units_[slot];
-    sema_.run(stored);
+    runSema(stored);
     reindexFunctions();
     timer.stop();
     publishArenaMetrics();
     return &stored;
+}
+
+void
+Program::runSema(TranslationUnit& unit)
+{
+    support::ScopedTimer timer(langTimer("lang.sema"));
+    sema_.run(unit);
 }
 
 void

@@ -39,7 +39,8 @@ class Program
     /**
      * Parse `source` as a new translation unit named `name`, run Sema
      * over it, and index its function definitions. With metrics on, the
-     * whole step feeds the "lang.parse" timer.
+     * whole step feeds the "lang.parse" timer, and its lexing and Sema
+     * parts also feed the nested "lang.lex" and "lang.sema" timers.
      * Throws LexError / ParseError on malformed input unless the
      * program was built with recover = true.
      */
@@ -107,6 +108,9 @@ class Program
     Sema sema_;
     /** Lex + parse one registered file into a unit (recover rules). */
     TranslationUnit parseUnit(std::int32_t file_id);
+
+    /** Sema over a freshly parsed unit, under the "lang.sema" timer. */
+    void runSema(TranslationUnit& unit);
 
     /** Rebuild functions_/by_name_ from units_ in slot order. */
     void reindexFunctions();

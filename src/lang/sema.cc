@@ -8,7 +8,7 @@ namespace mc::lang {
  * Lexical scopes of one function over the program's globals. A
  * function declares a handful of locals, so they live in one flat
  * stack searched innermost (latest) first; a scope is a mark into it.
- * Names view arena-owned text, which outlives every scope.
+ * Every comparison is of interned symbols.
  */
 class Sema::ScopeStack
 {
@@ -25,24 +25,23 @@ class Sema::ScopeStack
     }
 
     void
-    declare(std::string_view name, const Decl* decl)
+    declare(const Decl* decl)
     {
-        locals_.emplace_back(name, decl);
+        locals_.emplace_back(decl->sym, decl);
     }
 
     const Decl*
-    lookup(std::string_view name) const
+    lookup(support::SymbolId sym) const
     {
         for (auto it = locals_.rbegin(); it != locals_.rend(); ++it)
-            if (it->first == name)
+            if (it->first == sym)
                 return it->second;
-        auto found = globals_.find(name);
-        return found == globals_.end() ? nullptr : found->second;
+        return globals_.find(sym);
     }
 
   private:
     const Scope& globals_;
-    std::vector<std::pair<std::string_view, const Decl*>> locals_;
+    std::vector<std::pair<support::SymbolId, const Decl*>> locals_;
     std::vector<std::size_t> marks_;
 };
 
@@ -82,7 +81,7 @@ class FunctionAnalyzer
             for (VarDecl* v : s->decls) {
                 if (v->init)
                     analyzeExpr(v->init);
-                scopes_.declare(v->name, v);
+                scopes_.declare(v);
             }
             return;
           }
@@ -160,7 +159,7 @@ class FunctionAnalyzer
             return; // typed at parse time
           case ExprKind::Ident: {
             auto* e = static_cast<IdentExpr*>(expr);
-            e->decl = scopes_.lookup(e->name);
+            e->decl = scopes_.lookup(e->sym);
             if (e->decl)
                 e->type = declType(*e->decl, ctx_);
             return;
@@ -237,7 +236,7 @@ class FunctionAnalyzer
             auto* e = static_cast<CallExpr*>(expr);
             if (e->callee->ekind == ExprKind::Ident) {
                 auto* callee = static_cast<IdentExpr*>(e->callee);
-                callee->decl = scopes_.lookup(callee->name);
+                callee->decl = scopes_.lookup(callee->sym);
                 if (callee->decl &&
                     callee->decl->dkind == DeclKind::Function)
                     e->type = static_cast<const FunctionDecl*>(callee->decl)
@@ -290,7 +289,7 @@ void
 Sema::addGlobal(const Decl* decl)
 {
     if (decl && !decl->name.empty())
-        globals_.insert_or_assign(decl->name, decl);
+        globals_.set(decl->sym, decl);
 }
 
 void
@@ -300,7 +299,7 @@ Sema::analyzeFunction(FunctionDecl& fn)
     scopes.push();
     for (ParamDecl* p : fn.params)
         if (!p->name.empty())
-            scopes.declare(p->name, p);
+            scopes.declare(p);
     FunctionAnalyzer analyzer(ctx_, scopes);
     if (fn.body)
         analyzer.analyzeStmt(fn.body);

@@ -2,9 +2,7 @@
 #define MCHECK_LANG_SEMA_H
 
 #include "lang/ast.h"
-
-#include <map>
-#include <string_view>
+#include "support/interner.h"
 
 namespace mc::lang {
 
@@ -38,8 +36,8 @@ class Sema
 
     class ScopeStack;
 
-    /** Names to declarations; keys view the declarations' arena names. */
-    using Scope = std::map<std::string_view, const Decl*, std::less<>>;
+    /** Declarations by their name symbol. */
+    using Scope = support::SymbolMap<const Decl*>;
 
   private:
     AstContext& ctx_;

@@ -1,5 +1,10 @@
 #include "lang/token.h"
 
+#include <charconv>
+#include <climits>
+#include <cstdlib>
+#include <string>
+
 namespace mc::lang {
 
 const char*
@@ -216,6 +221,50 @@ isAssignOp(TokKind kind)
       default:
         return false;
     }
+}
+
+std::int64_t
+TokenSource::intValue(const Token& tok) const
+{
+    std::string_view s = spelling(tok);
+    if (tok.kind == TokKind::CharLiteral) {
+        // 'c' or '\e'; the lexer accepted nothing else.
+        if (s[1] != '\\')
+            return s[1];
+        switch (s[2]) {
+          case 'n': return '\n';
+          case 't': return '\t';
+          case 'r': return '\r';
+          case '0': return '\0';
+          default: return s[2]; // '\\', '\'' and unknown escapes
+        }
+    }
+    // The value of the digits without the u/U/l/L suffix: the same as
+    // strtoull, without copying the text.
+    std::size_t end = s.size();
+    while (end > 0 && (s[end - 1] == 'u' || s[end - 1] == 'U' ||
+                       s[end - 1] == 'l' || s[end - 1] == 'L'))
+        --end;
+    const char* first = s.data();
+    const char* last = s.data() + end;
+    bool hex = s.size() >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+    if (hex)
+        first += 2; // "0x"; no digits after it leaves the value 0
+    std::uint64_t value = 0;
+    if (std::from_chars(first, last, value, hex ? 16 : 10).ec ==
+        std::errc::result_out_of_range)
+        value = ULLONG_MAX; // strtoull saturates
+    return static_cast<std::int64_t>(value);
+}
+
+double
+TokenSource::floatValue(const Token& tok) const
+{
+    std::string_view s = spelling(tok);
+    char last = s.back();
+    if (last == 'f' || last == 'F' || last == 'l' || last == 'L')
+        s.remove_suffix(1);
+    return std::strtod(std::string(s).c_str(), nullptr);
 }
 
 } // namespace mc::lang

@@ -1,10 +1,12 @@
 #ifndef MCHECK_LANG_TOKEN_H
 #define MCHECK_LANG_TOKEN_H
 
+#include "support/interner.h"
 #include "support/source_location.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <string_view>
 
 namespace mc::lang {
@@ -51,19 +53,82 @@ enum class TokKind : std::uint8_t
 /** Human-readable spelling of a token kind (for diagnostics). */
 const char* tokKindName(TokKind kind);
 
-/** One lexed token. `text` views into the SourceManager-owned buffer. */
+/**
+ * One lexed token, 16 bytes. It holds no text and no column: its
+ * spelling and location resolve against the TokenSource of the file it
+ * was lexed from (the column is the offset past the line's start).
+ * Identifiers carry their interned global SymbolId in `payload` when
+ * the lexer was given a SpellingTable; literal values are decoded only
+ * when the parser asks for them.
+ */
 struct Token
 {
+    /** Byte offset of the first character in the file. */
+    std::uint32_t offset = 0;
+    /** 1-based line of the first character. */
+    std::uint32_t line = 0;
+    /** SymbolId for Identifier tokens; otherwise unused. */
+    std::uint32_t payload = 0;
+    /** Bytes of spelling; at most kMaxTokenBytes. */
+    std::uint16_t length = 0;
     TokKind kind = TokKind::End;
-    std::string_view text;
-    support::SourceLoc loc;
-
-    /** Integer value for IntLiteral / CharLiteral tokens. */
-    std::int64_t int_value = 0;
-    /** Value for FloatLiteral tokens. */
-    double float_value = 0.0;
 
     bool is(TokKind k) const { return kind == k; }
+
+    /** The interned name of an Identifier token. */
+    support::SymbolId symbol() const { return payload; }
+};
+
+static_assert(sizeof(Token) <= 16, "tokens are 16 bytes");
+
+/** Longest token the `length` field holds. */
+inline constexpr std::size_t kMaxTokenBytes = 0xFFFF;
+
+/**
+ * Largest file the lexer accepts: offsets fit the token's 32-bit field
+ * and every line number and column (at most the size plus one) fits a
+ * SourceLoc's int32 fields.
+ */
+inline constexpr std::size_t kMaxFileBytes = 0x7FFFFFFE;
+
+/**
+ * What a file's tokens resolve against: its text, its id, and the byte
+ * offset of each line start (the SourceManager's table). A cheap view;
+ * the SourceManager must outlive it.
+ */
+class TokenSource
+{
+  public:
+    TokenSource() = default;
+    TokenSource(std::string_view text, std::int32_t file_id,
+                std::span<const std::size_t> line_starts)
+        : text_(text), file_id_(file_id), line_starts_(line_starts)
+    {}
+
+    std::string_view
+    spelling(const Token& tok) const
+    {
+        return {text_.data() + tok.offset, tok.length};
+    }
+
+    support::SourceLoc
+    loc(const Token& tok) const
+    {
+        std::size_t start = line_starts_[tok.line - 1];
+        return {file_id_, static_cast<std::int32_t>(tok.line),
+                static_cast<std::int32_t>(tok.offset - start + 1)};
+    }
+
+    /** Value of an IntLiteral (saturating like strtoull) or CharLiteral. */
+    std::int64_t intValue(const Token& tok) const;
+
+    /** Value of a FloatLiteral, as strtod reads it. */
+    double floatValue(const Token& tok) const;
+
+  private:
+    std::string_view text_;
+    std::int32_t file_id_ = 0;
+    std::span<const std::size_t> line_starts_;
 };
 
 /** Maps an identifier spelling to a keyword kind, or Identifier if none. */

@@ -1,6 +1,7 @@
 #include "lang/type.h"
 
 #include <sstream>
+#include <utility>
 
 namespace mc::lang {
 
@@ -27,60 +28,79 @@ builtinName(TypeKind kind)
 
 } // namespace
 
-TypeTable::TypeTable() = default;
+TypeTable::TypeTable() { builtins_.fill(kInvalidType); }
+
+std::size_t
+TypeTable::KeyHash::operator()(const Key& k) const noexcept
+{
+    std::uint64_t h = static_cast<std::uint64_t>(k.kind);
+    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.base);
+    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(k.count);
+    h = h * 0x9E3779B97F4A7C15ULL + k.name;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+}
 
 TypeId
-TypeTable::intern(const std::string& key, Type t)
+TypeTable::intern(const Key& key, Type t)
 {
-    auto it = by_key_.find(key);
-    if (it != by_key_.end())
-        return it->second;
-    TypeId id = static_cast<TypeId>(types_.size());
-    types_.push_back(std::move(t));
-    by_key_.emplace(key, id);
-    return id;
+    auto [it, fresh] =
+        by_key_.try_emplace(key, static_cast<TypeId>(types_.size()));
+    if (fresh)
+        types_.push_back(std::move(t));
+    return it->second;
 }
 
 TypeId
 TypeTable::builtin(TypeKind kind)
 {
-    Type t;
-    t.kind = kind;
-    return intern(std::string("b:") + builtinName(kind), t);
+    TypeId& cached = builtins_[static_cast<std::size_t>(kind)];
+    if (cached == kInvalidType) {
+        Type t;
+        t.kind = kind;
+        cached = intern(Key{kind, kInvalidType, 0, support::kInvalidSymbol},
+                        t);
+    }
+    return cached;
 }
 
 TypeId
 TypeTable::pointerTo(TypeId pointee)
 {
-    std::ostringstream key;
-    key << "p:" << pointee;
     Type t;
     t.kind = TypeKind::Pointer;
     t.base = pointee;
-    return intern(key.str(), t);
+    return intern(Key{TypeKind::Pointer, pointee, 0, support::kInvalidSymbol},
+                  t);
 }
 
 TypeId
 TypeTable::arrayOf(TypeId element, std::int64_t count)
 {
-    std::ostringstream key;
-    key << "a:" << element << ':' << count;
     Type t;
     t.kind = TypeKind::Array;
     t.base = element;
     t.array_size = count;
-    return intern(key.str(), t);
+    return intern(Key{TypeKind::Array, element, count, support::kInvalidSymbol},
+                  t);
 }
 
 TypeId
-TypeTable::named(TypeKind kind, const std::string& name)
+TypeTable::named(TypeKind kind, support::SymbolId name)
 {
-    std::ostringstream key;
-    key << "n:" << static_cast<int>(kind) << ':' << name;
+    Key key{kind, kInvalidType, 0, name};
+    auto it = by_key_.find(key);
+    if (it != by_key_.end())
+        return it->second;
     Type t;
     t.kind = kind;
-    t.name = name;
-    return intern(key.str(), t);
+    t.name = std::string(support::SymbolInterner::global().name(name));
+    return intern(key, std::move(t));
+}
+
+TypeId
+TypeTable::named(TypeKind kind, std::string_view name)
+{
+    return named(kind, support::SymbolInterner::global().intern(name));
 }
 
 void

@@ -1,9 +1,14 @@
 #ifndef MCHECK_LANG_TYPE_H
 #define MCHECK_LANG_TYPE_H
 
+#include "support/interner.h"
+
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::lang {
@@ -72,8 +77,11 @@ class TypeTable
     /** Array of `count` elements of `element`. */
     TypeId arrayOf(TypeId element, std::int64_t count);
 
-    /** Struct/union/enum/typedef-name type with tag `name`. */
-    TypeId named(TypeKind kind, const std::string& name);
+    /** Struct/union/enum/typedef-name type with interned tag `name`. */
+    TypeId named(TypeKind kind, support::SymbolId name);
+
+    /** named() with the tag interned in SymbolInterner::global(). */
+    TypeId named(TypeKind kind, std::string_view name);
 
     /** Record the field types of a struct/union definition. */
     void defineRecord(TypeId record, std::vector<TypeId> field_types);
@@ -97,11 +105,31 @@ class TypeTable
     std::string describe(TypeId id) const;
 
   private:
+    /** Identity of a type: what intern() compares. */
+    struct Key
+    {
+        TypeKind kind;
+        TypeId base;
+        std::int64_t count;
+        support::SymbolId name;
+
+        friend bool operator==(const Key&, const Key&) = default;
+    };
+
+    struct KeyHash
+    {
+        std::size_t operator()(const Key& k) const noexcept;
+    };
+
     std::vector<Type> types_;
-    std::map<std::string, TypeId> by_key_;
+    std::unordered_map<Key, TypeId, KeyHash> by_key_;
+    /** builtin()'s answers by kind, kInvalidType until first use. */
+    std::array<TypeId, static_cast<std::size_t>(TypeKind::Named) + 1>
+        builtins_;
     std::map<TypeId, std::vector<TypeId>> record_fields_;
 
-    TypeId intern(const std::string& key, Type t);
+    /** The id of `key`, appending `t` on first use. */
+    TypeId intern(const Key& key, Type t);
 };
 
 } // namespace mc::lang

@@ -46,10 +46,11 @@ Pattern::compile(PatternContext& pc, const std::string& text,
         std::to_string(counter.fetch_add(1, std::memory_order_relaxed) + 1) +
         ">";
     std::int32_t id = pc.sourceManager().addFile(name, text);
-    Lexer lexer(pc.sourceManager(), id);
+    Lexer lexer(pc.sourceManager(), id, &pc.symbols().spellings);
     ParserOptions options;
     options.allow_missing_semicolon = true;
-    Parser parser(pc.ctx(), lexer.lexAll(), &pc.symbols(), options);
+    Parser parser(pc.ctx(), lexer.source(), lexer.lexAll(), &pc.symbols(),
+                  options);
 
     // The template is a braced block with exactly one statement inside
     // (metal's `{ ... }` pattern syntax).

@@ -75,6 +75,7 @@ class MetalParser
         body_ = sm_src_.fileContents(file_id_);
         lang::Lexer lexer(sm_src_, file_id_);
         tokens_ = lexer.lexAll();
+        src_ = lexer.source();
     }
 
     MetalProgram
@@ -85,8 +86,8 @@ class MetalParser
         pc_ = program.patterns.get();
 
         expectIdent("sm");
-        program.name = std::string(expectKind(TokKind::Identifier,
-                                              "state machine name").text);
+        program.name = std::string(
+            spell(expectKind(TokKind::Identifier, "state machine name")));
         program.sm = std::make_shared<StateMachine>(program.name);
         sm_out_ = program.sm.get();
 
@@ -119,7 +120,7 @@ class MetalParser
 
     bool checkIdent(std::string_view text) const
     {
-        return peek().kind == TokKind::Identifier && peek().text == text;
+        return peek().kind == TokKind::Identifier && spell(peek()) == text;
     }
 
     bool accept(TokKind kind)
@@ -155,14 +156,14 @@ class MetalParser
     fail(const std::string& message) const
     {
         std::ostringstream os;
-        os << origin_ << ':' << peek().loc.line << ": " << message;
+        os << origin_ << ':' << peek().line << ": " << message;
         throw MetalParseError(os.str());
     }
 
-    std::size_t
-    offsetOf(const Token& tok) const
+    std::string_view
+    spell(const Token& tok) const
     {
-        return static_cast<std::size_t>(tok.text.data() - body_.data());
+        return src_.spelling(tok);
     }
 
     /** Raw text of a brace-balanced `{...}` starting at the current '{'. */
@@ -173,7 +174,7 @@ class MetalParser
         if (!check(TokKind::LBrace))
             fail("expected '{' to open pattern");
         int depth = 0;
-        std::size_t start = offsetOf(open);
+        std::size_t start = open.offset;
         while (true) {
             if (check(TokKind::End))
                 fail("unterminated '{' in pattern");
@@ -181,7 +182,7 @@ class MetalParser
             if (tok.kind == TokKind::LBrace) {
                 ++depth;
             } else if (tok.kind == TokKind::RBrace && --depth == 0) {
-                std::size_t end = offsetOf(tok) + tok.text.size();
+                std::size_t end = std::size_t{tok.offset} + tok.length;
                 return std::string(body_.substr(start, end - start));
             }
         }
@@ -224,16 +225,16 @@ class MetalParser
         advance(); // decl
         expectKind(TokKind::LBrace, "to open wildcard kind");
         const Token& kind_tok = advance();
-        auto kind = match::wildcardKindFromName(kind_tok.text);
+        auto kind = match::wildcardKindFromName(spell(kind_tok));
         if (!kind)
-            fail("unknown wildcard kind '" + std::string(kind_tok.text) +
+            fail("unknown wildcard kind '" + std::string(spell(kind_tok)) +
                  "'");
         expectKind(TokKind::RBrace, "to close wildcard kind");
         do {
             const Token& name =
                 expectKind(TokKind::Identifier, "wildcard name");
             wildcards_.push_back(
-                match::WildcardDecl{std::string(name.text), *kind});
+                match::WildcardDecl{std::string(spell(name)), *kind});
         } while (accept(TokKind::Comma));
         expectKind(TokKind::Semicolon, "after decl");
     }
@@ -258,7 +259,7 @@ class MetalParser
             }
         }
         if (check(TokKind::Identifier)) {
-            std::string name(advance().text);
+            std::string name(spell(advance()));
             auto it = named_.find(name);
             if (it == named_.end())
                 fail("unknown pattern name '" + name + "'");
@@ -277,7 +278,7 @@ class MetalParser
         while (accept(TokKind::Pipe))
             pattern.addAlternatives(parsePatternAtom());
         expectKind(TokKind::Semicolon, "after pattern definition");
-        named_.emplace(std::string(name.text), std::move(pattern));
+        named_.emplace(std::string(spell(name)), std::move(pattern));
     }
 
     /** Stable rule id from an error message: "data send, zero len" ->
@@ -321,7 +322,7 @@ class MetalParser
         expectKind(TokKind::RBrace, "to close action");
 
         // Strip the quotes from the literal's spelling.
-        std::string text(msg.text.substr(1, msg.text.size() - 2));
+        std::string text(spell(msg).substr(1, spell(msg).size() - 2));
         rule.id = slugify(text);
         if (is_warning) {
             rule.action = [text](const ActionContext& action) {
@@ -337,14 +338,14 @@ class MetalParser
     void
     parseStateDef()
     {
-        std::string state(advance().text);
+        std::string state(spell(advance()));
         advance(); // ':'
         do {
             StateMachine::Rule rule;
             rule.pattern = parsePatternAtom();
             expectArrow();
             if (check(TokKind::Identifier)) {
-                rule.next_state = std::string(advance().text);
+                rule.next_state = std::string(spell(advance()));
                 if (check(TokKind::LBrace))
                     parseActionBlock(rule);
             } else if (check(TokKind::LBrace)) {
@@ -362,6 +363,7 @@ class MetalParser
     std::int32_t file_id_ = 0;
     std::string_view body_;
     std::vector<Token> tokens_;
+    lang::TokenSource src_;
     std::size_t pos_ = 0;
 
     match::PatternContext* pc_ = nullptr;

@@ -59,4 +59,37 @@ SymbolInterner::size() const
     return names_.size();
 }
 
+SymbolId
+SpellingTable::insert(std::string_view spelling, std::uint64_t hash)
+{
+    if ((used_ + 1) * 2 > entries_.size())
+        grow();
+    const std::size_t mask = entries_.size() - 1;
+    std::size_t i = hash & mask;
+    while (entries_[i].id != kInvalidSymbol)
+        i = (i + 1) & mask;
+    SymbolInterner& interner = SymbolInterner::global();
+    SymbolId id = interner.intern(spelling);
+    entries_[i] = Entry{hash, id};
+    names_.set(id, interner.name(id));
+    ++used_;
+    return id;
+}
+
+void
+SpellingTable::grow()
+{
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
+    const std::size_t mask = entries_.size() - 1;
+    for (const Entry& e : old) {
+        if (e.id == kInvalidSymbol)
+            continue;
+        std::size_t i = e.hash & mask;
+        while (entries_[i].id != kInvalidSymbol)
+            i = (i + 1) & mask;
+        entries_[i] = e;
+    }
+}
+
 } // namespace mc::support

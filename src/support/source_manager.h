@@ -3,6 +3,7 @@
 
 #include "support/source_location.h"
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,15 @@ class SourceManager
      * Returns an empty view for out-of-range requests.
      */
     std::string_view lineText(std::int32_t file_id, std::int32_t line) const;
+
+    /**
+     * Byte offset of the start of each line (index 0 is line 1), plus
+     * an end-of-file sentinel. Valid until the file is replaced.
+     */
+    std::span<const std::size_t> lineStarts(std::int32_t file_id) const
+    {
+        return file(file_id).line_offsets;
+    }
 
     /** Number of lines in the file. */
     int lineCount(std::int32_t file_id) const;

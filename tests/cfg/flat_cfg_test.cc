@@ -83,6 +83,29 @@ TEST(FlatCfgProperty, RoundTripsEveryFunctionOfTheFullCorpus)
     }
 }
 
+/**
+ * Lowering reads every symbol off the AST, where the parser put it: over
+ * the whole parsed corpus, flatCfg() adds nothing to the global
+ * interner (no hashing or locking of identifier spellings).
+ */
+TEST(FlatCfg, LoweringDoesNotIntern)
+{
+    std::vector<corpus::LoadedProtocol> protocols;
+    std::vector<Cfg> cfgs;
+    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles()) {
+        protocols.push_back(corpus::loadProtocol(profile));
+        for (const lang::FunctionDecl* fn :
+             protocols.back().program->functions())
+            cfgs.push_back(CfgBuilder::build(*fn));
+    }
+    const std::size_t before = support::SymbolInterner::global().size();
+    std::size_t rows = 0;
+    for (const Cfg& cfg : cfgs)
+        rows += flatCfg(cfg).stmtCount();
+    EXPECT_GT(rows, 10000u);
+    EXPECT_EQ(support::SymbolInterner::global().size(), before);
+}
+
 TEST(FlatCfgProperty, RoundTripsAcrossGeneratorSeeds)
 {
     // Property harness: re-seed the generator so the lowering pass sees

@@ -15,24 +15,41 @@ namespace mc::lang {
 namespace {
 
 /**
- * Token text views into the SourceManager's buffer, so the manager must
- * outlive the tokens: keep one per test via a static-free fixture object.
+ * Tokens resolve their text and locations against the SourceManager's
+ * buffer, so the manager must outlive them: keep one per test via a
+ * static-free fixture object.
  */
 struct LexResult
 {
     std::unique_ptr<support::SourceManager> sm =
         std::make_unique<support::SourceManager>();
+    TokenSource src;
     std::vector<Token> tokens;
 
     const Token& operator[](std::size_t i) const { return tokens[i]; }
     std::size_t size() const { return tokens.size(); }
+    std::string_view text(std::size_t i) const
+    {
+        return src.spelling(tokens[i]);
+    }
+    support::SourceLoc loc(std::size_t i) const { return src.loc(tokens[i]); }
+    std::int64_t intValue(std::size_t i) const
+    {
+        return src.intValue(tokens[i]);
+    }
+    double floatValue(std::size_t i) const
+    {
+        return src.floatValue(tokens[i]);
+    }
 };
 
 LexResult
 lex(const std::string& source)
 {
     LexResult result;
-    result.tokens = lexString(*result.sm, "test.c", source);
+    Lexer lexer(*result.sm, result.sm->addFile("test.c", source));
+    result.tokens = lexer.lexAll();
+    result.src = lexer.source();
     return result;
 }
 
@@ -49,22 +66,22 @@ TEST(Lexer, IdentifiersAndKeywords)
     ASSERT_EQ(toks.size(), 6u);
     EXPECT_EQ(toks[0].kind, TokKind::KwInt);
     EXPECT_EQ(toks[1].kind, TokKind::Identifier);
-    EXPECT_EQ(toks[1].text, "foo");
+    EXPECT_EQ(toks.text(1), "foo");
     EXPECT_EQ(toks[2].kind, TokKind::KwWhile);
     EXPECT_EQ(toks[3].kind, TokKind::Identifier);
-    EXPECT_EQ(toks[3].text, "PI_SEND");
+    EXPECT_EQ(toks.text(3), "PI_SEND");
     EXPECT_EQ(toks[4].kind, TokKind::Identifier);
-    EXPECT_EQ(toks[4].text, "_x");
+    EXPECT_EQ(toks.text(4), "_x");
 }
 
 TEST(Lexer, IntegerLiterals)
 {
     auto toks = lex("0 42 0x1F 10UL 7u");
-    EXPECT_EQ(toks[0].int_value, 0);
-    EXPECT_EQ(toks[1].int_value, 42);
-    EXPECT_EQ(toks[2].int_value, 31);
-    EXPECT_EQ(toks[3].int_value, 10);
-    EXPECT_EQ(toks[4].int_value, 7);
+    EXPECT_EQ(toks.intValue(0), 0);
+    EXPECT_EQ(toks.intValue(1), 42);
+    EXPECT_EQ(toks.intValue(2), 31);
+    EXPECT_EQ(toks.intValue(3), 10);
+    EXPECT_EQ(toks.intValue(4), 7);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(toks[static_cast<std::size_t>(i)].kind,
                   TokKind::IntLiteral);
@@ -75,13 +92,13 @@ TEST(Lexer, FloatLiterals)
     auto toks = lex("1.5 2.0f 3e2 1.25e-1");
     ASSERT_GE(toks.size(), 4u);
     EXPECT_EQ(toks[0].kind, TokKind::FloatLiteral);
-    EXPECT_DOUBLE_EQ(toks[0].float_value, 1.5);
+    EXPECT_DOUBLE_EQ(toks.floatValue(0), 1.5);
     EXPECT_EQ(toks[1].kind, TokKind::FloatLiteral);
-    EXPECT_DOUBLE_EQ(toks[1].float_value, 2.0);
+    EXPECT_DOUBLE_EQ(toks.floatValue(1), 2.0);
     EXPECT_EQ(toks[2].kind, TokKind::FloatLiteral);
-    EXPECT_DOUBLE_EQ(toks[2].float_value, 300.0);
+    EXPECT_DOUBLE_EQ(toks.floatValue(2), 300.0);
     EXPECT_EQ(toks[3].kind, TokKind::FloatLiteral);
-    EXPECT_DOUBLE_EQ(toks[3].float_value, 0.125);
+    EXPECT_DOUBLE_EQ(toks.floatValue(3), 0.125);
 }
 
 TEST(Lexer, IntegerThenMemberIsNotFloat)
@@ -98,11 +115,11 @@ TEST(Lexer, CharAndStringLiterals)
 {
     auto toks = lex("'a' '\\n' \"hi there\"");
     EXPECT_EQ(toks[0].kind, TokKind::CharLiteral);
-    EXPECT_EQ(toks[0].int_value, 'a');
+    EXPECT_EQ(toks.intValue(0), 'a');
     EXPECT_EQ(toks[1].kind, TokKind::CharLiteral);
-    EXPECT_EQ(toks[1].int_value, '\n');
+    EXPECT_EQ(toks.intValue(1), '\n');
     EXPECT_EQ(toks[2].kind, TokKind::StringLiteral);
-    EXPECT_EQ(toks[2].text, "\"hi there\"");
+    EXPECT_EQ(toks.text(2), "\"hi there\"");
 }
 
 TEST(Lexer, OperatorsGreedy)
@@ -124,17 +141,17 @@ TEST(Lexer, CommentsSkipped)
 {
     auto toks = lex("a // line comment\n/* block\ncomment */ b");
     ASSERT_EQ(toks.size(), 3u);
-    EXPECT_EQ(toks[0].text, "a");
-    EXPECT_EQ(toks[1].text, "b");
+    EXPECT_EQ(toks.text(0), "a");
+    EXPECT_EQ(toks.text(1), "b");
 }
 
 TEST(Lexer, LocationsTracked)
 {
     auto toks = lex("a\n  b");
-    EXPECT_EQ(toks[0].loc.line, 1);
-    EXPECT_EQ(toks[0].loc.column, 1);
-    EXPECT_EQ(toks[1].loc.line, 2);
-    EXPECT_EQ(toks[1].loc.column, 3);
+    EXPECT_EQ(toks.loc(0).line, 1);
+    EXPECT_EQ(toks.loc(0).column, 1);
+    EXPECT_EQ(toks.loc(1).line, 2);
+    EXPECT_EQ(toks.loc(1).column, 3);
 }
 
 TEST(Lexer, DirectivesRecordedAndSkipped)
@@ -193,7 +210,7 @@ TEST(Lexer, KeywordNearMissesAreIdentifiers)
         auto toks = lex(text);
         ASSERT_EQ(toks.size(), 2u) << text;
         EXPECT_EQ(toks[0].kind, TokKind::Identifier) << text;
-        EXPECT_EQ(toks[0].text, text);
+        EXPECT_EQ(toks.text(0), text);
     }
 }
 
@@ -202,8 +219,8 @@ TEST(Lexer, IdentifiersLongerThanShortStringBuffers)
     const std::string name(100, 'q');
     auto toks = lex("int " + name + "_x1 = y;");
     ASSERT_EQ(toks.size(), 6u);
-    EXPECT_EQ(toks[1].text, name + "_x1");
-    EXPECT_EQ(toks[2].loc.column, 4 + 1 + 103 + 1);
+    EXPECT_EQ(toks.text(1), name + "_x1");
+    EXPECT_EQ(toks.loc(2).column, 4 + 1 + 103 + 1);
 }
 
 TEST(Lexer, IntegerSpellingsPrefixesSuffixesAndOverflow)
@@ -235,8 +252,8 @@ TEST(Lexer, IntegerSpellingsPrefixesSuffixesAndOverflow)
         auto toks = lex(c.text);
         ASSERT_EQ(toks.size(), 2u) << c.text;
         EXPECT_EQ(toks[0].kind, TokKind::IntLiteral) << c.text;
-        EXPECT_EQ(toks[0].text, c.text);
-        EXPECT_EQ(toks[0].int_value, c.value) << c.text;
+        EXPECT_EQ(toks.text(0), c.text);
+        EXPECT_EQ(toks.intValue(0), c.value) << c.text;
     }
 }
 
@@ -252,7 +269,7 @@ TEST(Lexer, FloatSpellingsMatchStrtodBitForBit)
         std::string digits(text);
         while (digits.back() == 'F' || digits.back() == 'L')
             digits.pop_back();
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(toks[0].float_value),
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(toks.floatValue(0)),
                   std::bit_cast<std::uint64_t>(
                       std::strtod(digits.c_str(), nullptr)))
             << text;
@@ -270,24 +287,106 @@ TEST(Lexer, ExponentWithoutDigitsIsNotAFloat)
     ASSERT_EQ(toks.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
         EXPECT_EQ(toks[i].kind, expect[i]) << "token " << i;
-    EXPECT_EQ(toks[0].int_value, 1);
-    EXPECT_EQ(toks[2].int_value, 2);
+    EXPECT_EQ(toks.intValue(0), 1);
+    EXPECT_EQ(toks.intValue(2), 2);
 }
 
 TEST(Lexer, LineCommentAtEndOfFileAndColumnsAfterIt)
 {
     auto toks = lex("a // trailing\nb // to eof");
     ASSERT_EQ(toks.size(), 3u);
-    EXPECT_EQ(toks[1].text, "b");
-    EXPECT_EQ(toks[1].loc.line, 2);
-    EXPECT_EQ(toks[1].loc.column, 1);
-    EXPECT_EQ(toks[2].loc.line, 2);
-    EXPECT_EQ(toks[2].loc.column, 12);
+    EXPECT_EQ(toks.text(1), "b");
+    EXPECT_EQ(toks.loc(1).line, 2);
+    EXPECT_EQ(toks.loc(1).column, 1);
+    EXPECT_EQ(toks.loc(2).line, 2);
+    EXPECT_EQ(toks.loc(2).column, 12);
+}
+
+TEST(Lexer, IdentifiersCarryTheirGlobalSymbol)
+{
+    support::SourceManager sm;
+    support::SpellingTable table;
+    std::int32_t id = sm.addFile("t.c", "int wait_db; wait_db = other;");
+    Lexer lexer(sm, id, &table);
+    std::vector<Token> toks = lexer.lexAll();
+    support::SymbolInterner& interner = support::SymbolInterner::global();
+    ASSERT_EQ(toks[1].kind, TokKind::Identifier);
+    EXPECT_EQ(toks[1].symbol(), interner.intern("wait_db"));
+    EXPECT_EQ(toks[3].symbol(), toks[1].symbol());
+    EXPECT_EQ(toks[5].symbol(), interner.intern("other"));
+    EXPECT_EQ(interner.name(toks[5].symbol()), "other");
+    EXPECT_EQ(table.size(), 2u); // keywords are never interned
+
+    // Without a table identifiers carry no symbol.
+    Lexer bare(sm, id);
+    EXPECT_EQ(bare.lexAll()[1].symbol(), support::kInvalidSymbol);
+}
+
+TEST(Lexer, TokenAtTheLengthLimitLexes)
+{
+    const std::string name(kMaxTokenBytes, 'n');
+    auto toks = lex(name + " z");
+    ASSERT_EQ(toks.size(), 3u);
+    EXPECT_EQ(toks.text(0), name);
+    EXPECT_EQ(toks.loc(1).column,
+              static_cast<std::int32_t>(kMaxTokenBytes) + 2);
+}
+
+/** A token one byte past the 16-bit length field is a LexError at the
+ *  token's first character, never a wrapped length. */
+TEST(Lexer, TokenPastTheLengthLimitIsLexErrorWithLocation)
+{
+    const std::string name(kMaxTokenBytes + 1, 'n');
+    const std::string text = '"' + std::string(kMaxTokenBytes - 1, 's') + '"';
+    for (const std::string& token : {name, text}) {
+        try {
+            lex("int a;\n  " + token + ";");
+            ADD_FAILURE() << "no LexError for a " << token.size()
+                          << "-byte token";
+        } catch (const LexError& err) {
+            EXPECT_EQ(err.loc().line, 2);
+            EXPECT_EQ(err.loc().column, 3);
+            EXPECT_NE(std::string(err.what()).find("65535"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
+TEST(Lexer, CheckedTokenFieldRejectsValuesPastTheLimit)
+{
+    const support::SourceLoc loc{3, 7, 9};
+    EXPECT_EQ(checkedTokenField(kMaxTokenBytes, kMaxTokenBytes, loc, "token"),
+              kMaxTokenBytes);
+    EXPECT_EQ(checkedTokenField(kMaxFileBytes, kMaxFileBytes, loc, "file"),
+              kMaxFileBytes);
+    for (std::size_t limit : {kMaxTokenBytes, kMaxFileBytes}) {
+        try {
+            checkedTokenField(limit + 1, limit, loc, "file");
+            ADD_FAILURE() << "no LexError past " << limit;
+        } catch (const LexError& err) {
+            EXPECT_EQ(err.loc(), loc);
+        }
+    }
+    // The file limit is what bounds line numbers and columns: neither
+    // exceeds the size plus one, which still fits SourceLoc's int32.
+    static_assert(kMaxFileBytes + 1 <= INT32_MAX);
+}
+
+TEST(Lexer, ColumnsPastSixteenBitsStayExact)
+{
+    const std::string pad(100000, ' ');
+    auto toks = lex("a\n" + pad + "b" + pad + "c");
+    ASSERT_EQ(toks.size(), 4u);
+    EXPECT_EQ(toks.loc(1).line, 2);
+    EXPECT_EQ(toks.loc(1).column, 100001);
+    EXPECT_EQ(toks.loc(2).column, 200002);
 }
 
 /**
  * Every token of the six generated protocols — kind, text, location,
- * int_value and the bits of float_value — plus each file's directive
+ * integer value and the bits of the float value (zero for tokens that
+ * are not such literals) — plus each file's directive
  * lines, folded into one digest. The value was recorded with the
  * original strtoull/strtod, hash-map-keyword lexer; it pins the token
  * stream so lexer rewrites provably keep every token identical. Change
@@ -303,14 +402,22 @@ TEST(Lexer, CorpusTokenStreamDigestIsPinned)
             support::SourceManager sm;
             std::int32_t id = sm.addFile(file.name, file.source);
             Lexer lexer(sm, id);
+            const TokenSource& src = lexer.source();
             h.str(file.name);
             for (const Token& tok : lexer.lexAll()) {
+                // Literal values are decoded on demand; every other token
+                // hashes the zeros its old value fields held.
+                bool has_int = tok.kind == TokKind::IntLiteral ||
+                               tok.kind == TokKind::CharLiteral;
+                double float_value = tok.kind == TokKind::FloatLiteral
+                                         ? src.floatValue(tok)
+                                         : 0.0;
                 h.u8(static_cast<std::uint8_t>(tok.kind))
-                    .str(tok.text)
-                    .i64(tok.loc.line)
-                    .i64(tok.loc.column)
-                    .i64(tok.int_value)
-                    .u64(std::bit_cast<std::uint64_t>(tok.float_value));
+                    .str(src.spelling(tok))
+                    .i64(src.loc(tok).line)
+                    .i64(src.loc(tok).column)
+                    .i64(has_int ? src.intValue(tok) : 0)
+                    .u64(std::bit_cast<std::uint64_t>(float_value));
                 ++token_count;
             }
             for (const std::string& directive : lexer.directives())

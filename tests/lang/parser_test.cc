@@ -218,6 +218,30 @@ TEST(Parser, StructDefinitionAndSize)
     EXPECT_EQ(p->ctx.types().sizeInBits(big), 128);
 }
 
+/** Interning keys on (kind, base, count, name), and ids are handed out
+ *  in first-use order, builtins included. */
+TEST(TypeTable, IdsFollowFirstUseOrder)
+{
+    TypeTable types;
+    TypeId i = types.builtin(TypeKind::Int);
+    TypeId pi = types.pointerTo(i);
+    TypeId arr = types.arrayOf(pi, 4);
+    TypeId s = types.named(TypeKind::Struct, "S");
+    TypeId u = types.named(TypeKind::Union, "S");
+    TypeId c = types.builtin(TypeKind::Char);
+    EXPECT_EQ(std::vector<TypeId>({i, pi, arr, s, u, c}),
+              std::vector<TypeId>({0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(types.builtin(TypeKind::Int), i);
+    EXPECT_EQ(types.pointerTo(i), pi);
+    EXPECT_EQ(types.arrayOf(pi, 4), arr);
+    EXPECT_NE(types.arrayOf(pi, 5), arr);
+    EXPECT_EQ(types.named(TypeKind::Struct,
+                          support::SymbolInterner::global().intern("S")),
+              s);
+    EXPECT_EQ(types.describe(arr), "int *[4]");
+    EXPECT_EQ(types.describe(u), "union S");
+}
+
 TEST(Parser, EnumConstantsSequence)
 {
     auto p = parse("enum Op { OP_GET, OP_PUT = 5, OP_ACK };");

@@ -1,6 +1,13 @@
 #include "lang/program.h"
 
+#include "corpus/generator.h"
+#include "corpus/profile.h"
+#include "support/hash.h"
+
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 namespace mc::lang {
 namespace {
@@ -130,6 +137,128 @@ TEST(Sema, DerefAndAddressTypes)
     const FunctionDecl* fn = p.findFunction("f");
     const auto* assign = static_cast<const BinaryExpr*>(firstExpr(*fn));
     EXPECT_EQ(p.ctx().types().type(assign->rhs->type).kind, TypeKind::Int);
+}
+
+/**
+ * Every expression of the six generated protocols — file, line, column,
+ * described type and, for identifiers, the name and the resolved
+ * declaration's kind, name and location — folded into one digest, in
+ * unit / declaration / pre-order statement and expression order. The
+ * value was recorded with the string-keyed parser and Sema; it pins name
+ * resolution and typing so symbol-keyed rewrites provably resolve every
+ * identifier to the same declaration. Change it only with a deliberate
+ * change to the corpus generator or to Sema's rules.
+ */
+TEST(Sema, CorpusResolutionDigestIsPinned)
+{
+    support::Fnv1a h;
+    std::size_t exprs = 0;
+    std::size_t resolved = 0;
+    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles()) {
+        corpus::LoadedProtocol loaded = corpus::loadProtocol(profile);
+        const Program& program = *loaded.program;
+        const support::SourceManager& sm = program.sourceManager();
+        const TypeTable& types = program.ctx().types();
+        auto hash_loc = [&](const support::SourceLoc& loc) {
+            h.str(sm.fileName(loc.file_id)).i64(loc.line).i64(loc.column);
+        };
+        auto hash_expr = [&](const Expr& e) {
+            ++exprs;
+            h.u8(static_cast<std::uint8_t>(e.ekind));
+            hash_loc(e.loc);
+            h.str(types.describe(e.type));
+            if (e.ekind != ExprKind::Ident)
+                return;
+            const auto& ident = static_cast<const IdentExpr&>(e);
+            h.str(ident.name);
+            if (!ident.decl) {
+                h.u8(0xFF);
+                return;
+            }
+            ++resolved;
+            h.u8(static_cast<std::uint8_t>(ident.decl->dkind))
+                .str(ident.decl->name);
+            hash_loc(ident.decl->loc);
+        };
+        for (const TranslationUnit& unit : program.units()) {
+            for (const Decl* d : unit.decls) {
+                if (d->dkind == DeclKind::Var) {
+                    if (const Expr* init = static_cast<const VarDecl*>(d)->init)
+                        forEachSubExpr(*init, hash_expr);
+                    continue;
+                }
+                if (d->dkind != DeclKind::Function)
+                    continue;
+                const auto* fn = static_cast<const FunctionDecl*>(d);
+                if (!fn->body)
+                    continue;
+                forEachStmt(*fn->body, [&](const Stmt& stmt) {
+                    forEachTopLevelExpr(stmt, [&](const Expr& top) {
+                        forEachSubExpr(top, hash_expr);
+                    });
+                });
+            }
+        }
+    }
+    EXPECT_EQ(exprs, 376107u);
+    EXPECT_EQ(resolved, 145086u);
+    EXPECT_EQ(support::hashHex(h.value()), "7894730418fc85b5");
+}
+
+/**
+ * Every identifier's and declaration's symbol, in program order, for
+ * one Program built from `files`.
+ */
+std::vector<support::SymbolId>
+programSymbols(const std::vector<corpus::GeneratedFile>& files)
+{
+    Program program(/*recover=*/true);
+    for (const corpus::GeneratedFile& file : files)
+        program.addSource(file.name, file.source);
+    std::vector<support::SymbolId> out;
+    support::SymbolInterner& interner = support::SymbolInterner::global();
+    for (const TranslationUnit& unit : program.units()) {
+        for (const Decl* d : unit.decls) {
+            out.push_back(d->sym);
+            if (d->sym != support::kInvalidSymbol &&
+                interner.name(d->sym) != d->name)
+                ADD_FAILURE() << "decl " << d->name << " mis-symboled";
+            const auto* fn = d->dkind == DeclKind::Function
+                                 ? static_cast<const FunctionDecl*>(d)
+                                 : nullptr;
+            if (!fn || !fn->body)
+                continue;
+            forEachStmt(*fn->body, [&](const Stmt& stmt) {
+                forEachIdent(stmt, [&](const IdentExpr& e) {
+                    out.push_back(e.sym);
+                    if (interner.name(e.sym) != e.name)
+                        ADD_FAILURE() << "ident " << e.name << " mis-symboled";
+                });
+            });
+        }
+    }
+    return out;
+}
+
+/**
+ * Two Programs parse the whole corpus on two threads at once: each owns
+ * its spelling table, both intern into the one global interner, and
+ * they must agree on every symbol (exercised under TSan).
+ */
+TEST(ProgramSymbols, TwoProgramsOnTwoThreadsAgree)
+{
+    std::vector<corpus::GeneratedFile> files;
+    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles())
+        for (corpus::GeneratedFile& file :
+             corpus::generateProtocol(profile).files)
+            files.push_back(std::move(file));
+    std::vector<support::SymbolId> a, b;
+    std::thread first([&] { a = programSymbols(files); });
+    std::thread second([&] { b = programSymbols(files); });
+    first.join();
+    second.join();
+    EXPECT_GT(a.size(), 100000u);
+    EXPECT_EQ(a, b);
 }
 
 } // namespace
