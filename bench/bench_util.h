@@ -10,7 +10,9 @@
 #include "support/text.h"
 #include "support/witness.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -182,13 +184,59 @@ struct HostInfo
     std::string cpu_model = "unknown";
     unsigned cores = 0;
     std::string governor = "unknown";
+    /**
+     * Fixed spin work on one thread vs the same work split over `cores`
+     * threads: ~cores on an idle host, ~1 when the lanes share one core.
+     */
+    double effective_parallelism = 1.0;
 };
+
+/** An xorshift loop the optimizer cannot fold away. */
+inline std::uint64_t
+spinWork(std::uint64_t iterations)
+{
+    std::uint64_t x = 88172645463325252ull;
+    for (std::uint64_t i = 0; i < iterations; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    return x;
+}
+
+/** Wall ms to run `chunks` spin chunks round-robin on `threads` threads. */
+inline double
+spinMillis(unsigned threads, unsigned chunks, std::uint64_t chunk_iters)
+{
+    std::vector<std::uint64_t> sink(threads, 0);
+    auto begin = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            for (unsigned c = t; c < chunks; c += threads)
+                sink[t] ^= spinWork(chunk_iters);
+        });
+    for (std::thread& thread : pool)
+        thread.join();
+    auto end = std::chrono::steady_clock::now();
+    volatile std::uint64_t keep = 0;
+    for (std::uint64_t v : sink)
+        keep = keep ^ v;
+    (void)keep;
+    return std::chrono::duration<double, std::milli>(end - begin).count();
+}
 
 inline HostInfo
 hostInfo()
 {
     HostInfo info;
     info.cores = std::thread::hardware_concurrency();
+    const unsigned lanes = std::max(1u, info.cores);
+    const std::uint64_t chunk_iters = 48'000'000ull / lanes;
+    const double serial_ms = spinMillis(1, lanes, chunk_iters);
+    const double parallel_ms = spinMillis(lanes, lanes, chunk_iters);
+    if (serial_ms > 0.0 && parallel_ms > 0.0)
+        info.effective_parallelism = serial_ms / parallel_ms;
     std::ifstream cpuinfo("/proc/cpuinfo");
     std::string line;
     while (std::getline(cpuinfo, line)) {
@@ -238,7 +286,9 @@ writeEngineThroughputJson(std::ostream& os, const EngineThroughput& table,
        << support::jsonEscape(host.cpu_model) << "\",\n"
        << "    \"cores\": " << host.cores << ",\n"
        << "    \"governor\": \"" << support::jsonEscape(host.governor)
-       << "\"\n"
+       << "\",\n"
+       << "    \"effective_parallelism\": " << host.effective_parallelism
+       << "\n"
        << "  },\n"
        << "  \"corpus\": {\n"
        << "    \"protocols\": 5,\n"

@@ -8,13 +8,6 @@
 namespace mc::cfg {
 
 namespace {
-std::uint64_t
-nextFlatCfgId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 /**
  * Lower one statement: append its identifier ids (unsorted) to `idents`
  * and its calls to `calls`, both in forEachTopLevelExpr/forEachSubExpr
@@ -84,7 +77,7 @@ lowerStmt(const lang::Stmt& stmt, std::vector<support::SymbolId>& idents,
 }
 } // namespace
 
-FlatCfg::FlatCfg(const Cfg& cfg) : id_(nextFlatCfgId())
+FlatCfg::FlatCfg(const Cfg& cfg)
 {
     const std::vector<BasicBlock>& blocks = cfg.blocks();
     stmt_offsets_.resize(blocks.size() + 1);
@@ -128,17 +121,12 @@ FlatCfg::mentions(std::uint32_t row, support::SymbolId sym) const
     return std::binary_search(ids, ids + identCount(row), sym);
 }
 
-const FlatCfg::MaskIndex&
+FlatCfg::MaskIndex
 FlatCfg::maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
 {
-    std::lock_guard<std::mutex> lock(mask_mutex_);
-    auto it = mask_cache_.find(sorted_syms);
-    if (it != mask_cache_.end())
-        return *it->second;
-
-    auto index = std::make_unique<MaskIndex>();
+    MaskIndex index;
     const std::uint32_t rows = stmtCount();
-    index->stmt_mask.resize(rows);
+    index.stmt_mask.resize(rows);
     for (std::uint32_t row = 0; row < rows; ++row) {
         std::uint64_t mask = 0;
         const support::SymbolId* ids = identBegin(row);
@@ -150,22 +138,19 @@ FlatCfg::maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
                 mask |= std::uint64_t{1}
                         << (pos - sorted_syms.begin());
         }
-        index->stmt_mask[row] = mask;
+        index.stmt_mask[row] = mask;
     }
     const std::uint32_t blocks = blockCount();
-    index->block_mask.resize(blocks);
-    index->range_mask.assign(rangeCount(), 0);
+    index.block_mask.resize(blocks);
+    index.range_mask.assign(rangeCount(), 0);
     for (std::uint32_t b = 0; b < blocks; ++b) {
         std::uint64_t mask = 0;
         for (std::uint32_t row = stmtBegin(b); row < stmtEnd(b); ++row)
-            mask |= index->stmt_mask[row];
-        index->block_mask[b] = mask;
-        index->range_mask[b >> kRangeShift] |= mask;
+            mask |= index.stmt_mask[row];
+        index.block_mask[b] = mask;
+        index.range_mask[b >> kRangeShift] |= mask;
     }
-
-    const MaskIndex& ref = *index;
-    mask_cache_.emplace(sorted_syms, std::move(index));
-    return ref;
+    return index;
 }
 
 const FlatCfg&

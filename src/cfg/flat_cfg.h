@@ -5,9 +5,6 @@
 #include "support/interner.h"
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -70,15 +67,15 @@ static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
  *
  * On top of the arena, maskIndex() folds the spans into per-statement /
  * per-block / per-block-range 64-bit masks for a caller-supplied symbol
- * set (one entry per distinct state machine, cached). Ranges are
+ * set (one state machine's required identifiers). Ranges are
  * 64-block granules, deliberately matching one bitset word, so the
  * walker-facing prefilter can sweep whole regions with single-word
  * tests. Block and range masks are pure ORs of exact statement masks —
  * never a heuristic — which is what lets TransitionTable extend the
  * prefilter-never-rejects property from cells to block ranges.
  *
- * Immutable after construction except for the mask cache (mutex) —
- * safe to share across checker lanes like the Cfg itself.
+ * Immutable after construction, so it needs no lock and is safe to
+ * share across checker lanes like the Cfg itself.
  */
 class FlatCfg
 {
@@ -87,14 +84,6 @@ class FlatCfg
     static constexpr std::uint32_t kRangeShift = 6;
 
     explicit FlatCfg(const Cfg& cfg);
-
-    /**
-     * Process-unique arena id (monotonic, never reused). Cache keys
-     * built from it cannot suffer pointer ABA: a new FlatCfg allocated
-     * at a freed one's address still gets a fresh id, so stale entries
-     * keyed by a dead arena can never be returned for a live one.
-     */
-    std::uint64_t id() const { return id_; }
 
     std::uint32_t blockCount() const
     {
@@ -157,27 +146,21 @@ class FlatCfg
     };
 
     /**
-     * The (cached) MaskIndex for `sorted_syms`, which must be sorted
-     * unique with at most 64 entries (CompiledSm::maskSyms() is). Keyed
-     * by symbol-set content, not machine identity, so recompiled
-     * machines with the same vocabulary share one index. Thread-safe;
-     * the reference lives as long as this FlatCfg.
+     * The MaskIndex for `sorted_syms`, which must be sorted unique with
+     * at most 64 entries (CompiledSm::maskSyms() is). Built fresh on
+     * each call; a TransitionTable builds and owns the one its walk
+     * needs.
      */
-    const MaskIndex&
+    MaskIndex
     maskIndex(const std::vector<support::SymbolId>& sorted_syms) const;
 
   private:
-    std::uint64_t id_;
     std::vector<std::uint32_t> stmt_offsets_;
     std::vector<const lang::Stmt*> stmts_;
     std::vector<std::uint32_t> ident_offsets_;
     std::vector<support::SymbolId> ident_ids_;
     std::vector<std::uint32_t> call_offsets_;
     std::vector<CallRow> calls_;
-    mutable std::mutex mask_mutex_;
-    mutable std::map<std::vector<support::SymbolId>,
-                     std::unique_ptr<MaskIndex>>
-        mask_cache_;
 };
 
 /**

@@ -34,14 +34,12 @@ registerRunMetrics()
         return;
     for (const char* name :
          {"engine.unit_failures", "engine.runs", "engine.visits",
-          "engine.cache_hits", "engine.cache_misses", "engine.pruned_paths",
+          "engine.cache_hits", "engine.pruned_paths",
           "engine.sm_transitions", "engine.truncations",
-          "engine.rule_firings", "engine.table_memo_hits",
-          "engine.table_memo_misses", "budget.truncations",
-          "witness.steps", "witness.truncations", "ledger.events",
-          "walker.visits", "walker.infeasible_pruned",
-          "walker.prune_cache_hits", "walker.prune_skipped_nary",
-          "resident.reused"})
+          "engine.rule_firings", "budget.truncations", "witness.steps",
+          "witness.truncations", "ledger.events", "walker.visits",
+          "walker.infeasible_pruned", "walker.prune_cache_hits",
+          "walker.prune_skipped_nary", "resident.reused"})
         metrics.counter(name).add(0);
     metrics.timer("resident.lookup");
     metrics.gauge("engine.peak_frontier");

@@ -47,15 +47,14 @@ struct CheckerSetOptions
  * The immutable, process-shared half of one checker: its identity, the
  * options it runs under, and — for the two metal checkers — the metal
  * source and the program parsed from it, whose state machine is
- * compiled exactly once (one CompiledSm generation per definition).
+ * compiled exactly once (one CompiledSm per definition).
  *
  * A definition is compiled on first request per (name, options) and
  * lives for the rest of the process, so every unit of every run — live,
  * replayed from the analysis cache, or substituted for a failed unit —
- * instantiates from the same parsed program, and the engine's
- * per-thread transition-table memo can hit across units and runs. A
- * definition is read-only after construction and safe to share across
- * threads.
+ * instantiates from the same parsed program and never re-parses metal
+ * or recompiles a machine. A definition is read-only after
+ * construction and safe to share across threads.
  */
 class CheckerDef
 {

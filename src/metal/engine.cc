@@ -9,9 +9,7 @@
 #include "support/witness.h"
 
 #include <atomic>
-#include <memory>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,57 +58,6 @@ recordWitnessStep(const std::string& from, const std::string& to,
 
 std::atomic<MatchStrategy> g_default_strategy{MatchStrategy::Table};
 
-/**
- * Per-thread transition-table memo: cells and skip bitsets are pure
- * functions of (compiled machine, CFG), so re-checking the same
- * (function, checker) unit — bench repeat passes, warm-cache runs, the
- * daemon's successive requests — reuses the filled table instead of
- * re-unifying every touched (statement, state) pair.
- *
- * Keyed by the FlatCfg arena id and the CompiledSm generation, both
- * process-unique and never reused, so a recreated CFG or machine (even
- * at a recycled address) always misses — no ABA, no stale rule
- * pointers served. Thread-local so the lazily-filled cells need no
- * synchronization; the engine's unit scheduler never runs one unit
- * concurrently with itself anyway, and a miss merely rebuilds. Entries
- * for dead CFGs/machines are unreachable and are dropped by the size
- * cap's wholesale clear. The shared_ptr keeps a checked-out table
- * alive across a hypothetical re-entrant eviction. Lookups tally into
- * engine.table_memo_hits / engine.table_memo_misses when metrics are on.
- */
-std::shared_ptr<TransitionTable>
-memoizedTable(const CompiledSm& csm, const cfg::Cfg& cfg)
-{
-    const std::uint64_t flat_id = cfg::flatCfg(cfg).id();
-    const std::uint64_t gen = csm.generation();
-    // The packed key is collision-free while both counters fit 32 bits
-    // (billions of arenas/machines); on the absurd overflow, skip the
-    // memo rather than risk serving the wrong table.
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    if ((flat_id >> 32) != 0 || (gen >> 32) != 0) {
-        if (metrics.enabled())
-            metrics.counter("engine.table_memo_misses").add();
-        return std::make_shared<TransitionTable>(csm, cfg);
-    }
-    static thread_local std::unordered_map<std::uint64_t,
-                                           std::shared_ptr<TransitionTable>>
-        cache;
-    const std::uint64_t key = (flat_id << 32) | gen;
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-        if (metrics.enabled())
-            metrics.counter("engine.table_memo_hits").add();
-        return it->second;
-    }
-    if (metrics.enabled())
-        metrics.counter("engine.table_memo_misses").add();
-    if (cache.size() >= 8192)
-        cache.clear();
-    auto table = std::make_shared<TransitionTable>(csm, cfg);
-    cache.emplace(key, table);
-    return table;
-}
-
 /** Legacy walker state: just the SM state name. */
 struct SmState
 {
@@ -156,7 +103,9 @@ walkOptions(const SmRunOptions& options)
 
 /**
  * Table strategy: compile the per-(function, SM) transition table up
- * front, then walk with O(1) cell lookups per statement.
+ * front, then walk with O(1) cell lookups per statement. The table is a
+ * local: its cells, skip bits and mask index die with this walk, since
+ * a (function, SM) pair is walked once per run.
  */
 SmRunResult
 runTable(const StateMachine& sm, const cfg::Cfg& cfg,
@@ -164,8 +113,7 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
 {
     SmRunResult result;
     const CompiledSm& csm = sm.compiled();
-    std::shared_ptr<TransitionTable> table_ptr = memoizedTable(csm, cfg);
-    TransitionTable& table = *table_ptr;
+    TransitionTable table(csm, cfg);
     const bool wit = support::witnessEnabled();
     const unsigned wlimit = support::witnessLimit();
 
@@ -380,7 +328,6 @@ runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
         metrics.counter("engine.runs").add();
         metrics.counter("engine.visits").add(result.visits);
         metrics.counter("engine.cache_hits").add(result.cache_hits);
-        metrics.counter("engine.cache_misses").add(result.visits);
         metrics.counter("engine.pruned_paths").add(result.pruned_edges);
         metrics.counter("engine.sm_transitions").add(result.transitions);
         metrics.counter("engine.truncations").add(result.truncated ? 1 : 0);

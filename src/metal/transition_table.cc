@@ -6,14 +6,13 @@
 namespace mc::metal {
 
 namespace {
-/** The next generation to hand out; generations start at 1. */
-std::atomic<std::uint64_t> g_next_generation{1};
+std::atomic<std::uint64_t> g_compilations{0};
 } // namespace
 
 std::uint64_t
 CompiledSm::compilations()
 {
-    return g_next_generation.load(std::memory_order_relaxed) - 1;
+    return g_compilations.load(std::memory_order_relaxed);
 }
 
 StateIdx
@@ -26,10 +25,9 @@ CompiledSm::internState(const std::string& name)
     return it->second;
 }
 
-CompiledSm::CompiledSm(const StateMachine& sm)
-    : sm_(&sm),
-      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed))
+CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
 {
+    g_compilations.fetch_add(1, std::memory_order_relaxed);
     // Index order is deterministic: start first, then stop, then the
     // remaining rule-owning states and transition targets in definition
     // (map) order. Indices never reach output — diagnostics always go
@@ -119,15 +117,14 @@ CompiledSm::CompiledSm(const StateMachine& sm)
 
 TransitionTable::TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg)
     : csm_(&csm), flat_(&cfg::flatCfg(cfg)),
-      masks_(&flat_->maskIndex(csm.maskSyms())),
+      masks_(flat_->maskIndex(csm.maskSyms())),
       state_count_(csm.stateCount())
 {
     // Construction is O(rows): the arena (flat statement rows, ident
-    // spans) and this machine's masks are shared per CFG and were built
-    // at most once; all this table owns is the lazily-filled row →
-    // cell map and the per-state skip bitsets. Both are sticky — cells
-    // and bits, once computed, serve every later walk of this
-    // (machine, function) pair (the engine memoizes tables per thread).
+    // spans) is shared per CFG and was built at most once; this table
+    // owns its machine's masks, the lazily-filled row → cell map and
+    // the per-state skip bitsets, all of which live as long as the one
+    // walk that uses them.
     row_cells_.assign(flat_->stmtCount(), nullptr);
     skip_words_ = flat_->rangeCount();
     skip_bits_.assign(skip_words_ * state_count_, 0);
@@ -138,7 +135,13 @@ TransitionTable::Cell*
 TransitionTable::materialize(std::uint32_t row)
 {
     if (slab_size_ - slab_used_ < state_count_) {
-        slab_size_ = std::max<std::size_t>(state_count_, 1024);
+        // Never more cells than the function's rows can use: most
+        // tables are built for one short walk of a small function.
+        slab_size_ = std::max<std::size_t>(
+            state_count_,
+            std::min<std::size_t>(std::size_t{row_cells_.size()} *
+                                      state_count_,
+                                  1024));
         slabs_.push_back(std::make_unique<Cell[]>(slab_size_)); // zeroed
         slab_used_ = 0;
     }
@@ -161,7 +164,7 @@ TransitionTable::buildSkipBits(StateIdx state)
     for (std::size_t w = 0; w < skip_words_; ++w) {
         // Range sweep: one word per 64-block granule. A granule whose
         // OR'd mask misses the state's union is skippable wholesale.
-        if (!(masks_->range_mask[w] & req)) {
+        if (!(masks_.range_mask[w] & req)) {
             bits[w] = ~std::uint64_t{0};
             continue;
         }
@@ -170,7 +173,7 @@ TransitionTable::buildSkipBits(StateIdx state)
             static_cast<std::uint32_t>(w) << cfg::FlatCfg::kRangeShift;
         const std::uint32_t hi = std::min(lo + 64u, blocks);
         for (std::uint32_t b = lo; b < hi; ++b)
-            if (!(masks_->block_mask[b] & req))
+            if (!(masks_.block_mask[b] & req))
                 word |= std::uint64_t{1} << (b & 63);
         bits[w] = word;
     }
@@ -183,7 +186,7 @@ TransitionTable::fill(std::uint32_t row, StateIdx state, Cell& cell)
     cell.next = state;
     if (state == csm_->stop())
         return;
-    const std::uint64_t mask = masks_->stmt_mask[row];
+    const std::uint64_t mask = masks_.stmt_mask[row];
     const lang::Stmt* stmt = flat_->stmt(row);
     for (const CompiledSm::Candidate& cand : csm_->candidatesFor(state)) {
         if (cand.req_mask) {

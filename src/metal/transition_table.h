@@ -60,15 +60,6 @@ class CompiledSm
     const StateMachine& sm() const { return *sm_; }
 
     /**
-     * Process-unique compilation id (monotonic, never reused). Paired
-     * with FlatCfg::id() it keys memoized transition tables without
-     * pointer ABA: a CompiledSm for a recreated machine — even one
-     * allocated at the same address — gets a fresh generation, so a
-     * cached table can never be served for the wrong rule storage.
-     */
-    std::uint64_t generation() const { return generation_; }
-
-    /**
      * CompiledSm constructions so far in this process. Checker
      * definitions compile once each, so this stays put across runs.
      */
@@ -154,7 +145,6 @@ class CompiledSm
     /** Per-state req_mask union / has-unfilterable-candidate flags. */
     std::vector<std::uint64_t> state_req_union_;
     std::vector<std::uint8_t> state_unfilterable_;
-    std::uint64_t generation_;
     StateIdx start_ = 0;
     StateIdx stop_ = 0;
 };
@@ -257,7 +247,8 @@ class TransitionTable
 
     const CompiledSm* csm_;
     const cfg::FlatCfg* flat_;
-    const cfg::FlatCfg::MaskIndex* masks_;
+    /** This machine's prefilter masks over flat_, owned by the table. */
+    cfg::FlatCfg::MaskIndex masks_;
     std::uint32_t state_count_;
     /** Per row: its first cell, or nullptr until materialized. */
     std::vector<Cell*> row_cells_;

@@ -16,6 +16,7 @@
 #include <string>
 #include <utility>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace mc::cfg {
@@ -134,7 +135,7 @@ TEST(FlatCfgProperty, MaskIndexIsTheUnionHierarchyOfStatementMasks)
     for (const lang::FunctionDecl* fn : loaded.program->functions()) {
         Cfg cfg = CfgBuilder::build(*fn);
         const FlatCfg& flat = flatCfg(cfg);
-        const FlatCfg::MaskIndex& index = flat.maskIndex(syms);
+        const FlatCfg::MaskIndex index = flat.maskIndex(syms);
         ASSERT_EQ(index.stmt_mask.size(), flat.stmtCount());
         ASSERT_EQ(index.block_mask.size(), flat.blockCount());
         ASSERT_EQ(index.range_mask.size(), flat.rangeCount());
@@ -163,13 +164,10 @@ TEST(FlatCfgProperty, MaskIndexIsTheUnionHierarchyOfStatementMasks)
         }
         for (std::uint32_t w = 0; w < flat.rangeCount(); ++w)
             ASSERT_EQ(index.range_mask[w], range_expect[w]);
-
-        // The cache hands back the same index for the same symbol set.
-        ASSERT_EQ(&flat.maskIndex(syms), &index);
     }
 }
 
-TEST(FlatCfgProperty, ArenaIdsAreProcessUniqueAndStable)
+TEST(FlatCfgProperty, ArenaIsBuiltOncePerCfg)
 {
     corpus::LoadedProtocol loaded =
         corpus::loadProtocol(corpus::profileByName("bitvector"));
@@ -178,16 +176,51 @@ TEST(FlatCfgProperty, ArenaIdsAreProcessUniqueAndStable)
         cfgs.push_back(CfgBuilder::build(*fn));
     ASSERT_GE(cfgs.size(), 2u);
 
-    std::set<std::uint64_t> ids;
+    std::set<const FlatCfg*> arenas;
     for (const Cfg& cfg : cfgs) {
         const FlatCfg& flat = flatCfg(cfg);
         // Stable: the lazily installed arena is built once per Cfg.
         ASSERT_EQ(&flatCfg(cfg), &flat);
-        ASSERT_EQ(flatCfg(cfg).id(), flat.id());
-        ids.insert(flat.id());
+        arenas.insert(&flat);
     }
-    // Unique: distinct arenas never share an id (the memo-key contract).
-    ASSERT_EQ(ids.size(), cfgs.size());
+    // Distinct live Cfgs never share an arena.
+    ASSERT_EQ(arenas.size(), cfgs.size());
+}
+
+TEST(FlatCfgProperty, ConcurrentInstallAndReadsAgree)
+{
+    // Sibling units of one function race on the lazy install and then
+    // read the arena side by side, each building the mask index its own
+    // table owns. Every thread must see the one installed arena and
+    // identical masks.
+    metal::MetalProgram wait =
+        metal::parseMetal(checkers::kWaitForDbMetal);
+    const std::vector<support::SymbolId>& syms =
+        wait.sm->compiled().maskSyms();
+    corpus::LoadedProtocol loaded =
+        corpus::loadProtocol(corpus::profileByName("bitvector"));
+    std::vector<Cfg> cfgs;
+    for (const lang::FunctionDecl* fn : loaded.program->functions())
+        cfgs.push_back(CfgBuilder::build(*fn));
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<const FlatCfg*>> arenas(kThreads);
+    std::vector<std::vector<std::vector<std::uint64_t>>> masks(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (const Cfg& cfg : cfgs) {
+                const FlatCfg& flat = flatCfg(cfg);
+                arenas[t].push_back(&flat);
+                masks[t].push_back(flat.maskIndex(syms).stmt_mask);
+            }
+        });
+    for (std::thread& thread : threads)
+        thread.join();
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(arenas[t], arenas[0]) << "thread " << t;
+        EXPECT_EQ(masks[t], masks[0]) << "thread " << t;
+    }
 }
 
 /**

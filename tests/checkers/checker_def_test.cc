@@ -30,15 +30,15 @@ namespace {
 
 using metal::CompiledSm;
 
-/** Generation of the compiled machine `checker` runs, or 0. */
-std::uint64_t
-generationOf(const Checker& checker)
+/** The compiled machine `checker` runs, or nullptr. */
+const CompiledSm*
+compiledOf(const Checker& checker)
 {
     if (auto* m = dynamic_cast<const MsgLengthChecker*>(&checker))
-        return m->stateMachine().compiled().generation();
+        return &m->stateMachine().compiled();
     if (auto* b = dynamic_cast<const BufferRaceChecker*>(&checker))
-        return b->stateMachine().compiled().generation();
-    return 0;
+        return &b->stateMachine().compiled();
+    return nullptr;
 }
 
 TEST(CheckerDefs, InstancesShareOneCompiledMachine)
@@ -46,12 +46,12 @@ TEST(CheckerDefs, InstancesShareOneCompiledMachine)
     auto a = makeChecker("msglen_check");
     auto b = makeChecker("msglen_check");
     ASSERT_TRUE(a && b);
-    EXPECT_NE(generationOf(*a), 0u);
-    EXPECT_EQ(generationOf(*a), generationOf(*b));
+    EXPECT_NE(compiledOf(*a), nullptr);
+    EXPECT_EQ(compiledOf(*a), compiledOf(*b));
     // A directly constructed checker binds to the same definition.
     MsgLengthChecker direct;
-    EXPECT_EQ(generationOf(direct), generationOf(*a));
-    EXPECT_NE(generationOf(*makeChecker("wait_for_db")), generationOf(*a));
+    EXPECT_EQ(compiledOf(direct), compiledOf(*a));
+    EXPECT_NE(compiledOf(*makeChecker("wait_for_db")), compiledOf(*a));
 
     const std::uint64_t before = CompiledSm::compilations();
     for (int i = 0; i < 100; ++i)
@@ -131,7 +131,7 @@ TEST(CheckerDefs, ConcurrentFirstUseIsRaceFree)
     constexpr int kThreads = 8;
     const std::uint64_t before = CompiledSm::compilations();
     std::atomic<bool> go{false};
-    std::vector<std::vector<std::uint64_t>> seen(kThreads);
+    std::vector<std::vector<const CompiledSm*>> seen(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -139,8 +139,8 @@ TEST(CheckerDefs, ConcurrentFirstUseIsRaceFree)
                 std::this_thread::yield();
             for (const std::string& name : allCheckerNames()) {
                 std::unique_ptr<Checker> checker = makeChecker(name, options);
-                if (std::uint64_t gen = generationOf(*checker))
-                    seen[t].push_back(gen);
+                if (const CompiledSm* compiled = compiledOf(*checker))
+                    seen[t].push_back(compiled);
             }
         });
     }

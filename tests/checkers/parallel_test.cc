@@ -130,36 +130,6 @@ TEST(ParallelCheckers, AbsorbMergesInterProceduralState)
     expectSameResults(sequential, parallel, "rac jobs=4");
 }
 
-TEST(ParallelCheckers, TableMemoHitsAcrossRunsOverOneCfgCache)
-{
-    // Every unit instantiates from the shared checker definitions, so a
-    // re-check over resident CFGs finds the transition tables the first
-    // run compiled — the daemon's re-check case.
-    corpus::LoadedProtocol loaded =
-        corpus::loadProtocol(corpus::profileByName("bitvector"));
-    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
-    metrics.setEnabled(true);
-    metrics.reset();
-    CfgCache cfgs;
-    ParallelRunOptions options;
-    options.jobs = 1;
-    options.cfg_cache = &cfgs;
-    auto check = [&] {
-        auto set = makeAllCheckers();
-        support::DiagnosticSink sink;
-        runCheckersParallel(*loaded.program, loaded.gen.spec,
-                            set.pointers(), sink, options);
-    };
-    check();
-    const std::uint64_t first_hits =
-        metrics.counterValue("engine.table_memo_hits");
-    EXPECT_GT(metrics.counterValue("engine.table_memo_misses"), 0u);
-    check();
-    EXPECT_GT(metrics.counterValue("engine.table_memo_hits"), first_hits);
-    metrics.setEnabled(false);
-    metrics.reset();
-}
-
 TEST(ParallelCheckers, FallsBackWhenCheckerUnknownToFactory)
 {
     /** A checker the registry factory cannot rebuild. */
