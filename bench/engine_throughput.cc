@@ -10,6 +10,7 @@
 #include "checkers/parallel.h"
 #include "checkers/registry.h"
 #include "corpus/generator.h"
+#include "lang/lexer.h"
 #include "metal/engine.h"
 #include "metal/metal_parser.h"
 #include "support/metrics.h"
@@ -34,22 +35,69 @@ bitvector()
     return loaded;
 }
 
+/**
+ * The six paper protocols' generated sources: the files a batch_cold
+ * pass over the corpus parses.
+ */
+const std::vector<corpus::GeneratedProtocol>&
+paperCorpus()
+{
+    static const std::vector<corpus::GeneratedProtocol> corpus = [] {
+        std::vector<corpus::GeneratedProtocol> out;
+        for (const corpus::ProtocolProfile& profile : corpus::paperProfiles())
+            out.push_back(corpus::generateProtocol(profile));
+        return out;
+    }();
+    return corpus;
+}
+
+std::int64_t
+paperCorpusBytes()
+{
+    std::int64_t bytes = 0;
+    for (const corpus::GeneratedProtocol& gen : paperCorpus())
+        for (const corpus::GeneratedFile& file : gen.files)
+            bytes += static_cast<std::int64_t>(file.source.size());
+    return bytes;
+}
+
+/** Lex, parse and Sema of the six protocols, one fresh Program each. */
 void
 BM_ParseProtocol(benchmark::State& state)
 {
-    const corpus::GeneratedProtocol& gen = bitvector().gen;
-    std::int64_t bytes = 0;
     for (auto _ : state) {
-        lang::Program program;
-        for (const corpus::GeneratedFile& file : gen.files)
-            program.addSource(file.name, file.source);
-        benchmark::DoNotOptimize(program.functions().size());
+        for (const corpus::GeneratedProtocol& gen : paperCorpus()) {
+            lang::Program program;
+            for (const corpus::GeneratedFile& file : gen.files)
+                program.addSource(file.name, file.source);
+            benchmark::DoNotOptimize(program.functions().size());
+        }
     }
-    for (const corpus::GeneratedFile& file : gen.files)
-        bytes += static_cast<std::int64_t>(file.source.size());
-    state.SetBytesProcessed(state.iterations() * bytes);
+    state.SetBytesProcessed(state.iterations() * paperCorpusBytes());
 }
 BENCHMARK(BM_ParseProtocol)->Unit(benchmark::kMillisecond);
+
+/**
+ * The lexing part of BM_ParseProtocol: the same files registered and
+ * lexed the way a Program does, through one SpellingTable per protocol.
+ */
+void
+BM_LexProtocol(benchmark::State& state)
+{
+    for (auto _ : state) {
+        for (const corpus::GeneratedProtocol& gen : paperCorpus()) {
+            support::SourceManager sm;
+            support::SpellingTable spellings;
+            for (const corpus::GeneratedFile& file : gen.files) {
+                std::int32_t id = sm.addFile(file.name, file.source);
+                lang::Lexer lexer(sm, id, &spellings);
+                benchmark::DoNotOptimize(lexer.lexAll().size());
+            }
+        }
+    }
+    state.SetBytesProcessed(state.iterations() * paperCorpusBytes());
+}
+BENCHMARK(BM_LexProtocol)->Unit(benchmark::kMillisecond);
 
 void
 BM_BuildAllCfgs(benchmark::State& state)

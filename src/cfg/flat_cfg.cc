@@ -121,8 +121,21 @@ FlatCfg::mentions(std::uint32_t row, support::SymbolId sym) const
     return std::binary_search(ids, ids + identCount(row), sym);
 }
 
+std::vector<std::uint8_t>
+FlatCfg::maskBits(const std::vector<support::SymbolId>& sorted_syms)
+{
+    assert(sorted_syms.size() <= 64);
+    std::vector<std::uint8_t> bits;
+    if (sorted_syms.empty())
+        return bits;
+    bits.assign(std::size_t{sorted_syms.back()} + 1, kNoMaskBit);
+    for (std::size_t i = 0; i < sorted_syms.size(); ++i)
+        bits[sorted_syms[i]] = static_cast<std::uint8_t>(i);
+    return bits;
+}
+
 FlatCfg::MaskIndex
-FlatCfg::maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
+FlatCfg::maskIndex(std::span<const std::uint8_t> bits) const
 {
     MaskIndex index;
     const std::uint32_t rows = stmtCount();
@@ -132,11 +145,11 @@ FlatCfg::maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
         const support::SymbolId* ids = identBegin(row);
         const std::uint32_t n = identCount(row);
         for (std::uint32_t i = 0; i < n; ++i) {
-            auto pos = std::lower_bound(sorted_syms.begin(),
-                                        sorted_syms.end(), ids[i]);
-            if (pos != sorted_syms.end() && *pos == ids[i])
-                mask |= std::uint64_t{1}
-                        << (pos - sorted_syms.begin());
+            if (ids[i] >= bits.size())
+                continue;
+            const std::uint8_t bit = bits[ids[i]];
+            if (bit != kNoMaskBit)
+                mask |= std::uint64_t{1} << bit;
         }
         index.stmt_mask[row] = mask;
     }

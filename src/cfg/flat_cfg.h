@@ -145,14 +145,35 @@ class FlatCfg
         std::vector<std::uint64_t> range_mask;
     };
 
+    /** A symbol without a mask bit in a MaskBits table. */
+    static constexpr std::uint8_t kNoMaskBit = 0xFF;
+
     /**
-     * The MaskIndex for `sorted_syms`, which must be sorted unique with
-     * at most 64 entries (CompiledSm::maskSyms() is). Built fresh on
-     * each call; a TransitionTable builds and owns the one its walk
-     * needs.
+     * The mask bit of each symbol, indexed by SymbolId: bit i for
+     * `sorted_syms[i]`, kNoMaskBit for every other id up to the largest
+     * of them. Ids past the table's end have no bit either, so it is as
+     * long as the largest id of the set, not the interner.
+     */
+    static std::vector<std::uint8_t>
+    maskBits(const std::vector<support::SymbolId>& sorted_syms);
+
+    /**
+     * The MaskIndex for the symbol set `bits` describes (a CompiledSm's
+     * maskBits()): each identifier of each row folds in with one load.
+     * Built fresh on each call; a TransitionTable builds and owns the
+     * one its walk needs.
+     */
+    MaskIndex maskIndex(std::span<const std::uint8_t> bits) const;
+
+    /**
+     * maskIndex() for `sorted_syms`, which must be sorted unique with
+     * at most 64 entries (CompiledSm::maskSyms() is).
      */
     MaskIndex
-    maskIndex(const std::vector<support::SymbolId>& sorted_syms) const;
+    maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
+    {
+        return maskIndex(maskBits(sorted_syms));
+    }
 
   private:
     std::vector<std::uint32_t> stmt_offsets_;

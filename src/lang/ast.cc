@@ -38,27 +38,6 @@ AstContext::allocateSlow(std::size_t bytes, std::size_t align)
     return allocate(bytes, align);
 }
 
-bool
-isAssignment(BinaryOp op)
-{
-    switch (op) {
-      case BinaryOp::Assign:
-      case BinaryOp::AddAssign:
-      case BinaryOp::SubAssign:
-      case BinaryOp::MulAssign:
-      case BinaryOp::DivAssign:
-      case BinaryOp::RemAssign:
-      case BinaryOp::AndAssign:
-      case BinaryOp::OrAssign:
-      case BinaryOp::XorAssign:
-      case BinaryOp::ShlAssign:
-      case BinaryOp::ShrAssign:
-        return true;
-      default:
-        return false;
-    }
-}
-
 const char*
 unaryOpSpelling(UnaryOp op)
 {

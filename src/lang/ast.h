@@ -1,6 +1,7 @@
 #ifndef MCHECK_LANG_AST_H
 #define MCHECK_LANG_AST_H
 
+#include "lang/token.h"
 #include "lang/type.h"
 #include "support/interner.h"
 #include "support/source_location.h"
@@ -49,17 +50,12 @@ enum class UnaryOp : std::uint8_t
     Plus, Neg, Not, BitNot, Deref, AddrOf, PreInc, PreDec, PostInc, PostDec,
 };
 
-enum class BinaryOp : std::uint8_t
+/** True for `=` and compound assignments (the last BinaryOps). */
+inline bool
+isAssignment(BinaryOp op)
 {
-    Add, Sub, Mul, Div, Rem, Shl, Shr,
-    Lt, Gt, Le, Ge, Eq, Ne,
-    BitAnd, BitOr, BitXor, LogAnd, LogOr, Comma,
-    Assign, AddAssign, SubAssign, MulAssign, DivAssign, RemAssign,
-    AndAssign, OrAssign, XorAssign, ShlAssign, ShrAssign,
-};
-
-/** True for `=` and compound assignments. */
-bool isAssignment(BinaryOp op);
+    return op >= BinaryOp::Assign;
+}
 
 /** C spelling of the operator ("+", "<<=", ...). */
 const char* unaryOpSpelling(UnaryOp op);

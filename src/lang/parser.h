@@ -39,7 +39,9 @@ struct ParserSymbols
 };
 
 /**
- * Recursive-descent parser for the FLASH protocol C dialect.
+ * Recursive-descent parser for the FLASH protocol C dialect; binary,
+ * assignment, conditional and comma operators go through one
+ * precedence-climbing loop over token.h's kInfixOps.
  *
  * Supports: functions, global/local variables, typedefs, struct/union/enum
  * definitions, the full C statement set (if/else, while, do-while, for,
@@ -106,7 +108,10 @@ class Parser
     const Token* guessDeclaratorName(std::size_t start_pos) const;
 
     // Token access.
-    const Token& peek(int ahead = 0) const;
+    /** The current token; advance() never moves past the End token. */
+    const Token& peek() const { return tokens_[pos_]; }
+    /** The token `ahead` places on, or End past the stream's end. */
+    const Token& peek(int ahead) const;
     const Token& advance();
     bool check(TokKind kind) const { return peek().kind == kind; }
     bool accept(TokKind kind);
@@ -146,13 +151,11 @@ class Parser
     void expectStatementEnd();
 
     // Expressions.
-    Expr* parseExpression();      // includes comma operator
-    Expr* parseAssignment();
-    Expr* parseTernary();
-    Expr* parseBinary(int min_precedence);
+    /** An expression of operators binding at least `min_precedence`. */
+    Expr* parseExpression(Precedence min_precedence = kPrecComma);
+    /** Prefix operators, casts, and primaries with their postfixes. */
     Expr* parseUnary();
     Expr* parsePostfix(Expr* base);
-    Expr* parsePrimary();
     bool looksLikeCast() const;
 
     /**

@@ -67,10 +67,7 @@ Program::addSource(std::string name, std::string source)
     units_.push_back(parseUnit(id));
     TranslationUnit& stored = units_.back();
     runSema(stored);
-    for (const FunctionDecl* fn : stored.functionDefinitions()) {
-        functions_.push_back(fn);
-        by_name_.insert_or_assign(std::string(fn->name), fn);
-    }
+    indexFunctions(stored);
     timer.stop();
     publishArenaMetrics();
     return stored;
@@ -115,14 +112,24 @@ void
 Program::reindexFunctions()
 {
     functions_.clear();
-    by_name_.clear();
+    by_name_ = support::SymbolMap<const FunctionDecl*>(nullptr);
     // Slot order is addition order, so the rebuilt index matches what a
     // fresh program built from the same file list would produce.
-    for (TranslationUnit& unit : units_) {
-        for (const FunctionDecl* fn : unit.functionDefinitions()) {
-            functions_.push_back(fn);
-            by_name_.insert_or_assign(std::string(fn->name), fn);
-        }
+    for (const TranslationUnit& unit : units_)
+        indexFunctions(unit);
+}
+
+void
+Program::indexFunctions(const TranslationUnit& unit)
+{
+    for (const Decl* d : unit.decls) {
+        if (d->dkind != DeclKind::Function)
+            continue;
+        const auto* fn = static_cast<const FunctionDecl*>(d);
+        if (!fn->isDefinition())
+            continue;
+        functions_.push_back(fn);
+        by_name_.set(fn->sym, fn); // a later definition wins
     }
 }
 
@@ -138,8 +145,9 @@ Program::degraded() const
 const FunctionDecl*
 Program::findFunction(std::string_view name) const
 {
-    auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : it->second;
+    std::optional<support::SymbolId> sym =
+        support::SymbolInterner::global().lookup(name);
+    return sym ? by_name_.find(*sym) : nullptr;
 }
 
 } // namespace mc::lang

@@ -7,7 +7,6 @@
 #include "support/source_manager.h"
 
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -114,13 +113,16 @@ class Program
 
     /** Rebuild functions_/by_name_ from units_ in slot order. */
     void reindexFunctions();
+    /** Append `unit`'s function definitions to functions_/by_name_. */
+    void indexFunctions(const TranslationUnit& unit);
 
     /** Feed the lang.ast_nodes / lang.arena_bytes gauges (--metrics). */
     void publishArenaMetrics() const;
 
     std::deque<TranslationUnit> units_;
     std::vector<const FunctionDecl*> functions_;
-    std::map<std::string, const FunctionDecl*, std::less<>> by_name_;
+    /** Each function name's latest definition, by symbol. */
+    support::SymbolMap<const FunctionDecl*> by_name_{nullptr};
     bool recover_ = false;
     std::size_t arena_waste_ = 0;
 };

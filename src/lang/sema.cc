@@ -5,44 +5,53 @@
 namespace mc::lang {
 
 /**
- * Lexical scopes of one function over the program's globals. A
- * function declares a handful of locals, so they live in one flat
- * stack searched innermost (latest) first; a scope is a mark into it.
- * Every comparison is of interned symbols.
+ * Lexical scopes of one function over the program's globals. Every name
+ * has one binding slot, indexed by its symbol: a declaration shadows the
+ * slot and remembers what it held, and leaving a scope restores the
+ * slots in reverse, so the globals are whole again when the function
+ * is done. A lookup is one load.
  */
 class Sema::ScopeStack
 {
   public:
-    explicit ScopeStack(const Scope& globals) : globals_(globals) {}
+    /** Scopes over `bindings`, keeping their undo log in `shadowed` and
+     *  `marks` (empty, and empty again when the function is done). */
+    ScopeStack(Scope& bindings,
+               std::vector<std::pair<support::SymbolId, const Decl*>>&
+                   shadowed,
+               std::vector<std::size_t>& marks)
+        : bindings_(bindings), shadowed_(shadowed), marks_(marks)
+    {}
 
-    void push() { marks_.push_back(locals_.size()); }
+    void push() { marks_.push_back(shadowed_.size()); }
 
     void
     pop()
     {
-        locals_.resize(marks_.back());
+        for (std::size_t i = shadowed_.size(); i > marks_.back(); --i)
+            bindings_.set(shadowed_[i - 1].first, shadowed_[i - 1].second);
+        shadowed_.resize(marks_.back());
         marks_.pop_back();
     }
 
     void
     declare(const Decl* decl)
     {
-        locals_.emplace_back(decl->sym, decl);
+        shadowed_.emplace_back(decl->sym, bindings_.find(decl->sym));
+        bindings_.set(decl->sym, decl);
     }
 
     const Decl*
     lookup(support::SymbolId sym) const
     {
-        for (auto it = locals_.rbegin(); it != locals_.rend(); ++it)
-            if (it->first == sym)
-                return it->second;
-        return globals_.find(sym);
+        return bindings_.find(sym);
     }
 
   private:
-    const Scope& globals_;
-    std::vector<std::pair<support::SymbolId, const Decl*>> locals_;
-    std::vector<std::size_t> marks_;
+    Scope& bindings_;
+    /** Each declaration's symbol and what its slot held before. */
+    std::vector<std::pair<support::SymbolId, const Decl*>>& shadowed_;
+    std::vector<std::size_t>& marks_;
 };
 
 namespace {
@@ -295,7 +304,7 @@ Sema::addGlobal(const Decl* decl)
 void
 Sema::analyzeFunction(FunctionDecl& fn)
 {
-    ScopeStack scopes(globals_);
+    ScopeStack scopes(globals_, shadowed_, marks_);
     scopes.push();
     for (ParamDecl* p : fn.params)
         if (!p->name.empty())

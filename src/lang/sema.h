@@ -4,6 +4,9 @@
 #include "lang/ast.h"
 #include "support/interner.h"
 
+#include <utility>
+#include <vector>
+
 namespace mc::lang {
 
 /**
@@ -44,7 +47,11 @@ class Sema
 
     void analyzeFunction(FunctionDecl& fn);
 
+    /** Globals by symbol, shadowed by locals while a body is analyzed. */
     Scope globals_;
+    /** ScopeStack's undo log and scope marks, reused across functions. */
+    std::vector<std::pair<support::SymbolId, const Decl*>> shadowed_;
+    std::vector<std::size_t> marks_;
 };
 
 } // namespace mc::lang

@@ -99,6 +99,30 @@ tokKindName(TokKind kind)
     return "<bad token>";
 }
 
+std::span<const Keyword>
+keywords()
+{
+    static constexpr Keyword kKeywords[] = {
+        {"void", TokKind::KwVoid},         {"char", TokKind::KwChar},
+        {"short", TokKind::KwShort},       {"int", TokKind::KwInt},
+        {"long", TokKind::KwLong},         {"unsigned", TokKind::KwUnsigned},
+        {"signed", TokKind::KwSigned},     {"float", TokKind::KwFloat},
+        {"double", TokKind::KwDouble},     {"struct", TokKind::KwStruct},
+        {"union", TokKind::KwUnion},       {"enum", TokKind::KwEnum},
+        {"typedef", TokKind::KwTypedef},   {"static", TokKind::KwStatic},
+        {"extern", TokKind::KwExtern},     {"const", TokKind::KwConst},
+        {"volatile", TokKind::KwVolatile}, {"inline", TokKind::KwInline},
+        {"register", TokKind::KwRegister}, {"if", TokKind::KwIf},
+        {"else", TokKind::KwElse},         {"while", TokKind::KwWhile},
+        {"for", TokKind::KwFor},           {"do", TokKind::KwDo},
+        {"switch", TokKind::KwSwitch},     {"case", TokKind::KwCase},
+        {"default", TokKind::KwDefault},   {"break", TokKind::KwBreak},
+        {"continue", TokKind::KwContinue}, {"return", TokKind::KwReturn},
+        {"goto", TokKind::KwGoto},         {"sizeof", TokKind::KwSizeof},
+    };
+    return kKeywords;
+}
+
 TokKind
 keywordKind(std::string_view text)
 {
@@ -196,27 +220,6 @@ isTypeKeyword(TokKind kind)
       case TokKind::KwStruct:
       case TokKind::KwUnion:
       case TokKind::KwEnum:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isAssignOp(TokKind kind)
-{
-    switch (kind) {
-      case TokKind::Assign:
-      case TokKind::PlusAssign:
-      case TokKind::MinusAssign:
-      case TokKind::StarAssign:
-      case TokKind::SlashAssign:
-      case TokKind::PercentAssign:
-      case TokKind::AmpAssign:
-      case TokKind::PipeAssign:
-      case TokKind::CaretAssign:
-      case TokKind::ShlAssign:
-      case TokKind::ShrAssign:
         return true;
       default:
         return false;

@@ -4,6 +4,7 @@
 #include "support/interner.h"
 #include "support/source_location.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -49,6 +50,93 @@ enum class TokKind : std::uint8_t
     PercentAssign, AmpAssign, PipeAssign, CaretAssign, ShlAssign,
     ShrAssign,
 };
+
+/** Number of token kinds. */
+inline constexpr std::size_t kTokKindCount =
+    static_cast<std::size_t>(TokKind::ShrAssign) + 1;
+
+/** Binary operators of the AST, built from the tokens that spell them. */
+enum class BinaryOp : std::uint8_t
+{
+    Add, Sub, Mul, Div, Rem, Shl, Shr,
+    Lt, Gt, Le, Ge, Eq, Ne,
+    BitAnd, BitOr, BitXor, LogAnd, LogOr, Comma,
+    Assign, AddAssign, SubAssign, MulAssign, DivAssign, RemAssign,
+    AndAssign, OrAssign, XorAssign, ShlAssign, ShrAssign, // keep last
+};
+
+/**
+ * Binding strength of the operators that continue an expression, from
+ * loosest to tightest. kPrecNone marks a token that continues none.
+ */
+enum Precedence : std::uint8_t
+{
+    kPrecNone,
+    kPrecComma,
+    kPrecAssign,
+    kPrecTernary,
+    kPrecLogOr,
+    kPrecLogAnd,
+    kPrecBitOr,
+    kPrecBitXor,
+    kPrecBitAnd,
+    kPrecEquality,
+    kPrecRelational,
+    kPrecShift,
+    kPrecAdditive,
+    kPrecMultiplicative,
+};
+
+/** How a token continues an expression as an infix operator. */
+struct InfixOp
+{
+    Precedence precedence = kPrecNone;
+    /** The node's operator; unused for '?' (a TernaryExpr). */
+    BinaryOp op = BinaryOp::Add;
+    /** Assignments and '?:' group right to left; the rest left to right. */
+    bool right_assoc = false;
+};
+
+/** The infix operator of every token kind, kPrecNone for the rest. */
+inline constexpr std::array<InfixOp, kTokKindCount> kInfixOps = [] {
+    std::array<InfixOp, kTokKindCount> table{};
+    auto set = [&](TokKind kind, Precedence prec, BinaryOp op,
+                   bool right_assoc = false) {
+        table[static_cast<std::size_t>(kind)] = {prec, op, right_assoc};
+    };
+    set(TokKind::Comma, kPrecComma, BinaryOp::Comma);
+    set(TokKind::Assign, kPrecAssign, BinaryOp::Assign, true);
+    set(TokKind::PlusAssign, kPrecAssign, BinaryOp::AddAssign, true);
+    set(TokKind::MinusAssign, kPrecAssign, BinaryOp::SubAssign, true);
+    set(TokKind::StarAssign, kPrecAssign, BinaryOp::MulAssign, true);
+    set(TokKind::SlashAssign, kPrecAssign, BinaryOp::DivAssign, true);
+    set(TokKind::PercentAssign, kPrecAssign, BinaryOp::RemAssign, true);
+    set(TokKind::AmpAssign, kPrecAssign, BinaryOp::AndAssign, true);
+    set(TokKind::PipeAssign, kPrecAssign, BinaryOp::OrAssign, true);
+    set(TokKind::CaretAssign, kPrecAssign, BinaryOp::XorAssign, true);
+    set(TokKind::ShlAssign, kPrecAssign, BinaryOp::ShlAssign, true);
+    set(TokKind::ShrAssign, kPrecAssign, BinaryOp::ShrAssign, true);
+    set(TokKind::Question, kPrecTernary, BinaryOp::Add, true);
+    set(TokKind::PipePipe, kPrecLogOr, BinaryOp::LogOr);
+    set(TokKind::AmpAmp, kPrecLogAnd, BinaryOp::LogAnd);
+    set(TokKind::Pipe, kPrecBitOr, BinaryOp::BitOr);
+    set(TokKind::Caret, kPrecBitXor, BinaryOp::BitXor);
+    set(TokKind::Amp, kPrecBitAnd, BinaryOp::BitAnd);
+    set(TokKind::EqEq, kPrecEquality, BinaryOp::Eq);
+    set(TokKind::NotEq, kPrecEquality, BinaryOp::Ne);
+    set(TokKind::Lt, kPrecRelational, BinaryOp::Lt);
+    set(TokKind::Gt, kPrecRelational, BinaryOp::Gt);
+    set(TokKind::Le, kPrecRelational, BinaryOp::Le);
+    set(TokKind::Ge, kPrecRelational, BinaryOp::Ge);
+    set(TokKind::Shl, kPrecShift, BinaryOp::Shl);
+    set(TokKind::Shr, kPrecShift, BinaryOp::Shr);
+    set(TokKind::Plus, kPrecAdditive, BinaryOp::Add);
+    set(TokKind::Minus, kPrecAdditive, BinaryOp::Sub);
+    set(TokKind::Star, kPrecMultiplicative, BinaryOp::Mul);
+    set(TokKind::Slash, kPrecMultiplicative, BinaryOp::Div);
+    set(TokKind::Percent, kPrecMultiplicative, BinaryOp::Rem);
+    return table;
+}();
 
 /** Human-readable spelling of a token kind (for diagnostics). */
 const char* tokKindName(TokKind kind);
@@ -131,14 +219,25 @@ class TokenSource
     std::span<const std::size_t> line_starts_;
 };
 
-/** Maps an identifier spelling to a keyword kind, or Identifier if none. */
+/** A keyword's spelling and kind. */
+struct Keyword
+{
+    std::string_view spelling;
+    TokKind kind;
+};
+
+/** Every keyword of the dialect. */
+std::span<const Keyword> keywords();
+
+/**
+ * Maps an identifier spelling to a keyword kind, or Identifier if none.
+ * Lexers given a SpellingTable resolve keywords in its probe instead.
+ */
 TokKind keywordKind(std::string_view text);
 
 /** True for type-introducing keywords (void, int, struct, ...). */
 bool isTypeKeyword(TokKind kind);
 
-/** True for assignment operators (=, +=, ...). */
-bool isAssignOp(TokKind kind);
 
 } // namespace mc::lang
 

@@ -28,6 +28,9 @@ builtinName(TypeKind kind)
 
 } // namespace
 
+const Type TypeTable::kUnknown{TypeKind::Named, kInvalidType, 0,
+                               "<unknown>"};
+
 TypeTable::TypeTable() { builtins_.fill(kInvalidType); }
 
 std::size_t
@@ -51,26 +54,31 @@ TypeTable::intern(const Key& key, Type t)
 }
 
 TypeId
-TypeTable::builtin(TypeKind kind)
+TypeTable::addBuiltin(TypeKind kind)
 {
-    TypeId& cached = builtins_[static_cast<std::size_t>(kind)];
-    if (cached == kInvalidType) {
-        Type t;
-        t.kind = kind;
-        cached = intern(Key{kind, kInvalidType, 0, support::kInvalidSymbol},
-                        t);
-    }
-    return cached;
+    Type t;
+    t.kind = kind;
+    TypeId id =
+        intern(Key{kind, kInvalidType, 0, support::kInvalidSymbol}, t);
+    builtins_[static_cast<std::size_t>(kind)] = id;
+    return id;
 }
 
 TypeId
-TypeTable::pointerTo(TypeId pointee)
+TypeTable::addPointer(TypeId pointee)
 {
     Type t;
     t.kind = TypeKind::Pointer;
     t.base = pointee;
-    return intern(Key{TypeKind::Pointer, pointee, 0, support::kInvalidSymbol},
-                  t);
+    TypeId id = intern(
+        Key{TypeKind::Pointer, pointee, 0, support::kInvalidSymbol}, t);
+    if (pointee >= 0) {
+        auto i = static_cast<std::size_t>(pointee);
+        if (i >= pointers_.size())
+            pointers_.resize(i + 1, kInvalidType);
+        pointers_[i] = id;
+    }
+    return id;
 }
 
 TypeId
@@ -107,22 +115,6 @@ void
 TypeTable::defineRecord(TypeId record, std::vector<TypeId> field_types)
 {
     record_fields_[record] = std::move(field_types);
-}
-
-const Type&
-TypeTable::type(TypeId id) const
-{
-    static const Type unknown{TypeKind::Named, kInvalidType, 0, "<unknown>"};
-    if (id < 0 || id >= static_cast<TypeId>(types_.size()))
-        return unknown;
-    return types_[static_cast<std::size_t>(id)];
-}
-
-bool
-TypeTable::isFloating(TypeId id) const
-{
-    TypeKind k = type(id).kind;
-    return k == TypeKind::Float || k == TypeKind::Double;
 }
 
 bool

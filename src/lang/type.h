@@ -69,10 +69,23 @@ class TypeTable
     TypeTable& operator=(const TypeTable&) = delete;
 
     /** Builtin (non-aggregate, non-derived) type of the given kind. */
-    TypeId builtin(TypeKind kind);
+    TypeId
+    builtin(TypeKind kind)
+    {
+        TypeId cached = builtins_[static_cast<std::size_t>(kind)];
+        return cached != kInvalidType ? cached : addBuiltin(kind);
+    }
 
     /** Pointer to `pointee`. */
-    TypeId pointerTo(TypeId pointee);
+    TypeId
+    pointerTo(TypeId pointee)
+    {
+        auto i = static_cast<std::size_t>(pointee);
+        if (pointee >= 0 && i < pointers_.size() &&
+            pointers_[i] != kInvalidType)
+            return pointers_[i];
+        return addPointer(pointee);
+    }
 
     /** Array of `count` elements of `element`. */
     TypeId arrayOf(TypeId element, std::int64_t count);
@@ -86,10 +99,22 @@ class TypeTable
     /** Record the field types of a struct/union definition. */
     void defineRecord(TypeId record, std::vector<TypeId> field_types);
 
-    const Type& type(TypeId id) const;
+    /** The type `id` names; a Named "<unknown>" type for bad ids. */
+    const Type&
+    type(TypeId id) const
+    {
+        if (id < 0 || id >= static_cast<TypeId>(types_.size()))
+            return kUnknown;
+        return types_[static_cast<std::size_t>(id)];
+    }
 
     /** True for Float / Double (the no-float checker's predicate). */
-    bool isFloating(TypeId id) const;
+    bool
+    isFloating(TypeId id) const
+    {
+        TypeKind k = type(id).kind;
+        return k == TypeKind::Float || k == TypeKind::Double;
+    }
 
     /** True for integral builtins and enums. */
     bool isInteger(TypeId id) const;
@@ -126,10 +151,19 @@ class TypeTable
     /** builtin()'s answers by kind, kInvalidType until first use. */
     std::array<TypeId, static_cast<std::size_t>(TypeKind::Named) + 1>
         builtins_;
+    /** pointerTo()'s answers by pointee, kInvalidType until first use. */
+    std::vector<TypeId> pointers_;
     std::map<TypeId, std::vector<TypeId>> record_fields_;
+
+    /** What type() returns for an id the table never issued. */
+    static const Type kUnknown;
 
     /** The id of `key`, appending `t` on first use. */
     TypeId intern(const Key& key, Type t);
+    /** builtin() on the first use of `kind`. */
+    TypeId addBuiltin(TypeKind kind);
+    /** pointerTo() on the first use of `pointee`. */
+    TypeId addPointer(TypeId pointee);
 };
 
 } // namespace mc::lang

@@ -76,6 +76,7 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
     if (req.size() > 64)
         req.resize(64);
     mask_syms_ = std::move(req);
+    mask_bits_ = cfg::FlatCfg::maskBits(mask_syms_);
 
     std::vector<support::SymbolId> syms;
     for (std::vector<Candidate>& list : candidates_)
@@ -117,7 +118,7 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
 
 TransitionTable::TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg)
     : csm_(&csm), flat_(&cfg::flatCfg(cfg)),
-      masks_(flat_->maskIndex(csm.maskSyms())),
+      masks_(flat_->maskIndex(csm.maskBits())),
       state_count_(csm.stateCount())
 {
     // Construction is O(rows): the arena (flat statement rows, ident

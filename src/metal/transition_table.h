@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,6 +93,9 @@ class CompiledSm
         return mask_syms_;
     }
 
+    /** maskSyms() as a FlatCfg::maskBits() table, built at compile time. */
+    std::span<const std::uint8_t> maskBits() const { return mask_bits_; }
+
     /**
      * OR of req_mask over state `s`'s prefilterable candidates: a
      * statement whose mask misses this union cannot match any of them.
@@ -118,18 +122,10 @@ class CompiledSm
      */
     std::uint64_t symMask(support::SymbolId sym) const
     {
-        // mask_syms_ is sorted; its index is the bit position.
-        std::size_t lo = 0, hi = mask_syms_.size();
-        while (lo < hi) {
-            std::size_t mid = (lo + hi) / 2;
-            if (mask_syms_[mid] < sym)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return (lo < mask_syms_.size() && mask_syms_[lo] == sym)
-                   ? (std::uint64_t{1} << lo)
-                   : 0;
+        if (sym >= mask_bits_.size() ||
+            mask_bits_[sym] == cfg::FlatCfg::kNoMaskBit)
+            return 0;
+        return std::uint64_t{1} << mask_bits_[sym];
     }
 
   private:
@@ -142,6 +138,8 @@ class CompiledSm
     std::vector<std::vector<Candidate>> candidates_;
     /** Sorted distinct required-identifier symbols (≤ 64 get mask bits). */
     std::vector<support::SymbolId> mask_syms_;
+    /** Each mask symbol's bit, by SymbolId (FlatCfg::maskBits). */
+    std::vector<std::uint8_t> mask_bits_;
     /** Per-state req_mask union / has-unfilterable-candidate flags. */
     std::vector<std::uint64_t> state_req_union_;
     std::vector<std::uint8_t> state_unfilterable_;

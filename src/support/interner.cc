@@ -59,21 +59,36 @@ SymbolInterner::size() const
     return names_.size();
 }
 
-SymbolId
+SpellingTable::Resolved
 SpellingTable::insert(std::string_view spelling, std::uint64_t hash)
+{
+    SymbolInterner& interner = SymbolInterner::global();
+    SymbolId id = interner.intern(spelling);
+    std::string_view stable = interner.name(id);
+    place(Entry{hash, stable, id, 0});
+    names_.set(id, stable);
+    return {id, 0};
+}
+
+void
+SpellingTable::reserve(std::string_view spelling, std::uint8_t word)
+{
+    assert(word != 0 && "class 0 marks a name");
+    place(Entry{spellingHash(spelling), spelling, kInvalidSymbol, word});
+    ++reserved_;
+}
+
+void
+SpellingTable::place(const Entry& e)
 {
     if ((used_ + 1) * 2 > entries_.size())
         grow();
     const std::size_t mask = entries_.size() - 1;
-    std::size_t i = hash & mask;
-    while (entries_[i].id != kInvalidSymbol)
+    std::size_t i = e.hash & mask;
+    while (!empty(entries_[i]))
         i = (i + 1) & mask;
-    SymbolInterner& interner = SymbolInterner::global();
-    SymbolId id = interner.intern(spelling);
-    entries_[i] = Entry{hash, id};
-    names_.set(id, interner.name(id));
+    entries_[i] = e;
     ++used_;
-    return id;
 }
 
 void
@@ -83,10 +98,10 @@ SpellingTable::grow()
     entries_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
     const std::size_t mask = entries_.size() - 1;
     for (const Entry& e : old) {
-        if (e.id == kInvalidSymbol)
+        if (empty(e))
             continue;
         std::size_t i = e.hash & mask;
-        while (entries_[i].id != kInvalidSymbol)
+        while (!empty(entries_[i]))
             i = (i + 1) & mask;
         entries_[i] = e;
     }

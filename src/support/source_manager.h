@@ -54,7 +54,10 @@ class SourceManager
     /** Name of the file with the given id ("<unknown>" for id 0). */
     const std::string& fileName(std::int32_t file_id) const;
 
-    /** Full contents of the file with the given id. */
+    /**
+     * Full contents of the file with the given id. A '\0' follows the
+     * view (the string's terminator); the lexer reads it as the end.
+     */
     std::string_view fileContents(std::int32_t file_id) const;
 
     /**

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <climits>
 #include <cstdlib>
@@ -381,6 +382,127 @@ TEST(Lexer, ColumnsPastSixteenBitsStayExact)
     EXPECT_EQ(toks.loc(1).line, 2);
     EXPECT_EQ(toks.loc(1).column, 100001);
     EXPECT_EQ(toks.loc(2).column, 200002);
+}
+
+/** C allows blanks before a directive's '#'; the directive is trimmed. */
+TEST(Lexer, DirectiveAfterLeadingWhitespace)
+{
+    support::SourceManager sm;
+    std::int32_t id = sm.addFile("t.c", "void f(void) {\n  #if 0\n"
+                                        "    int x = 1;\n\t #endif  \n}");
+    Lexer lexer(sm, id);
+    std::vector<Token> toks = lexer.lexAll();
+    ASSERT_EQ(lexer.directives().size(), 2u);
+    EXPECT_EQ(lexer.directives()[0], "if 0");
+    EXPECT_EQ(lexer.directives()[1], "endif");
+    // void f ( void ) { int x = 1 ; } End
+    ASSERT_EQ(toks.size(), 13u);
+    EXPECT_EQ(toks[6].kind, TokKind::KwInt);
+    EXPECT_EQ(lexer.source().loc(toks[6]).line, 3);
+    EXPECT_EQ(toks[11].kind, TokKind::RBrace);
+    EXPECT_EQ(lexer.source().loc(toks[11]).line, 5);
+}
+
+/** A '#' after a token on its line starts no directive. */
+TEST(Lexer, HashAfterATokenIsStillALexError)
+{
+    try {
+        lex("int x; #define Y 1\n");
+        FAIL() << "expected a LexError";
+    } catch (const LexError& err) {
+        EXPECT_EQ(err.loc().line, 1);
+        EXPECT_EQ(err.loc().column, 8);
+        EXPECT_STREQ(err.what(), "unexpected character '#'");
+    }
+    // A comment before the '#' is not a blank either.
+    EXPECT_THROW(lex("/* c */ #define Y 1\n"), LexError);
+}
+
+/**
+ * Identifiers are hashed while they are scanned: one that ends the
+ * file, at every length around the hasher's 8-byte word, must resolve
+ * to the same symbol as the same name mid-file, and a hex literal that
+ * ends the file keeps all its digits.
+ */
+TEST(Lexer, TokensThatEndTheFileWithoutANewline)
+{
+    for (std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
+        const std::string name(n, 'q');
+        support::SourceManager sm;
+        support::SpellingTable table;
+        std::int32_t id = sm.addFile("t.c", name + " " + name);
+        Lexer lexer(sm, id, &table);
+        std::vector<Token> toks = lexer.lexAll();
+        ASSERT_EQ(toks.size(), 3u) << n;
+        EXPECT_EQ(lexer.source().spelling(toks[1]), name);
+        EXPECT_EQ(toks[1].symbol(), toks[0].symbol());
+        EXPECT_EQ(toks[1].symbol(),
+                  support::SymbolInterner::global().intern(name));
+    }
+    auto toks = lex("x = 0x1F");
+    ASSERT_EQ(toks.size(), 4u);
+    EXPECT_EQ(toks[2].kind, TokKind::IntLiteral);
+    EXPECT_EQ(toks.text(2), "0x1F");
+    EXPECT_EQ(toks.intValue(2), 31);
+    EXPECT_EQ(lex("0x").intValue(0), 0);
+}
+
+TEST(Lexer, MixedBlankRunsKeepColumns)
+{
+    auto toks = lex("a \t\r\f\v b\n \t  \v c\f\n\t\td");
+    ASSERT_EQ(toks.size(), 5u);
+    EXPECT_EQ(toks.loc(1).line, 1);
+    EXPECT_EQ(toks.loc(1).column, 8);
+    EXPECT_EQ(toks.loc(2).line, 2);
+    EXPECT_EQ(toks.loc(2).column, 7);
+    EXPECT_EQ(toks.loc(3).line, 3);
+    EXPECT_EQ(toks.loc(3).column, 3);
+    // A long run of spaces ends exactly where the next token starts.
+    auto spaced = lex(std::string(37, ' ') + "z" + std::string(9, ' '));
+    ASSERT_EQ(spaced.size(), 2u);
+    EXPECT_EQ(spaced.loc(0).column, 38);
+}
+
+/** Keyword lookup must match whole spellings only, table or not. */
+TEST(Lexer, KeywordPrefixesAndExtensionsAreIdentifiers)
+{
+    const std::string text = "i iff int_ _int in inT int if";
+    const TokKind want[] = {TokKind::Identifier, TokKind::Identifier,
+                            TokKind::Identifier, TokKind::Identifier,
+                            TokKind::Identifier, TokKind::Identifier,
+                            TokKind::KwInt,      TokKind::KwIf,
+                            TokKind::End};
+    support::SourceManager sm;
+    support::SpellingTable table;
+    std::int32_t id = sm.addFile("t.c", text);
+    for (support::SpellingTable* symbols :
+         std::array<support::SpellingTable*, 2>{&table, nullptr}) {
+        Lexer lexer(sm, id, symbols);
+        std::vector<Token> toks = lexer.lexAll();
+        ASSERT_EQ(toks.size(), std::size(want));
+        for (std::size_t i = 0; i < toks.size(); ++i)
+            EXPECT_EQ(toks[i].kind, want[i]) << i;
+    }
+}
+
+/** The reserved words of a SpellingTable and keywordKind() agree. */
+TEST(Lexer, KeywordTableAgreesWithKeywordKind)
+{
+    std::string text;
+    for (const Keyword& kw : keywords()) {
+        EXPECT_EQ(keywordKind(kw.spelling), kw.kind) << kw.spelling;
+        EXPECT_STREQ(tokKindName(kw.kind), std::string(kw.spelling).c_str());
+        text += std::string(kw.spelling) + ' ';
+    }
+    support::SourceManager sm;
+    support::SpellingTable table;
+    std::int32_t id = sm.addFile("t.c", text);
+    Lexer lexer(sm, id, &table);
+    std::vector<Token> toks = lexer.lexAll();
+    ASSERT_EQ(toks.size(), keywords().size() + 1);
+    for (std::size_t i = 0; i < keywords().size(); ++i)
+        EXPECT_EQ(toks[i].kind, keywords()[i].kind);
+    EXPECT_EQ(table.size(), 0u);
 }
 
 /**

@@ -125,5 +125,54 @@ TEST(Interner, ConcurrentInterningIsConsistent)
     }
 }
 
+/**
+ * The lexer hashes an identifier a byte at a time while it scans it;
+ * the table is also probed with spellingHash() of whole strings, so the
+ * two must agree at every length, across the 8-byte word boundaries.
+ */
+TEST(Interner, SpellingHasherMatchesSpellingHash)
+{
+    std::mt19937 rng(7);
+    for (std::size_t n = 0; n <= 40; ++n) {
+        std::string s(n, '\0');
+        for (char& c : s)
+            c = static_cast<char>(rng());
+        SpellingHasher hasher;
+        for (char c : s)
+            hasher.add(static_cast<unsigned char>(c));
+        EXPECT_EQ(hasher.finish(n), spellingHash(s)) << n;
+    }
+    // Trailing zero bytes change the length, so they change the hash.
+    EXPECT_NE(spellingHash(std::string_view("a\0", 2)), spellingHash("a"));
+}
+
+/** Reserved words resolve to their class, and only whole spellings do. */
+TEST(Interner, SpellingTableReservedWords)
+{
+    SpellingTable table;
+    EXPECT_FALSE(table.hasReservedWords());
+    table.reserve("int", 7);
+    EXPECT_TRUE(table.hasReservedWords());
+    auto resolve = [&](std::string_view s) {
+        return table.resolve(s, spellingHash(s));
+    };
+    EXPECT_EQ(resolve("int").reserved, 7);
+    EXPECT_EQ(resolve("int").id, kInvalidSymbol);
+    SpellingTable::Resolved in = resolve("in");
+    EXPECT_EQ(in.reserved, 0);
+    EXPECT_EQ(in.id, SymbolInterner::global().intern("in"));
+    EXPECT_EQ(resolve("in").id, in.id);
+    EXPECT_EQ(table.name(in.id), "in");
+    EXPECT_EQ(table.size(), 1u);
+    // Enough names to grow the table several times; every one stays put.
+    std::vector<SymbolId> ids;
+    for (int i = 0; i < 5000; ++i)
+        ids.push_back(resolve("name_" + std::to_string(i)).id);
+    for (int i = 0; i < 5000; ++i)
+        EXPECT_EQ(resolve("name_" + std::to_string(i)).id, ids[i]);
+    EXPECT_EQ(resolve("int").reserved, 7);
+    EXPECT_EQ(table.size(), 5001u);
+}
+
 } // namespace
 } // namespace mc::support
