@@ -4,6 +4,7 @@
 #include "checkers/exec_restrict.h"
 #include "checkers/registry.h"
 #include "cfg/path_stats.h"
+#include "support/hash.h"
 
 #include <gtest/gtest.h>
 
@@ -242,6 +243,44 @@ TEST(CorpusLedger, TotalsMatchTable7)
     }
     EXPECT_EQ(errors, 34);
     EXPECT_EQ(fps, 69);
+}
+
+/**
+ * The generated bytes and the plan behind them, pinned to the values the
+ * generator produced before its emission path was rewritten.
+ * GeneratesDeterministically compares two runs of one binary, so it
+ * cannot see output that depends on how a compiler orders the draws
+ * from the Rng; a fixed digest can.
+ */
+TEST(Corpus, GeneratedBytesArePinned)
+{
+    support::Fnv1a sources;
+    support::Fnv1a plan;
+    std::size_t bytes = 0;
+    for (const ProtocolProfile& profile : paperProfiles()) {
+        GeneratedProtocol gen = generateProtocol(profile);
+        for (const GeneratedFile& file : gen.files) {
+            sources.str(file.name);
+            sources.str(file.source);
+            bytes += file.source.size();
+        }
+        for (const SeededItem& item : gen.ledger.items()) {
+            plan.str(item.protocol)
+                .str(item.handler)
+                .str(item.checker)
+                .str(item.rule)
+                .u8(static_cast<std::uint8_t>(item.cls))
+                .str(item.description);
+        }
+        for (const auto& [name, handler] : gen.spec.handlers()) {
+            plan.str(name).u8(static_cast<std::uint8_t>(handler.kind));
+            for (int allowance : handler.lane_allowance)
+                plan.i64(allowance);
+        }
+    }
+    EXPECT_EQ(bytes, 1716907u);
+    EXPECT_EQ(support::hashHex(sources.value()), "1a5f39e1cc584e84");
+    EXPECT_EQ(support::hashHex(plan.value()), "2fac245084205311");
 }
 
 } // namespace
