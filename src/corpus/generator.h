@@ -37,7 +37,9 @@ struct GeneratedProtocol
 
 /**
  * Generate a protocol from a profile. Deterministic: the same profile
- * (including its seed) always yields byte-identical sources.
+ * (including its seed) yields byte-identical sources, ledger and spec on
+ * every conforming compiler, because every draw from the profile's Rng is
+ * sequenced.
  */
 GeneratedProtocol generateProtocol(const ProtocolProfile& profile);
 
