@@ -9,8 +9,10 @@
 #include "metal/metal_parser.h"
 #include "support/text.h"
 #include "support/witness.h"
+#include "tests/metal/reference_sm.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace mc::bench {
@@ -80,12 +83,46 @@ allCheckedProtocols()
 }
 
 /**
- * Steady-state engine throughput over the five buggy paper protocols:
- * every function's CFG walked by both paper state machines (wait_for_db
- * and msg_len_check), repeated `repeats` times after one warmup pass.
- * The counters are the engine's own semantic counters, so the numbers
- * double as an invariant check (they must not change with the matching
- * strategy, the thread count, or cache temperature).
+ * The engine benchmark's input: every function of the five buggy paper
+ * protocols, built into CFGs, and both paper state machines
+ * (wait_for_db and msglen_check).
+ */
+struct EngineCorpus
+{
+    std::vector<corpus::LoadedProtocol> protocols;
+    metal::MetalProgram wait = metal::parseMetal(checkers::kWaitForDbMetal);
+    metal::MetalProgram msg = metal::parseMetal(checkers::kMsgLenCheckMetal);
+    const std::array<const metal::StateMachine*, 2> machines{wait.sm.get(),
+                                                             msg.sm.get()};
+    std::vector<cfg::Cfg> cfgs;
+
+    EngineCorpus()
+    {
+        for (const char* name :
+             {"bitvector", "dyn_ptr", "sci", "coma", "rac"})
+            protocols.push_back(
+                corpus::loadProtocol(corpus::profileByName(name)));
+        for (const corpus::LoadedProtocol& loaded : protocols)
+            for (const lang::FunctionDecl* fn : loaded.program->functions())
+                cfgs.push_back(cfg::CfgBuilder::build(*fn));
+    }
+};
+
+using Clock = std::chrono::steady_clock;
+
+inline double
+millisSince(Clock::time_point begin)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - begin)
+        .count();
+}
+
+/**
+ * Steady-state engine throughput: every CFG of the corpus walked by both
+ * state machines, repeated `repeats` times after one warmup pass. The
+ * counters are the engine's own semantic counters, so the numbers double
+ * as an invariant check (they must not change with the thread count,
+ * cache temperature or witness capture).
  */
 struct EngineThroughput
 {
@@ -104,44 +141,37 @@ struct EngineThroughput
     double transitions_per_sec = 0.0;
 };
 
+inline std::uint64_t
+firingCount(const std::map<std::string, int>& firings)
+{
+    std::uint64_t n = 0;
+    for (const auto& [rule, count] : firings)
+        n += static_cast<std::uint64_t>(count);
+    return n;
+}
+
 inline EngineThroughput
-measureEngineThroughput(metal::MatchStrategy strategy, int repeats = 5)
+measureEngineThroughput(const EngineCorpus& corpus, int repeats = 5)
 {
     EngineThroughput out;
-    std::vector<corpus::LoadedProtocol> corpus;
-    for (const char* name : {"bitvector", "dyn_ptr", "sci", "coma", "rac"})
-        corpus.push_back(corpus::loadProtocol(corpus::profileByName(name)));
-    metal::MetalProgram wait =
-        metal::parseMetal(checkers::kWaitForDbMetal);
-    metal::MetalProgram msg =
-        metal::parseMetal(checkers::kMsgLenCheckMetal);
-
-    std::vector<cfg::Cfg> cfgs;
-    for (const corpus::LoadedProtocol& loaded : corpus)
-        for (const lang::FunctionDecl* fn : loaded.program->functions())
-            cfgs.push_back(cfg::CfgBuilder::build(*fn));
-    out.cfgs = cfgs.size();
-    for (const cfg::Cfg& cfg : cfgs) {
+    out.cfgs = corpus.cfgs.size();
+    for (const cfg::Cfg& cfg : corpus.cfgs) {
         out.blocks += cfg.blocks().size();
         for (const cfg::BasicBlock& bb : cfg.blocks())
             out.stmts += bb.stmts.size();
     }
 
-    metal::SmRunOptions options;
-    options.match_strategy = strategy;
     auto pass = [&](bool record) {
         std::uint64_t visits = 0, transitions = 0, firings = 0;
         std::uint64_t wsteps = 0;
-        for (const cfg::Cfg& cfg : cfgs) {
+        for (const cfg::Cfg& cfg : corpus.cfgs) {
             support::DiagnosticSink sink;
-            for (metal::StateMachine* sm : {wait.sm.get(), msg.sm.get()}) {
-                metal::SmRunResult r =
-                    metal::runStateMachine(*sm, cfg, sink, options);
+            for (const metal::StateMachine* sm : corpus.machines) {
+                metal::SmRunResult r = metal::runStateMachine(*sm, cfg, sink);
                 visits += r.visits;
                 transitions += r.transitions;
                 wsteps += r.witness_steps;
-                for (const auto& [rule, n] : r.firings)
-                    firings += static_cast<std::uint64_t>(n);
+                firings += firingCount(r.firings);
                 if (record && r.peak_frontier > out.peak_frontier)
                     out.peak_frontier = r.peak_frontier;
             }
@@ -155,12 +185,10 @@ measureEngineThroughput(metal::MatchStrategy strategy, int repeats = 5)
     };
 
     pass(/*record=*/false); // warmup: lazy SM compilation, allocator state
-    auto begin = std::chrono::steady_clock::now();
+    const Clock::time_point begin = Clock::now();
     for (int r = 0; r < repeats; ++r)
         pass(/*record=*/true);
-    auto end = std::chrono::steady_clock::now();
-    double ns = std::chrono::duration<double, std::nano>(end - begin)
-                    .count();
+    double ns = millisSince(begin) * 1e6;
     double total_visits =
         static_cast<double>(out.visits) * static_cast<double>(repeats);
     double total_transitions = static_cast<double>(out.sm_transitions) *
@@ -170,6 +198,71 @@ measureEngineThroughput(metal::MatchStrategy strategy, int repeats = 5)
         out.visits_per_sec = total_visits / (ns * 1e-9);
         out.transitions_per_sec = total_transitions / (ns * 1e-9);
     }
+    return out;
+}
+
+/**
+ * The memo-free path enumerator (tests/metal/reference_sm.h) against the
+ * table engine over the same (function, SM) runs: those whose function
+ * has at most reference::kPathCap paths. Both sides run in this process
+ * on the same inputs, so enumerator_ms / table_ms is a same-run ratio.
+ */
+struct ReferenceThroughput
+{
+    /** (function, SM) runs under the path cap, of cfgs x 2. */
+    std::uint64_t runs = 0;
+    /** Entry-to-exit paths the enumerator runs per pass. */
+    std::uint64_t paths = 0;
+    /** Firings per pass: the enumerator's, then the table engine's. */
+    std::uint64_t rule_firings = 0;
+    std::uint64_t table_rule_firings = 0;
+    /** Wall ms per pass over the covered runs. */
+    double enumerator_ms = 0.0;
+    double table_ms = 0.0;
+};
+
+inline ReferenceThroughput
+measureReference(const EngineCorpus& corpus, int repeats = 5)
+{
+    ReferenceThroughput out;
+    std::vector<std::pair<const cfg::Cfg*, const metal::StateMachine*>>
+        covered;
+    for (const cfg::Cfg& cfg : corpus.cfgs)
+        for (const metal::StateMachine* sm : corpus.machines) {
+            support::DiagnosticSink sink;
+            metal::reference::Result r =
+                metal::reference::runEnumerated(*sm, cfg, sink);
+            if (!r.covered)
+                continue;
+            covered.emplace_back(&cfg, sm);
+            out.paths += r.paths;
+            out.rule_firings += firingCount(r.firings);
+        }
+    out.runs = covered.size();
+    // The first pass, which also sorted out the covered runs, is the
+    // enumerator's warmup; the timed passes run only the covered ones.
+    Clock::time_point begin = Clock::now();
+    for (int r = 0; r < repeats; ++r)
+        for (const auto& [cfg, sm] : covered) {
+            support::DiagnosticSink sink;
+            metal::reference::runEnumerated(*sm, *cfg, sink);
+        }
+    out.enumerator_ms = millisSince(begin) / repeats;
+
+    auto table_pass = [&] {
+        std::uint64_t firings = 0;
+        for (const auto& [cfg, sm] : covered) {
+            support::DiagnosticSink sink;
+            firings +=
+                firingCount(metal::runStateMachine(*sm, *cfg, sink).firings);
+        }
+        return firings;
+    };
+    out.table_rule_firings = table_pass(); // warmup
+    begin = Clock::now();
+    for (int r = 0; r < repeats; ++r)
+        table_pass();
+    out.table_ms = millisSince(begin) / repeats;
     return out;
 }
 
@@ -261,7 +354,7 @@ hostInfo()
 
 inline void
 writeEngineThroughputJson(std::ostream& os, const EngineThroughput& table,
-                          const EngineThroughput& legacy,
+                          const ReferenceThroughput& reference,
                           const EngineThroughput& witness)
 {
     const HostInfo host = hostInfo();
@@ -297,34 +390,40 @@ writeEngineThroughputJson(std::ostream& os, const EngineThroughput& table,
        << "    \"stmts\": " << table.stmts << "\n"
        << "  },\n";
     section("engine", table, /*last=*/false);
-    section("legacy", legacy, /*last=*/false);
+    os << "  \"reference\": {\n"
+       << "    \"runs\": " << reference.runs << ",\n"
+       << "    \"paths\": " << reference.paths << ",\n"
+       << "    \"rule_firings\": " << reference.rule_firings << ",\n"
+       << "    \"table_rule_firings\": " << reference.table_rule_firings
+       << ",\n"
+       << "    \"enumerator_ms\": " << reference.enumerator_ms << ",\n"
+       << "    \"table_ms\": " << reference.table_ms << "\n"
+       << "  },\n";
     section("witness", witness, /*last=*/true);
     os << "}\n";
 }
 
 /**
- * Measure both strategies (plus the table strategy with witness capture
- * on, quantifying the --witness overhead) and write
- * BENCH_engine.json-style output to `path`. Returns false (after
+ * Measure the engine, the path enumerator against it, and the engine
+ * with witness capture on (quantifying the --witness overhead), and
+ * write BENCH_engine.json-style output to `path`. Returns false (after
  * reporting to stderr) if the file cannot be opened.
  */
 inline bool
 writeEngineThroughputReport(const std::string& path, int repeats = 5)
 {
-    EngineThroughput table =
-        measureEngineThroughput(metal::MatchStrategy::Table, repeats);
-    EngineThroughput legacy =
-        measureEngineThroughput(metal::MatchStrategy::Legacy, repeats);
+    const EngineCorpus corpus;
+    EngineThroughput table = measureEngineThroughput(corpus, repeats);
+    ReferenceThroughput reference = measureReference(corpus, repeats);
     support::setWitnessConfig(true, support::kDefaultWitnessLimit);
-    EngineThroughput witness =
-        measureEngineThroughput(metal::MatchStrategy::Table, repeats);
+    EngineThroughput witness = measureEngineThroughput(corpus, repeats);
     support::setWitnessConfig(false, 0);
     std::ofstream os(path);
     if (!os) {
         std::cerr << "cannot write " << path << '\n';
         return false;
     }
-    writeEngineThroughputJson(os, table, legacy, witness);
+    writeEngineThroughputJson(os, table, reference, witness);
     return os.good();
 }
 

@@ -390,8 +390,9 @@ BENCHMARK(BM_PatternMatch);
 
 /**
  * Custom main: `--json <path>` (or `--json=<path>`) additionally runs the
- * steady-state engine-throughput measurement for both matching strategies
- * and writes the machine-readable BENCH_engine.json report. The flag is
+ * steady-state engine-throughput measurement, the path enumerator against
+ * the engine, and the witness-on engine, and writes the machine-readable
+ * BENCH_engine.json report. The flag is
  * stripped before google-benchmark sees the argument vector; everything
  * else behaves like BENCHMARK_MAIN().
  */

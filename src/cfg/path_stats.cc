@@ -135,7 +135,6 @@ computePathStats(const Cfg& cfg)
 void
 ProtocolPathStats::add(const PathStats& fn_stats)
 {
-    std::uint64_t previous = total_paths;
     total_paths = saturatingAdd(total_paths, fn_stats.path_count);
     weighted_length_sum_ += fn_stats.avg_length_lines *
                             static_cast<double>(fn_stats.path_count);
@@ -143,34 +142,61 @@ ProtocolPathStats::add(const PathStats& fn_stats)
     if (total_paths > 0)
         avg_length_lines =
             weighted_length_sum_ / static_cast<double>(total_paths);
-    (void)previous;
 }
 
 bool
 enumeratePaths(const Cfg& cfg,
                const std::function<void(const std::vector<int>&)>& fn,
-               std::uint64_t limit)
+               std::uint64_t limit, unsigned back_edge_takes)
 {
-    auto succs = forwardSuccessors(cfg);
+    // Each block's out-edges as (successor, back-edge index or -1).
+    const std::vector<std::pair<int, int>>& back = cfg.backEdges();
+    std::vector<std::vector<std::pair<int, int>>> edges(
+        static_cast<std::size_t>(cfg.blockCount()));
+    for (const BasicBlock& bb : cfg.blocks())
+        for (int s : bb.succs) {
+            auto it = std::find(back.begin(), back.end(),
+                                std::make_pair(bb.id, s));
+            edges[static_cast<std::size_t>(bb.id)].emplace_back(
+                s, it == back.end()
+                       ? -1
+                       : static_cast<int>(it - back.begin()));
+        }
+    std::vector<unsigned> takes(back.size(), 0);
     std::uint64_t emitted = 0;
     std::vector<int> path;
-    // Recursive lambda DFS; acyclic graph so depth is bounded by block
-    // count.
+    // Recursive lambda DFS. Forward edges form a DAG and each back edge
+    // is taken a bounded number of times, so the depth is bounded by
+    // the block count times (back_edge_takes + 1).
     std::function<bool(int)> dfs = [&](int node) -> bool {
         path.push_back(node);
+        bool more = true;
         if (node == cfg.exitId()) {
-            fn(path);
-            path.pop_back();
-            return ++emitted < limit;
-        }
-        for (int s : succs[static_cast<std::size_t>(node)]) {
-            if (!dfs(s)) {
-                path.pop_back();
-                return false;
+            more = emitted < limit;
+            if (more) {
+                fn(path);
+                ++emitted;
+            }
+        } else {
+            for (auto [succ, back_edge] : edges[static_cast<std::size_t>(
+                     node)]) {
+                if (back_edge >= 0) {
+                    unsigned& taken =
+                        takes[static_cast<std::size_t>(back_edge)];
+                    if (taken == back_edge_takes)
+                        continue;
+                    ++taken;
+                    more = dfs(succ);
+                    --taken;
+                } else {
+                    more = dfs(succ);
+                }
+                if (!more)
+                    break;
             }
         }
         path.pop_back();
-        return true;
+        return more;
     };
     return dfs(cfg.entryId());
 }

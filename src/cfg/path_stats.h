@@ -51,14 +51,20 @@ struct ProtocolPathStats
 };
 
 /**
- * Enumerate acyclic entry-to-exit paths by DFS, invoking `fn` with the
- * block-id sequence of each. Stops after `limit` paths (returns false if
- * truncated). Intended for tests and small functions; the checking engine
- * itself uses (block, state) caching instead of explicit enumeration.
+ * Enumerate entry-to-exit paths by DFS, invoking `fn` with the block-id
+ * sequence of each. A path takes each back edge (Cfg::backEdges) at most
+ * `back_edge_takes` times; 0 gives the acyclic paths computePathStats
+ * counts. `fn` sees at most `limit` paths: if the function has more,
+ * enumeration stops and the call returns false.
+ *
+ * Intended for tests and small functions: it is the memo-free reference
+ * the checking engine, which caches (block, state) pairs instead, is
+ * compared against.
  */
 bool enumeratePaths(const Cfg& cfg,
                     const std::function<void(const std::vector<int>&)>& fn,
-                    std::uint64_t limit = 1ull << 20);
+                    std::uint64_t limit = 1ull << 20,
+                    unsigned back_edge_takes = 0);
 
 } // namespace mc::cfg
 

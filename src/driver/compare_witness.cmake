@@ -1,8 +1,10 @@
 # Witness-determinism harness: with --witness on, the machine-readable
 # output (witness objects included) must be byte-identical whatever
 # --jobs says and whether the findings were computed cold or replayed
-# from a warm cache. The table-vs-legacy matcher arm is in-process: see
-# tests/metal/strategy_differential_test.cc.
+# from a warm cache. The in-process engine differential, and the
+# structural check of every witness against its CFG, are in
+# tests/metal/engine_differential_test.cc and
+# tests/metal/witness_check_test.cc.
 #
 # Usage:
 #   cmake -DMCCHECK=<path> -DPROTOCOL=<name> -DWORKDIR=<scratch dir>

@@ -81,15 +81,16 @@ Pattern::compile(PatternContext& pc, const std::string& text,
 void
 Pattern::computeRequiredIdent(Alternative& alt) const
 {
+    std::string_view required;
     auto scan = [&](const Expr& root) {
         forEachSubExpr(root, [&](const Expr& e) {
-            if (!alt.required_ident.empty())
+            if (!required.empty())
                 return;
             if (e.ekind != ExprKind::Ident)
                 return;
             std::string_view name = static_cast<const IdentExpr&>(e).name;
             if (!findWildcard(name))
-                alt.required_ident = std::string(name);
+                required = name;
         });
     };
     if (alt.expr) {
@@ -98,21 +99,8 @@ Pattern::computeRequiredIdent(Alternative& alt) const
         forEachTopLevelExpr(*alt.stmt,
                             [&](const Expr& top) { scan(top); });
     }
-    if (!alt.required_ident.empty())
-        alt.required_sym =
-            support::SymbolInterner::global().intern(alt.required_ident);
-}
-
-bool
-Pattern::couldMatch(const std::set<std::string>& idents) const
-{
-    for (const Alternative& alt : alternatives_) {
-        if (alt.required_ident.empty())
-            return true;
-        if (idents.count(alt.required_ident))
-            return true;
-    }
-    return false;
+    if (!required.empty())
+        alt.required_sym = support::SymbolInterner::global().intern(required);
 }
 
 bool

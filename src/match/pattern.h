@@ -145,18 +145,11 @@ class Pattern
      * Fast rejection prefilter. Each alternative has a *required
      * identifier*: the first non-wildcard identifier in its template
      * (usually the macro name), which any matching statement must
-     * contain verbatim. Returns true if some alternative's required
-     * identifier is in `idents` (or it has none). Never rejects a
-     * statement that would match — the engine uses this to skip full
-     * unification on the vast majority of statements.
-     */
-    bool couldMatch(const std::set<std::string>& idents) const;
-
-    /**
-     * Interned-id prefilter: same contract as couldMatch, but `ids`
-     * is a statement's sorted unique ident span (FlatCfg) and
-     * membership is a binary search over uint32s instead of a
-     * string-set probe.
+     * contain verbatim. `ids` is a statement's sorted unique ident span
+     * (FlatCfg). Returns true if some alternative's required identifier
+     * is in `ids` (or it has none). Never rejects a statement that would
+     * match — the engine uses this to skip full unification on the vast
+     * majority of statements.
      */
     bool couldMatchIds(const std::vector<support::SymbolId>& ids) const;
 
@@ -186,9 +179,8 @@ class Pattern
         const lang::Stmt* stmt = nullptr;
         /** Set when the template is a lone expression. */
         const lang::Expr* expr = nullptr;
-        /** First non-wildcard identifier in the template ("" if none). */
-        std::string required_ident;
-        /** Interned required_ident (kInvalidSymbol if none). */
+        /** First non-wildcard identifier in the template, interned
+         *  (kInvalidSymbol if none). */
         support::SymbolId required_sym = support::kInvalidSymbol;
     };
 

@@ -8,8 +8,6 @@
 #include "support/trace.h"
 #include "support/witness.h"
 
-#include <atomic>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -19,9 +17,7 @@ namespace {
 
 /**
  * Human-readable step annotation: the rule that fired and what each
- * wildcard bound to. Built identically from table-pool and legacy
- * bindings (same match, same entry order), preserving byte-for-byte
- * witness equality between strategies.
+ * wildcard bound to, in binding order.
  */
 std::string
 witnessNote(const std::string& rule_id, const match::Bindings& bindings)
@@ -56,17 +52,6 @@ recordWitnessStep(const std::string& from, const std::string& to,
         ++result.witness_steps;
 }
 
-std::atomic<MatchStrategy> g_default_strategy{MatchStrategy::Table};
-
-/** Legacy walker state: just the SM state name. */
-struct SmState
-{
-    std::string state;
-
-    std::string key() const { return state; }
-    bool dead() const { return state == StateMachine::kStop; }
-};
-
 /** Table walker state: dense state index (4-byte key, exact caching). */
 struct TableSmState
 {
@@ -77,35 +62,11 @@ struct TableSmState
     bool dead() const { return state == stop; }
 };
 
-template <typename WalkResult>
-void
-fillWalkStats(SmRunResult& result, const WalkResult& walk)
-{
-    result.visits = walk.visits;
-    result.truncated = walk.truncated;
-    result.cache_hits = walk.cache_hits;
-    result.pruned_edges = walk.pruned_edges;
-    result.prune_cache_hits = walk.prune_cache_hits;
-    result.prune_skipped_nary = walk.prune_skipped_nary;
-    result.peak_frontier = walk.peak_frontier;
-    result.budget_stop = walk.budget_stop;
-}
-
-template <typename State>
-typename PathWalker<State>::WalkOptions
-walkOptions(const SmRunOptions& options)
-{
-    typename PathWalker<State>::WalkOptions walk_options;
-    walk_options.max_visits = options.max_visits;
-    walk_options.prune_strategy = options.prune_strategy;
-    return walk_options;
-}
-
 /**
- * Table strategy: compile the per-(function, SM) transition table up
- * front, then walk with O(1) cell lookups per statement. The table is a
- * local: its cells, skip bits and mask index die with this walk, since
- * a (function, SM) pair is walked once per run.
+ * Compile the per-(function, SM) transition table up front, then walk
+ * with O(1) cell lookups per statement. The table is a local: its
+ * cells, skip bits and mask index die with this walk, since a
+ * (function, SM) pair is walked once per run.
  */
 SmRunResult
 runTable(const StateMachine& sm, const cfg::Cfg& cfg,
@@ -120,10 +81,9 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
     // Dedup firings: one (rule, statement) pair fires the action and is
     // counted once, no matter how many paths cross it in the same state.
     // Keyed on the interned rule id so rules sharing an id string share
-    // a dedup slot, exactly like the legacy string-keyed set. A run
-    // fires a handful of times at most, so a flat vector with linear
-    // membership beats a node-based set (same membership semantics;
-    // order is never observed).
+    // a dedup slot. A run fires a handful of times at most, so a flat
+    // vector with linear membership beats a node-based set (same
+    // membership semantics; order is never observed).
     struct FiredSet
     {
         std::vector<std::pair<support::SymbolId, support::SourceLoc>>
@@ -185,105 +145,33 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
     // Block-range prefilter: skip a visited block's whole statement
     // loop when the table proves no candidate of the current state can
     // match anything in it. Exact (never rejects a real match), and the
-    // walker ignores it while pruning, so diagnostics and counters stay
-    // byte-identical to the legacy oracle in every mode.
+    // walker ignores it while pruning, so diagnostics and counters are
+    // the same as with the hook unset in every mode.
     hooks.skip_block = [c = &ctx](const TableSmState& st, int block) {
         return c->table.blockSkippable(block, st.state);
     };
 
-    PathWalker<TableSmState> walker(std::move(hooks),
-                                    walkOptions<TableSmState>(options));
+    PathWalker<TableSmState>::WalkOptions walk_options;
+    walk_options.max_visits = options.max_visits;
+    walk_options.prune_strategy = options.prune_strategy;
+    PathWalker<TableSmState> walker(std::move(hooks), walk_options);
     TableSmState initial;
     initial.state = csm.start();
     initial.stop = csm.stop();
-    fillWalkStats(result, walker.walk(cfg, initial));
-    return result;
-}
-
-/**
- * Legacy strategy: re-match every rule at every visit. Kept byte-for-byte
- * equivalent to the table strategy as the differential-test reference.
- */
-SmRunResult
-runLegacy(const StateMachine& sm, const cfg::Cfg& cfg,
-          support::DiagnosticSink& sink, const SmRunOptions& options)
-{
-    SmRunResult result;
-    const bool wit = support::witnessEnabled();
-    const unsigned wlimit = support::witnessLimit();
-    std::set<std::pair<std::string, support::SourceLoc>> fired;
-
-    auto try_rules = [&](SmState& st, const lang::Stmt& stmt,
-                         const std::set<std::string>& stmt_idents,
-                         const std::vector<StateMachine::Rule>& rules)
-        -> bool {
-        for (const StateMachine::Rule& rule : rules) {
-            // Required-identifier prefilter: skip full unification when
-            // the statement cannot possibly contain the pattern.
-            if (!rule.pattern.couldMatch(stmt_idents))
-                continue;
-            auto bindings = rule.pattern.matchInStmt(stmt);
-            if (!bindings)
-                continue;
-            bool is_new = fired.emplace(rule.id, stmt.loc).second;
-            bool changes_state =
-                !rule.next_state.empty() && rule.next_state != st.state;
-            if (wit && (is_new || changes_state))
-                recordWitnessStep(st.state,
-                                  changes_state ? rule.next_state
-                                                : st.state,
-                                  stmt.loc, witnessNote(rule.id, *bindings),
-                                  wlimit, result);
-            if (is_new) {
-                ++result.firings[rule.id];
-                if (rule.action) {
-                    ActionContext action_ctx(stmt, *bindings, sink,
-                                             sm.name(), rule.id);
-                    rule.action(action_ctx);
-                }
-            }
-            if (changes_state) {
-                st.state = rule.next_state;
-                ++result.transitions;
-            }
-            return true;
-        }
-        return false;
-    };
-
-    PathWalker<SmState>::Hooks hooks;
-    hooks.on_stmt = [&](SmState& st, const lang::Stmt& stmt, std::uint32_t) {
-        std::set<std::string> idents;
-        match::Pattern::collectIdents(stmt, idents);
-        if (try_rules(st, stmt, idents, sm.rulesFor(st.state)))
-            return;
-        try_rules(st, stmt, idents, sm.allRules());
-    };
-
-    PathWalker<SmState> walker(std::move(hooks),
-                               walkOptions<SmState>(options));
-    SmState initial;
-    initial.state = sm.startState();
-    fillWalkStats(result, walker.walk(cfg, initial));
+    const PathWalker<TableSmState>::Result walk =
+        walker.walk(cfg, initial);
+    result.visits = walk.visits;
+    result.truncated = walk.truncated;
+    result.cache_hits = walk.cache_hits;
+    result.pruned_edges = walk.pruned_edges;
+    result.prune_cache_hits = walk.prune_cache_hits;
+    result.prune_skipped_nary = walk.prune_skipped_nary;
+    result.peak_frontier = walk.peak_frontier;
+    result.budget_stop = walk.budget_stop;
     return result;
 }
 
 } // namespace
-
-MatchStrategy
-defaultMatchStrategy()
-{
-    return g_default_strategy.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultMatchStrategy(MatchStrategy strategy)
-{
-    g_default_strategy.store(strategy == MatchStrategy::Legacy
-                                 ? MatchStrategy::Legacy
-                                 : MatchStrategy::Table,
-                             std::memory_order_relaxed);
-}
 
 SmRunResult
 runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
@@ -317,12 +205,7 @@ runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
                      : (cfg.function ? std::string(cfg.function->name)
                                      : std::string())));
 
-    MatchStrategy strategy = options.match_strategy;
-    if (strategy == MatchStrategy::Default)
-        strategy = defaultMatchStrategy();
-    SmRunResult result = strategy == MatchStrategy::Legacy
-                             ? runLegacy(sm, cfg, sink, options)
-                             : runTable(sm, cfg, sink, options);
+    SmRunResult result = runTable(sm, cfg, sink, options);
 
     if (metrics.enabled()) {
         metrics.counter("engine.runs").add();

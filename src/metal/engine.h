@@ -33,11 +33,7 @@ struct SmRunResult
     std::uint64_t peak_frontier = 0;
     /** State transitions taken (rule matches that changed the state). */
     std::uint64_t transitions = 0;
-    /**
-     * Witness steps appended to path trails (0 unless --witness). Both
-     * strategies record the same steps, so this is part of the
-     * differential contract like visits/transitions.
-     */
+    /** Witness steps appended to path trails (0 unless --witness). */
     std::uint64_t witness_steps = 0;
     /**
      * The per-unit resource budget limit that stopped the walk early
@@ -46,29 +42,22 @@ struct SmRunResult
     support::BudgetStop budget_stop = support::BudgetStop::None;
 };
 
-/**
- * How the engine matches rules against statements.
- *
- * Both strategies are semantically identical — same diagnostics (byte for
- * byte), same firings, same visit/transition counts. Legacy is retained
- * as the reference implementation for differential testing.
+/*
+ * Compatibility shim. The engine has one matcher, the transition table;
+ * the process-wide strategy switch is gone. The end-to-end benchmark
+ * (e2e_bench/mcbench.cc), which only a benchmark change may edit, still
+ * calls setDefaultMatchStrategy(MatchStrategy::Table) and reads
+ * CheckRequest::match_strategy. The next benchmark change drops that
+ * call, then this one-value enum, the no-op, and the request field.
  */
 enum class MatchStrategy : std::uint8_t
 {
-    /** Use the process-wide default (Table unless overridden). */
-    Default,
-    /** Pre-compile a per-(function, SM) transition table, then walk with
-     *  O(1) indexed lookups per statement. */
     Table,
-    /** Re-run pattern unification at every path-sensitive visit. */
-    Legacy,
 };
 
-/** The strategy Default resolves to (initially Table). */
-MatchStrategy defaultMatchStrategy();
-
-/** Override the process-wide default (Default resets to Table). */
-void setDefaultMatchStrategy(MatchStrategy strategy);
+inline void
+setDefaultMatchStrategy(MatchStrategy)
+{}
 
 /** Options controlling one engine run. */
 struct SmRunOptions
@@ -86,8 +75,6 @@ struct SmRunOptions
      * the trace viewer). Defaults to the CFG's own function when unset.
      */
     std::string trace_label;
-    /** Matching strategy for this run (Default = process default). */
-    MatchStrategy match_strategy = MatchStrategy::Default;
 };
 
 /**

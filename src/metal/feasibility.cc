@@ -122,9 +122,9 @@ CondTable::condInfo(const lang::Expr& cond)
 
 /**
  * The interned maximal [A-Za-z0-9_] runs of `text`, sorted and
- * deduplicated. Membership of an identifier in this set is exactly the
- * legacy whole-word substring test: every whole-word occurrence is a
- * maximal run and vice versa.
+ * deduplicated. Membership of an identifier in this set is exactly a
+ * whole-word substring test: every whole-word occurrence is a maximal
+ * run and vice versa.
  */
 std::vector<support::SymbolId>
 CondTable::wordTokens(const std::string& text)

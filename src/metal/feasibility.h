@@ -59,8 +59,7 @@ using Outcomes = std::vector<std::pair<std::uint32_t, bool>>;
  * Canonicalizes branch conditions to dense ids for outcome tracking.
  *
  * Two conditions share an id iff they render to the same source text
- * (after stripping `!` prefixes) — the same equivalence the legacy
- * string-keyed outcome map used. Per condition id the table keeps the
+ * (after stripping `!` prefixes). Per condition id the table keeps the
  * interned word tokens of that text, so assignment invalidation is a
  * sorted-id intersection instead of a substring scan. All caches are
  * per-walk; ids never escape the walk.

@@ -41,11 +41,10 @@ namespace mc::metal {
  *
  * The client state type must provide:
  *   - copy construction (paths fork at branches);
- *   - `key() const` returning either `std::string` or an unsigned
- *     integral of at most 32 bits — a stable encoding used for the
- *     (block, state) visited set. Integral keys are packed with the
- *     block id into one exact 64-bit word (no hashing, no collisions);
- *     string keys are FNV-1a hashed;
+ *   - `std::uint32_t key() const` — an exact encoding of the state
+ *     used for the (block, state) visited set. Without pruning it is
+ *     packed with the block id into one 64-bit word (no hashing, no
+ *     collisions);
  *   - `bool dead() const` — true when this path needs no further
  *     exploration (the metal `stop` state).
  */
@@ -224,14 +223,13 @@ class PathWalker
             // The unit's resource budget (installed by the parallel
             // engine's UnitGuard) governs the whole (function, checker)
             // unit across all of its walks: one step per visit, bytes
-            // for the frontier entry (including the heap behind the
-            // state key and the recorded branch outcomes) plus the
-            // 8-byte visited-set key. Like the visit cap, exhaustion
-            // truncates gracefully — partial results survive; nothing
-            // is thrown.
+            // for the frontier entry (including the recorded branch
+            // outcomes) plus the 8-byte visited-set key. Like the visit
+            // cap, exhaustion truncates gracefully — partial results
+            // survive; nothing is thrown.
             if (support::Budget* budget = support::Budget::current()) {
                 budget->chargeStep();
-                budget->chargeBytes(entryBytes(state, facts, trail));
+                budget->chargeBytes(entryBytes(facts, trail));
                 if (budget->exhausted()) {
                     result.truncated = true;
                     result.budget_stop = budget->stop();
@@ -400,9 +398,10 @@ class PathWalker
         }
     }
 
-    using KeyType = decltype(std::declval<const State&>().key());
-    static constexpr bool kIntegralKey =
-        std::is_integral_v<KeyType> && sizeof(KeyType) <= 4;
+    static_assert(
+        std::is_same_v<decltype(std::declval<const State&>().key()),
+                       std::uint32_t>,
+        "PathWalker states key the visited set with a std::uint32_t");
 
     /**
      * Reusable per-thread walk buffers. The walker's fixed per-run cost
@@ -558,55 +557,40 @@ class PathWalker
     };
 
     /**
-     * The visited-set key for an entry. Integral state keys without
-     * pruning pack exactly into (block << 32) | key — membership is
-     * collision-free, so the engine's semantic counters (visits,
-     * cache_hits, transitions) are exact, not probabilistic. String
-     * keys, and any walk with pruning enabled (whose key must also
-     * encode the path's branch outcomes and value constraints), use a
-     * 64-bit FNV-1a digest.
+     * The visited-set key for an entry. Without pruning it packs exactly
+     * into (block << 32) | key — membership is collision-free, so the
+     * engine's semantic counters (visits, cache_hits, transitions) are
+     * exact, not probabilistic. A walk with pruning enabled, whose key
+     * must also encode the path's branch outcomes and value
+     * constraints, uses a 64-bit FNV-1a digest.
      */
     std::uint64_t
     visitedKey(int block, const State& state,
                const PathFacts& facts) const
     {
-        if constexpr (kIntegralKey) {
-            if (options_.prune_strategy == PruneStrategy::Off)
-                return (static_cast<std::uint64_t>(
-                            static_cast<std::uint32_t>(block))
-                        << 32) |
-                       static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(state.key()));
-        }
+        if (options_.prune_strategy == PruneStrategy::Off)
+            return (static_cast<std::uint64_t>(
+                        static_cast<std::uint32_t>(block))
+                    << 32) |
+                   state.key();
         support::Fnv1a h;
         h.u64(static_cast<std::uint64_t>(block));
-        if constexpr (kIntegralKey)
-            h.u64(static_cast<std::uint64_t>(state.key()));
-        else
-            h.str(state.key());
+        h.u64(state.key());
         h.u64(FeasibilityContext::factsDigest(facts));
         return h.value();
     }
 
     /** Bytes a pending path pins: its frontier row (one slot in each
-     *  parallel array), its key's heap footprint, the facts' heap
-     *  (outcome vector plus constraint store), the witness trail's
-     *  bounded payload, and the visited-set slot. */
+     *  parallel array), the facts' heap (outcome vector plus constraint
+     *  store), the witness trail's bounded payload, and the visited-set
+     *  slot. */
     static std::size_t
-    entryBytes(const State& state, const PathFacts& facts,
-               const support::WitnessTrail& trail)
+    entryBytes(const PathFacts& facts, const support::WitnessTrail& trail)
     {
-        std::size_t bytes = sizeof(int) + sizeof(State) +
-                            sizeof(PathFacts) +
-                            sizeof(support::WitnessTrail) +
-                            sizeof(std::uint64_t) +
-                            facts.outcomes.capacity() *
-                                sizeof(Outcomes::value_type) +
-                            facts.constraints.heapBytes() +
-                            trail.heapBytes();
-        if constexpr (!kIntegralKey)
-            bytes += state.key().size();
-        return bytes;
+        return sizeof(int) + sizeof(State) + sizeof(PathFacts) +
+               sizeof(support::WitnessTrail) + sizeof(std::uint64_t) +
+               facts.outcomes.capacity() * sizeof(Outcomes::value_type) +
+               facts.constraints.heapBytes() + trail.heapBytes();
     }
 
     Hooks hooks_;

@@ -58,7 +58,7 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
         // Own rules first, then `all` rules — the paper's "implicitly
         // applied to other states" order. For the `all` state itself this
         // appends its list twice; first-match-wins makes the second copy
-        // unreachable, exactly like the legacy two-call sequence.
+        // unreachable.
         for (const StateMachine::Rule& rule : sm.rulesFor(stateName(s)))
             add(rule);
         for (const StateMachine::Rule& rule : sm.allRules())

@@ -21,7 +21,7 @@ using StateIdx = std::uint32_t;
 /**
  * Per-StateMachine compiled view: state names and rule ids interned to
  * dense indices, and each state's candidate rules (its own rules followed
- * by the `all` rules — the legacy first-match order) flattened into one
+ * by the `all` rules — the paper's first-match order) flattened into one
  * list with pre-resolved transition targets and bitmask prefilters.
  *
  * Built once per SM (lazily, via StateMachine::compiled()) after rule

@@ -535,12 +535,10 @@ runCheckRequest(const CheckRequest& request, cache::AnalysisCache* cache,
                 std::ostream& err)
 {
     CheckOutcome outcome;
-    // Per-run process-global configuration. Both are folded into every
-    // cache key (witness) or proven byte-neutral (match strategy), so a
-    // resident cache can never leak one configuration's results into
-    // another's run.
+    // Per-run process-global configuration. It is folded into every
+    // cache key, so a resident cache can never leak one configuration's
+    // results into another's run.
     support::setWitnessConfig(request.witness, request.witness_limit);
-    metal::setDefaultMatchStrategy(request.match_strategy);
     const std::uint64_t hits_before = cacheHits(cache);
     try {
         outcome.exit_code = check(request, cache, resident, out, err, outcome);

@@ -64,13 +64,8 @@ struct CheckRequest
     bool witness = false;
     /** Witness step/block cap; 0 = the built-in default. */
     unsigned witness_limit = 0;
-    /**
-     * SM matching strategy (process-global default, installed per run;
-     * both strategies produce identical bytes). In-process only: no
-     * flag, param or shard-worker line carries it. Legacy is the
-     * reference implementation the strategy differential tests compare
-     * against.
-     */
+    /** Read only by e2e_bench/mcbench.cc; part of the engine.h shim
+     *  and removed with it. Nothing else reads or sets it. */
     metal::MatchStrategy match_strategy = metal::MatchStrategy::Table;
 
     /**

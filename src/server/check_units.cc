@@ -93,9 +93,8 @@ runCheckUnits(const CheckRequest& request,
 {
     // Process-global per-run configuration, exactly as runCheckRequest
     // installs it — the daemon's execution mutex serializes requests,
-    // so the globals cannot leak across concurrent batches.
+    // so the global cannot leak across concurrent batches.
     support::setWitnessConfig(request.witness, request.witness_limit);
-    metal::setDefaultMatchStrategy(request.match_strategy);
 
     if (request.mode == CheckRequest::Mode::Metal)
         throw std::runtime_error(

@@ -49,8 +49,8 @@ struct DaemonOptions
  * `handleRequestLine` is safe to call from any thread: request
  * *decoding* is lock-free, request *execution* serializes on one
  * mutex — which is not an implementation shortcut but a correctness
- * requirement, because a check run installs process-global witness and
- * match-strategy configuration. Serialization also makes concurrent
+ * requirement, because a check run installs the process-global witness
+ * configuration. Serialization also makes concurrent
  * responses byte-identical to serial ones: each response depends only
  * on its request and the (totally ordered) resident state.
  *

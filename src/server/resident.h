@@ -91,8 +91,8 @@ struct PreparedProgram
  * under the same content key a warm batch run replays by.
  *
  * Not internally synchronized: the daemon serializes every access under
- * its request-execution mutex (which the protocol needs anyway — witness
- * configuration and match strategy are process globals set per request).
+ * its request-execution mutex (which the protocol needs anyway — the
+ * witness configuration is a process global set per request).
  */
 class ResidentState
 {

@@ -1,5 +1,7 @@
 #include "cfg/path_stats.h"
 #include "lang/program.h"
+#include "metal/metal_parser.h"
+#include "tests/metal/reference_sm.h"
 
 #include <gtest/gtest.h>
 
@@ -130,6 +132,106 @@ TEST(EnumeratePaths, RespectsLimit)
                        16);
     EXPECT_FALSE(complete);
     EXPECT_EQ(count, 16);
+}
+
+TEST(EnumeratePaths, ExactlyLimitPathsIsComplete)
+{
+    // 2^4 paths under a limit of 16: every path is seen, none is left.
+    std::string body;
+    for (int i = 0; i < 4; ++i)
+        body += "if (c" + std::to_string(i) + ")\nx();\n";
+    auto b = build(body);
+    int count = 0;
+    EXPECT_TRUE(enumeratePaths(
+        b->cfg, [&](const std::vector<int>&) { ++count; }, 16));
+    EXPECT_EQ(count, 16);
+}
+
+TEST(EnumeratePaths, BackEdgeTakesBoundLoopIterations)
+{
+    // A while loop: 0 takes gives only the path that skips the body;
+    // each further take adds the path with one more iteration.
+    auto b = build("while (c)\nbody();\nz();");
+    for (unsigned takes : {0u, 1u, 3u}) {
+        std::uint64_t paths = 0;
+        EXPECT_TRUE(enumeratePaths(
+            b->cfg, [&](const std::vector<int>&) { ++paths; }, 1u << 20,
+            takes));
+        EXPECT_EQ(paths, takes + 1u) << takes << " takes";
+    }
+}
+
+/** Reports `use()` after two ticks; a tick moves start -> one -> two. */
+const char* kTwoTicks = R"metal(
+sm two_ticks {
+    start:
+        { tick(); } ==> one ;
+    one:
+        { tick(); } ==> two ;
+    two:
+        { use(); } ==> { err("used after two ticks"); } ;
+}
+)metal";
+
+TEST(ReferenceEnumerator, SecondIterationFindingNeedsStateCountTakes)
+{
+    // The body changes the state on every iteration, but only the second
+    // reaches `two`: a path must take the back edge twice. One take
+    // misses the finding; the state count (start, one, two, stop) of
+    // takes reports it.
+    metal::MetalProgram mp = metal::parseMetal(kTwoTicks);
+    auto b = build("while (c) {\ntick();\n}\nuse();");
+    ASSERT_EQ(metal::reference::stateCount(*mp.sm), 4u);
+
+    support::DiagnosticSink once;
+    metal::reference::Result r1 =
+        metal::reference::runEnumerated(*mp.sm, b->cfg, once, 1u);
+    ASSERT_TRUE(r1.covered);
+    EXPECT_EQ(once.diagnostics().size(), 0u);
+
+    support::DiagnosticSink full;
+    metal::reference::Result rk =
+        metal::reference::runEnumerated(*mp.sm, b->cfg, full);
+    ASSERT_TRUE(rk.covered);
+    ASSERT_EQ(full.diagnostics().size(), 1u);
+    EXPECT_EQ(full.diagnostics()[0].message, "used after two ticks");
+    EXPECT_GT(rk.paths, r1.paths);
+}
+
+TEST(ReferenceEnumerator, OverThePathCapIsSkippedNotTruncated)
+{
+    // 2^12 paths are covered; 2^13 are over the cap, so the function is
+    // reported as skipped: nothing runs and nothing is reported, even
+    // though every path ends in the bug.
+    const char* kReadBeforeWait = R"metal(
+sm wait_for_db {
+    decl { scalar } addr, buf;
+    start:
+        { WAIT_FOR_DB_FULL(addr); } ==> stop
+      | { MISCBUS_READ_DB(addr, buf); } ==> { err("unsynchronized"); } ;
+}
+)metal";
+    metal::MetalProgram mp = metal::parseMetal(kReadBeforeWait);
+    for (int ifs : {12, 13}) {
+        std::string body;
+        for (int i = 0; i < ifs; ++i)
+            body += "if (c" + std::to_string(i) + ")\nx();\n";
+        body += "MISCBUS_READ_DB(a, b);";
+        auto b = build(body);
+        support::DiagnosticSink sink;
+        metal::reference::Result r =
+            metal::reference::runEnumerated(*mp.sm, b->cfg, sink);
+        if (ifs == 12) {
+            EXPECT_TRUE(r.covered);
+            EXPECT_EQ(r.paths, metal::reference::kPathCap);
+            EXPECT_EQ(sink.diagnostics().size(), 1u);
+        } else {
+            EXPECT_FALSE(r.covered);
+            EXPECT_EQ(r.paths, 0u);
+            EXPECT_TRUE(r.firings.empty());
+            EXPECT_TRUE(sink.diagnostics().empty());
+        }
+    }
 }
 
 TEST(PathStats, MatchesEnumerationOnRandomShapes)

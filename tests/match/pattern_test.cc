@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace mc::match {
 namespace {
@@ -197,15 +200,25 @@ TEST(Pattern, MultipleStatementsRejected)
                  lang::ParseError);
 }
 
+/** Names as couldMatchIds expects them: interned, sorted, unique. */
+std::vector<support::SymbolId>
+ids(const std::set<std::string>& names)
+{
+    std::vector<support::SymbolId> out;
+    for (const std::string& name : names)
+        out.push_back(support::SymbolInterner::global().intern(name));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
 TEST(Pattern, PrefilterRequiresTheMacroIdentifier)
 {
     Fixture f;
     Pattern p = Pattern::compile(f.pc, "{ WAIT_FOR_DB_FULL(addr); }",
                                  scalars({"addr"}));
-    std::set<std::string> with{"WAIT_FOR_DB_FULL", "x"};
-    std::set<std::string> without{"OTHER", "x"};
-    EXPECT_TRUE(p.couldMatch(with));
-    EXPECT_FALSE(p.couldMatch(without));
+    EXPECT_TRUE(p.couldMatchIds(ids({"WAIT_FOR_DB_FULL", "x"})));
+    EXPECT_FALSE(p.couldMatchIds(ids({"OTHER", "x"})));
 }
 
 TEST(Pattern, PrefilterAnyAlternativeSuffices)
@@ -215,9 +228,9 @@ TEST(Pattern, PrefilterAnyAlternativeSuffices)
                                  scalars({"k"}));
     p.addAlternatives(Pattern::compile(f.pc, "{ IO_SEND(F_DATA, k); }",
                                        scalars({"k"})));
-    EXPECT_TRUE(p.couldMatch({"IO_SEND"}));
-    EXPECT_TRUE(p.couldMatch({"PI_SEND"}));
-    EXPECT_FALSE(p.couldMatch({"NI_SEND"}));
+    EXPECT_TRUE(p.couldMatchIds(ids({"IO_SEND"})));
+    EXPECT_TRUE(p.couldMatchIds(ids({"PI_SEND"})));
+    EXPECT_FALSE(p.couldMatchIds(ids({"NI_SEND"})));
 }
 
 TEST(Pattern, PrefilterNeverRejectsAMatchingStatement)
@@ -241,9 +254,10 @@ TEST(Pattern, PrefilterNeverRejectsAMatchingStatement)
             const lang::Stmt* stmt = f.stmt(stmt_text);
             std::set<std::string> idents;
             Pattern::collectIdents(*stmt, idents);
-            if (p.matchInStmt(*stmt).has_value())
-                EXPECT_TRUE(p.couldMatch(idents))
+            if (p.matchInStmt(*stmt).has_value()) {
+                EXPECT_TRUE(p.couldMatchIds(ids(idents)))
                     << pattern_text << " vs " << stmt_text;
+            }
         }
     }
 }
@@ -253,7 +267,7 @@ TEST(Pattern, PrefilterPureWildcardPatternAlwaysCandidate)
     Fixture f;
     Pattern p = Pattern::compile(
         f.pc, "{ v }", {WildcardDecl{"v", WildcardKind::AnyExpr}});
-    EXPECT_TRUE(p.couldMatch({}));
+    EXPECT_TRUE(p.couldMatchIds(ids({})));
 }
 
 TEST(Pattern, UnaryAndBinaryOperatorsMustAgree)

@@ -344,20 +344,6 @@ struct WitnessGuard
     ~WitnessGuard() { support::setWitnessConfig(false, 0); }
 };
 
-std::unique_ptr<Run>
-runWithStrategy(const char* metal_src, const std::string& body,
-                MatchStrategy strategy)
-{
-    auto r = std::make_unique<Run>();
-    MetalProgram mp = parseMetal(metal_src);
-    r->program.addSource("t.c", "void f(void) {" + body + "}");
-    cfg::Cfg cfg = cfg::CfgBuilder::build(*r->program.findFunction("f"));
-    SmRunOptions options;
-    options.match_strategy = strategy;
-    r->result = runStateMachine(*mp.sm, cfg, r->sink, options);
-    return r;
-}
-
 TEST(EngineWitness, OffByDefaultRecordsNothing)
 {
     auto r = run(kWaitForDb, "MISCBUS_READ_DB(a, b);");
@@ -396,35 +382,6 @@ TEST(EngineWitness, TransitionStepsRecordedEvenWithoutFindings)
     auto r = run(kWaitForDb, "WAIT_FOR_DB_FULL(a);");
     EXPECT_EQ(r->sink.count(support::Severity::Error), 0);
     EXPECT_GE(r->result.witness_steps, 1u);
-}
-
-TEST(EngineWitness, StepsIdenticalAcrossMatchStrategies)
-{
-    WitnessGuard guard;
-    const std::string body =
-        "len = LEN_NODATA; PI_SEND(F_NODATA, k);"
-        "len = LEN_WORD; PI_SEND(F_NODATA, k);";
-    auto table = runWithStrategy(kMsgLen, body, MatchStrategy::Table);
-    auto legacy = runWithStrategy(kMsgLen, body, MatchStrategy::Legacy);
-
-    EXPECT_GT(table->result.witness_steps, 0u);
-    EXPECT_EQ(table->result.witness_steps, legacy->result.witness_steps);
-
-    ASSERT_EQ(table->sink.diagnostics().size(),
-              legacy->sink.diagnostics().size());
-    for (std::size_t d = 0; d < table->sink.diagnostics().size(); ++d) {
-        const support::Witness& tw = table->sink.diagnostics()[d].witness;
-        const support::Witness& lw = legacy->sink.diagnostics()[d].witness;
-        EXPECT_EQ(tw.blocks, lw.blocks);
-        EXPECT_EQ(tw.truncated, lw.truncated);
-        ASSERT_EQ(tw.steps.size(), lw.steps.size());
-        for (std::size_t s = 0; s < tw.steps.size(); ++s) {
-            EXPECT_EQ(tw.steps[s].from_state, lw.steps[s].from_state);
-            EXPECT_EQ(tw.steps[s].to_state, lw.steps[s].to_state);
-            EXPECT_EQ(tw.steps[s].note, lw.steps[s].note);
-            EXPECT_EQ(tw.steps[s].loc, lw.steps[s].loc);
-        }
-    }
 }
 
 TEST(EngineWitness, LimitCapsStepsAndMarksTruncation)

@@ -14,7 +14,7 @@ struct TraceState
         std::make_shared<std::vector<std::string>>();
     bool stop = false;
 
-    std::string key() const { return stop ? "1" : "0"; }
+    std::uint32_t key() const { return stop ? 1 : 0; }
     bool dead() const { return stop; }
 };
 
@@ -140,7 +140,7 @@ struct CopyCountState
     }
     CopyCountState& operator=(CopyCountState&&) = default;
 
-    std::string key() const { return "k"; }
+    std::uint32_t key() const { return 0; }
     bool dead() const { return false; }
 };
 
@@ -175,8 +175,8 @@ TEST(PathWalker, BranchForkCopiesStateOncePerExtraEdge)
 /** State counting how many exits were reached. */
 struct CountState
 {
-    int marker = 0;
-    std::string key() const { return std::to_string(marker); }
+    std::uint32_t marker = 0;
+    std::uint32_t key() const { return marker; }
     bool dead() const { return false; }
 };
 
