@@ -22,10 +22,11 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
     // Every seed answers this batch: units 0 and 1 of a three-unit plan.
     const std::vector<std::uint64_t> units = {0, 1};
     const std::vector<unsigned> attempts = {1, 2};
+    const std::vector<std::size_t> todo = {0, 1, 2};
     std::vector<mc::checkers::UnitResult> results(3);
     try {
         mc::server::absorbWorkerResponse(units, line, /*slot=*/1, attempts,
-                                         results);
+                                         todo, results);
     } catch (const std::runtime_error&) {
         return 0;
     }

@@ -271,7 +271,8 @@ AnalysisCache::lookup(std::uint64_t key)
     // corrupt-entry miss, so the caller re-analyzes and the run's output
     // is unaffected. The injected variant follows the same path.
     try {
-        support::fault::probe("cache.lookup", support::hashHex(key));
+        if (support::fault::armed())
+            support::fault::probe("cache.lookup", support::hashHex(key));
     } catch (const support::InjectedFault& f) {
         if (memory_) {
             std::lock_guard<std::mutex> lock(mem_mu_);
@@ -332,7 +333,8 @@ AnalysisCache::store(std::uint64_t key, const CachedUnit& unit)
     // here (like the real short-write/rename failures below) so checking
     // continues undisturbed.
     try {
-        support::fault::probe("cache.store", support::hashHex(key));
+        if (support::fault::armed())
+            support::fault::probe("cache.store", support::hashHex(key));
     } catch (const support::InjectedFault& f) {
         warn("cache entry " + path + " not stored (" + f.what() + ")");
         return;

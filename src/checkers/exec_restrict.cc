@@ -236,7 +236,7 @@ ExecRestrictChecker::checkFunction(const FunctionDecl& fn,
     HandlerKind kind = ctx.spec.kindOf(fn.name);
 
     vars_checked_ += static_cast<int>(fn.params.size());
-    forEachStmt(*fn.body, [&](const Stmt& stmt) {
+    visitStmtsFast(*fn.body, [&](const Stmt& stmt) {
         if (stmt.skind == StmtKind::Decl)
             vars_checked_ += static_cast<int>(
                 static_cast<const DeclStmt&>(stmt).decls.size());

@@ -14,11 +14,13 @@
 #include <atomic>
 #include <chrono>
 #include <istream>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string_view>
+#include <unordered_map>
 
 namespace mc::checkers {
 
@@ -45,6 +47,50 @@ loadStateFrom(Checker& checker, std::string_view state)
     buf.reset(state);
     in.clear();
     return checker.loadState(in);
+}
+
+/**
+ * Take from `store` every unit the last run kept under the key `keys`
+ * now gives it, and list the other units, ascending, in `pending`;
+ * their slots are emptied for this run to fill. Returns the number
+ * taken. When the grid changed size (functions were added or removed,
+ * or another checker set ran) the kept units first move, by key, to the
+ * slots of the new grid. An edit that adds and removes functions in
+ * equal number keeps the size, so units it shifted re-run; in files
+ * mode such an edit changes the spec, and so every key, anyway.
+ */
+std::uint64_t
+takeResident(ResidentUnits& store, const std::vector<std::uint64_t>& keys,
+             std::vector<std::size_t>& pending)
+{
+    const std::size_t nunits = keys.size();
+    if (store.slots.size() != nunits) {
+        std::unordered_map<std::uint64_t, std::size_t> kept;
+        kept.reserve(store.slots.size());
+        for (std::size_t s = 0; s < store.slots.size(); ++s)
+            if (store.slots[s].checker)
+                kept.emplace(store.slots[s].key, s);
+        std::vector<ResidentUnits::Slot> relaid(nunits);
+        for (std::size_t u = 0; u < nunits; ++u) {
+            auto it = keys[u] != 0 ? kept.find(keys[u]) : kept.end();
+            if (it == kept.end())
+                continue;
+            relaid[u] = std::move(store.slots[it->second]);
+            kept.erase(it);
+        }
+        store.slots = std::move(relaid);
+    }
+    std::uint64_t taken = 0;
+    for (std::size_t u = 0; u < nunits; ++u) {
+        ResidentUnits::Slot& slot = store.slots[u];
+        if (keys[u] != 0 && slot.key == keys[u] && slot.checker) {
+            ++taken;
+            continue;
+        }
+        slot = {};
+        pending.push_back(u);
+    }
+    return taken;
 }
 
 } // namespace
@@ -121,7 +167,6 @@ runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
 {
     const lang::FunctionDecl& fn = plan.function(u);
     const CheckerDef& def = plan.def(u);
-    const std::string label = plan.label(u);
     support::TraceRecorder& tracer = support::TraceRecorder::global();
     support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                             def.name(), "checker");
@@ -132,9 +177,10 @@ runUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     // Every walk the unit performs publishes its tallies here.
     support::LedgerUnitScope stats_scope(&out.stats);
     const auto t0 = std::chrono::steady_clock::now();
-    UnitGuard guard(label, plan.budget, plan.fail_fast);
+    UnitGuard guard(fn.name, def.name(), plan.budget, plan.fail_fast);
     UnitOutcome outcome = guard.run([&] {
-        support::fault::probe("checker.unit", label);
+        if (support::fault::armed())
+            support::fault::probe("checker.unit", plan.label(u));
         out.checker->checkFunction(fn, cfg ? *cfg : plan.cfgs->get(fn), ctx);
     });
     out.wall = std::chrono::steady_clock::now() - t0;
@@ -153,7 +199,6 @@ failUnit(const UnitPlan& plan, std::size_t u, UnitResult& out,
     const lang::FunctionDecl& fn = plan.function(u);
     out.failed = true;
     out.error = std::move(error);
-    out.resident.reset();
     out.checker = plan.def(u).instantiate();
     out.sink.clear();
     warnUnitFailed(out.sink, fn.loc, plan.def(u).name(), std::string(fn.name),
@@ -194,27 +239,28 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
     // Phase 0 (with a store only): key every unit by content. A unit
     // whose function has no fingerprint (its file needed parse
     // recovery) keeps key 0, which no store may serve or keep.
-    std::vector<UnitResult> results(nunits);
-    std::vector<std::uint64_t> keys(nunits, 0);
+    std::vector<std::uint64_t> keys;
     auto computeKeys = [&] {
-        const lang::FunctionFingerprints fn_fps =
+        const std::vector<std::uint64_t> fn_fps =
             lang::fingerprintFunctions(plan.program);
         const std::uint64_t spec_fp = flash::specFingerprint(plan.spec);
         std::vector<support::Fnv1a> key_prefixes;
+        key_prefixes.reserve(ncheckers);
         for (const CheckerDef* def : plan.defs)
             key_prefixes.push_back(unitCacheKeyPrefix(*def));
-        for (std::size_t u = 0; u < nunits; u += ncheckers) {
-            auto fp = fn_fps.find(plan.function(u).name);
-            if (fp == fn_fps.end())
+        keys.assign(nunits, 0);
+        for (std::size_t f = 0; f < fn_fps.size(); ++f) {
+            if (fn_fps[f] == 0)
                 continue;
             for (std::size_t c = 0; c < ncheckers; ++c)
-                keys[u + c] =
-                    unitCacheKey(key_prefixes[c], spec_fp, fp->second);
+                keys[f * ncheckers + c] =
+                    unitCacheKey(key_prefixes[c], spec_fp, fn_fps[f]);
         }
     };
 
-    // The resident store first: a unit it holds under the same key
-    // merges as it was stored.
+    // The resident store first: a unit it keeps under the same key
+    // merges from its slot. `pending` lists the other units, ascending.
+    std::vector<std::size_t> pending;
     std::uint64_t resident_reused = 0;
     if (resident) {
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
@@ -222,18 +268,15 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("resident.lookup") : nullptr);
         computeKeys();
-        for (std::size_t u = 0; u < nunits; ++u) {
-            UnitResult& r = results[u];
-            r.cache = UnitCacheTag::Miss;
-            auto it = keys[u] ? resident->units.find(keys[u])
-                              : resident->units.end();
-            if (it == resident->units.end())
-                continue;
-            r.resident = it->second;
-            r.cache = UnitCacheTag::Resident;
-            ++resident_reused;
-        }
+        resident_reused = takeResident(*resident, keys, pending);
+    } else {
+        pending.resize(nunits);
+        std::iota(pending.begin(), pending.end(), std::size_t{0});
     }
+
+    // Where the merge finds each unit's UnitResult; null for a unit the
+    // resident store serves.
+    std::vector<UnitResult*> result_of(nunits, nullptr);
 
     // Then the analysis cache. A usable hit yields a reconstructed
     // checker (state replayed through loadState) and a sink refilled
@@ -242,6 +285,7 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
     // Unresolvable file names, a state blob loadState rejects, or an
     // entry naming another unit (a key collision) demote the hit to a
     // miss.
+    std::vector<UnitResult> hits;
     if (cache) {
         support::TraceSpan span(tracer.enabled() ? &tracer : nullptr,
                                 "cache.lookup", "cache");
@@ -249,31 +293,47 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
             metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
         if (!resident)
             computeKeys();
+        std::vector<std::shared_ptr<const cache::CachedUnit>> found(
+            pending.size());
+        pool.parallelFor(pending.size(), [&](std::size_t i) {
+            if (keys[pending[i]] != 0)
+                found[i] = cache->lookup(keys[pending[i]]);
+        });
+        std::vector<std::size_t> hit_units;
+        std::vector<const cache::CachedUnit*> hit_entries;
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            if (found[i]) {
+                hit_units.push_back(pending[i]);
+                hit_entries.push_back(found[i].get());
+            }
+        }
         std::map<std::string, std::int32_t> file_ids =
             cache::AnalysisCache::fileIdsByName(plan.program.sourceManager());
-        pool.parallelFor(nunits, [&](std::size_t u) {
-            UnitResult& r = results[u];
-            if (r.cache == UnitCacheTag::Resident)
-                return;
-            r.cache = UnitCacheTag::Miss;
-            if (keys[u] == 0)
-                return;
-            std::shared_ptr<const cache::CachedUnit> unit =
-                cache->lookup(keys[u]);
-            if (!unit)
-                return;
+        hits = std::vector<UnitResult>(hit_units.size());
+        pool.parallelFor(hit_units.size(), [&](std::size_t h) {
+            const std::size_t u = hit_units[h];
+            UnitResult& r = hits[h];
             r.checker = replayUnit(plan.def(u), plan.function(u).name,
-                                   *unit, file_ids, r.sink);
-            if (r.checker)
-                r.cache = UnitCacheTag::Hit;
+                                   *hit_entries[h], file_ids, r.sink);
+            r.cache = UnitCacheTag::Hit;
         });
+        for (std::size_t h = 0; h < hit_units.size(); ++h)
+            if (hits[h].checker)
+                result_of[hit_units[h]] = &hits[h];
     }
 
     std::vector<std::size_t> todo;
-    for (std::size_t u = 0; u < nunits; ++u)
-        if (results[u].cache != UnitCacheTag::Hit &&
-            results[u].cache != UnitCacheTag::Resident)
+    todo.reserve(pending.size());
+    for (std::size_t u : pending)
+        if (!result_of[u])
             todo.push_back(u);
+    const UnitCacheTag miss =
+        resident || cache ? UnitCacheTag::Miss : UnitCacheTag::Off;
+    std::vector<UnitResult> results(todo.size());
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+        results[i].cache = miss;
+        result_of[todo[i]] = &results[i];
+    }
     // Misses store their outcome. Failed units never do; neither do
     // budget-truncated ones, since budget limits are not part of the
     // content key and a partial result must not masquerade as a full
@@ -282,8 +342,9 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
     auto completed = [&](const UnitResult& r) {
         return !r.failed && r.budget_stop == support::BudgetStop::None;
     };
-    execute(todo, results, [&](std::size_t u) {
-        const UnitResult& r = results[u];
+    execute(todo, results, [&](std::size_t i) {
+        const std::size_t u = todo[i];
+        const UnitResult& r = results[i];
         if (!store || keys[u] == 0 || !completed(r))
             return;
         cache->store(keys[u], r.wire ? *r.wire : captureUnit(plan, u, r));
@@ -299,16 +360,42 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
     std::uint64_t failures = 0;
     std::uint64_t truncations = 0;
     std::uint64_t witness_truncations = 0;
+    // The tallies the merge reads for a unit its slot serves.
+    UnitResult reused_unit;
+    reused_unit.cache = UnitCacheTag::Resident;
     for (std::size_t u = 0; u < nunits; ++u) {
         const std::size_t c = u % ncheckers;
         const lang::FunctionDecl& fn = plan.function(u);
-        UnitResult& r = results[u];
+        UnitResult* ran = result_of[u];
+        // Stands in for a reused unit the merge fault fires on.
+        std::unique_ptr<UnitResult> merge_failed;
+        if (plan.merge_fault_site && support::fault::armed()) {
+            // Keyed by unit identity and contained as the standard unit
+            // failure — the unit's findings are replaced, not appended
+            // to — so injected merge faults stay byte-deterministic.
+            try {
+                support::fault::probe(plan.merge_fault_site, plan.label(u));
+            } catch (const support::InjectedFault& e) {
+                if (!ran) {
+                    merge_failed = std::make_unique<UnitResult>();
+                    ran = merge_failed.get();
+                    ran->cache = UnitCacheTag::Miss;
+                    resident->slots[u] = {};
+                } else if (ran->cache == UnitCacheTag::Hit) {
+                    ran->cache = UnitCacheTag::Miss;
+                }
+                failUnit(plan, u, *ran, e.what());
+            }
+        }
+        const UnitResult& r = ran ? *ran : reused_unit;
         if (plan.fail_fast && r.failed)
             throw std::runtime_error("unit '" + plan.label(u) +
                                      "' failed: " + r.error);
-        masters[c]->absorb(r.unitChecker());
+        const ResidentUnits::Slot* slot = ran ? nullptr : &resident->slots[u];
+        masters[c]->absorb(slot ? *slot->checker : *r.checker);
         elapsed[c] += r.wall;
-        for (const support::Diagnostic& d : r.findings()) {
+        for (const support::Diagnostic& d :
+             slot ? slot->diags : r.sink.diagnostics()) {
             witness_truncations += d.witness.truncated ? 1 : 0;
             sink.report(d);
         }
@@ -359,25 +446,18 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         metrics.counter("resident.reused").add(resident_reused);
     }
 
-    // Keep exactly the units this run used: reused ones as they were,
-    // completed ones as they finished. Later runs only read them.
+    // Keep the completed units this run ran or replayed in their slots;
+    // the slots of reused units are already what the next run needs.
     if (resident) {
-        std::unordered_map<std::uint64_t, std::shared_ptr<const ResidentUnit>>
-            kept;
-        kept.reserve(nunits);
-        for (std::size_t u = 0; u < nunits; ++u) {
-            UnitResult& r = results[u];
+        for (std::size_t u : pending) {
+            UnitResult& r = *result_of[u];
             if (keys[u] == 0 || !completed(r))
                 continue;
-            if (!r.resident) {
-                auto unit = std::make_shared<ResidentUnit>();
-                unit->diags = r.sink.diagnostics();
-                unit->checker = std::move(r.checker);
-                r.resident = std::move(unit);
-            }
-            kept.emplace(keys[u], std::move(r.resident));
+            ResidentUnits::Slot& slot = resident->slots[u];
+            slot.key = keys[u];
+            slot.checker = std::move(r.checker);
+            slot.diags = r.sink.take();
         }
-        resident->units = std::move(kept);
         resident->reused = resident_reused;
     }
 
@@ -446,19 +526,20 @@ runCheckersParallel(const lang::Program& program,
         // it must never be computed from two units at once. Functions
         // whose every unit replayed from cache skip the build; that
         // skipped path enumeration is the warm-run speedup.
-        const std::size_t nfns = program.functions().size();
-        std::vector<char> need_cfg(nfns, 0);
+        std::vector<std::size_t> need_cfg;
         for (std::size_t u : todo)
-            need_cfg[u / defs.size()] = 1;
-        std::vector<const cfg::Cfg*> cfgs(nfns, nullptr);
+            if (need_cfg.empty() || need_cfg.back() != u / defs.size())
+                need_cfg.push_back(u / defs.size());
+        std::vector<const cfg::Cfg*> cfgs(program.functions().size(),
+                                          nullptr);
         std::atomic<std::uint64_t> reused{0};
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("parallel.cfg_build")
                               : nullptr);
-        pool.parallelFor(nfns, [&](std::size_t f) {
+        pool.parallelFor(need_cfg.size(), [&](std::size_t i) {
+            const std::size_t f = need_cfg[i];
             bool hit = false;
-            if (need_cfg[f])
-                cfgs[f] = &plan.cfgs->get(*program.functions()[f], &hit);
+            cfgs[f] = &plan.cfgs->get(*program.functions()[f], &hit);
             if (hit)
                 reused.fetch_add(1, std::memory_order_relaxed);
         });
@@ -468,8 +549,8 @@ runCheckersParallel(const lang::Program& program,
                 .add(reused.load(std::memory_order_relaxed));
         pool.parallelFor(todo.size(), [&](std::size_t i) {
             const std::size_t u = todo[i];
-            runUnit(plan, u, results[u], cfgs[u / defs.size()]);
-            done(u);
+            runUnit(plan, u, results[i], cfgs[u / defs.size()]);
+            done(i);
         });
     };
     return runUnitPipeline(plan, checkers, sink, options.cache,

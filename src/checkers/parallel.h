@@ -17,7 +17,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mc::checkers {
@@ -58,40 +57,51 @@ struct CfgCache
 };
 
 /**
- * One finished unit kept resident: its checker instance and its
- * findings in unit order. Never written after it is stored, so every
- * re-check that reuses it reads the same objects in place.
- */
-struct ResidentUnit
-{
-    std::unique_ptr<const Checker> checker;
-    std::vector<support::Diagnostic> diags;
-};
-
-/**
  * Resident unit results for long-lived callers (the checking daemon):
- * one program snapshot's finished units, keyed by unitCacheKey. The
- * key covers everything a unit's output depends on, exactly as the
- * analysis cache trusts it, so a re-check runs only the units whose key
- * changed and merges the rest from here with no encode, decode or
- * re-instantiation.
+ * one slot per (function, checker) unit of the last run over one program
+ * snapshot, in UnitPlan grid order. A slot holds what that run kept of
+ * the unit — its checker instance and its findings in unit order —
+ * under the unit's unitCacheKey, which covers everything a unit's output
+ * depends on, exactly as the analysis cache trusts it. Failed,
+ * budget-truncated and keyless units keep nothing (the rule the cache
+ * uses for storing), so the store never holds more than units_total
+ * units.
  *
- * The unit pipeline rewrites the store after every run to hold exactly
- * the keys that run used: reused and completed units stay, failed and
- * budget-truncated ones are left out (the rule the cache uses for
- * storing), so it never holds more than units_total entries.
+ * A run reuses unit u iff the last run kept a unit under u's key: a
+ * slot compare when the grid is unchanged (an edit that adds or removes
+ * no function), otherwise one match by key while the slots are re-laid
+ * for the new grid. The merge reads reused units in place — no encode,
+ * decode, re-instantiation or copy — and a run writes only the slots of
+ * the units it ran or replayed from the disk cache, so a re-check's
+ * store work follows the edit, not the program.
+ *
  * Diagnostics carry file ids of the program they came from: the owner
  * drops the store whenever it rebuilds or evicts that program. Not
- * synchronized; the pipeline reads it only from the calling thread.
+ * synchronized; the pipeline reads and writes it only from the calling
+ * thread.
  */
 struct ResidentUnits
 {
-    std::unordered_map<std::uint64_t, std::shared_ptr<const ResidentUnit>>
-        units;
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        /** The kept instance; null when the slot keeps nothing. */
+        std::unique_ptr<const Checker> checker;
+        std::vector<support::Diagnostic> diags;
+    };
+    std::vector<Slot> slots;
     /** Units the most recent completed run took from the store. */
     std::uint64_t reused = 0;
 
-    std::size_t size() const { return units.size(); }
+    /** Slots that keep a unit. */
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const Slot& slot : slots)
+            n += slot.checker ? 1 : 0;
+        return n;
+    }
 };
 
 /**
@@ -161,7 +171,7 @@ struct ParallelRunOptions
     /**
      * Resident unit results shared across runs over the same Program.
      * When set, each unit is looked up here first, then in `cache`, and
-     * only then run; the store keeps this run's finished units. Reuses
+     * only then run; the store keeps this run's completed units. Reuses
      * tally into the "resident.reused" counter.
      */
     ResidentUnits* resident = nullptr;
@@ -233,12 +243,13 @@ enum class UnitCacheTag : std::uint8_t
 };
 
 /**
- * The result of one (function x checker) work unit — run in-process,
- * replayed from the cache, or returned by a shard worker — in the form
- * the merge consumes. In-process units keep their live checker
+ * The result of one (function x checker) work unit that ran in-process,
+ * replayed from the cache, or came back from a shard worker, in the
+ * form the merge consumes. In-process units keep their live checker
  * instance; a worker's result arrives in its cache encoding (`wire`) and
  * the coordinator replays it into `checker` and `sink`. Nothing is
- * encoded unless a cache store or a wire reply needs it.
+ * encoded unless a cache store or a wire reply needs it. Units the
+ * resident store serves have none: the merge reads their slot.
  */
 struct UnitResult
 {
@@ -261,21 +272,6 @@ struct UnitResult
     std::uint64_t attempts = 0;
     /** A shard worker's result as decoded off the wire. */
     std::optional<cache::CachedUnit> wire;
-    /** The resident unit the merge reads instead of `checker`/`sink`. */
-    std::shared_ptr<const ResidentUnit> resident;
-
-    /** The checker instance the merge absorbs. */
-    const Checker&
-    unitChecker() const
-    {
-        return resident ? *resident->checker : *checker;
-    }
-    /** The findings the merge reports, in unit order. */
-    const std::vector<support::Diagnostic>&
-    findings() const
-    {
-        return resident ? resident->diags : sink.diagnostics();
-    }
 };
 
 /**
@@ -299,6 +295,13 @@ struct UnitPlan
     bool fail_fast = false;
     /** Where runUnit looks up (or builds) each function's CFG. */
     CfgCache* cfgs = nullptr;
+    /**
+     * Fault site the merge probes, keyed by label(u), as it reads each
+     * unit (resident, replayed and run alike); a unit it fires on is
+     * contained as a failure. The shard coordinator's "shard.merge";
+     * null for none.
+     */
+    const char* merge_fault_site = nullptr;
 
     std::size_t
     units() const
@@ -344,10 +347,11 @@ cache::CachedUnit captureUnit(const UnitPlan& plan, std::size_t u,
                               const UnitResult& result);
 
 /**
- * Runs the units `todo` (the cache misses, ascending) of a plan into
- * `results` — the thread pool in-process, the supervisor when sharded —
- * calling `done(u)` (from any thread) as soon as unit u's result is
- * complete, so the pipeline can store it while other units still run.
+ * Runs the units `todo` (the units no store served, ascending) of a plan
+ * into `results`, where results[i] is unit todo[i] — the thread pool
+ * in-process, the supervisor when sharded — calling `done(i)` (from any
+ * thread) as soon as results[i] is complete, so the pipeline can store
+ * it while other units still run.
  */
 using UnitExecutor = std::function<void(
     const std::vector<std::size_t>& todo, std::vector<UnitResult>& results,
@@ -357,16 +361,17 @@ using UnitExecutor = std::function<void(
  * The unit pipeline every substrate shares, so a run's bytes, ledger,
  * metrics and health do not depend on who executed its units:
  *
- *  0. key every unit by content (unitCacheKey) when there is a store to
- *     look in; take the units `resident` holds, then replay the units
- *     `cache` holds (replayUnit);
+ *  0. key every unit by content (unitCacheKey, from
+ *     lang::fingerprintFunctions) when there is a store to look in;
+ *     take the units `resident` keeps under the same key, then replay
+ *     the units `cache` holds (replayUnit);
  *  1. `execute` the remaining units, storing each completed,
  *     untruncated one back into the cache as it finishes;
  *  2. merge sequentially in unit order: each master absorbs its units'
  *     state, their findings replay through `sink` (which re-runs the
  *     global dedup the private sinks could not see), and each unit
  *     emits its ledger event and `unit.*` observations;
- *  3. keep this run's completed units in `resident`;
+ *  3. keep this run's completed units in their `resident` slots;
  *  4. run the masters' program-level passes and return their stats.
  *
  * Cache lookups fan out on `pool`. With `plan.fail_fast` a failed unit

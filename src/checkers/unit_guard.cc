@@ -17,7 +17,8 @@ UnitGuard::run(const std::function<void()>& body) const
             throw;
     } catch (...) {
         outcome.failed = true;
-        outcome.error = "non-standard exception in unit " + label_;
+        outcome.error = "non-standard exception in unit " +
+                        std::string(function_) + "/" + std::string(checker_);
         if (rethrow_)
             throw;
     }

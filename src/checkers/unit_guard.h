@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace mc::checkers {
 
@@ -50,16 +51,17 @@ class UnitGuard
 {
   public:
     /**
-     * @param label Unit identity ("function/checker"), used in error
-     *   messages.
+     * @param function, checker Unit identity, joined as
+     *   "function/checker" in error messages only when one is written;
+     *   both must outlive the guard.
      * @param limits Per-unit resource budget (default: unlimited).
      * @param rethrow Propagate the failure after recording it
      *   (--fail-fast).
      */
-    explicit UnitGuard(std::string label,
-                       support::BudgetLimits limits = {},
-                       bool rethrow = false)
-        : label_(std::move(label)), limits_(limits), rethrow_(rethrow)
+    UnitGuard(std::string_view function, std::string_view checker,
+              support::BudgetLimits limits = {}, bool rethrow = false)
+        : function_(function), checker_(checker), limits_(limits),
+          rethrow_(rethrow)
     {
     }
 
@@ -67,7 +69,8 @@ class UnitGuard
     UnitOutcome run(const std::function<void()>& body) const;
 
   private:
-    std::string label_;
+    std::string_view function_;
+    std::string_view checker_;
     support::BudgetLimits limits_;
     bool rethrow_ = false;
 };

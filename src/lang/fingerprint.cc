@@ -30,28 +30,52 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
     return h.value();
 }
 
-FunctionFingerprints
+std::vector<std::uint64_t>
 fingerprintFunctions(const Program& program)
 {
-    FunctionFingerprints out;
+    const std::vector<const FunctionDecl*>& fns = program.functions();
+    std::vector<std::uint64_t> out;
+    out.reserve(fns.size());
+    // Program::functions() lists each unit's definitions in declaration
+    // order, unit by unit, so out[i] walks in step with fns[i].
     for (const TranslationUnit& unit : program.units()) {
         // A unit that needed frontend recovery gets no fingerprints at
         // all: its token stream contains the garbage region, so caching
         // sibling results keyed on it would be fragile, and a lex-failed
         // unit cannot even be re-lexed here. Its functions are simply
         // re-analyzed every run until the unit is fixed.
-        if (!unit.issues.empty())
-            continue;
-        std::uint64_t unit_fp =
-            unit.fingerprint.value.load(std::memory_order_relaxed);
-        if (unit_fp == 0) {
-            unit_fp = unitFingerprint(program.sourceManager(), unit.file_id);
-            unit.fingerprint.value.store(unit_fp, std::memory_order_relaxed);
+        std::uint64_t unit_fp = 0;
+        if (unit.issues.empty()) {
+            unit_fp = unit.fingerprint.value.load(std::memory_order_relaxed);
+            if (unit_fp == 0) {
+                unit_fp =
+                    unitFingerprint(program.sourceManager(), unit.file_id);
+                unit.fingerprint.value.store(unit_fp,
+                                             std::memory_order_relaxed);
+            }
         }
-        for (const FunctionDecl* fn : unit.functionDefinitions())
-            out.insert_or_assign(
-                std::string(fn->name),
-                support::Fnv1a().u64(unit_fp).str(fn->name).value());
+        const std::size_t first = out.size();
+        for (const Decl* d : unit.decls) {
+            if (d->dkind != DeclKind::Function)
+                continue;
+            const auto& fn = static_cast<const FunctionDecl&>(*d);
+            if (!fn.isDefinition())
+                continue;
+            if (unit_fp == 0) {
+                out.push_back(0);
+                continue;
+            }
+            support::Fnv1a h;
+            h.u64(unit_fp).str(fn.name);
+            // Earlier definitions of this name in the same file; files
+            // hold a handful of functions, so the scan stays short.
+            std::uint64_t repeats = 0;
+            for (std::size_t i = first; i < out.size(); ++i)
+                repeats += fns[i]->sym == fn.sym ? 1 : 0;
+            if (repeats != 0)
+                h.u64(repeats);
+            out.push_back(h.value());
+        }
     }
     return out;
 }

@@ -4,8 +4,7 @@
 #include "lang/program.h"
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <vector>
 
 namespace mc::lang {
 
@@ -22,12 +21,19 @@ namespace mc::lang {
  * trailing comment adds no tokens and shifts nothing, so it correctly
  * leaves the fingerprint alone.
  *
- * A function's fingerprint is its unit's fingerprint combined with the
- * function name. Hashing the whole unit rather than carving out the
+ * A definition's fingerprint is its unit's fingerprint combined with
+ * the function name. Hashing the whole unit rather than carving out the
  * function's own token range is a correctness choice: any edit to a file
  * invalidates every function it defines, which can never replay stale
  * results (the corpus and FLASH layout keep one handler per file, so in
- * practice this is per-function granularity anyway).
+ * practice this is per-function granularity anyway). Names need not be
+ * unique: two files may each define a `static` helper of the same name,
+ * and their unit fingerprints (which hash the file name) tell them
+ * apart; a name defined again in the *same* file also hashes how many
+ * earlier definitions of that name the file holds, so every definition
+ * gets its own fingerprint. A uniquely named definition hashes exactly
+ * (unit fingerprint, name), so its fingerprint does not depend on any
+ * other function.
  */
 
 /** Fingerprint of one registered file's token stream. Stable across runs. */
@@ -35,15 +41,14 @@ std::uint64_t unitFingerprint(const support::SourceManager& sm,
                               std::int32_t file_id);
 
 /**
- * Fingerprints for every function definition in `program`, keyed by
- * function name (definitions are unique per program). Each unit's
- * fingerprint is memoized on its TranslationUnit, so a resident program
- * re-lexes only the units updateSource replaced since the last call.
+ * One fingerprint per function definition, in `program.functions()`
+ * order; 0 for a definition in a unit that needed frontend recovery
+ * (such units get no fingerprints, so their functions re-run every
+ * time). Each unit's fingerprint is memoized on its TranslationUnit, so
+ * a resident program re-lexes only the units updateSource replaced
+ * since the last call.
  */
-using FunctionFingerprints =
-    std::map<std::string, std::uint64_t, std::less<>>;
-
-FunctionFingerprints fingerprintFunctions(const Program& program);
+std::vector<std::uint64_t> fingerprintFunctions(const Program& program);
 
 } // namespace mc::lang
 

@@ -80,9 +80,13 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
     target.units = target.files.units;
     target.files_reparsed = target.files.files_reparsed;
     target.reused = target.files.reused;
-    if (request.mode == CheckRequest::Mode::Files)
-        target.files_spec = cliFilesSpec(*target.program);
     target.spec = &target.files_spec;
+    if (request.mode == CheckRequest::Mode::Files) {
+        if (target.files.files_spec)
+            target.spec = target.files.files_spec;
+        else
+            target.files_spec = cliFilesSpec(*target.program);
+    }
     return "";
 }
 
@@ -122,24 +126,25 @@ runCheckUnits(const CheckRequest& request,
         if (u >= nunits)
             throw std::runtime_error("unit id out of range: " +
                                      std::to_string(u));
-        const std::string label = plan.label(u);
-
         // Worker-process fault sites. Unlike checker.unit these are NOT
         // contained: they simulate the worker dying mid-batch (_Exit,
         // as an OOM kill or segfault would look from outside) or
         // wedging (an infinite stall under a live heartbeat thread).
         // Keyed by unit identity so the same units misbehave at any
         // shard count.
-        try {
-            support::fault::probe("worker.request", label);
-        } catch (const support::InjectedFault&) {
-            std::_Exit(9);
-        }
-        try {
-            support::fault::probe("worker.hang", label);
-        } catch (const support::InjectedFault&) {
-            for (;;)
-                std::this_thread::sleep_for(std::chrono::hours(1));
+        if (support::fault::armed()) {
+            const std::string label = plan.label(u);
+            try {
+                support::fault::probe("worker.request", label);
+            } catch (const support::InjectedFault&) {
+                std::_Exit(9);
+            }
+            try {
+                support::fault::probe("worker.hang", label);
+            } catch (const support::InjectedFault&) {
+                for (;;)
+                    std::this_thread::sleep_for(std::chrono::hours(1));
+            }
         }
 
         checkers::UnitResult r;

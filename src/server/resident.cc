@@ -1,5 +1,6 @@
 #include "server/resident.h"
 
+#include "server/check_units.h"
 #include "support/hash.h"
 
 #include <fstream>
@@ -114,6 +115,32 @@ ResidentState::readFile(const std::string& path, std::string& contents,
     return readDiskFile(path, contents, error);
 }
 
+void
+ResidentState::FileSnapshot::refreshFilesSpec()
+{
+    const std::vector<const lang::FunctionDecl*>& fns = program->functions();
+    bool same = files_spec && fns.size() == spec_defs.size();
+    for (std::size_t i = 0; same && i < fns.size(); ++i)
+        same = fns[i]->sym == spec_defs[i];
+    if (same)
+        return;
+    files_spec = std::make_unique<flash::ProtocolSpec>(cliFilesSpec(*program));
+    spec_defs.clear();
+    for (const lang::FunctionDecl* fn : fns)
+        spec_defs.push_back(fn->sym);
+}
+
+void
+ResidentState::FileSnapshot::publish(PreparedProgram& prepared)
+{
+    refreshFilesSpec();
+    prepared.program = program.get();
+    prepared.cfg_cache = cfg_cache.get();
+    prepared.units = units.get();
+    prepared.files_spec = files_spec.get();
+    prepared.ok = true;
+}
+
 ResidentState::FileSnapshot*
 ResidentState::findSnapshot(const std::vector<std::string>& files)
 {
@@ -175,12 +202,9 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         }
         if (in_place_ok) {
             snap->last_used = ++use_seq_;
-            prepared.program = snap->program.get();
-            prepared.cfg_cache = snap->cfg_cache.get();
-            prepared.units = snap->units.get();
+            snap->publish(prepared);
             prepared.files_reparsed = reparsed;
             prepared.reused = true;
-            prepared.ok = true;
             return prepared;
         }
     }
@@ -196,6 +220,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         snap->program = std::move(program);
         snap->cfg_cache = std::make_unique<checkers::CfgCache>();
         snap->units = std::make_unique<checkers::ResidentUnits>();
+        snap->files_spec.reset();
         snap->last_used = ++use_seq_;
     } else {
         if (snapshots_.size() >= kMaxFileSnapshots) {
@@ -217,11 +242,8 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         snap = &snapshots_.back();
     }
 
-    prepared.program = snap->program.get();
-    prepared.cfg_cache = snap->cfg_cache.get();
-    prepared.units = snap->units.get();
+    snap->publish(prepared);
     prepared.files_reparsed = files.size();
-    prepared.ok = true;
     return prepared;
 }
 

@@ -5,6 +5,7 @@
 #include "checkers/parallel.h"
 #include "corpus/generator.h"
 #include "checkers/registry.h"
+#include "flash/protocol_spec.h"
 #include "lang/program.h"
 
 #include <cstdint>
@@ -49,6 +50,12 @@ struct PreparedProgram
     checkers::CfgCache* cfg_cache = nullptr;
     /** Resident unit results for this program; null for one-shot runs. */
     checkers::ResidentUnits* units = nullptr;
+    /**
+     * The resident files-mode spec (cliFilesSpec of `program`), rebuilt
+     * only when a re-parse changes the list of definitions; null for
+     * one-shot runs.
+     */
+    const flash::ProtocolSpec* files_spec = nullptr;
     /** Files lexed+parsed to satisfy this request. */
     std::uint64_t files_reparsed = 0;
     /** A resident snapshot matched (even if some files re-parsed). */
@@ -73,13 +80,17 @@ struct PreparedProgram
  *     emission order matches a cold batch run); a different file set
  *     rebuilds from scratch.
  *  3. Next to each snapshot's program sit its CFGs (CfgCache, keyed by
- *     declaration) and its finished units (ResidentUnits, keyed by
- *     unitCacheKey: checker definition and options, witness
- *     configuration, spec and function fingerprints). A re-check runs
- *     only the units whose key changed and merges the rest in place;
- *     an edited file invalidates exactly its own functions' units.
- *     Both stores are dropped with the program they describe, whenever
- *     the snapshot is rebuilt or evicted.
+ *     declaration), its files-mode spec (cliFilesSpec, rebuilt only
+ *     when a re-parse changes the list of definitions) and its
+ *     finished units (ResidentUnits: one slot per unit of the last run,
+ *     in grid order, under its unitCacheKey — checker definition and
+ *     options, witness configuration, spec and per-definition
+ *     fingerprints). A re-check compares each unit's key with its slot,
+ *     runs only the units whose key changed, merges the rest in place
+ *     and writes only the slots it ran; an edited file invalidates
+ *     exactly its own functions' units. All three are dropped with the
+ *     program they describe, whenever the snapshot is rebuilt or
+ *     evicted.
  *
  * A daemon started with `--cache DIR` also consults that disk cache for
  * units its snapshot does not hold. The in-memory AnalysisCache
@@ -179,7 +190,15 @@ class ResidentState
         std::unique_ptr<lang::Program> program;
         std::unique_ptr<checkers::CfgCache> cfg_cache;
         std::unique_ptr<checkers::ResidentUnits> units;
+        std::unique_ptr<flash::ProtocolSpec> files_spec;
+        /** The definitions `files_spec` classifies, in program order. */
+        std::vector<support::SymbolId> spec_defs;
         std::uint64_t last_used = 0;
+
+        /** Rebuild `files_spec` unless it covers `program`'s definitions. */
+        void refreshFilesSpec();
+        /** This snapshot's resident stores, as a request sees them. */
+        void publish(PreparedProgram& prepared);
     };
 
     struct ProtocolSnapshot

@@ -17,12 +17,12 @@
 #include "checkers/registry.h"
 #include "server/protocol.h"
 #include "shard/supervisor.h"
-#include "support/fault_injection.h"
 #include "support/metrics.h"
 #include "support/run_ledger.h"
 #include "support/thread_pool.h"
 #include "support/trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <stdexcept>
@@ -45,6 +45,17 @@ parseBudgetStop(const std::string& name)
 
 /** The longest wall time a worker may report for one unit. */
 constexpr double kMaxUnitWallMs = 24.0 * 60 * 60 * 1000;
+
+/** Where unit `u` sits in the ascending unit list `todo`. */
+std::size_t
+positionIn(const std::vector<std::size_t>& todo, std::uint64_t u)
+{
+    auto it = std::lower_bound(todo.begin(), todo.end(), u);
+    if (it == todo.end() || *it != u)
+        throw std::runtime_error("shard batch names a unit the run did "
+                                 "not dispatch");
+    return static_cast<std::size_t>(it - todo.begin());
+}
 
 } // namespace
 
@@ -70,6 +81,7 @@ void
 absorbWorkerResponse(const std::vector<std::uint64_t>& units,
                      const std::string& line, unsigned slot,
                      const std::vector<unsigned>& attempts,
+                     const std::vector<std::size_t>& todo,
                      std::vector<checkers::UnitResult>& results)
 {
     JsonValue response;
@@ -98,7 +110,7 @@ absorbWorkerResponse(const std::vector<std::uint64_t>& units,
             static_cast<std::uint64_t>(unit_id->asInt(-1)) != units[i])
             throw std::runtime_error(
                 "shard worker response units out of order");
-        checkers::UnitResult& r = results[units[i]];
+        checkers::UnitResult& r = results[positionIn(todo, units[i])];
         auto count = [&](const char* key) -> std::uint64_t {
             const JsonValue* v = entry.get(key);
             if (!v)
@@ -156,15 +168,16 @@ runCheckersSharded(const lang::Program& program,
                    const checkers::ParallelRunOptions& options)
 {
     // Units run in the workers, so the plan's budget and CFGs stay
-    // unused here; the request carries the budget to them.
+    // unused here; the request carries the budget to them. The merge
+    // probes the coordinator's fault site over every unit (cache hits
+    // and resident units included).
     const checkers::UnitPlan plan{program, spec, defs, {},
-                                  options.fail_fast, nullptr};
-    const std::size_t nunits = plan.units();
-
+                                  options.fail_fast, nullptr,
+                                  "shard.merge"};
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     if (metrics.enabled()) {
         metrics.gauge("shard.workers").observe(request.shards);
-        metrics.counter("shard.work_units").add(nunits);
+        metrics.counter("shard.work_units").add(plan.units());
     }
     support::RunLedger& ledger = support::RunLedger::global();
     const std::map<std::string, std::int32_t> file_ids =
@@ -173,7 +186,7 @@ runCheckersSharded(const lang::Program& program,
     auto execute = [&](const std::vector<std::size_t>& todo,
                        std::vector<checkers::UnitResult>& results,
                        const std::function<void(std::size_t)>& done) {
-        std::vector<char> quarantined(nunits, 0);
+        std::vector<char> quarantined(todo.size(), 0);
         if (!todo.empty()) {
             shard::SupervisorOptions sopts;
             sopts.workers = request.shards;
@@ -191,12 +204,14 @@ runCheckersSharded(const lang::Program& program,
             hooks.on_result = [&](const std::vector<std::uint64_t>& units,
                                   const std::string& line, unsigned slot,
                                   const std::vector<unsigned>& attempts) {
-                absorbWorkerResponse(units, line, slot, attempts, results);
+                absorbWorkerResponse(units, line, slot, attempts, todo,
+                                     results);
             };
             hooks.on_quarantine = [&](std::uint64_t unit,
                                       unsigned crashes) {
-                quarantined[unit] = 1;
-                results[unit].attempts = crashes;
+                const std::size_t i = positionIn(todo, unit);
+                quarantined[i] = 1;
+                results[i].attempts = crashes;
             };
             hooks.on_event = [&](unsigned slot, const char* action,
                                  std::uint64_t detail) {
@@ -215,9 +230,10 @@ runCheckersSharded(const lang::Program& program,
         // cache hits are. Replay failures are fatal, not demotable: the
         // unit already ran, and silently re-running it could mask a
         // determinism bug.
-        for (std::size_t u : todo) {
-            checkers::UnitResult& r = results[u];
-            if (quarantined[u]) {
+        for (std::size_t i = 0; i < todo.size(); ++i) {
+            const std::size_t u = todo[i];
+            checkers::UnitResult& r = results[i];
+            if (quarantined[i]) {
                 // Synthesized locally, byte-for-byte the shape of every
                 // other contained unit failure — and a pure function of
                 // unit identity, so any shard count quarantines the same
@@ -235,24 +251,7 @@ runCheckersSharded(const lang::Program& program,
                 throw std::runtime_error(
                     "shard worker returned an unreplayable result for '" +
                     plan.label(u) + "'");
-            done(u);
-        }
-
-        // Merge-time fault site, over every unit (cache hits included).
-        // Keyed by unit identity, and contained as the standard unit
-        // failure — the unit's findings are replaced, not appended to —
-        // so injected merge faults stay byte-deterministic at any shard
-        // count.
-        for (std::size_t u = 0; u < nunits; ++u) {
-            try {
-                support::fault::probe("shard.merge", plan.label(u));
-            } catch (const support::InjectedFault& e) {
-                checkers::UnitResult& r = results[u];
-                if (r.cache == checkers::UnitCacheTag::Hit ||
-                    r.cache == checkers::UnitCacheTag::Resident)
-                    r.cache = checkers::UnitCacheTag::Miss;
-                checkers::failUnit(plan, u, r, e.what());
-            }
+            done(i);
         }
     };
     // Lookups run on the coordinator's thread, in unit order.

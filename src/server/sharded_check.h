@@ -77,12 +77,15 @@ std::string makeCheckUnitsRequest(const CheckRequest& request,
  * that is not a JSON object, an error response, a batch not covered
  * unit for unit in order, a negative or non-integral count, a wall
  * time outside [0, 1 day], or undecodable `data`. The worker is alive
- * but talking nonsense, which retrying cannot fix. `results` must have
- * a slot for every id in `units`.
+ * but talking nonsense, which retrying cannot fix. results[i] holds
+ * unit todo[i] (the units the run dispatched, ascending, as the unit
+ * pipeline hands them to its executor); every id in `units` must be in
+ * `todo`.
  */
 void absorbWorkerResponse(const std::vector<std::uint64_t>& units,
                           const std::string& line, unsigned slot,
                           const std::vector<unsigned>& attempts,
+                          const std::vector<std::size_t>& todo,
                           std::vector<checkers::UnitResult>& results);
 
 } // namespace mc::server

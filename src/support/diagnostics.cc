@@ -129,6 +129,16 @@ DiagnosticSink::clear()
     seen_.clear();
 }
 
+std::vector<Diagnostic>
+DiagnosticSink::take()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Diagnostic> out = std::move(diags_);
+    diags_.clear();
+    seen_.clear();
+    return out;
+}
+
 void
 DiagnosticSink::print(std::ostream& os, const SourceManager* sm) const
 {

@@ -146,6 +146,12 @@ class DiagnosticSink
     void clear();
 
     /**
+     * Move out every finding in insertion order, leaving the sink as
+     * clear() does.
+     */
+    std::vector<Diagnostic> take();
+
+    /**
      * Print all findings (with source line excerpts when a SourceManager
      * is supplied) in "file:line:col: severity: [checker] message" form.
      */

@@ -19,6 +19,7 @@ struct Arming
 };
 
 std::mutex g_mutex;
+/** Guarded by g_mutex; detail::g_armed mirrors `n != 0`. */
 Arming g_arming;
 std::atomic<unsigned long> g_calls{0};     // counted-probe calls at the site
 std::atomic<unsigned long> g_triggered{0}; // probes that fired
@@ -31,6 +32,8 @@ snapshot()
 }
 
 } // namespace
+
+std::atomic<bool> detail::g_armed{false};
 
 bool
 arm(std::string_view spec)
@@ -54,6 +57,7 @@ arm(std::string_view spec)
     g_arming.n = n;
     g_calls.store(0, std::memory_order_relaxed);
     g_triggered.store(0, std::memory_order_relaxed);
+    detail::g_armed.store(true, std::memory_order_relaxed);
     return true;
 }
 
@@ -71,15 +75,9 @@ disarm()
 {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_arming = Arming{};
+    detail::g_armed.store(false, std::memory_order_relaxed);
     g_calls.store(0, std::memory_order_relaxed);
     g_triggered.store(0, std::memory_order_relaxed);
-}
-
-bool
-armed()
-{
-    std::lock_guard<std::mutex> lock(g_mutex);
-    return g_arming.n != 0;
 }
 
 unsigned long
@@ -89,7 +87,7 @@ triggered()
 }
 
 void
-probe(const char* site, std::string_view key)
+detail::probeArmed(const char* site, std::string_view key)
 {
     Arming a = snapshot();
     if (a.n == 0 || a.site != site)
@@ -103,7 +101,7 @@ probe(const char* site, std::string_view key)
 }
 
 void
-probe(const char* site)
+detail::probeArmed(const char* site)
 {
     Arming a = snapshot();
     if (a.n == 0 || a.site != site)

@@ -1,6 +1,7 @@
 #ifndef MCHECK_SUPPORT_FAULT_INJECTION_H
 #define MCHECK_SUPPORT_FAULT_INJECTION_H
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -75,11 +76,20 @@ class InjectedFault : public std::runtime_error
  *
  * Probes compile to nothing unless MCHECK_FAULT_INJECTION is defined
  * (CMake option of the same name, default ON; turn OFF for release
- * builds that must not carry the hooks).
+ * builds that must not carry the hooks). When compiled in but disarmed,
+ * a probe costs one relaxed atomic load; hot call sites test `armed()`
+ * first so they build their key only when a probe could fire.
  */
 namespace fault {
 
 #if defined(MCHECK_FAULT_INJECTION)
+
+namespace detail {
+/** Set while a site is armed; the slow path re-checks under a lock. */
+extern std::atomic<bool> g_armed;
+void probeArmed(const char* site, std::string_view key);
+void probeArmed(const char* site);
+} // namespace detail
 
 /** Arm from a `site:n` spec; n >= 1. Returns false on a malformed spec. */
 bool arm(std::string_view spec);
@@ -90,18 +100,32 @@ bool armFromEnv();
 /** Disarm and reset counters (tests). */
 void disarm();
 
-/** True if any site is armed. */
-bool armed();
+/** True if any site is armed: one relaxed load. */
+inline bool
+armed()
+{
+    return detail::g_armed.load(std::memory_order_relaxed);
+}
 
 /** Number of probes that have fired since arming. */
 unsigned long triggered();
 
 /** Keyed probe: throws InjectedFault iff armed for `site` and the key
  * hashes into the armed 1-in-n bucket. */
-void probe(const char* site, std::string_view key);
+inline void
+probe(const char* site, std::string_view key)
+{
+    if (armed())
+        detail::probeArmed(site, key);
+}
 
 /** Counted probe: throws InjectedFault on every Nth call at `site`. */
-void probe(const char* site);
+inline void
+probe(const char* site)
+{
+    if (armed())
+        detail::probeArmed(site);
+}
 
 #else
 

@@ -121,7 +121,8 @@ ThreadPool::parallelFor(std::size_t n,
         return;
     if (workers_.empty() || n == 1) {
         for (std::size_t i = 0; i < n; ++i) {
-            fault::probe("pool.task", std::to_string(i));
+            if (fault::armed())
+                fault::probe("pool.task", std::to_string(i));
             body(i);
         }
         return;
@@ -151,7 +152,8 @@ ThreadPool::parallelFor(std::size_t n,
         while ((i = st->next.fetch_add(1, std::memory_order_relaxed)) <
                st->n) {
             try {
-                fault::probe("pool.task", std::to_string(i));
+                if (fault::armed())
+                    fault::probe("pool.task", std::to_string(i));
                 (*st->body)(i);
             } catch (...) {
                 std::exception_ptr ep = std::current_exception();

@@ -24,6 +24,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -286,12 +288,25 @@ TEST(CacheStore, TrimToleratesConcurrentPublisher)
 
 // ---- fingerprint sensitivity ------------------------------------------
 
+/** Each definition's fingerprint by name (names are unique here). */
+std::map<std::string, std::uint64_t>
+fingerprintsByName(const lang::Program& program)
+{
+    const std::vector<std::uint64_t> fps =
+        lang::fingerprintFunctions(program);
+    EXPECT_EQ(fps.size(), program.functions().size());
+    std::map<std::string, std::uint64_t> out;
+    for (std::size_t i = 0; i < fps.size(); ++i)
+        out.emplace(program.functions()[i]->name, fps[i]);
+    return out;
+}
+
 std::uint64_t
 fingerprintOf(const std::string& source)
 {
     lang::Program program;
     program.addSource("fp.c", source);
-    auto fps = lang::fingerprintFunctions(program);
+    auto fps = fingerprintsByName(program);
     EXPECT_EQ(fps.size(), 1u);
     return fps.begin()->second;
 }
@@ -329,9 +344,44 @@ TEST(Fingerprint, DistinguishesFunctionsWithinAUnit)
     lang::Program program;
     program.addSource("two.c",
                       "void A(void) { x = 1; }\nvoid B(void) { x = 1; }");
-    auto fps = lang::fingerprintFunctions(program);
+    auto fps = fingerprintsByName(program);
     ASSERT_EQ(fps.size(), 2u);
     EXPECT_NE(fps.at("A"), fps.at("B"));
+}
+
+TEST(Fingerprint, UniqueNamesHashUnitAndNameOnly)
+{
+    // The key shape every existing cache entry was written under: a
+    // definition whose name is unique in its file hashes its unit's
+    // fingerprint and its name, nothing else.
+    lang::Program program;
+    program.addSource("two.c",
+                      "void A(void) { x = 1; }\nvoid B(void) { x = 1; }");
+    const std::uint64_t unit_fp =
+        lang::unitFingerprint(program.sourceManager(),
+                              program.units()[0].file_id);
+    const std::vector<std::uint64_t> fps =
+        lang::fingerprintFunctions(program);
+    ASSERT_EQ(fps.size(), 2u);
+    EXPECT_EQ(fps[0], support::Fnv1a().u64(unit_fp).str("A").value());
+    EXPECT_EQ(fps[1], support::Fnv1a().u64(unit_fp).str("B").value());
+}
+
+TEST(Fingerprint, EveryDefinitionOfANameGetsItsOwn)
+{
+    // Two files that each define a static helper of one name, and a
+    // file that defines a name twice: no two definitions share a key.
+    lang::Program program(/*recover=*/true);
+    program.addSource("a.c", "static void helper(void) { x = 1; }\n");
+    program.addSource("b.c", "static void helper(void) { x = 1; }\n");
+    program.addSource("c.c", "static void helper(void) { x = 1; }\n"
+                             "static void helper(void) { x = 1; }\n");
+    const std::vector<std::uint64_t> fps =
+        lang::fingerprintFunctions(program);
+    ASSERT_EQ(fps.size(), 4u);
+    const std::set<std::uint64_t> distinct(fps.begin(), fps.end());
+    EXPECT_EQ(distinct.size(), 4u);
+    EXPECT_EQ(distinct.count(0), 0u);
 }
 
 TEST(Fingerprint, MemoAfterUpdateSourceMatchesFreshProgram)
@@ -342,19 +392,19 @@ TEST(Fingerprint, MemoAfterUpdateSourceMatchesFreshProgram)
     corpus::LoadedProtocol loaded =
         corpus::loadProtocol(corpus::profileByName("bitvector"));
     lang::Program& resident = *loaded.program;
-    const auto before = lang::fingerprintFunctions(resident);
-    ASSERT_EQ(before, lang::fingerprintFunctions(resident));
+    const auto before = fingerprintsByName(resident);
+    ASSERT_EQ(before, fingerprintsByName(resident));
 
     const std::size_t edited = loaded.gen.files.size() / 2;
     corpus::GeneratedFile& file = loaded.gen.files[edited];
     file.source += "\nextern int fingerprint_memo_edit;\n";
     ASSERT_NE(resident.updateSource(file.name, file.source), nullptr);
-    const auto after = lang::fingerprintFunctions(resident);
+    const auto after = fingerprintsByName(resident);
 
     lang::Program fresh(/*recover=*/true);
     for (const corpus::GeneratedFile& f : loaded.gen.files)
         fresh.addSource(f.name, f.source);
-    EXPECT_EQ(after, lang::fingerprintFunctions(fresh));
+    EXPECT_EQ(after, fingerprintsByName(fresh));
 
     ASSERT_EQ(before.size(), after.size());
     for (const auto& [fn, fp] : after) {

@@ -83,7 +83,7 @@ struct Fixture
 
 TEST(UnitGuard, ContainsExceptions)
 {
-    UnitGuard guard("fn/checker");
+    UnitGuard guard("fn", "checker");
     UnitOutcome outcome = guard.run(
         [] { throw std::runtime_error("checker bug"); });
     EXPECT_TRUE(outcome.failed);
@@ -92,7 +92,7 @@ TEST(UnitGuard, ContainsExceptions)
 
 TEST(UnitGuard, ContainsNonStandardExceptions)
 {
-    UnitGuard guard("fn/checker");
+    UnitGuard guard("fn", "checker");
     UnitOutcome outcome = guard.run([] { throw 42; });
     EXPECT_TRUE(outcome.failed);
     EXPECT_NE(outcome.error.find("fn/checker"), std::string::npos);
@@ -100,7 +100,7 @@ TEST(UnitGuard, ContainsNonStandardExceptions)
 
 TEST(UnitGuard, RethrowModePropagates)
 {
-    UnitGuard guard("fn/checker", support::BudgetLimits{},
+    UnitGuard guard("fn", "checker", support::BudgetLimits{},
                     /*rethrow=*/true);
     EXPECT_THROW(
         guard.run([] { throw std::runtime_error("boom"); }),
@@ -111,7 +111,7 @@ TEST(UnitGuard, CleanBodyReportsBudgetUsage)
 {
     support::BudgetLimits limits;
     limits.max_steps = 4;
-    UnitGuard guard("fn/checker", limits);
+    UnitGuard guard("fn", "checker", limits);
     UnitOutcome outcome = guard.run([] {
         support::Budget* budget = support::Budget::current();
         ASSERT_NE(budget, nullptr);

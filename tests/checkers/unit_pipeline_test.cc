@@ -77,7 +77,8 @@ viaWire(const corpus::LoadedProtocol& loaded,
     auto execute = [&](const std::vector<std::size_t>& todo,
                        std::vector<UnitResult>& results,
                        const std::function<void(std::size_t)>& done) {
-        for (std::size_t u : todo) {
+        for (std::size_t i = 0; i < todo.size(); ++i) {
+            const std::size_t u = todo[i];
             // The worker's half: run the unit, encode its result.
             UnitResult ran;
             runUnit(plan, u, ran);
@@ -89,7 +90,7 @@ viaWire(const corpus::LoadedProtocol& loaded,
             std::string error;
             ASSERT_TRUE(cache::AnalysisCache::decodeUnit(wire, unit, error))
                 << plan.label(u) << ": " << error;
-            UnitResult& r = results[u];
+            UnitResult& r = results[i];
             r.failed = ran.failed;
             r.error = ran.error;
             r.budget_stop = ran.budget_stop;
@@ -99,7 +100,7 @@ viaWire(const corpus::LoadedProtocol& loaded,
                                    file_ids, r.sink);
             ASSERT_NE(r.checker, nullptr) << plan.label(u);
             r.wire = std::move(unit);
-            done(u);
+            done(i);
         }
     };
     support::DiagnosticSink sink;

@@ -634,6 +634,38 @@ TEST(ResidentUnits, StoreHoldsExactlyUnitsTotalAfter200Edits)
     EXPECT_GT(last.units_total, 0);
 }
 
+TEST(ResidentUnits, SameNamedHelpersInTwoFilesKeepTheirOwnResults)
+{
+    // Each file defines its own static helper: editing one helper must
+    // re-run that helper's units and reuse the other file's.
+    const std::string helper = "static void helper(void) { int x = 1; }\n";
+    ResidentSession session({{"a.c", helper}, {"b.c", helper}});
+    const std::vector<std::string> files = session.paths();
+    const Answer cold = session.check(files);
+    EXPECT_EQ(cold.units_reused, 0);
+
+    session.change("a.c", "static void helper(void) { float x = 1.5; }\n");
+    const Answer edited = session.check(files);
+    EXPECT_EQ(edited.units_reused * 2, edited.units_total);
+    EXPECT_NE(edited.output, cold.output);
+    const Answer again = session.check(files);
+    EXPECT_EQ(again.units_reused, again.units_total);
+}
+
+TEST(ResidentUnits, ANameDefinedTwiceInOneFileKeepsBothResults)
+{
+    // Two definitions of one name in one file: a re-check reuses each
+    // one's own findings, not one definition's for both.
+    ResidentSession session(std::map<std::string, std::string>{
+        {"c.c", "static void helper(void) { int x = 1; }\n"
+                "static void helper(void) { float y = 1.5; }\n"}});
+    const std::vector<std::string> files = session.paths();
+    const Answer cold = session.check(files);
+    const Answer again = session.check(files);
+    EXPECT_EQ(again.units_reused, again.units_total);
+    EXPECT_EQ(again.output, cold.output);
+}
+
 TEST(ResidentUnits, EvictingASnapshotDropsItsUnits)
 {
     ResidentSession session(corpusFiles(ResidentState::kMaxFileSnapshots + 1));

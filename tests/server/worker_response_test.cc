@@ -53,7 +53,8 @@ reply(std::vector<JsonValue> entries)
 void
 decode(const std::string& line, std::vector<checkers::UnitResult>& results)
 {
-    absorbWorkerResponse({2, 0}, line, /*slot=*/3, {1, 4}, results);
+    absorbWorkerResponse({2, 0}, line, /*slot=*/3, {1, 4}, {0, 1, 2},
+                         results);
 }
 
 TEST(WorkerResponse, AReplyFillsExactlyItsBatch)
