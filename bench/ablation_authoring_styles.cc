@@ -10,8 +10,8 @@
  */
 #include "bench/bench_util.h"
 
-#include "checkers/buffer_race.h"
 #include "checkers/buffer_race_magik.h"
+#include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
 #include <iostream>
@@ -28,7 +28,7 @@ main()
                   "the Section 11 experience discussion");
 
     int metal_loc = metal::metalSourceLines(
-        checkers::BufferRaceChecker::metalSource());
+        checkers::checkerDef("wait_for_db")->metalSource());
     int magik_loc = MCHECK_LOC_MAGIK;
 
     std::vector<std::vector<std::string>> rows;
@@ -36,10 +36,10 @@ main()
     for (const corpus::ProtocolProfile& profile : corpus::paperProfiles()) {
         corpus::LoadedProtocol loaded = corpus::loadProtocol(profile);
 
-        checkers::BufferRaceChecker metal_checker;
+        auto metal_checker = checkers::makeChecker("wait_for_db");
         support::DiagnosticSink metal_sink;
         checkers::runCheckers(*loaded.program, loaded.gen.spec,
-                              {&metal_checker}, metal_sink);
+                              {metal_checker.get()}, metal_sink);
 
         checkers::BufferRaceMagikChecker magik_checker;
         support::DiagnosticSink magik_sink;

@@ -157,8 +157,7 @@ measureEngineThroughput(const EngineCorpus& corpus, int repeats = 5)
     out.cfgs = corpus.cfgs.size();
     for (const cfg::Cfg& cfg : corpus.cfgs) {
         out.blocks += cfg.blocks().size();
-        for (const cfg::BasicBlock& bb : cfg.blocks())
-            out.stmts += bb.stmts.size();
+        out.stmts += cfg::flatCfg(cfg).stmtCount();
     }
 
     auto pass = [&](bool record) {

@@ -7,7 +7,7 @@
  */
 #include "bench/bench_util.h"
 
-#include "checkers/msg_length.h"
+#include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
 #include <iostream>
@@ -47,7 +47,7 @@ main()
 
     std::cout << "checker source ("
               << metal::metalSourceLines(
-                     checkers::MsgLengthChecker::metalSource())
+                     checkers::checkerDef("msglen_check")->metalSource())
               << " lines of metal)\n\n";
 
     std::vector<std::vector<std::string>> rows;

@@ -10,8 +10,7 @@
  */
 #include "bench/bench_util.h"
 
-#include "checkers/buffer_race.h"
-#include "checkers/msg_length.h"
+#include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
 #include <iostream>
@@ -48,11 +47,12 @@ main()
     std::map<std::string, int> our_loc = {
         {"buffer_mgmt", MCHECK_LOC_BUFFER_MGMT},
         {"msglen_check",
-         metal::metalSourceLines(checkers::MsgLengthChecker::metalSource())},
+         metal::metalSourceLines(
+             checkers::checkerDef("msglen_check")->metalSource())},
         {"lanes", MCHECK_LOC_LANES},
         {"wait_for_db",
          metal::metalSourceLines(
-             checkers::BufferRaceChecker::metalSource())},
+             checkers::checkerDef("wait_for_db")->metalSource())},
         {"alloc_check", MCHECK_LOC_BUFFER_ALLOC},
         {"dir_check", MCHECK_LOC_DIRECTORY},
         {"send_wait", MCHECK_LOC_SEND_WAIT},

@@ -1,7 +1,5 @@
 #include "cfg/cfg.h"
 
-#include "cfg/flat_cfg.h"
-
 #include <cassert>
 #include <map>
 #include <sstream>
@@ -11,66 +9,14 @@ namespace mc::cfg {
 
 using namespace mc::lang;
 
-Cfg::~Cfg()
-{
-    delete flat_.load(std::memory_order_relaxed);
-}
-
-Cfg::Cfg(const Cfg& other)
-    : function(other.function), entry_(other.entry_), exit_(other.exit_),
-      blocks_(other.blocks_),
-      back_edges_computed_(other.back_edges_computed_),
-      back_edges_(other.back_edges_)
-{
-}
-
-Cfg&
-Cfg::operator=(const Cfg& other)
-{
-    if (this == &other)
-        return *this;
-    function = other.function;
-    entry_ = other.entry_;
-    exit_ = other.exit_;
-    blocks_ = other.blocks_;
-    back_edges_computed_ = other.back_edges_computed_;
-    back_edges_ = other.back_edges_;
-    delete flat_.exchange(nullptr, std::memory_order_acq_rel);
-    return *this;
-}
-
-Cfg::Cfg(Cfg&& other) noexcept
-    : function(other.function), entry_(other.entry_), exit_(other.exit_),
-      blocks_(std::move(other.blocks_)),
-      back_edges_computed_(other.back_edges_computed_),
-      back_edges_(std::move(other.back_edges_)),
-      flat_(other.flat_.exchange(nullptr, std::memory_order_acq_rel))
-{
-}
-
-Cfg&
-Cfg::operator=(Cfg&& other) noexcept
-{
-    if (this == &other)
-        return *this;
-    function = other.function;
-    entry_ = other.entry_;
-    exit_ = other.exit_;
-    blocks_ = std::move(other.blocks_);
-    back_edges_computed_ = other.back_edges_computed_;
-    back_edges_ = std::move(other.back_edges_);
-    delete flat_.exchange(
-        other.flat_.exchange(nullptr, std::memory_order_acq_rel),
-        std::memory_order_acq_rel);
-    return *this;
-}
-
 /**
  * Stateful CFG construction walker. `current_` is the open block receiving
  * statements; control-flow statements seal it and open new blocks.
  * A sealed value of -1 means the current position is unreachable (after a
  * return/break/goto); statements there still get a block so they are
- * visible to checkers, but it has no predecessor.
+ * visible to checkers, but it has no predecessor. Statements collect in
+ * `appended_` with their blocks and are lowered into the Cfg's rows once
+ * the graph is complete.
  */
 class BuilderImpl
 {
@@ -88,6 +34,9 @@ class BuilderImpl
         for (int ret : return_blocks_)
             addEdge(ret, cfg_.exit_);
         patchGotos();
+        cfg_.flat_ =
+            FlatCfg(static_cast<std::uint32_t>(cfg_.blocks_.size()),
+                    appended_);
     }
 
     Cfg take() { return std::move(cfg_); }
@@ -124,7 +73,13 @@ class BuilderImpl
             // paper's checkers did for unreachable handler paths).
             current_ = newBlock();
         }
-        block(current_).stmts.push_back(&stmt);
+        addStmt(current_, stmt);
+    }
+
+    void
+    addStmt(int id, const Stmt& stmt)
+    {
+        appended_.emplace_back(static_cast<std::uint32_t>(id), &stmt);
     }
 
     void
@@ -202,7 +157,7 @@ class BuilderImpl
             if (current_ >= 0)
                 addEdge(current_, target);
             current_ = target;
-            block(current_).stmts.push_back(&stmt);
+            addStmt(current_, stmt);
             labels_[s.name] = target;
             return;
           }
@@ -218,7 +173,7 @@ class BuilderImpl
             current_ = newBlock();
         int head = current_;
         block(head).branch_cond = stmt.cond;
-        block(head).stmts.push_back(&stmt);
+        addStmt(head, stmt);
 
         int then_entry = newBlock();
         addEdge(head, then_entry);
@@ -252,7 +207,7 @@ class BuilderImpl
         if (current_ >= 0)
             addEdge(current_, head);
         block(head).branch_cond = stmt.cond;
-        block(head).stmts.push_back(&stmt);
+        addStmt(head, stmt);
 
         int exit = newBlock();
         int body = newBlock();
@@ -290,7 +245,7 @@ class BuilderImpl
         continue_targets_.pop_back();
 
         block(cond).branch_cond = stmt.cond;
-        block(cond).stmts.push_back(&stmt);
+        addStmt(cond, stmt);
         addEdge(cond, body); // true: loop again
         addEdge(cond, exit); // false
         current_ = exit;
@@ -305,7 +260,7 @@ class BuilderImpl
         int head = newBlock();
         if (current_ >= 0)
             addEdge(current_, head);
-        block(head).stmts.push_back(&stmt);
+        addStmt(head, stmt);
 
         int exit = newBlock();
         int body = newBlock();
@@ -339,7 +294,7 @@ class BuilderImpl
             current_ = newBlock();
         int head = current_;
         block(head).branch_cond = stmt.cond;
-        block(head).stmts.push_back(&stmt);
+        addStmt(head, stmt);
 
         int exit = newBlock();
         break_targets_.push_back(exit);
@@ -356,7 +311,7 @@ class BuilderImpl
                         addEdge(current_, arm); // fallthrough
                     addEdge(head, arm);
                     current_ = arm;
-                    block(arm).stmts.push_back(child);
+                    addStmt(arm, *child);
                     if (child->skind == StmtKind::Default)
                         has_default = true;
                 } else {
@@ -387,6 +342,7 @@ class BuilderImpl
     }
 
     Cfg cfg_;
+    std::vector<std::pair<std::uint32_t, const Stmt*>> appended_;
     int current_ = -1;
     std::vector<int> break_targets_;
     std::vector<int> continue_targets_;
@@ -404,12 +360,10 @@ CfgBuilder::build(const FunctionDecl& fn)
     return builder.take();
 }
 
-const std::vector<std::pair<int, int>>&
+std::vector<std::pair<int, int>>
 Cfg::backEdges() const
 {
-    if (back_edges_computed_)
-        return back_edges_;
-    back_edges_computed_ = true;
+    std::vector<std::pair<int, int>> back_edges;
 
     enum class Color { White, Grey, Black };
     std::vector<Color> color(blocks_.size(), Color::White);
@@ -429,13 +383,13 @@ Cfg::backEdges() const
         int succ = bb.succs[edge++];
         Color c = color[static_cast<std::size_t>(succ)];
         if (c == Color::Grey) {
-            back_edges_.emplace_back(node, succ);
+            back_edges.emplace_back(node, succ);
         } else if (c == Color::White) {
             color[static_cast<std::size_t>(succ)] = Color::Grey;
             stack.emplace_back(succ, 0);
         }
     }
-    return back_edges_;
+    return back_edges;
 }
 
 std::string
@@ -452,7 +406,7 @@ Cfg::dump() const
         for (int succ : bb.succs)
             os << " B" << succ;
         os << '\n';
-        for (const lang::Stmt* stmt : bb.stmts)
+        for (const lang::Stmt* stmt : flat_.stmts(bb.id))
             os << "    " << lang::stmtToString(*stmt) << '\n';
     }
     return os.str();

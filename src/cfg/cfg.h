@@ -1,30 +1,29 @@
 #ifndef MCHECK_CFG_CFG_H
 #define MCHECK_CFG_CFG_H
 
+#include "cfg/flat_cfg.h"
 #include "lang/ast.h"
 
-#include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mc::cfg {
-
-class FlatCfg;
 
 /**
  * A basic block: a straight-line run of statements with branching only at
  * the end.
  *
- * `stmts` holds the simple statements executed in order (expression
- * statements, declarations, returns, case markers...). If the block ends
- * in a conditional branch, `branch_cond` is the controlling expression and
- * the first successor is the true edge, the second the false edge. Switch
- * heads have one successor per case (plus default/join last).
+ * Its statements (expression statements, declarations, returns, case
+ * markers...) are its rows of the function's FlatCfg, in execution order:
+ * `flatCfg(cfg).stmts(id)`. If the block ends in a conditional branch,
+ * `branch_cond` is the controlling expression and the first successor is
+ * the true edge, the second the false edge. Switch heads have one
+ * successor per case (plus default/join last).
  */
 struct BasicBlock
 {
     int id = -1;
-    std::vector<const lang::Stmt*> stmts;
     const lang::Expr* branch_cond = nullptr;
     std::vector<int> succs;
     std::vector<int> preds;
@@ -33,7 +32,10 @@ struct BasicBlock
 };
 
 /**
- * Control-flow graph of one function.
+ * Control-flow graph of one function, complete and immutable once
+ * CfgBuilder::build returns it: the blocks and, lowered in the same
+ * build, the statement rows (flatCfg()). Nothing is filled in later, so
+ * any number of threads may read one Cfg.
  *
  * There is exactly one entry block and one synthetic exit block; every
  * return statement's block has an edge to the exit block. Blocks are
@@ -42,19 +44,6 @@ struct BasicBlock
 class Cfg
 {
   public:
-    Cfg() = default;
-    ~Cfg();
-
-    // The lazily installed FlatCfg cache makes Cfg non-trivially
-    // copyable: copies start with a cold cache (they could alias the
-    // source's, but a copy that outlives its source must not), moves
-    // transfer it — the arena only borrows AST statement pointers, so
-    // relocating the Cfg object keeps it valid.
-    Cfg(const Cfg& other);
-    Cfg& operator=(const Cfg& other);
-    Cfg(Cfg&& other) noexcept;
-    Cfg& operator=(Cfg&& other) noexcept;
-
     const lang::FunctionDecl* function = nullptr;
 
     int entryId() const { return entry_; }
@@ -71,26 +60,32 @@ class Cfg
 
     /**
      * Edges (from, to) that close a cycle in a depth-first traversal from
-     * the entry block. Computed lazily and cached.
+     * the entry block. Computed on each call.
      */
-    const std::vector<std::pair<int, int>>& backEdges() const;
+    std::vector<std::pair<int, int>> backEdges() const;
 
     /** Render as text for tests: one line per block with successors. */
     std::string dump() const;
 
   private:
-    friend class CfgBuilder;
     friend class BuilderImpl;
     friend const FlatCfg& flatCfg(const Cfg& cfg);
 
     int entry_ = 0;
     int exit_ = 0;
     std::vector<BasicBlock> blocks_;
-    mutable bool back_edges_computed_ = false;
-    mutable std::vector<std::pair<int, int>> back_edges_;
-    /** Lazily built arena view (flat_cfg.h); owned, CAS-installed. */
-    mutable std::atomic<const FlatCfg*> flat_{nullptr};
+    FlatCfg flat_;
 };
+
+/**
+ * The function's statement rows (flat_cfg.h), lowered by the build. The
+ * reference lives as long as the Cfg.
+ */
+inline const FlatCfg&
+flatCfg(const Cfg& cfg)
+{
+    return cfg.flat_;
+}
 
 /**
  * Builds a Cfg from a function definition.

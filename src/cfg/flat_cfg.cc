@@ -1,7 +1,6 @@
 #include "cfg/flat_cfg.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
@@ -77,38 +76,39 @@ lowerStmt(const lang::Stmt& stmt, std::vector<support::SymbolId>& idents,
 }
 } // namespace
 
-FlatCfg::FlatCfg(const Cfg& cfg)
+FlatCfg::FlatCfg(
+    std::uint32_t block_count,
+    std::span<const std::pair<std::uint32_t, const lang::Stmt*>> appended)
 {
-    const std::vector<BasicBlock>& blocks = cfg.blocks();
-    stmt_offsets_.resize(blocks.size() + 1);
-    std::uint32_t total = 0;
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        stmt_offsets_[b] = total;
-        total += static_cast<std::uint32_t>(blocks[b].stmts.size());
-    }
-    stmt_offsets_[blocks.size()] = total;
-
-    stmts_.reserve(total);
-    for (const BasicBlock& bb : blocks)
-        for (const lang::Stmt* stmt : bb.stmts)
-            stmts_.push_back(stmt);
+    // A counting sort by block; stable, so each block keeps its
+    // statements in append (= execution) order.
+    stmt_offsets_.assign(block_count + 1, 0);
+    for (const auto& [block, stmt] : appended)
+        ++stmt_offsets_[block + 1];
+    for (std::uint32_t b = 0; b < block_count; ++b)
+        stmt_offsets_[b + 1] += stmt_offsets_[b];
+    const std::uint32_t total = stmt_offsets_[block_count];
+    stmts_.resize(total);
+    std::vector<std::uint32_t> next(stmt_offsets_.begin(),
+                                    stmt_offsets_.end() - 1);
+    for (const auto& [block, stmt] : appended)
+        stmts_[next[block]++] = stmt;
 
     // One pre-order pass per statement fills both of its spans: the
-    // identifiers (sorted unique in a reused scratch) and the calls.
+    // identifiers (appended, then made sorted unique in place) and the
+    // calls.
     ident_offsets_.resize(total + 1);
     call_offsets_.resize(total + 1);
-    std::vector<support::SymbolId> scratch;
     for (std::uint32_t row = 0; row < total; ++row) {
-        ident_offsets_[row] =
-            static_cast<std::uint32_t>(ident_ids_.size());
+        const std::size_t first = ident_ids_.size();
+        ident_offsets_[row] = static_cast<std::uint32_t>(first);
         call_offsets_[row] = static_cast<std::uint32_t>(calls_.size());
-        scratch.clear();
-        lowerStmt(*stmts_[row], scratch, calls_);
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        ident_ids_.insert(ident_ids_.end(), scratch.begin(),
-                          scratch.end());
+        lowerStmt(*stmts_[row], ident_ids_, calls_);
+        const auto span = ident_ids_.begin() +
+                          static_cast<std::ptrdiff_t>(first);
+        std::sort(span, ident_ids_.end());
+        ident_ids_.erase(std::unique(span, ident_ids_.end()),
+                         ident_ids_.end());
     }
     ident_offsets_[total] = static_cast<std::uint32_t>(ident_ids_.size());
     call_offsets_[total] = static_cast<std::uint32_t>(calls_.size());
@@ -164,25 +164,6 @@ FlatCfg::maskIndex(std::span<const std::uint8_t> bits) const
         index.range_mask[b >> kRangeShift] |= mask;
     }
     return index;
-}
-
-const FlatCfg&
-flatCfg(const Cfg& cfg)
-{
-    const FlatCfg* flat = cfg.flat_.load(std::memory_order_acquire);
-    if (!flat) {
-        auto* fresh = new FlatCfg(cfg);
-        const FlatCfg* expected = nullptr;
-        if (cfg.flat_.compare_exchange_strong(expected, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-            flat = fresh;
-        } else {
-            delete fresh; // another thread won the install race
-            flat = expected;
-        }
-    }
-    return *flat;
 }
 
 } // namespace mc::cfg

@@ -1,11 +1,12 @@
 #ifndef MCHECK_CFG_FLAT_CFG_H
 #define MCHECK_CFG_FLAT_CFG_H
 
-#include "cfg/cfg.h"
+#include "lang/ast.h"
 #include "support/interner.h"
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mc::cfg {
@@ -43,20 +44,19 @@ struct CallRow
 static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
 
 /**
- * Arena-flattened view of one Cfg: the lowering pass behind the
+ * The statement rows of one Cfg: the lowering pass behind the
  * data-oriented engine core.
  *
- * The pointer CFG stores statements as per-block vectors of AST node
- * pointers, so the walker's hot loop chases heap nodes and every
- * identifier prefilter re-scans an AST subtree (or a per-node cache
- * behind another pointer). FlatCfg lowers all of that into contiguous
- * POD arrays once per function:
+ * CfgBuilder::build lowers each function's statements once, at the end
+ * of the build, into contiguous POD arrays that the Cfg owns, so the
+ * walker's hot loop never chases per-block vectors and no identifier
+ * prefilter re-scans an AST subtree:
  *
  *   - `stmt_offsets_` — prefix sums over block statement counts, so a
  *     (block, pos) pair addresses a dense statement row without any
- *     per-block vector indirection; row order is block order, exactly
- *     the pointer CFG's iteration order.
- *   - `stmts_` — the statement pointers themselves, flat.
+ *     per-block vector indirection; row order is block order.
+ *   - `stmts_` — the statement pointers themselves, flat; a block's
+ *     statements are the span stmts(b).
  *   - `ident_offsets_` / `ident_ids_` — each row's sorted-unique
  *     interned identifier ids stored inline as a span, so an
  *     identifier AST scan becomes a precomputed slice lookup.
@@ -75,7 +75,7 @@ static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
  * prefilter-never-rejects property from cells to block ranges.
  *
  * Immutable after construction, so it needs no lock and is safe to
- * share across checker lanes like the Cfg itself.
+ * share across checker lanes like the Cfg that owns it.
  */
 class FlatCfg
 {
@@ -83,7 +83,17 @@ class FlatCfg
     /** log2 of the range granule: 64 blocks = one bitset word. */
     static constexpr std::uint32_t kRangeShift = 6;
 
-    explicit FlatCfg(const Cfg& cfg);
+    /** No blocks and no rows (a default-constructed Cfg's). */
+    FlatCfg() = default;
+
+    /**
+     * Lower a function of `block_count` blocks from its (block,
+     * statement) pairs in the order they were appended: blocks may
+     * interleave, but each block's statements come in execution order.
+     */
+    FlatCfg(std::uint32_t block_count,
+            std::span<const std::pair<std::uint32_t, const lang::Stmt*>>
+                appended);
 
     std::uint32_t blockCount() const
     {
@@ -109,6 +119,11 @@ class FlatCfg
         return stmt_offsets_[b + 1];
     }
     const lang::Stmt* stmt(std::uint32_t row) const { return stmts_[row]; }
+    /** Block `b`'s statements, in execution order. */
+    std::span<const lang::Stmt* const> stmts(std::uint32_t b) const
+    {
+        return {stmts_.data() + stmtBegin(b), stmts_.data() + stmtEnd(b)};
+    }
 
     /** Row `row`'s sorted-unique interned identifier ids, inline. */
     const support::SymbolId* identBegin(std::uint32_t row) const
@@ -176,20 +191,13 @@ class FlatCfg
     }
 
   private:
-    std::vector<std::uint32_t> stmt_offsets_;
+    std::vector<std::uint32_t> stmt_offsets_ = {0};
     std::vector<const lang::Stmt*> stmts_;
-    std::vector<std::uint32_t> ident_offsets_;
+    std::vector<std::uint32_t> ident_offsets_ = {0};
     std::vector<support::SymbolId> ident_ids_;
-    std::vector<std::uint32_t> call_offsets_;
+    std::vector<std::uint32_t> call_offsets_ = {0};
     std::vector<CallRow> calls_;
 };
-
-/**
- * The lazily built, per-Cfg FlatCfg (installed on the Cfg with a
- * compare-and-swap; racing builders are benign — losers delete their
- * copy). The reference lives as long as the Cfg.
- */
-const FlatCfg& flatCfg(const Cfg& cfg);
 
 } // namespace mc::cfg
 

@@ -9,12 +9,12 @@ namespace mc::cfg {
 
 namespace {
 
-/** Number of distinct source lines spanned by a block's statements. */
+/** Number of distinct source lines spanned by block `b`'s statements. */
 std::uint64_t
-blockLineCount(const BasicBlock& bb)
+blockLineCount(const Cfg& cfg, int b)
 {
     std::set<std::pair<std::int32_t, std::int32_t>> lines;
-    for (const lang::Stmt* stmt : bb.stmts)
+    for (const lang::Stmt* stmt : flatCfg(cfg).stmts(b))
         if (stmt->loc.isValid())
             lines.emplace(stmt->loc.file_id, stmt->loc.line);
     return lines.size();
@@ -24,8 +24,8 @@ blockLineCount(const BasicBlock& bb)
 std::vector<std::vector<int>>
 forwardSuccessors(const Cfg& cfg)
 {
-    std::set<std::pair<int, int>> back(cfg.backEdges().begin(),
-                                       cfg.backEdges().end());
+    const std::vector<std::pair<int, int>> back_edges = cfg.backEdges();
+    std::set<std::pair<int, int>> back(back_edges.begin(), back_edges.end());
     std::vector<std::vector<int>> succs(
         static_cast<std::size_t>(cfg.blockCount()));
     for (const BasicBlock& bb : cfg.blocks())
@@ -86,7 +86,7 @@ computePathStats(const Cfg& cfg)
     std::size_t n = static_cast<std::size_t>(cfg.blockCount());
     std::vector<std::uint64_t> lines(n);
     for (const BasicBlock& bb : cfg.blocks())
-        lines[static_cast<std::size_t>(bb.id)] = blockLineCount(bb);
+        lines[static_cast<std::size_t>(bb.id)] = blockLineCount(cfg, bb.id);
 
     // DP in topological order: for each block, the number of entry-to-here
     // paths, the summed length of those paths, and the max length, where a
@@ -150,7 +150,7 @@ enumeratePaths(const Cfg& cfg,
                std::uint64_t limit, unsigned back_edge_takes)
 {
     // Each block's out-edges as (successor, back-edge index or -1).
-    const std::vector<std::pair<int, int>>& back = cfg.backEdges();
+    const std::vector<std::pair<int, int>> back = cfg.backEdges();
     std::vector<std::vector<std::pair<int, int>>> edges(
         static_cast<std::size_t>(cfg.blockCount()));
     for (const BasicBlock& bb : cfg.blocks())

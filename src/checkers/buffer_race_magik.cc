@@ -67,7 +67,7 @@ search(const cfg::Cfg& cfg, int block_id, bool synced,
     if (!visited.emplace(block_id, synced).second)
         return;
     const cfg::BasicBlock& bb = cfg.block(block_id);
-    for (const Stmt* stmt : bb.stmts) {
+    for (const Stmt* stmt : cfg::flatCfg(cfg).stmts(block_id)) {
         if (synced)
             break; // nothing further to check on this path
         for (const auto& [op, expr] : opsInStatement(*stmt)) {
@@ -97,11 +97,11 @@ BufferRaceMagikChecker::checkFunction(const FunctionDecl& fn,
     std::set<std::pair<int, bool>> visited;
     search(cfg, cfg.entryId(), false, visited, ctx, name());
 
-    for (const cfg::BasicBlock& bb : cfg.blocks())
-        for (const Stmt* stmt : bb.stmts)
-            for (const auto& [op, expr] : opsInStatement(*stmt))
-                if (op == Op::Read)
-                    ++applied_;
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+    for (std::uint32_t row = 0; row < flat.stmtCount(); ++row)
+        for (const auto& [op, expr] : opsInStatement(*flat.stmt(row)))
+            if (op == Op::Read)
+                ++applied_;
 }
 
 } // namespace mc::checkers

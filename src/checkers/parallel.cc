@@ -150,7 +150,6 @@ CfgCache::get(const lang::FunctionDecl& fn, bool* reused)
         }
     }
     cfg::Cfg built = cfg::CfgBuilder::build(fn);
-    built.backEdges();
     std::lock_guard<std::mutex> lock(mu);
     return cfgs.emplace(&fn, std::move(built)).first->second;
 }
@@ -521,11 +520,9 @@ runCheckersParallel(const lang::Program& program,
                        std::vector<UnitResult>& results,
                        const std::function<void(std::size_t)>& done) {
         // Build every CFG a unit will walk first, one builder per
-        // function: backEdges() is warmed while each Cfg still has a
-        // single owner — its lazily-filled cache is not synchronized, so
-        // it must never be computed from two units at once. Functions
-        // whose every unit replayed from cache skip the build; that
-        // skipped path enumeration is the warm-run speedup.
+        // function. Functions whose every unit replayed from cache skip
+        // the build; that skipped path enumeration is the warm-run
+        // speedup.
         std::vector<std::size_t> need_cfg;
         for (std::size_t u : todo)
             if (need_cfg.empty() || need_cfg.back() != u / defs.size())

@@ -31,10 +31,8 @@ namespace mc::checkers {
  * and therefore fresh entries. Stale entries for replaced declarations
  * are never looked up again; they are reclaimed when the owner drops the
  * whole cache (the daemon does so whenever it rebuilds a program).
- *
- * Entries are inserted with their backEdges() cache pre-warmed while the
- * CFG still has a single owner, so concurrent units only ever *read* a
- * resident CFG.
+ * A Cfg is complete when it is built, so units share resident ones
+ * freely.
  */
 struct CfgCache
 {
@@ -49,9 +47,9 @@ struct CfgCache
 
     /**
      * The CFG of `fn`: the resident one (setting `*reused`), or one built
-     * now — outside the lock, backEdges warmed — and published. Map
-     * nodes are address-stable, so the reference stays good as other
-     * functions insert. Thread-safe.
+     * now, outside the lock, and published. Map nodes are
+     * address-stable, so the reference stays good as other functions
+     * insert. Thread-safe.
      */
     const cfg::Cfg& get(const lang::FunctionDecl& fn, bool* reused = nullptr);
 };

@@ -2,16 +2,14 @@
 
 #include "checkers/buffer_alloc.h"
 #include "checkers/buffer_mgmt.h"
-#include "checkers/buffer_race.h"
 #include "checkers/directory.h"
 #include "checkers/exec_restrict.h"
 #include "checkers/lanes.h"
 #include "checkers/metal_sources.h"
-#include "checkers/msg_length.h"
 #include "checkers/no_float.h"
 #include "checkers/send_wait.h"
+#include "flash/macros.h"
 #include "metal/engine.h"
-#include "support/text.h"
 
 #include <algorithm>
 #include <map>
@@ -31,34 +29,47 @@ CheckerSet::byName(const std::string& name) const
 
 namespace {
 
-/** A user-written metal checker: the definition's machine, nothing else. */
-class UserMetalChecker : public Checker
+/** msglen_check's applications: sends, and length assignments
+ *  `HANDLER_GLOBALS(...) = LEN_*` (Table 3). */
+bool
+isSendOrLengthAssignment(const cfg::CallRow& c)
 {
-  public:
-    explicit UserMetalChecker(const CheckerDef& def) : def_(def) {}
+    const flash::MacroKind kind = flash::macroKind(c.callee);
+    return flash::isSend(kind) ||
+           (c.assign_lhs && kind == flash::MacroKind::HandlerGlobals);
+}
 
-    std::string name() const override { return def_.name(); }
-
-    void
-    checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
-                  CheckContext& ctx) override
-    {
-        (void)fn;
-        metal::SmRunOptions options;
-        options.prune_strategy = def_.options().prune_strategy;
-        metal::runStateMachine(*def_.metal()->sm, cfg, ctx.sink, options);
-    }
-
-  private:
-    const CheckerDef& def_;
-};
+/** wait_for_db's applications: data-buffer reads (Table 2). */
+bool
+isDataBufferRead(const cfg::CallRow& c)
+{
+    const flash::MacroKind kind = flash::macroKind(c.callee);
+    return kind == flash::MacroKind::ReadDb ||
+           kind == flash::MacroKind::ReadDbDeprecated;
+}
 
 } // namespace
 
+void
+MetalChecker::checkFunction(const lang::FunctionDecl& fn,
+                            const cfg::Cfg& cfg, CheckContext& ctx)
+{
+    (void)fn;
+    metal::SmRunOptions options;
+    options.prune_strategy = def_.options().prune_strategy;
+    metal::runStateMachine(*def_.metal()->sm, cfg, ctx.sink, options);
+    if (AppliedRule applies = def_.appliedRule())
+        for (const cfg::CallRow& c : cfg::flatCfg(cfg).calls())
+            if (applies(c))
+                ++applied_;
+}
+
 CheckerDef::CheckerDef(std::string name, CheckerSetOptions options,
-                       std::string metal_source, metal::MetalProgram metal)
+                       std::string metal_source, metal::MetalProgram metal,
+                       AppliedRule applied_rule)
     : name_(std::move(name)), options_(options),
-      metal_source_(std::move(metal_source)), metal_(std::move(metal))
+      metal_source_(std::move(metal_source)), metal_(std::move(metal)),
+      applied_rule_(applied_rule)
 {
     // Compile now, while the definition has a single owner, so no unit
     // ever pays for (or races on) the first compilation.
@@ -73,14 +84,15 @@ CheckerDef::fromMetal(std::string source, const std::string& origin,
     metal::MetalProgram program = metal::parseMetal(source, origin);
     std::string name = "metal:" + program.name;
     return std::unique_ptr<const CheckerDef>(new CheckerDef(
-        std::move(name), options, std::move(source), std::move(program)));
+        std::move(name), options, std::move(source), std::move(program),
+        nullptr));
 }
 
 std::unique_ptr<Checker>
 CheckerDef::instantiate() const
 {
-    if (support::startsWith(name_, "metal:"))
-        return std::make_unique<UserMetalChecker>(*this);
+    if (metal_.sm)
+        return std::make_unique<MetalChecker>(*this);
     const metal::PruneStrategy prune = options_.prune_strategy;
     if (name_ == "buffer_mgmt") {
         BufferMgmtChecker::Options bm;
@@ -88,12 +100,8 @@ CheckerDef::instantiate() const
         bm.prune_strategy = prune;
         return std::make_unique<BufferMgmtChecker>(bm);
     }
-    if (name_ == "msglen_check")
-        return std::make_unique<MsgLengthChecker>(*this);
     if (name_ == "lanes")
         return std::make_unique<LanesChecker>();
-    if (name_ == "wait_for_db")
-        return std::make_unique<BufferRaceChecker>(*this);
     if (name_ == "alloc_check")
         return std::make_unique<BufferAllocChecker>(prune);
     if (name_ == "dir_check")
@@ -118,15 +126,21 @@ checkerDef(const std::string& name, const CheckerSetOptions& options)
     std::lock_guard<std::mutex> lock(mu);
     std::unique_ptr<const CheckerDef>& def = defs[key];
     if (!def) {
-        const char* metal_source = name == "msglen_check" ? kMsgLenCheckMetal
-                                   : name == "wait_for_db" ? kWaitForDbMetal
-                                                           : nullptr;
+        const char* metal_source = nullptr;
+        AppliedRule applied_rule = nullptr;
+        if (name == "msglen_check") {
+            metal_source = kMsgLenCheckMetal;
+            applied_rule = isSendOrLengthAssignment;
+        } else if (name == "wait_for_db") {
+            metal_source = kWaitForDbMetal;
+            applied_rule = isDataBufferRead;
+        }
         metal::MetalProgram program;
         if (metal_source)
             program = metal::parseMetal(metal_source, name + ".metal");
         def.reset(new CheckerDef(name, options,
                                  metal_source ? metal_source : "",
-                                 std::move(program)));
+                                 std::move(program), applied_rule));
     }
     return def.get();
 }

@@ -36,18 +36,22 @@ struct CheckerSetOptions
     /**
      * Path-feasibility pruning strategy (`--prune-paths`), applied
      * uniformly to every path-sensitive checker — the extension the
-     * paper declined to build. Off matches the paper. (This replaces
-     * the old `prune_impossible_paths` flag, which only the
-     * message-length checker honored.)
+     * paper declined to build. Off matches the paper.
      */
     metal::PruneStrategy prune_strategy = metal::PruneStrategy::Off;
 };
 
 /**
+ * The call rows a metal checker counts as applications of its check
+ * (applied(), the Applied column of Tables 2 and 3).
+ */
+using AppliedRule = bool (*)(const cfg::CallRow& call);
+
+/**
  * The immutable, process-shared half of one checker: its identity, the
- * options it runs under, and — for the two metal checkers — the metal
- * source and the program parsed from it, whose state machine is
- * compiled exactly once (one CompiledSm per definition).
+ * options it runs under, and — for metal checkers — the metal source,
+ * the program parsed from it, whose state machine is compiled exactly
+ * once (one CompiledSm per definition), and the applied rule.
  *
  * A definition is compiled on first request per (name, options) and
  * lives for the rest of the process, so every unit of every run — live,
@@ -75,6 +79,9 @@ class CheckerDef
         return metal_.sm ? &metal_ : nullptr;
     }
 
+    /** The metal checker's applied rule; nullptr counts nothing. */
+    AppliedRule appliedRule() const { return applied_rule_; }
+
     /**
      * A fresh checker — zero applied count, empty summaries — that
      * executes this definition. Parses and compiles nothing.
@@ -84,8 +91,8 @@ class CheckerDef
     /**
      * A one-off definition for a user-written metal checker (`mccheck
      * --metal`): `source` parsed (parse errors name `origin`) and
-     * compiled, named "metal:<sm>". Its instances run the state machine
-     * down every path of each function; they keep no per-run state. Not
+     * compiled, named "metal:<sm>", with no applied rule. Its instances
+     * run the state machine down every path of each function. Not
      * registered with checkerDef: the caller owns it. Throws
      * metal::MetalParseError on malformed source.
      */
@@ -99,12 +106,39 @@ class CheckerDef
 
     /** Compiles `metal`'s state machine, if any. */
     CheckerDef(std::string name, CheckerSetOptions options,
-               std::string metal_source, metal::MetalProgram metal);
+               std::string metal_source, metal::MetalProgram metal,
+               AppliedRule applied_rule);
 
     std::string name_;
     CheckerSetOptions options_;
     std::string metal_source_;
     metal::MetalProgram metal_;
+    AppliedRule applied_rule_ = nullptr;
+};
+
+/**
+ * A checker that is one metal state machine: it runs its definition's
+ * compiled machine down every path of each function under the
+ * definition's prune strategy, and counts as applied the call rows the
+ * definition's applied rule selects. The shipped wait_for_db (Figure 2)
+ * and msglen_check (Figure 3) checkers and every `--metal` checker are
+ * its instances.
+ */
+class MetalChecker : public Checker
+{
+  public:
+    explicit MetalChecker(const CheckerDef& def) : def_(def) {}
+
+    std::string name() const override { return def_.name(); }
+
+    void checkFunction(const lang::FunctionDecl& fn, const cfg::Cfg& cfg,
+                       CheckContext& ctx) override;
+
+    /** The definition this checker executes. */
+    const CheckerDef& def() const { return def_; }
+
+  private:
+    const CheckerDef& def_;
 };
 
 /**

@@ -49,7 +49,7 @@ TEST(Cfg, StraightLine)
 {
     auto b = build("a(); b(); c();");
     const BasicBlock& entry = b->cfg.block(b->cfg.entryId());
-    EXPECT_EQ(entry.stmts.size(), 3u);
+    EXPECT_EQ(flatCfg(b->cfg).stmts(entry.id).size(), 3u);
     ASSERT_EQ(entry.succs.size(), 1u);
     EXPECT_EQ(entry.succs[0], b->cfg.exitId());
 }
@@ -62,7 +62,7 @@ TEST(Cfg, IfWithoutElseHasTwoEdges)
     ASSERT_EQ(entry.succs.size(), 2u);
     // True edge first, then the skip edge.
     const BasicBlock& then_block = b->cfg.block(entry.succs[0]);
-    EXPECT_EQ(then_block.stmts.size(), 1u);
+    EXPECT_EQ(flatCfg(b->cfg).stmts(then_block.id).size(), 1u);
 }
 
 TEST(Cfg, IfElseJoins)
@@ -92,7 +92,7 @@ TEST(Cfg, DoWhileExecutesBodyFirst)
     const BasicBlock& entry = b->cfg.block(b->cfg.entryId());
     ASSERT_FALSE(entry.succs.empty());
     const BasicBlock& body = b->cfg.block(entry.succs[0]);
-    ASSERT_EQ(body.stmts.size(), 1u);
+    ASSERT_EQ(flatCfg(b->cfg).stmts(body.id).size(), 1u);
     EXPECT_EQ(b->cfg.backEdges().size(), 1u);
 }
 
@@ -101,8 +101,7 @@ TEST(Cfg, ForLoopStructure)
     auto b = build("for (i = 0; i < 4; i++) body();");
     EXPECT_EQ(b->cfg.backEdges().size(), 1u);
     // init statement lands in the entry block.
-    const BasicBlock& entry = b->cfg.block(b->cfg.entryId());
-    ASSERT_FALSE(entry.stmts.empty());
+    ASSERT_FALSE(flatCfg(b->cfg).stmts(b->cfg.entryId()).empty());
 }
 
 TEST(Cfg, ForeverLoopHasNoExitEdgeFromHead)
@@ -197,7 +196,7 @@ TEST(Cfg, UnreachableCodeStillHasBlocks)
     // The dead statement exists in some block.
     bool found = false;
     for (const BasicBlock& bb : b->cfg.blocks())
-        for (const lang::Stmt* stmt : bb.stmts)
+        for (const lang::Stmt* stmt : flatCfg(b->cfg).stmts(bb.id))
             if (lang::stmtToString(*stmt) == "dead();")
                 found = true;
     EXPECT_TRUE(found);

@@ -23,54 +23,44 @@ namespace mc::cfg {
 namespace {
 
 /**
- * Structural equality between the pointer CFG and its arena-flattened
- * view: same blocks in the same order, same statements in the same
- * order, and per-statement identifier spans identical to the AST scan.
- * This is the property the whole data-oriented core rests on — every
- * (block, pos) cell address and every mask bit is derived from this
- * layout, so any drift here silently corrupts prefiltering.
+ * The rows of a built Cfg: one row span per block, back to back in block
+ * order, and per row an identifier span equal to a fresh AST scan of its
+ * statement. This is the property the whole data-oriented core rests on
+ * — every (block, pos) cell address and every mask bit is derived from
+ * this layout, so any drift here silently corrupts prefiltering.
  */
 void
-expectFlatMatchesPointerCfg(const Cfg& cfg)
+expectRowsMatchFreshScans(const Cfg& cfg)
 {
     const FlatCfg& flat = flatCfg(cfg);
-    const std::vector<BasicBlock>& blocks = cfg.blocks();
-    ASSERT_EQ(flat.blockCount(), blocks.size());
+    ASSERT_EQ(flat.blockCount(), static_cast<std::uint32_t>(cfg.blockCount()));
 
     std::uint32_t expect_row = 0;
-    for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-        const BasicBlock& bb = blocks[b];
+    for (std::uint32_t b = 0; b < flat.blockCount(); ++b) {
         // Row spans are exactly the prefix sums of block sizes, in
         // block order: no gaps, no overlap, no reordering.
         ASSERT_EQ(flat.stmtBegin(b), expect_row);
-        ASSERT_EQ(flat.stmtEnd(b) - flat.stmtBegin(b), bb.stmts.size());
+        ASSERT_EQ(flat.stmts(b).size(), flat.stmtEnd(b) - flat.stmtBegin(b));
         expect_row = flat.stmtEnd(b);
-        for (std::size_t pos = 0; pos < bb.stmts.size(); ++pos) {
-            const std::uint32_t row =
-                flat.stmtBegin(b) + static_cast<std::uint32_t>(pos);
-            // Statement order round-trips pointer-identically.
-            ASSERT_EQ(flat.stmt(row), bb.stmts[pos]);
-
-            // The inline ident span equals a fresh AST scan (sorted
-            // unique).
-            std::vector<support::SymbolId> fresh;
-            lang::forEachIdent(*bb.stmts[pos], [&](const lang::IdentExpr& e) {
-                fresh.push_back(
-                    support::SymbolInterner::global().intern(e.name));
-            });
-            std::sort(fresh.begin(), fresh.end());
-            fresh.erase(std::unique(fresh.begin(), fresh.end()),
-                        fresh.end());
-            std::vector<support::SymbolId> span(
-                flat.identBegin(row),
-                flat.identBegin(row) + flat.identCount(row));
-            ASSERT_EQ(span, fresh);
-            ASSERT_TRUE(std::is_sorted(span.begin(), span.end()));
-            ASSERT_TRUE(std::adjacent_find(span.begin(), span.end()) ==
-                        span.end());
-        }
     }
     ASSERT_EQ(flat.stmtCount(), expect_row);
+
+    for (std::uint32_t row = 0; row < flat.stmtCount(); ++row) {
+        const lang::Stmt& stmt = *flat.stmt(row);
+        // The inline ident span equals a fresh AST scan (sorted unique).
+        std::vector<support::SymbolId> fresh;
+        lang::forEachIdent(stmt, [&](const lang::IdentExpr& e) {
+            fresh.push_back(support::SymbolInterner::global().intern(e.name));
+        });
+        std::sort(fresh.begin(), fresh.end());
+        fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+        std::vector<support::SymbolId> span(
+            flat.identBegin(row), flat.identBegin(row) + flat.identCount(row));
+        ASSERT_EQ(span, fresh);
+        ASSERT_TRUE(std::is_sorted(span.begin(), span.end()));
+        ASSERT_TRUE(std::adjacent_find(span.begin(), span.end()) ==
+                    span.end());
+    }
 }
 
 TEST(FlatCfgProperty, RoundTripsEveryFunctionOfTheFullCorpus)
@@ -79,30 +69,27 @@ TEST(FlatCfgProperty, RoundTripsEveryFunctionOfTheFullCorpus)
         corpus::LoadedProtocol loaded = corpus::loadProtocol(profile);
         for (const lang::FunctionDecl* fn : loaded.program->functions()) {
             Cfg cfg = CfgBuilder::build(*fn);
-            expectFlatMatchesPointerCfg(cfg);
+            expectRowsMatchFreshScans(cfg);
         }
     }
 }
 
 /**
  * Lowering reads every symbol off the AST, where the parser put it: over
- * the whole parsed corpus, flatCfg() adds nothing to the global
- * interner (no hashing or locking of identifier spellings).
+ * the whole parsed corpus, building the CFGs and their rows adds nothing
+ * to the global interner (no hashing or locking of identifier
+ * spellings).
  */
 TEST(FlatCfg, LoweringDoesNotIntern)
 {
     std::vector<corpus::LoadedProtocol> protocols;
-    std::vector<Cfg> cfgs;
-    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles()) {
+    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles())
         protocols.push_back(corpus::loadProtocol(profile));
-        for (const lang::FunctionDecl* fn :
-             protocols.back().program->functions())
-            cfgs.push_back(CfgBuilder::build(*fn));
-    }
     const std::size_t before = support::SymbolInterner::global().size();
     std::size_t rows = 0;
-    for (const Cfg& cfg : cfgs)
-        rows += flatCfg(cfg).stmtCount();
+    for (const corpus::LoadedProtocol& loaded : protocols)
+        for (const lang::FunctionDecl* fn : loaded.program->functions())
+            rows += flatCfg(CfgBuilder::build(*fn)).stmtCount();
     EXPECT_GT(rows, 10000u);
     EXPECT_EQ(support::SymbolInterner::global().size(), before);
 }
@@ -117,7 +104,7 @@ TEST(FlatCfgProperty, RoundTripsAcrossGeneratorSeeds)
         corpus::LoadedProtocol loaded = corpus::loadProtocol(profile);
         for (const lang::FunctionDecl* fn : loaded.program->functions()) {
             Cfg cfg = CfgBuilder::build(*fn);
-            expectFlatMatchesPointerCfg(cfg);
+            expectRowsMatchFreshScans(cfg);
         }
     }
 }
@@ -179,7 +166,7 @@ TEST(FlatCfgProperty, ArenaIsBuiltOncePerCfg)
     std::set<const FlatCfg*> arenas;
     for (const Cfg& cfg : cfgs) {
         const FlatCfg& flat = flatCfg(cfg);
-        // Stable: the lazily installed arena is built once per Cfg.
+        // Stable: the arena is built once per Cfg, by its build.
         ASSERT_EQ(&flatCfg(cfg), &flat);
         arenas.insert(&flat);
     }
@@ -187,12 +174,13 @@ TEST(FlatCfgProperty, ArenaIsBuiltOncePerCfg)
     ASSERT_EQ(arenas.size(), cfgs.size());
 }
 
-TEST(FlatCfgProperty, ConcurrentInstallAndReadsAgree)
+TEST(FlatCfgProperty, ConcurrentReadsAgree)
 {
-    // Sibling units of one function race on the lazy install and then
-    // read the arena side by side, each building the mask index its own
-    // table owns. Every thread must see the one installed arena and
-    // identical masks.
+    // Sibling units of one function read its Cfg side by side: the
+    // arena, the mask index each table builds and owns, and the back
+    // edges, which nobody computed before. A built Cfg is read-only, so
+    // every thread must see the one arena, identical masks and
+    // identical back edges (and TSan no write).
     metal::MetalProgram wait =
         metal::parseMetal(checkers::kWaitForDbMetal);
     const std::vector<support::SymbolId>& syms =
@@ -206,6 +194,8 @@ TEST(FlatCfgProperty, ConcurrentInstallAndReadsAgree)
     constexpr int kThreads = 4;
     std::vector<std::vector<const FlatCfg*>> arenas(kThreads);
     std::vector<std::vector<std::vector<std::uint64_t>>> masks(kThreads);
+    std::vector<std::vector<std::vector<std::pair<int, int>>>> back(
+        kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
@@ -213,6 +203,7 @@ TEST(FlatCfgProperty, ConcurrentInstallAndReadsAgree)
                 const FlatCfg& flat = flatCfg(cfg);
                 arenas[t].push_back(&flat);
                 masks[t].push_back(flat.maskIndex(syms).stmt_mask);
+                back[t].push_back(cfg.backEdges());
             }
         });
     for (std::thread& thread : threads)
@@ -220,6 +211,7 @@ TEST(FlatCfgProperty, ConcurrentInstallAndReadsAgree)
     for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(arenas[t], arenas[0]) << "thread " << t;
         EXPECT_EQ(masks[t], masks[0]) << "thread " << t;
+        EXPECT_EQ(back[t], back[0]) << "thread " << t;
     }
 }
 

@@ -1,5 +1,5 @@
-#include "checkers/buffer_race.h"
 #include "checkers/buffer_race_magik.h"
+#include "checkers/registry.h"
 #include "tests/checkers/harness.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@ TEST(BufferRace, CleanHandlerPasses)
     h.addHandler("PILocalGet", HandlerKind::Hardware,
                  "WAIT_FOR_DB_FULL(addr);"
                  "MISCBUS_READ_DB(addr, word0);");
-    BufferRaceChecker checker;
-    auto stats = h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    auto stats = h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
     EXPECT_EQ(stats[0].applied, 1);
 }
@@ -27,8 +27,8 @@ TEST(BufferRace, ReadWithoutWaitFlagged)
     Harness h;
     h.addHandler("PILocalGet", HandlerKind::Hardware,
                  "MISCBUS_READ_DB(addr, word0);");
-    BufferRaceChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 
@@ -37,8 +37,8 @@ TEST(BufferRace, OldStyleMacroAlsoChecked)
     Harness h;
     h.addHandler("NIRemotePut", HandlerKind::Hardware,
                  "MISCBUS_READ_DB_OLD(addr);");
-    BufferRaceChecker checker;
-    auto stats = h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    auto stats = h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
     EXPECT_EQ(stats[0].applied, 1);
 }
@@ -50,8 +50,8 @@ TEST(BufferRace, WaitOnOnePathOnly)
     h.addHandler("NILocalGet", HandlerKind::Hardware,
                  "if (cached) { WAIT_FOR_DB_FULL(addr); }"
                  "MISCBUS_READ_DB(addr, b);");
-    BufferRaceChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 
@@ -68,8 +68,8 @@ TEST(BufferRace, WaitAsLateAsPossibleStillClean)
                  "} else {"
                  "  no_data_path();"
                  "}");
-    BufferRaceChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -82,8 +82,8 @@ TEST(BufferRace, FirstByteOnlyReadStillRace)
                  "MISCBUS_READ_DB(addr, byte0);"
                  "WAIT_FOR_DB_FULL(addr);"
                  "MISCBUS_READ_DB(addr, rest);");
-    BufferRaceChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 
@@ -93,8 +93,8 @@ TEST(BufferRace, MultipleFunctionsIndependent)
     h.addHandler("Good", HandlerKind::Hardware,
                  "WAIT_FOR_DB_FULL(a); MISCBUS_READ_DB(a, b);");
     h.addHandler("Bad", HandlerKind::Hardware, "MISCBUS_READ_DB(a, b);");
-    BufferRaceChecker checker;
-    auto stats = h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    auto stats = h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
     EXPECT_EQ(stats[0].applied, 2);
 }
@@ -115,8 +115,8 @@ TEST(BufferRace, MagikStyleCheckerAgreesSiteForSite)
     for (const char* body : bodies) {
         Harness metal_h;
         metal_h.addHandler("H", HandlerKind::Hardware, body);
-        BufferRaceChecker metal_checker;
-        metal_h.run(metal_checker);
+        auto metal_checker = makeChecker("wait_for_db");
+        metal_h.run(*metal_checker);
 
         Harness magik_h;
         magik_h.addHandler("H", HandlerKind::Hardware, body);
@@ -142,8 +142,8 @@ TEST(BufferRace, DebugReadIntentionalViolationStillFlagged)
     Harness h;
     h.addHandler("DebugDump", HandlerKind::Normal,
                  "MISCBUS_READ_DB(addr, dump_word);");
-    BufferRaceChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("wait_for_db");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 

@@ -8,8 +8,6 @@
  * hashing every ingredient per unit does.
  */
 #include "cache/analysis_cache.h"
-#include "checkers/buffer_race.h"
-#include "checkers/msg_length.h"
 #include "checkers/parallel.h"
 #include "checkers/registry.h"
 #include "metal/transition_table.h"
@@ -30,14 +28,13 @@ namespace {
 
 using metal::CompiledSm;
 
-/** The compiled machine `checker` runs, or nullptr. */
+/** The compiled machine `checker` runs, read off its definition, or
+ *  nullptr for a hand-written checker. */
 const CompiledSm*
 compiledOf(const Checker& checker)
 {
-    if (auto* m = dynamic_cast<const MsgLengthChecker*>(&checker))
-        return &m->stateMachine().compiled();
-    if (auto* b = dynamic_cast<const BufferRaceChecker*>(&checker))
-        return &b->stateMachine().compiled();
+    if (auto* m = dynamic_cast<const MetalChecker*>(&checker))
+        return &m->def().metal()->sm->compiled();
     return nullptr;
 }
 
@@ -48,8 +45,8 @@ TEST(CheckerDefs, InstancesShareOneCompiledMachine)
     ASSERT_TRUE(a && b);
     EXPECT_NE(compiledOf(*a), nullptr);
     EXPECT_EQ(compiledOf(*a), compiledOf(*b));
-    // A directly constructed checker binds to the same definition.
-    MsgLengthChecker direct;
+    // A checker constructed from the registered definition runs it too.
+    MetalChecker direct(*checkerDef("msglen_check"));
     EXPECT_EQ(compiledOf(direct), compiledOf(*a));
     EXPECT_NE(compiledOf(*makeChecker("wait_for_db")), compiledOf(*a));
 

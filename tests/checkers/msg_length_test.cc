@@ -1,4 +1,4 @@
-#include "checkers/msg_length.h"
+#include "checkers/registry.h"
 #include "tests/checkers/harness.h"
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@ TEST(MsgLength, ConsistentDataSendClean)
     h.addHandler("H", HandlerKind::Hardware,
                  "HANDLER_GLOBALS(header.nh.len) = LEN_CACHELINE;"
                  "NI_SEND(MSG_PUT, F_DATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -26,8 +26,8 @@ TEST(MsgLength, DataSendWithZeroLenFlagged)
     h.addHandler("H", HandlerKind::Hardware,
                  "HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;"
                  "PI_SEND(F_DATA, keep, swap, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     ASSERT_EQ(h.errors(), 1);
     EXPECT_EQ(h.sink.diagnostics()[0].message, "data send, zero len");
 }
@@ -38,8 +38,8 @@ TEST(MsgLength, NodataSendWithNonzeroLenFlagged)
     h.addHandler("H", HandlerKind::Hardware,
                  "HANDLER_GLOBALS(header.nh.len) = LEN_WORD;"
                  "IO_SEND(F_NODATA, keep, swap, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     ASSERT_EQ(h.errors(), 1);
     EXPECT_EQ(h.sink.diagnostics()[0].message, "nodata send, nonzero len");
 }
@@ -51,8 +51,8 @@ TEST(MsgLength, SendBeforeAnyAssignmentIgnored)
     Harness h;
     h.addHandler("H", HandlerKind::Hardware,
                  "NI_SEND(MSG_ACK, F_NODATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -68,8 +68,8 @@ TEST(MsgLength, AssignmentHundredsOfLinesBeforeSend)
     h.addHandler("H", HandlerKind::Hardware,
                  "HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;\n" + filler +
                      "NI_SEND(MSG_PUT, F_DATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 
@@ -81,8 +81,8 @@ TEST(MsgLength, ReassignmentChangesState)
                  "NI_SEND(MSG_ACK, F_NODATA, keep, wait, dec, null);"
                  "HANDLER_GLOBALS(header.nh.len) = LEN_CACHELINE;"
                  "NI_SEND(MSG_PUT, F_DATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -97,8 +97,8 @@ TEST(MsgLength, BadPathThroughBranchFlagged)
                  "  HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;"
                  "}"
                  "NI_SEND(MSG_PUT, F_DATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 
@@ -112,8 +112,8 @@ TEST(MsgLength, RuntimeParameterNotMatched)
     h.addHandler("H", HandlerKind::Hardware,
                  "HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;"
                  "PI_SEND(data_flag, keep, swap, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -124,8 +124,8 @@ TEST(MsgLength, AppliedCountsSendsAndAssignments)
                  "HANDLER_GLOBALS(header.nh.len) = LEN_WORD;"
                  "PI_SEND(F_DATA, keep, swap, wait, dec, null);"
                  "NI_SEND(MSG_PUT, F_DATA, keep, wait, dec, null);");
-    MsgLengthChecker checker;
-    auto stats = h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    auto stats = h.run(*checker);
     EXPECT_EQ(stats[0].applied, 3);
 }
 
@@ -141,8 +141,8 @@ TEST(MsgLength, UncachedReadHandlerShape)
                  "  return;"
                  "}"
                  "PI_SEND(F_DATA, keep, swap, wait, dec, null);");
-    MsgLengthChecker checker;
-    h.run(checker);
+    auto checker = makeChecker("msglen_check");
+    h.run(*checker);
     EXPECT_EQ(h.errors(), 1);
 }
 

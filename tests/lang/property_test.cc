@@ -235,9 +235,9 @@ TEST_P(CfgInvariants, RandomBodiesSatisfyStructuralInvariants)
         // Invariant: every statement of the body appears in exactly one
         // block.
         std::map<const Stmt*, int> owner_count;
-        for (const cfg::BasicBlock& bb : cfg.blocks())
-            for (const Stmt* stmt : bb.stmts)
-                ++owner_count[stmt];
+        const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+        for (std::uint32_t row = 0; row < flat.stmtCount(); ++row)
+            ++owner_count[flat.stmt(row)];
         for (const auto& [stmt, count] : owner_count)
             EXPECT_EQ(count, 1);
 

@@ -109,7 +109,7 @@ runEnumerated(const StateMachine& sm, const cfg::Cfg& cfg,
     for (const std::vector<int>& path : paths) {
         std::string state = sm.startState();
         for (int block : path) {
-            for (const lang::Stmt* stmt : cfg.block(block).stmts) {
+            for (const lang::Stmt* stmt : cfg::flatCfg(cfg).stmts(block)) {
                 if (!fire(state, *stmt, sm.rulesFor(state)))
                     fire(state, *stmt, sm.allRules());
                 if (state == StateMachine::kStop)

@@ -130,7 +130,7 @@ TEST(TransitionTable, CellMatchesAndTransitions)
     const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
     int block = -1;
     for (const cfg::BasicBlock& bb : cfg.blocks())
-        if (bb.stmts.size() == 2)
+        if (flat.stmts(bb.id).size() == 2)
             block = bb.id;
     ASSERT_NE(block, -1);
     const std::uint32_t row = flat.stmtBegin(block);
@@ -294,7 +294,8 @@ TEST(TransitionTable, BlockSkipNeverRejectsAMatch)
                         continue;
                     }
                     ++skipped;
-                    for (const lang::Stmt* stmt : blocks[b].stmts)
+                    for (const lang::Stmt* stmt :
+                         cfg::flatCfg(cfg).stmts(b))
                         for (const CompiledSm::Candidate& cand :
                              csm.candidatesFor(s))
                             EXPECT_FALSE(

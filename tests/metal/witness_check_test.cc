@@ -17,19 +17,22 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace mc {
 namespace {
 
-/** True if `loc` is a statement of `bb` or its branch condition. */
+/** True if `loc` is a statement of block `b` or its branch condition. */
 bool
-inBlock(const cfg::BasicBlock& bb, const support::SourceLoc& loc)
+inBlock(const cfg::Cfg& cfg, int b, const support::SourceLoc& loc)
 {
+    const cfg::BasicBlock& bb = cfg.block(b);
     if (bb.branch_cond && bb.branch_cond->loc == loc)
         return true;
-    return std::any_of(bb.stmts.begin(), bb.stmts.end(),
+    std::span<const lang::Stmt* const> stmts = cfg::flatCfg(cfg).stmts(b);
+    return std::any_of(stmts.begin(), stmts.end(),
                        [&](const lang::Stmt* s) { return s->loc == loc; });
 }
 
@@ -69,7 +72,7 @@ checkWitness(const cfg::Cfg& cfg, const support::Witness& witness,
     std::size_t at = 0;
     for (std::size_t s = 0; s < witness.steps.size(); ++s) {
         while (at < blocks.size() &&
-               !inBlock(cfg.block(blocks[at]), witness.steps[s].loc))
+               !inBlock(cfg, blocks[at], witness.steps[s].loc))
             ++at;
         if (at == blocks.size())
             return "step " + std::to_string(s) +
