@@ -45,16 +45,46 @@ LanesChecker::checkFunction(const FunctionDecl& fn, const cfg::Cfg& cfg,
         global::summarize(std::string(fn.name), cfg, extract)));
 }
 
-void
-LanesChecker::checkProgram(CheckContext& ctx)
+namespace {
+
+/** Whether the global pass analyzes the handler `name` over `graph`. */
+bool
+analyzes(const global::CallGraph& graph, const std::string& name,
+         const flash::HandlerSpec& spec)
 {
-    // Global pass: link all emitted summaries and traverse from each
-    // handler.
+    return spec.kind != flash::HandlerKind::Normal &&
+           graph.sendsOnLane(name);
+}
+
+} // namespace
+
+std::vector<const global::FunctionSummary*>
+LanesChecker::linked() const
+{
     std::vector<const global::FunctionSummary*> summaries;
     summaries.reserve(summaries_.size());
     for (const auto& summary : summaries_)
         summaries.push_back(summary.get());
-    global::CallGraph graph(summaries);
+    return summaries;
+}
+
+std::vector<std::string>
+LanesChecker::analyzedHandlers(const flash::ProtocolSpec& spec) const
+{
+    const global::CallGraph graph(linked());
+    std::vector<std::string> out;
+    for (const auto& [fn_name, handler] : spec.handlers())
+        if (analyzes(graph, fn_name, handler))
+            out.push_back(fn_name);
+    return out;
+}
+
+void
+LanesChecker::checkProgram(CheckContext& ctx)
+{
+    // Global pass: link all emitted summaries and traverse from each
+    // handler whose call cone sends on a lane.
+    const global::CallGraph graph(linked());
 
     global::LocDescriber describe =
         [&ctx](const support::SourceLoc& loc) {
@@ -62,9 +92,7 @@ LanesChecker::checkProgram(CheckContext& ctx)
         };
 
     for (const auto& [fn_name, spec] : ctx.spec.handlers()) {
-        if (spec.kind == flash::HandlerKind::Normal)
-            continue;
-        if (!graph.find(fn_name))
+        if (!analyzes(graph, fn_name, spec))
             continue;
 
         global::LaneCounts allowance;

@@ -5,6 +5,8 @@
 #include "global/flowgraph.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace mc::checkers {
 
@@ -24,6 +26,12 @@ namespace mc::checkers {
  * the maximum sends per lane any inter-procedural path can perform,
  * using the fixed-point rule for cycles. Sends exceeding the allowance
  * are reported with a full inter-procedural back-trace.
+ *
+ * The global pass analyzes only the handlers whose call cone holds a send
+ * on a lane (global::CallGraph::sendsOnLane); in every other cone each
+ * count stays zero, so the analysis provably finds nothing there. Files
+ * mode has no opcode-to-lane table, so every send it summarizes has lane
+ * -1 and the pass analyzes no handler at all.
  */
 class LanesChecker : public Checker
 {
@@ -34,6 +42,14 @@ class LanesChecker : public Checker
                        CheckContext& ctx) override;
 
     void checkProgram(CheckContext& ctx) override;
+
+    /**
+     * The handlers checkProgram analyzes, in spec order: each hardware
+     * or software handler of `spec` whose call cone over the emitted
+     * summaries holds a lane send.
+     */
+    std::vector<std::string>
+    analyzedHandlers(const flash::ProtocolSpec& spec) const;
 
     void
     reset() override
@@ -65,6 +81,9 @@ class LanesChecker : public Checker
     bool loadState(std::istream& is) override;
 
   private:
+    /** Every emitted summary, in append order. */
+    std::vector<const global::FunctionSummary*> linked() const;
+
     std::vector<std::shared_ptr<const global::FunctionSummary>> summaries_;
 };
 

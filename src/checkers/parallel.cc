@@ -93,6 +93,73 @@ takeResident(ResidentUnits& store, const std::vector<std::uint64_t>& keys,
     return taken;
 }
 
+/**
+ * Key every unit of `plan` into `keys` (grid order). A unit whose
+ * function has no fingerprint (its file needed parse recovery) keeps
+ * key 0, which no store may serve or keep. With `last`, the record of
+ * a resident store's previous run, only definitions with a new
+ * declaration are fingerprinted again, and only their units are
+ * re-keyed unless the function list, the spec or a key prefix changed;
+ * `last` then describes this run. `keys` may be `last->keys`.
+ */
+void
+keyUnits(const UnitPlan& plan, ResidentUnits::Keying* last,
+         std::vector<std::uint64_t>& keys)
+{
+    const std::vector<const lang::FunctionDecl*>& fns =
+        plan.program.functions();
+    const std::size_t ncheckers = plan.defs.size();
+    const std::uint64_t spec_fp = plan.spec_fingerprint != 0
+                                      ? plan.spec_fingerprint
+                                      : flash::specFingerprint(plan.spec);
+    std::vector<support::Fnv1a> prefixes;
+    std::vector<std::uint64_t> prefix_values;
+    prefixes.reserve(ncheckers);
+    prefix_values.reserve(ncheckers);
+    for (const CheckerDef* def : plan.defs) {
+        prefixes.push_back(unitCacheKeyPrefix(*def));
+        prefix_values.push_back(prefixes.back().value());
+    }
+    auto keyFunction = [&](std::size_t f, std::uint64_t fn_fp) {
+        for (std::size_t c = 0; c < ncheckers; ++c)
+            keys[f * ncheckers + c] =
+                fn_fp != 0 ? unitCacheKey(prefixes[c], spec_fp, fn_fp) : 0;
+    };
+
+    if (!last || last->functions.size() != fns.size()) {
+        const std::vector<std::uint64_t> fn_fps =
+            lang::fingerprintFunctions(plan.program);
+        keys.assign(fns.size() * ncheckers, 0);
+        for (std::size_t f = 0; f < fns.size(); ++f)
+            keyFunction(f, fn_fps[f]);
+        if (last) {
+            last->functions = fns;
+            last->fingerprints = fn_fps;
+            last->prefixes = std::move(prefix_values);
+            last->spec = spec_fp;
+        }
+        return;
+    }
+
+    const bool same_keys = last->spec == spec_fp &&
+                           last->prefixes == prefix_values &&
+                           keys.size() == fns.size() * ncheckers;
+    if (!same_keys)
+        keys.assign(fns.size() * ncheckers, 0);
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+        const bool replaced = fns[f] != last->functions[f];
+        if (replaced) {
+            last->fingerprints[f] =
+                lang::fingerprintFunction(plan.program, f);
+            last->functions[f] = fns[f];
+        }
+        if (replaced || !same_keys)
+            keyFunction(f, last->fingerprints[f]);
+    }
+    last->prefixes = std::move(prefix_values);
+    last->spec = spec_fp;
+}
+
 } // namespace
 
 support::Fnv1a
@@ -235,27 +302,11 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
 
     const RunBaseline base = beginRun(masters, sink);
 
-    // Phase 0 (with a store only): key every unit by content. A unit
-    // whose function has no fingerprint (its file needed parse
-    // recovery) keeps key 0, which no store may serve or keep.
-    std::vector<std::uint64_t> keys;
-    auto computeKeys = [&] {
-        const std::vector<std::uint64_t> fn_fps =
-            lang::fingerprintFunctions(plan.program);
-        const std::uint64_t spec_fp = flash::specFingerprint(plan.spec);
-        std::vector<support::Fnv1a> key_prefixes;
-        key_prefixes.reserve(ncheckers);
-        for (const CheckerDef* def : plan.defs)
-            key_prefixes.push_back(unitCacheKeyPrefix(*def));
-        keys.assign(nunits, 0);
-        for (std::size_t f = 0; f < fn_fps.size(); ++f) {
-            if (fn_fps[f] == 0)
-                continue;
-            for (std::size_t c = 0; c < ncheckers; ++c)
-                keys[f * ncheckers + c] =
-                    unitCacheKey(key_prefixes[c], spec_fp, fn_fps[f]);
-        }
-    };
+    // Phase 0 (with a store only): key every unit by content. A resident
+    // store keeps the keys with the record of how they were made.
+    std::vector<std::uint64_t> run_keys;
+    std::vector<std::uint64_t>& keys =
+        resident ? resident->keying.keys : run_keys;
 
     // The resident store first: a unit it keeps under the same key
     // merges from its slot. `pending` lists the other units, ascending.
@@ -266,7 +317,7 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
                                 "resident.lookup", "cache");
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("resident.lookup") : nullptr);
-        computeKeys();
+        keyUnits(plan, &resident->keying, keys);
         resident_reused = takeResident(*resident, keys, pending);
     } else {
         pending.resize(nunits);
@@ -291,7 +342,7 @@ runUnitPipeline(const UnitPlan& plan, const std::vector<Checker*>& masters,
         support::ScopedTimer timer(
             metrics.enabled() ? &metrics.timer("cache.lookup") : nullptr);
         if (!resident)
-            computeKeys();
+            keyUnits(plan, nullptr, keys);
         std::vector<std::shared_ptr<const cache::CachedUnit>> found(
             pending.size());
         pool.parallelFor(pending.size(), [&](std::size_t i) {
@@ -504,9 +555,14 @@ runCheckersParallel(const lang::Program& program,
                               : support::ThreadPool::defaultJobs();
     support::ThreadPool pool(jobs);
     CfgCache local_cfgs;
-    const UnitPlan plan{program, spec, defs, options.unit_budget,
+    const UnitPlan plan{program,
+                        spec,
+                        defs,
+                        options.unit_budget,
                         options.fail_fast,
-                        options.cfg_cache ? options.cfg_cache : &local_cfgs};
+                        options.cfg_cache ? options.cfg_cache : &local_cfgs,
+                        /*merge_fault_site=*/nullptr,
+                        options.spec_fingerprint};
 
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     if (metrics.enabled()) {

@@ -91,6 +91,27 @@ struct ResidentUnits
     /** Units the most recent completed run took from the store. */
     std::uint64_t reused = 0;
 
+    /**
+     * How the last run keyed its units, so the next one re-fingerprints
+     * and re-keys only the definitions that changed. A definition whose
+     * declaration is still `functions[f]` keeps `fingerprints[f]`: a
+     * re-parsed file's definitions are fresh declarations, and the AST
+     * arena reuses no address while its program, and so this store,
+     * lives. While the spec fingerprint and the key prefixes stay `spec`
+     * and `prefixes` (the values of unitCacheKeyPrefix per checker), such
+     * a definition keeps its units' `keys` (grid order) as well; a
+     * changed function list or configuration re-keys every unit.
+     */
+    struct Keying
+    {
+        std::vector<const lang::FunctionDecl*> functions;
+        std::vector<std::uint64_t> fingerprints;
+        std::vector<std::uint64_t> prefixes;
+        std::uint64_t spec = 0;
+        std::vector<std::uint64_t> keys;
+    };
+    Keying keying;
+
     /** Slots that keep a unit. */
     std::size_t
     size() const
@@ -173,6 +194,11 @@ struct ParallelRunOptions
      * tally into the "resident.reused" counter.
      */
     ResidentUnits* resident = nullptr;
+    /**
+     * flash::specFingerprint of the run's spec as the spec's owner keeps
+     * it (a resident snapshot), or 0 to compute it when units are keyed.
+     */
+    std::uint64_t spec_fingerprint = 0;
 };
 
 /**
@@ -300,6 +326,11 @@ struct UnitPlan
      * null for none.
      */
     const char* merge_fault_site = nullptr;
+    /**
+     * flash::specFingerprint(spec) as the spec's owner keeps it, or 0 to
+     * compute it when the pipeline keys units.
+     */
+    std::uint64_t spec_fingerprint = 0;
 
     std::size_t
     units() const
@@ -360,9 +391,10 @@ using UnitExecutor = std::function<void(
  * metrics and health do not depend on who executed its units:
  *
  *  0. key every unit by content (unitCacheKey, from
- *     lang::fingerprintFunctions) when there is a store to look in;
- *     take the units `resident` keeps under the same key, then replay
- *     the units `cache` holds (replayUnit);
+ *     lang::fingerprintFunctions) when there is a store to look in —
+ *     with `resident`, only the units its Keying says changed; take the
+ *     units `resident` keeps under the same key, then replay the units
+ *     `cache` holds (replayUnit);
  *  1. `execute` the remaining units, storing each completed,
  *     untruncated one back into the cache as it finishes;
  *  2. merge sequentially in unit order: each master absorbs its units'

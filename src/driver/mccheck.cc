@@ -34,7 +34,11 @@
  * When checking loose files, every CamelCase function is treated as a
  * hardware handler unless its name starts with "Sw" (software handler);
  * lowercase-named functions are plain routines — the FLASH naming
- * conventions the corpus also uses.
+ * conventions the corpus also uses. Files mode has no opcode-to-lane
+ * table, so no send it sees has a lane and the `lanes` checker cannot
+ * report anything in files mode, nor on the daemon's overlay checks,
+ * which are files-mode checks; its `applied` count still counts the
+ * sends the local pass annotated.
  */
 #include "cache/analysis_cache.h"
 #include "corpus/generator.h"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace mc::global {
@@ -9,39 +10,62 @@ namespace mc::global {
 CallGraph::CallGraph(const std::vector<const FunctionSummary*>& summaries)
 {
     by_name_.reserve(summaries.size());
+    summaries_.reserve(summaries.size());
     for (const FunctionSummary* fn : summaries)
-        by_name_.emplace(fn->name, fn);
+        if (by_name_.emplace(fn->name, summaries_.size()).second)
+            summaries_.push_back(fn);
+
+    // One scan: the functions that send on a lane themselves, and every
+    // resolved call as a (callee, caller) pair.
+    sends_on_lane_.assign(summaries_.size(), false);
+    std::vector<std::size_t> work;
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    for (std::size_t caller = 0; caller < summaries_.size(); ++caller) {
+        for (const FunctionSummary::Block& bb : summaries_[caller]->blocks) {
+            for (const Event& ev : bb.events) {
+                if (ev.kind == Event::Kind::Send && ev.lane >= 0 &&
+                    ev.lane < kLanes) {
+                    sends_on_lane_[caller] = true;
+                } else if (ev.kind == Event::Kind::Call) {
+                    auto it = by_name_.find(ev.callee);
+                    if (it != by_name_.end())
+                        calls.emplace_back(it->second, caller);
+                }
+            }
+        }
+        if (sends_on_lane_[caller])
+            work.push_back(caller);
+    }
+
+    // Then propagation: a caller of a function whose cone sends has a
+    // cone that sends.
+    std::sort(calls.begin(), calls.end());
+    while (!work.empty()) {
+        const std::size_t callee = work.back();
+        work.pop_back();
+        for (auto it = std::lower_bound(calls.begin(), calls.end(),
+                                        std::make_pair(callee, std::size_t{0}));
+             it != calls.end() && it->first == callee; ++it) {
+            if (!sends_on_lane_[it->second]) {
+                sends_on_lane_[it->second] = true;
+                work.push_back(it->second);
+            }
+        }
+    }
 }
 
 const FunctionSummary*
 CallGraph::find(std::string_view name) const
 {
     auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : it->second;
+    return it == by_name_.end() ? nullptr : summaries_[it->second];
 }
 
-std::vector<std::string>
-CallGraph::functionNames() const
+bool
+CallGraph::sendsOnLane(std::string_view name) const
 {
-    std::vector<std::string> out;
-    for (const auto& [name, fn] : by_name_)
-        out.emplace_back(name);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::set<std::string>
-CallGraph::calleesOf(std::string_view name) const
-{
-    std::set<std::string> out;
-    const FunctionSummary* fn = find(name);
-    if (!fn)
-        return out;
-    for (const FunctionSummary::Block& bb : fn->blocks)
-        for (const Event& ev : bb.events)
-            if (ev.kind == Event::Kind::Call)
-                out.insert(ev.callee);
-    return out;
+    auto it = by_name_.find(name);
+    return it != by_name_.end() && sends_on_lane_[it->second];
 }
 
 namespace {

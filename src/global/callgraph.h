@@ -5,13 +5,15 @@
 
 #include <array>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace mc::global {
+
+/** Number of lanes tracked by the lane analysis. */
+inline constexpr int kLanes = 4;
 
 /**
  * The linked global call graph: all function summaries of a protocol,
@@ -24,23 +26,31 @@ namespace mc::global {
 class CallGraph
 {
   public:
+    /**
+     * Index `summaries` and compute, in one scan of them plus one
+     * propagation over the calls find() resolves, which call cones hold
+     * a lane send (sendsOnLane).
+     */
     explicit CallGraph(const std::vector<const FunctionSummary*>& summaries);
 
     /** Summary for `name`, or nullptr for external/unknown routines. */
     const FunctionSummary* find(std::string_view name) const;
 
-    /** Names of all summarized functions, sorted. */
-    std::vector<std::string> functionNames() const;
-
-    /** Direct callees of `name` (unknown callees included by name). */
-    std::set<std::string> calleesOf(std::string_view name) const;
+    /**
+     * Whether the call cone of `name` — its summary plus every summary
+     * reachable from it through Call events find() resolves, cycles
+     * included — holds a Send on a lane in [0, kLanes). False for
+     * unknown names. Where it is false, analyzeLanes keeps every count
+     * at zero, so it reports no violation and no recursion warning.
+     */
+    bool sendsOnLane(std::string_view name) const;
 
   private:
-    std::unordered_map<std::string_view, const FunctionSummary*> by_name_;
+    /** Index into `summaries_`/`sends_on_lane_` per name (first wins). */
+    std::unordered_map<std::string_view, std::size_t> by_name_;
+    std::vector<const FunctionSummary*> summaries_;
+    std::vector<bool> sends_on_lane_;
 };
-
-/** Number of lanes tracked by the lane analysis. */
-inline constexpr int kLanes = 4;
 
 using LaneCounts = std::array<int, kLanes>;
 

@@ -50,6 +50,13 @@ std::uint64_t unitFingerprint(const support::SourceManager& sm,
  */
 std::vector<std::uint64_t> fingerprintFunctions(const Program& program);
 
+/**
+ * fingerprintFunctions(program)[index] alone: a resident store re-keys
+ * only the definitions a re-parse replaced, without fingerprinting the
+ * rest of the program.
+ */
+std::uint64_t fingerprintFunction(const Program& program, std::size_t index);
+
 } // namespace mc::lang
 
 #endif // MCHECK_LANG_FINGERPRINT_H

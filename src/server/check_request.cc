@@ -496,6 +496,7 @@ check(const CheckRequest& req, cache::AnalysisCache* cache,
     prun.checker_options = copts;
     prun.cfg_cache = target.cfgs;
     prun.resident = target.units;
+    prun.spec_fingerprint = target.spec_fingerprint;
     const std::vector<checkers::CheckerRunStats> stats =
         req.shards > 0
             ? runCheckersSharded(program, *target.spec, masters, defs, sink,

@@ -60,7 +60,8 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
         corpus::LoadedProtocol* loaded = &target.protocol;
         if (resident)
             loaded = &resident->protocolSnapshot(
-                request.protocol, target.cfgs, target.units, target.reused);
+                request.protocol, target.cfgs, target.units,
+                target.spec_fingerprint, target.reused);
         else
             target.protocol =
                 corpus::loadProtocol(corpus::profileByName(request.protocol));
@@ -82,10 +83,12 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
     target.reused = target.files.reused;
     target.spec = &target.files_spec;
     if (request.mode == CheckRequest::Mode::Files) {
-        if (target.files.files_spec)
+        if (target.files.files_spec) {
             target.spec = target.files.files_spec;
-        else
+            target.spec_fingerprint = target.files.files_spec_fingerprint;
+        } else {
             target.files_spec = cliFilesSpec(*target.program);
+        }
     }
     return "";
 }

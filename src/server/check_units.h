@@ -37,6 +37,8 @@ struct CheckTarget
     checkers::CfgCache* cfgs = nullptr;
     /** Resident unit results for the program; null for one-shot runs. */
     checkers::ResidentUnits* units = nullptr;
+    /** The fingerprint of `spec` its resident owner keeps, or 0. */
+    std::uint64_t spec_fingerprint = 0;
     std::uint64_t files_reparsed = 0;
     /** A resident snapshot served the program. */
     bool reused = false;

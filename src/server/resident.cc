@@ -88,7 +88,7 @@ ResidentState::ResidentState()
 void
 ResidentState::openDocument(const std::string& path, std::string text)
 {
-    documents_[path] = std::move(text);
+    documents_[path] = Document{std::move(text), ++document_seq_};
 }
 
 bool
@@ -109,7 +109,7 @@ ResidentState::readFile(const std::string& path, std::string& contents,
 {
     auto it = documents_.find(path);
     if (it != documents_.end()) {
-        contents = it->second;
+        contents = it->second.text;
         return true;
     }
     return readDiskFile(path, contents, error);
@@ -125,6 +125,7 @@ ResidentState::FileSnapshot::refreshFilesSpec()
     if (same)
         return;
     files_spec = std::make_unique<flash::ProtocolSpec>(cliFilesSpec(*program));
+    files_spec_fingerprint = flash::specFingerprint(*files_spec);
     spec_defs.clear();
     for (const lang::FunctionDecl* fn : fns)
         spec_defs.push_back(fn->sym);
@@ -138,6 +139,7 @@ ResidentState::FileSnapshot::publish(PreparedProgram& prepared)
     prepared.cfg_cache = cfg_cache.get();
     prepared.units = units.get();
     prepared.files_spec = files_spec.get();
+    prepared.files_spec_fingerprint = files_spec_fingerprint;
     prepared.ok = true;
 }
 
@@ -174,11 +176,25 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
 {
     PreparedProgram prepared;
 
-    // Read every input up front, in request order, so "cannot open"
-    // surfaces for the same (first) file a batch run would report.
-    std::vector<std::string> contents;
-    if (!readAll(files, reader, contents, prepared.error))
-        return prepared;
+    // Read every disk input up front, in request order, so "cannot open"
+    // surfaces for the same (first) file a batch run would report. An
+    // overlay cannot fail to open; it is read below only if needed.
+    std::vector<const Document*> overlays(files.size(), nullptr);
+    std::vector<std::uint64_t> generations(files.size(), 0);
+    std::vector<std::string> contents(files.size());
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        auto it = documents_.find(files[i]);
+        if (it != documents_.end()) {
+            overlays[i] = &it->second;
+            generations[i] = it->second.generation;
+            continue;
+        }
+        std::string error;
+        if (!reader(files[i], contents[i], error)) {
+            prepared.error = "mccheck: " + error;
+            return prepared;
+        }
+    }
 
     FileSnapshot* snap = findSnapshot(files);
     if (snap &&
@@ -186,19 +202,30 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         lang::Program& current = *snap->program;
         bool in_place_ok = true;
         std::uint64_t reparsed = 0;
-        for (std::size_t i = 0; i < files.size() && in_place_ok; ++i) {
+        for (std::size_t i = 0; i < files.size(); ++i) {
+            // An overlay the snapshot last read at this generation is
+            // what file i holds: neither read nor compared.
+            if (generations[i] != 0 &&
+                snap->generations[i] == generations[i])
+                continue;
             // The snapshot was built from this file list in order, so
             // unit i holds file i's resident bytes; an exact compare
             // finds the edited files without hashing the rest.
+            const std::string_view text =
+                overlays[i] ? std::string_view(overlays[i]->text)
+                            : std::string_view(contents[i]);
             const std::int32_t id = current.units()[i].file_id;
-            if (current.sourceManager().fileContents(id) == contents[i])
-                continue;
-            // Copied, not moved: if a later file's in-place update fails
-            // the rebuild below still needs every file's contents.
-            if (current.updateSource(files[i], contents[i]))
+            if (current.sourceManager().fileContents(id) != text) {
+                // Copied, not moved: if a later file's in-place update
+                // fails the rebuild below still needs every file's
+                // contents.
+                if (!current.updateSource(files[i], std::string(text))) {
+                    in_place_ok = false;
+                    break;
+                }
                 ++reparsed;
-            else
-                in_place_ok = false;
+            }
+            snap->generations[i] = generations[i];
         }
         if (in_place_ok) {
             snap->last_used = ++use_seq_;
@@ -210,6 +237,9 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
     }
 
     // Full (re)build.
+    for (std::size_t i = 0; i < files.size(); ++i)
+        if (overlays[i])
+            contents[i] = overlays[i]->text;
     auto program = std::make_unique<lang::Program>(/*recover=*/true);
     if (!buildInto(*program, files, contents, prepared.error))
         return prepared;
@@ -241,6 +271,7 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
         snapshots_.push_back(std::move(fresh));
         snap = &snapshots_.back();
     }
+    snap->generations = std::move(generations);
 
     snap->publish(prepared);
     prepared.files_reparsed = files.size();
@@ -250,7 +281,8 @@ ResidentState::prepareFiles(const std::vector<std::string>& files,
 corpus::LoadedProtocol&
 ResidentState::protocolSnapshot(const std::string& protocol,
                                 checkers::CfgCache*& cfgs,
-                                checkers::ResidentUnits*& units, bool& reused)
+                                checkers::ResidentUnits*& units,
+                                std::uint64_t& spec_fingerprint, bool& reused)
 {
     auto it = protocols_.find(protocol);
     if (it == protocols_.end()) {
@@ -259,6 +291,7 @@ ResidentState::protocolSnapshot(const std::string& protocol,
             corpus::loadProtocol(corpus::profileByName(protocol));
         snap.cfg_cache = std::make_unique<checkers::CfgCache>();
         snap.units = std::make_unique<checkers::ResidentUnits>();
+        snap.spec_fingerprint = flash::specFingerprint(snap.loaded.gen.spec);
         it = protocols_.emplace(protocol, std::move(snap)).first;
         reused = false;
     } else {
@@ -266,6 +299,7 @@ ResidentState::protocolSnapshot(const std::string& protocol,
     }
     cfgs = it->second.cfg_cache.get();
     units = it->second.units.get();
+    spec_fingerprint = it->second.spec_fingerprint;
     return it->second.loaded;
 }
 

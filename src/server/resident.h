@@ -56,6 +56,8 @@ struct PreparedProgram
      * one-shot runs.
      */
     const flash::ProtocolSpec* files_spec = nullptr;
+    /** flash::specFingerprint(*files_spec), kept with it; 0 without. */
+    std::uint64_t files_spec_fingerprint = 0;
     /** Files lexed+parsed to satisfy this request. */
     std::uint64_t files_reparsed = 0;
     /** A resident snapshot matched (even if some files re-parsed). */
@@ -85,12 +87,17 @@ struct PreparedProgram
  *     finished units (ResidentUnits: one slot per unit of the last run,
  *     in grid order, under its unitCacheKey — checker definition and
  *     options, witness configuration, spec and per-definition
- *     fingerprints). A re-check compares each unit's key with its slot,
- *     runs only the units whose key changed, merges the rest in place
- *     and writes only the slots it ran; an edited file invalidates
- *     exactly its own functions' units. All three are dropped with the
- *     program they describe, whenever the snapshot is rebuilt or
- *     evicted.
+ *     fingerprints). A re-check re-keys only the units of the files it
+ *     re-parsed (the store keeps how it keyed the last run, the
+ *     snapshot keeps its spec's fingerprint), compares each unit's key
+ *     with its slot, runs only the units whose key changed, merges the
+ *     rest in place and writes only the slots it ran; an edited file
+ *     invalidates exactly its own functions' units. All three are
+ *     dropped with the program they describe, whenever the snapshot is
+ *     rebuilt or evicted.
+ *  4. Overlay documents carry a generation that every open and change
+ *     bumps; a snapshot skips the overlays whose generation it already
+ *     read, so finding the edit costs a compare per disk file only.
  *
  * A daemon started with `--cache DIR` also consults that disk cache for
  * units its snapshot does not hold. The in-memory AnalysisCache
@@ -115,7 +122,10 @@ class ResidentState
 
     // ---- document overlays (open/change/close) ------------------------
 
-    /** Insert or replace the overlay for `path`. */
+    /**
+     * Insert or replace the overlay for `path` under a new generation,
+     * so the next prepareFiles re-reads it.
+     */
     void openDocument(const std::string& path, std::string text);
     /** Drop the overlay; false if none existed. */
     bool closeDocument(const std::string& path);
@@ -138,9 +148,14 @@ class ResidentState
     // ---- program snapshots --------------------------------------------
 
     /**
-     * Program for `files` read through `reader`: reuse + in-place
-     * re-parse when a snapshot matches, full (re)build otherwise. The
-     * result is published as this state's snapshot for that file list.
+     * Program for `files`: reuse + in-place re-parse when a snapshot
+     * matches, full (re)build otherwise. The result is published as this
+     * state's snapshot for that file list. A file with an open overlay
+     * reads from it; every other file reads through `reader`, in request
+     * order, so a failure names the first file that cannot be opened.
+     * An overlay whose generation the snapshot already read is neither
+     * read nor compared; every other file is compared byte for byte
+     * with the resident source and re-parsed if it differs.
      */
     PreparedProgram prepareFiles(const std::vector<std::string>& files,
                                  const FileReader& reader);
@@ -151,11 +166,13 @@ class ResidentState
      * program equals a fresh load). Throws std::out_of_range for names
      * profileByName does not know. `reused` reports whether a resident
      * snapshot served the request; `cfgs` and `units` receive the
-     * snapshot's resident stores.
+     * snapshot's resident stores and `spec_fingerprint` the fingerprint
+     * of its spec, computed once when it loads.
      */
     corpus::LoadedProtocol& protocolSnapshot(const std::string& protocol,
                                              checkers::CfgCache*& cfgs,
                                              checkers::ResidentUnits*& units,
+                                             std::uint64_t& spec_fingerprint,
                                              bool& reused);
 
     /**
@@ -191,8 +208,15 @@ class ResidentState
         std::unique_ptr<checkers::CfgCache> cfg_cache;
         std::unique_ptr<checkers::ResidentUnits> units;
         std::unique_ptr<flash::ProtocolSpec> files_spec;
+        /** flash::specFingerprint(*files_spec), refreshed with it. */
+        std::uint64_t files_spec_fingerprint = 0;
         /** The definitions `files_spec` classifies, in program order. */
         std::vector<support::SymbolId> spec_defs;
+        /**
+         * Per file, the overlay generation its resident source was last
+         * read from; 0 when it came from `reader`.
+         */
+        std::vector<std::uint64_t> generations;
         std::uint64_t last_used = 0;
 
         /** Rebuild `files_spec` unless it covers `program`'s definitions. */
@@ -206,11 +230,22 @@ class ResidentState
         corpus::LoadedProtocol loaded;
         std::unique_ptr<checkers::CfgCache> cfg_cache;
         std::unique_ptr<checkers::ResidentUnits> units;
+        /** flash::specFingerprint(loaded.gen.spec). */
+        std::uint64_t spec_fingerprint = 0;
     };
 
     FileSnapshot* findSnapshot(const std::vector<std::string>& files);
 
-    std::map<std::string, std::string> documents_;
+    /** An open overlay; `generation` is unique across all of them. */
+    struct Document
+    {
+        std::string text;
+        std::uint64_t generation = 0;
+    };
+
+    std::map<std::string, Document> documents_;
+    /** The last generation openDocument handed out. */
+    std::uint64_t document_seq_ = 0;
     std::unique_ptr<cache::AnalysisCache> memory_cache_;
     std::vector<FileSnapshot> snapshots_;
     std::map<std::string, ProtocolSnapshot> protocols_;

@@ -173,7 +173,7 @@ runCheckersSharded(const lang::Program& program,
     // and resident units included).
     const checkers::UnitPlan plan{program, spec, defs, {},
                                   options.fail_fast, nullptr,
-                                  "shard.merge"};
+                                  "shard.merge", options.spec_fingerprint};
     support::MetricsRegistry& metrics = support::MetricsRegistry::global();
     if (metrics.enabled()) {
         metrics.gauge("shard.workers").observe(request.shards);

@@ -41,10 +41,17 @@ class Fnv1a
     Fnv1a& u64(std::uint64_t v)
     {
         // Fixed little-endian byte order, independent of host endianness.
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        return bytes(b, 8);
+        // A zero byte only multiplies (h ^ 0 == h), so once the bytes left
+        // are all zero — the high bytes of a length, line or column — they
+        // fold into one multiply by a power of the prime: the same value
+        // as hashing each byte.
+        int i = 0;
+        for (; i < 8 && v != 0; ++i, v >>= 8) {
+            h_ ^= v & 0xff;
+            h_ *= kPrime;
+        }
+        h_ *= kPrimePowers[8 - i];
+        return *this;
     }
 
     Fnv1a& i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
@@ -54,6 +61,19 @@ class Fnv1a
     std::uint64_t value() const { return h_; }
 
   private:
+    /** kPrime^k mod 2^64 for k = 0..8. */
+    static constexpr std::uint64_t kPrimePowers[9] = {
+        1ULL,
+        kPrime,
+        kPrime * kPrime,
+        kPrime * kPrime * kPrime,
+        kPrime * kPrime * kPrime * kPrime,
+        kPrime * kPrime * kPrime * kPrime * kPrime,
+        kPrime * kPrime * kPrime * kPrime * kPrime * kPrime,
+        kPrime * kPrime * kPrime * kPrime * kPrime * kPrime * kPrime,
+        kPrime * kPrime * kPrime * kPrime * kPrime * kPrime * kPrime * kPrime,
+    };
+
     std::uint64_t h_ = kOffset;
 };
 

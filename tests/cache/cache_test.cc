@@ -382,6 +382,9 @@ TEST(Fingerprint, EveryDefinitionOfANameGetsItsOwn)
     const std::set<std::uint64_t> distinct(fps.begin(), fps.end());
     EXPECT_EQ(distinct.size(), 4u);
     EXPECT_EQ(distinct.count(0), 0u);
+    // One definition alone gets the same fingerprint as in the list.
+    for (std::size_t i = 0; i < fps.size(); ++i)
+        EXPECT_EQ(lang::fingerprintFunction(program, i), fps[i]) << i;
 }
 
 TEST(Fingerprint, MemoAfterUpdateSourceMatchesFreshProgram)

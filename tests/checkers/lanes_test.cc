@@ -295,6 +295,13 @@ TEST(Lanes, TextRoundtripGivesIdenticalResults)
     EXPECT_EQ(rendered(live), rendered(wire));
     EXPECT_EQ(global.applied(), checker.applied());
     EXPECT_FALSE(rendered(wire).empty());
+    // The pass skips the same handlers over reloaded summaries.
+    EXPECT_EQ(global.analyzedHandlers(wire.spec),
+              local.analyzedHandlers(wire.spec));
+    EXPECT_EQ(global.analyzedHandlers(wire.spec),
+              checker.analyzedHandlers(live.spec));
+    EXPECT_EQ(global.analyzedHandlers(wire.spec),
+              std::vector<std::string>{"B"});
 }
 
 TEST(Lanes, SharedHelperAnalyzedPerCallingContext)

@@ -96,13 +96,30 @@ TEST(FlowGraph, SummarizeExtractsEventsPerBlock)
 
 TEST(CallGraph, FindAndCallees)
 {
+    // A calls the send-free helper and sends on lane 2 itself; Outer
+    // reaches that send through A; Quiet reaches only the helper.
     const FunctionSummary a = makeSummary("A");
-    CallGraph graph({&a});
-    EXPECT_NE(graph.find("A"), nullptr);
+    FunctionSummary helper;
+    helper.name = "helper";
+    helper.blocks.resize(1);
+    FunctionSummary quiet = helper;
+    quiet.name = "Quiet";
+    Event call;
+    call.kind = Event::Kind::Call;
+    call.callee = "helper";
+    quiet.blocks[0].events = {call};
+    FunctionSummary outer = quiet;
+    outer.name = "Outer";
+    outer.blocks[0].events[0].callee = "A";
+
+    CallGraph graph({&a, &helper, &quiet, &outer});
+    EXPECT_EQ(graph.find("A"), &a);
     EXPECT_EQ(graph.find("Z"), nullptr);
-    auto callees = graph.calleesOf("A");
-    EXPECT_EQ(callees.size(), 1u);
-    EXPECT_TRUE(callees.count("helper"));
+    EXPECT_TRUE(graph.sendsOnLane("A"));
+    EXPECT_TRUE(graph.sendsOnLane("Outer"));
+    EXPECT_FALSE(graph.sendsOnLane("Quiet"));
+    EXPECT_FALSE(graph.sendsOnLane("helper"));
+    EXPECT_FALSE(graph.sendsOnLane("Z"));
 }
 
 TEST(LaneAnalysis, SimpleOverflowDetected)

@@ -12,8 +12,11 @@
 #include "server/resident.h"
 
 #include "cache/analysis_cache.h"
+#include "checkers/registry.h"
 #include "corpus/generator.h"
 #include "corpus/profile.h"
+#include "flash/protocol_spec.h"
+#include "lang/fingerprint.h"
 #include "metal/feasibility.h"
 #include "server/check_request.h"
 #include "server/daemon.h"
@@ -278,31 +281,99 @@ TEST(ResidentPrograms, MissingFileFailsWithoutPoisoningTheSnapshot)
     EXPECT_TRUE(again.reused);
 }
 
+TEST(ResidentPrograms, OverlaysReadOnlyWhenTheirGenerationMoves)
+{
+    ResidentState resident;
+    MapReader disk;
+    disk.files["b.c"] = "void fb(void) { y = 2; }\n";
+    disk.files["c.c"] = "void fc(void) { z = 3; }\n";
+    std::vector<std::string> read;
+    FileReader counting = [&](const std::string& path, std::string& contents,
+                              std::string& error) {
+        read.push_back(path);
+        return disk.reader()(path, contents, error);
+    };
+    const std::vector<std::string> files = {"a.c", "b.c", "c.c"};
+    resident.openDocument("a.c", "void fa(void) { x = 1; }\n");
+    resident.openDocument("b.c", "void fb(void) { y = 20; }\n");
+
+    // Overlays never go through the reader; disk files always do.
+    PreparedProgram first = resident.prepareFiles(files, counting);
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_EQ(read, std::vector<std::string>{"c.c"});
+    PreparedProgram same = resident.prepareFiles(files, counting);
+    EXPECT_TRUE(same.reused);
+    EXPECT_EQ(same.files_reparsed, 0u);
+    EXPECT_EQ(read, (std::vector<std::string>{"c.c", "c.c"}));
+
+    // A change bumps the generation: that overlay re-parses.
+    resident.openDocument("a.c", "void fa(void) { x = 10; }\n");
+    PreparedProgram edited = resident.prepareFiles(files, counting);
+    EXPECT_TRUE(edited.reused);
+    EXPECT_EQ(edited.files_reparsed, 1u);
+
+    // Closing an overlay reads the disk again, and its bytes differ.
+    ASSERT_TRUE(resident.closeDocument("b.c"));
+    PreparedProgram closed = resident.prepareFiles(files, counting);
+    EXPECT_TRUE(closed.reused);
+    EXPECT_EQ(closed.files_reparsed, 1u);
+    EXPECT_EQ(read.back(), "c.c");
+    EXPECT_EQ(read[read.size() - 2], "b.c");
+    EXPECT_EQ(first.program->sourceManager().fileContents(
+                  first.program->units()[1].file_id),
+              disk.files["b.c"]);
+
+    // Re-opening it with the disk bytes is a new generation, compared
+    // and found equal.
+    resident.openDocument("b.c", disk.files["b.c"]);
+    PreparedProgram reopened = resident.prepareFiles(files, counting);
+    EXPECT_TRUE(reopened.reused);
+    EXPECT_EQ(reopened.files_reparsed, 0u);
+}
+
+TEST(ResidentPrograms, OverlaysDoNotMoveTheFirstFailingFile)
+{
+    ResidentState resident;
+    MapReader disk;
+    resident.openDocument("a.c", "void fa(void) { x = 1; }\n");
+    resident.openDocument("c.c", "void fc(void) { z = 3; }\n");
+    PreparedProgram missing = resident.prepareFiles(
+        {"a.c", "ghost.c", "c.c", "gone.c"}, disk.reader());
+    EXPECT_FALSE(missing.ok);
+    EXPECT_EQ(missing.error, "mccheck: cannot open ghost.c");
+}
+
 TEST(ResidentPrograms, ProtocolSnapshotLoadsOnceAndReuses)
 {
     ResidentState resident;
     checkers::CfgCache* cfgs = nullptr;
     checkers::ResidentUnits* units = nullptr;
+    std::uint64_t spec_fp = 0;
     bool reused = true;
     corpus::LoadedProtocol& first =
-        resident.protocolSnapshot("bitvector", cfgs, units, reused);
+        resident.protocolSnapshot("bitvector", cfgs, units, spec_fp, reused);
     EXPECT_FALSE(reused);
     ASSERT_NE(cfgs, nullptr);
     ASSERT_NE(units, nullptr);
     ASSERT_NE(first.program, nullptr);
+    EXPECT_EQ(spec_fp, flash::specFingerprint(first.gen.spec));
     EXPECT_EQ(resident.protocolSnapshotCount(), 1u);
 
     checkers::CfgCache* cfgs2 = nullptr;
     checkers::ResidentUnits* units2 = nullptr;
+    std::uint64_t spec_fp2 = 0;
     corpus::LoadedProtocol& second =
-        resident.protocolSnapshot("bitvector", cfgs2, units2, reused);
+        resident.protocolSnapshot("bitvector", cfgs2, units2, spec_fp2,
+                                  reused);
     EXPECT_TRUE(reused);
     EXPECT_EQ(&second, &first);
     EXPECT_EQ(cfgs2, cfgs);
     EXPECT_EQ(units2, units);
+    EXPECT_EQ(spec_fp2, spec_fp);
 
-    EXPECT_THROW(resident.protocolSnapshot("no_such", cfgs, units, reused),
-                 std::out_of_range);
+    EXPECT_THROW(
+        resident.protocolSnapshot("no_such", cfgs, units, spec_fp, reused),
+        std::out_of_range);
 }
 
 TEST(ResidentMetal, ProgramsAreKeyedBySourceContent)
@@ -430,6 +501,52 @@ class ResidentSession
     /** Unit results resident across every snapshot. */
     std::size_t residentUnits() { return daemon_.resident().residentUnitCount(); }
 
+    /**
+     * Every unit key of the snapshot for `files` — the store's record
+     * and each kept slot's — equals one computed from scratch under
+     * `config`, as the last check left the witness settings.
+     */
+    void expectKeysFromScratch(const std::vector<std::string>& files,
+                               const RunConfig& config)
+    {
+        const PreparedProgram prepared = daemon_.resident().prepareFiles(
+            files, [](const std::string& path, std::string&,
+                      std::string& error) {
+                error = "not an overlay: " + path;
+                return false;
+            });
+        ASSERT_TRUE(prepared.ok) << prepared.error;
+        ASSERT_TRUE(prepared.reused);
+        ASSERT_EQ(prepared.files_reparsed, 0u);
+        checkers::CheckerSetOptions options;
+        options.prune_strategy = config.prune;
+        std::vector<const checkers::CheckerDef*> defs;
+        for (const std::string& name : checkers::allCheckerNames())
+            defs.push_back(checkers::checkerDef(name, options));
+        const std::uint64_t spec_fp =
+            flash::specFingerprint(*prepared.files_spec);
+        EXPECT_EQ(prepared.files_spec_fingerprint, spec_fp);
+        const std::vector<std::uint64_t> fn_fps =
+            lang::fingerprintFunctions(*prepared.program);
+        const checkers::ResidentUnits& units = *prepared.units;
+        ASSERT_EQ(units.slots.size(), fn_fps.size() * defs.size());
+        ASSERT_EQ(units.keying.keys.size(), units.slots.size());
+        for (std::size_t u = 0; u < units.slots.size(); ++u) {
+            const std::size_t f = u / defs.size();
+            const std::uint64_t expected =
+                fn_fps[f] == 0
+                    ? 0
+                    : checkers::unitCacheKey(
+                          checkers::unitCacheKeyPrefix(
+                              *defs[u % defs.size()]),
+                          spec_fp, fn_fps[f]);
+            EXPECT_EQ(units.keying.keys[u], expected) << "unit " << u;
+            if (units.slots[u].checker) {
+                EXPECT_EQ(units.slots[u].key, expected) << "unit " << u;
+            }
+        }
+    }
+
   private:
     Answer batchRun(const std::vector<std::string>& files,
                     const RunConfig& config) const
@@ -482,10 +599,10 @@ class ResidentSession
 
 /** The first `n` files of a generated protocol: real handler code. */
 std::map<std::string, std::string>
-corpusFiles(std::size_t n)
+corpusFiles(std::size_t n, const std::string& protocol = "bitvector")
 {
     const corpus::GeneratedProtocol gen =
-        corpus::generateProtocol(corpus::profileByName("bitvector"));
+        corpus::generateProtocol(corpus::profileByName(protocol));
     std::map<std::string, std::string> files;
     for (const corpus::GeneratedFile& file : gen.files) {
         if (files.size() == n)
@@ -632,6 +749,54 @@ TEST(ResidentUnits, StoreHoldsExactlyUnitsTotalAfter200Edits)
                   last.units_total);
     }
     EXPECT_GT(last.units_total, 0);
+}
+
+TEST(ResidentUnits, IncrementalKeysEqualKeysFromScratch)
+{
+    // A dyn_ptr edit session: declarations and functions added, parses
+    // damaged and repaired, and witness capture switched, with every
+    // re-check's keys compared against keys computed from nothing.
+    ResidentSession session(corpusFiles(6, "dyn_ptr"));
+    const std::vector<std::string> files = session.paths();
+    std::map<std::string, std::string> original;
+    for (const std::string& path : files)
+        original[path] = session.text(path);
+    std::mt19937 rng(26);
+    RunConfig config;
+    session.check(files, config);
+    session.expectKeysFromScratch(files, config);
+    std::int64_t reused = 0;
+    for (int step = 1; step <= 50; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const std::string& path = files[rng() % files.size()];
+        const std::string n = std::to_string(step);
+        switch (step % 5) {
+          case 0:
+            session.change(path, session.text(path) + "int decl_" + n +
+                                     ";\n");
+            break;
+          case 1:
+            session.change(path, session.text(path) + "void added_" + n +
+                                     "(void) { y = " + n + "; }\n");
+            break;
+          case 2:
+            session.change(path, session.text(path) + "int broken_" + n +
+                                     "( {\n");
+            break;
+          case 3:
+            session.change(path, original[path]);
+            break;
+          default:
+            config.witness = !config.witness;
+            break;
+        }
+        const Answer answer = session.check(files, config);
+        reused += answer.units_reused;
+        session.expectKeysFromScratch(files, config);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(reused, 0);
 }
 
 TEST(ResidentUnits, SameNamedHelpersInTwoFilesKeepTheirOwnResults)
