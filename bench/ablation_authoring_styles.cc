@@ -7,6 +7,10 @@
  *
  * We implement the buffer race checker both ways and compare: source
  * size, and — crucially — identical findings over the whole corpus.
+ * The send-wait and directory checkers were hand-driven C++ path
+ * walkers before they became metal; their rows set each metal file
+ * next to the size of the C++ walker it replaced (their findings are
+ * held equal by the test-only oracles in tests/checkers/).
  */
 #include "bench/bench_util.h"
 
@@ -14,11 +18,22 @@
 #include "checkers/registry.h"
 #include "metal/metal_parser.h"
 
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #ifndef MCHECK_LOC_MAGIK
 #define MCHECK_LOC_MAGIK 0
 #endif
+
+namespace {
+
+/** Lines of the C++ PathWalker checkers the metal send_wait and
+ *  dir_check replaced (send_wait.cc and directory.cc as last shipped). */
+constexpr int kSendWaitWalkerLoc = 105;
+constexpr int kDirectoryWalkerLoc = 125;
+
+} // namespace
 
 int
 main()
@@ -67,6 +82,30 @@ main()
         {"Protocol", "metal findings", "magik-style findings",
          "site-identical"},
         rows);
+
+    auto metalLines = [](const char* name) {
+        return metal::metalSourceLines(
+            checkers::checkerDef(name)->metalSource());
+    };
+    auto ratio = [](int cxx, int metal) {
+        std::ostringstream os;
+        os << std::fixed << std::setprecision(1)
+           << static_cast<double>(cxx) / metal << "x";
+        return os.str();
+    };
+    const int send_wait_loc = metalLines("send_wait");
+    const int dir_check_loc = metalLines("dir_check");
+    bench::printTable(
+        {"Checker", "metal LOC", "C++ LOC", "C++ style", "ratio"},
+        {{"wait_for_db", std::to_string(metal_loc),
+          std::to_string(magik_loc), "flow-graph search",
+          ratio(magik_loc, metal_loc)},
+         {"send_wait", std::to_string(send_wait_loc),
+          std::to_string(kSendWaitWalkerLoc), "PathWalker hooks",
+          ratio(kSendWaitWalkerLoc, send_wait_loc)},
+         {"dir_check", std::to_string(dir_check_loc),
+          std::to_string(kDirectoryWalkerLoc), "PathWalker hooks",
+          ratio(kDirectoryWalkerLoc, dir_check_loc)}});
 
     std::cout << "checker size: metal " << metal_loc
               << " lines vs hand-rolled flow-graph search " << magik_loc

@@ -4,9 +4,9 @@
  * errors found (34), and false positives (69) across the five protocols
  * and common code.
  *
- * Checker sizes: the two metal-driven checkers report lines of metal
- * (as the paper does); the embedded checkers report the lines of their
- * C++ core, injected at build time (MCHECK_LOC_* definitions).
+ * Checker sizes: the four metal checkers report lines of metal (as the
+ * paper does); the C++ checkers report the lines of their core,
+ * injected at build time (MCHECK_LOC_* definitions).
  */
 #include "bench/bench_util.h"
 
@@ -25,12 +25,6 @@
 #ifndef MCHECK_LOC_BUFFER_ALLOC
 #define MCHECK_LOC_BUFFER_ALLOC 0
 #endif
-#ifndef MCHECK_LOC_DIRECTORY
-#define MCHECK_LOC_DIRECTORY 0
-#endif
-#ifndef MCHECK_LOC_SEND_WAIT
-#define MCHECK_LOC_SEND_WAIT 0
-#endif
 #ifndef MCHECK_LOC_EXEC_RESTRICT
 #define MCHECK_LOC_EXEC_RESTRICT 0
 #endif
@@ -46,19 +40,15 @@ main()
 
     std::map<std::string, int> our_loc = {
         {"buffer_mgmt", MCHECK_LOC_BUFFER_MGMT},
-        {"msglen_check",
-         metal::metalSourceLines(
-             checkers::checkerDef("msglen_check")->metalSource())},
         {"lanes", MCHECK_LOC_LANES},
-        {"wait_for_db",
-         metal::metalSourceLines(
-             checkers::checkerDef("wait_for_db")->metalSource())},
         {"alloc_check", MCHECK_LOC_BUFFER_ALLOC},
-        {"dir_check", MCHECK_LOC_DIRECTORY},
-        {"send_wait", MCHECK_LOC_SEND_WAIT},
         {"exec_restrict", MCHECK_LOC_EXEC_RESTRICT},
         {"no_float", MCHECK_LOC_NO_FLOAT},
     };
+    for (const char* name :
+         {"msglen_check", "wait_for_db", "dir_check", "send_wait"})
+        our_loc[name] = metal::metalSourceLines(
+            checkers::checkerDef(name)->metalSource());
 
     std::vector<std::vector<std::string>> rows;
     int total_errors = 0;

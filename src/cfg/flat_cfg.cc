@@ -134,36 +134,4 @@ FlatCfg::maskBits(const std::vector<support::SymbolId>& sorted_syms)
     return bits;
 }
 
-FlatCfg::MaskIndex
-FlatCfg::maskIndex(std::span<const std::uint8_t> bits) const
-{
-    MaskIndex index;
-    const std::uint32_t rows = stmtCount();
-    index.stmt_mask.resize(rows);
-    for (std::uint32_t row = 0; row < rows; ++row) {
-        std::uint64_t mask = 0;
-        const support::SymbolId* ids = identBegin(row);
-        const std::uint32_t n = identCount(row);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (ids[i] >= bits.size())
-                continue;
-            const std::uint8_t bit = bits[ids[i]];
-            if (bit != kNoMaskBit)
-                mask |= std::uint64_t{1} << bit;
-        }
-        index.stmt_mask[row] = mask;
-    }
-    const std::uint32_t blocks = blockCount();
-    index.block_mask.resize(blocks);
-    index.range_mask.assign(rangeCount(), 0);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-        std::uint64_t mask = 0;
-        for (std::uint32_t row = stmtBegin(b); row < stmtEnd(b); ++row)
-            mask |= index.stmt_mask[row];
-        index.block_mask[b] = mask;
-        index.range_mask[b >> kRangeShift] |= mask;
-    }
-    return index;
-}
-
 } // namespace mc::cfg

@@ -65,14 +65,9 @@ static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
  *     the same pass as the ident spans. The hand-written checkers read
  *     their call events from these rows.
  *
- * On top of the arena, maskIndex() folds the spans into per-statement /
- * per-block / per-block-range 64-bit masks for a caller-supplied symbol
- * set (one state machine's required identifiers). Ranges are
- * 64-block granules, deliberately matching one bitset word, so the
- * walker-facing prefilter can sweep whole regions with single-word
- * tests. Block and range masks are pure ORs of exact statement masks —
- * never a heuristic — which is what lets TransitionTable extend the
- * prefilter-never-rejects property from cells to block ranges.
+ * A TransitionTable folds the ident spans into 64-bit prefilter masks
+ * for one state machine's required identifiers (maskBits), block by
+ * block as its walk reaches them.
  *
  * Immutable after construction, so it needs no lock and is safe to
  * share across checker lanes like the Cfg that owns it.
@@ -80,9 +75,6 @@ static_assert(sizeof(CallRow) <= 16, "call rows stay two words");
 class FlatCfg
 {
   public:
-    /** log2 of the range granule: 64 blocks = one bitset word. */
-    static constexpr std::uint32_t kRangeShift = 6;
-
     /** No blocks and no rows (a default-constructed Cfg's). */
     FlatCfg() = default;
 
@@ -102,10 +94,6 @@ class FlatCfg
     std::uint32_t stmtCount() const
     {
         return static_cast<std::uint32_t>(stmts_.size());
-    }
-    std::uint32_t rangeCount() const
-    {
-        return (blockCount() + 63u) >> kRangeShift;
     }
 
     /** Row index of block `b`'s first statement. */
@@ -147,19 +135,6 @@ class FlatCfg
     /** Every call site of the function, row by row. */
     std::span<const CallRow> calls() const { return calls_; }
 
-    /**
-     * Prefilter masks for one symbol set (a CompiledSm's sorted
-     * mask-symbol list): bit i of a statement mask is set iff the
-     * statement mentions `syms[i]`. Block masks OR their statements;
-     * range masks OR their 64-block granule.
-     */
-    struct MaskIndex
-    {
-        std::vector<std::uint64_t> stmt_mask;
-        std::vector<std::uint64_t> block_mask;
-        std::vector<std::uint64_t> range_mask;
-    };
-
     /** A symbol without a mask bit in a MaskBits table. */
     static constexpr std::uint8_t kNoMaskBit = 0xFF;
 
@@ -167,28 +142,12 @@ class FlatCfg
      * The mask bit of each symbol, indexed by SymbolId: bit i for
      * `sorted_syms[i]`, kNoMaskBit for every other id up to the largest
      * of them. Ids past the table's end have no bit either, so it is as
-     * long as the largest id of the set, not the interner.
+     * long as the largest id of the set, not the interner. A
+     * TransitionTable folds each row's identifiers through it into the
+     * row's prefilter mask.
      */
     static std::vector<std::uint8_t>
     maskBits(const std::vector<support::SymbolId>& sorted_syms);
-
-    /**
-     * The MaskIndex for the symbol set `bits` describes (a CompiledSm's
-     * maskBits()): each identifier of each row folds in with one load.
-     * Built fresh on each call; a TransitionTable builds and owns the
-     * one its walk needs.
-     */
-    MaskIndex maskIndex(std::span<const std::uint8_t> bits) const;
-
-    /**
-     * maskIndex() for `sorted_syms`, which must be sorted unique with
-     * at most 64 entries (CompiledSm::maskSyms() is).
-     */
-    MaskIndex
-    maskIndex(const std::vector<support::SymbolId>& sorted_syms) const
-    {
-        return maskIndex(maskBits(sorted_syms));
-    }
 
   private:
     std::vector<std::uint32_t> stmt_offsets_ = {0};

@@ -2,14 +2,12 @@
 
 #include "checkers/buffer_alloc.h"
 #include "checkers/buffer_mgmt.h"
-#include "checkers/directory.h"
 #include "checkers/exec_restrict.h"
 #include "checkers/lanes.h"
 #include "checkers/metal_sources.h"
 #include "checkers/no_float.h"
-#include "checkers/send_wait.h"
 #include "flash/macros.h"
-#include "metal/engine.h"
+#include "support/text.h"
 
 #include <algorithm>
 #include <map>
@@ -48,6 +46,67 @@ isDataBufferRead(const cfg::CallRow& c)
            kind == flash::MacroKind::ReadDbDeprecated;
 }
 
+/** send_wait's applications: F_WAIT sends and interface waits. */
+bool
+isWaitSendOrWait(const cfg::CallRow& c)
+{
+    const flash::MacroKind kind = flash::macroKind(c.callee);
+    return (flash::isSend(kind) &&
+            flash::sendWaitArg(*c.call) == flash::kFWait) ||
+           kind == flash::MacroKind::WaitPiReply ||
+           kind == flash::MacroKind::WaitIoReply;
+}
+
+/** dir_check's applications: the four directory-entry macros. */
+bool
+isDirectoryAccess(const cfg::CallRow& c)
+{
+    switch (flash::macroKind(c.callee)) {
+      case flash::MacroKind::DirLoad:
+      case flash::MacroKind::DirRead:
+      case flash::MacroKind::DirWrite:
+      case flash::MacroKind::DirWriteback:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** dir_check's `nak_send`: an NI_SEND of a MSG_NAK* opcode. */
+bool
+isNakSend(const cfg::CallRow& c, const flash::ProtocolSpec&)
+{
+    return flash::macroKind(c.callee) == flash::MacroKind::SendNi &&
+           support::startsWith(flash::niSendOpcode(*c.call),
+                               flash::kNakPrefix);
+}
+
+/** dir_check's `deferred_modify`: a call to a routine the spec lists
+ *  as modifying the directory entry on its caller's behalf. */
+bool
+isDeferredModify(const cfg::CallRow& c, const flash::ProtocolSpec& spec)
+{
+    return spec.dir_deferred_routines.count(c.call->calleeName()) != 0;
+}
+
+/** dir_check's exemption: the function carries the
+ *  expects_dir_writeback() annotation, so it leaves the modified entry
+ *  to its caller. */
+bool
+expectsDirWriteback(const cfg::FlatCfg& flat)
+{
+    for (const cfg::CallRow& c : flat.calls())
+        if (flash::macroKind(c.callee) ==
+            flash::MacroKind::AnnotExpectsDirWriteback)
+            return true;
+    return false;
+}
+
+const std::pair<std::string_view, CallPredicate> kDirCallTests[] = {
+    {"nak_send", isNakSend},
+    {"deferred_modify", isDeferredModify},
+};
+
 } // namespace
 
 void
@@ -55,26 +114,52 @@ MetalChecker::checkFunction(const lang::FunctionDecl& fn,
                             const cfg::Cfg& cfg, CheckContext& ctx)
 {
     (void)fn;
-    metal::SmRunOptions options;
-    options.prune_strategy = def_.options().prune_strategy;
-    metal::runStateMachine(*def_.metal()->sm, cfg, ctx.sink, options);
+    std::vector<metal::CallTest> tests;
+    metal::runStateMachine(*def_.metal()->sm, cfg, ctx.sink,
+                           def_.runOptions(cfg, ctx.spec, tests));
     if (AppliedRule applies = def_.appliedRule())
         for (const cfg::CallRow& c : cfg::flatCfg(cfg).calls())
             if (applies(c))
                 ++applied_;
 }
 
-CheckerDef::CheckerDef(std::string name, CheckerSetOptions options,
-                       std::string metal_source, metal::MetalProgram metal,
-                       AppliedRule applied_rule)
+CheckerDef::CheckerDef(
+    std::string name, CheckerSetOptions options, std::string metal_source,
+    metal::MetalProgram metal, AppliedRule applied_rule,
+    std::span<const std::pair<std::string_view, CallPredicate>> call_tests,
+    EndOfPathExemption exemption)
     : name_(std::move(name)), options_(options),
       metal_source_(std::move(metal_source)), metal_(std::move(metal)),
-      applied_rule_(applied_rule)
+      applied_rule_(applied_rule), exemption_(exemption)
 {
+    for (const std::string& test : metal_.call_tests) {
+        auto it = std::find_if(
+            call_tests.begin(), call_tests.end(),
+            [&](const auto& named) { return named.first == test; });
+        if (it == call_tests.end())
+            throw metal::MetalParseError(name_ + ": no C++ call test '" +
+                                         test + "'");
+        call_tests_.push_back(it->second);
+    }
     // Compile now, while the definition has a single owner, so no unit
     // ever pays for (or races on) the first compilation.
     if (metal_.sm)
         metal_.sm->compiled();
+}
+
+metal::SmRunOptions
+CheckerDef::runOptions(const cfg::Cfg& cfg, const flash::ProtocolSpec& spec,
+                       std::vector<metal::CallTest>& tests) const
+{
+    metal::SmRunOptions options;
+    options.prune_strategy = options_.prune_strategy;
+    tests.clear();
+    for (CallPredicate test : call_tests_)
+        tests.emplace_back(
+            [test, &spec](const cfg::CallRow& c) { return test(c, spec); });
+    options.call_tests = tests;
+    options.end_of_path = !(exemption_ && exemption_(cfg::flatCfg(cfg)));
+    return options;
 }
 
 std::unique_ptr<const CheckerDef>
@@ -104,10 +189,6 @@ CheckerDef::instantiate() const
         return std::make_unique<LanesChecker>();
     if (name_ == "alloc_check")
         return std::make_unique<BufferAllocChecker>(prune);
-    if (name_ == "dir_check")
-        return std::make_unique<DirectoryChecker>(prune);
-    if (name_ == "send_wait")
-        return std::make_unique<SendWaitChecker>(prune);
     if (name_ == "exec_restrict")
         return std::make_unique<ExecRestrictChecker>();
     return std::make_unique<NoFloatChecker>();
@@ -128,19 +209,30 @@ checkerDef(const std::string& name, const CheckerSetOptions& options)
     if (!def) {
         const char* metal_source = nullptr;
         AppliedRule applied_rule = nullptr;
+        std::span<const std::pair<std::string_view, CallPredicate>> tests;
+        EndOfPathExemption exemption = nullptr;
         if (name == "msglen_check") {
             metal_source = kMsgLenCheckMetal;
             applied_rule = isSendOrLengthAssignment;
         } else if (name == "wait_for_db") {
             metal_source = kWaitForDbMetal;
             applied_rule = isDataBufferRead;
+        } else if (name == "send_wait") {
+            metal_source = kSendWaitMetal;
+            applied_rule = isWaitSendOrWait;
+        } else if (name == "dir_check") {
+            metal_source = kDirCheckMetal;
+            applied_rule = isDirectoryAccess;
+            tests = kDirCallTests;
+            exemption = expectsDirWriteback;
         }
         metal::MetalProgram program;
         if (metal_source)
             program = metal::parseMetal(metal_source, name + ".metal");
         def.reset(new CheckerDef(name, options,
                                  metal_source ? metal_source : "",
-                                 std::move(program), applied_rule));
+                                 std::move(program), applied_rule, tests,
+                                 exemption));
     }
     return def.get();
 }

@@ -2,11 +2,15 @@
 #define MCHECK_CHECKERS_REGISTRY_H
 
 #include "checkers/checker.h"
+#include "metal/engine.h"
 #include "metal/feasibility.h"
 #include "metal/metal_parser.h"
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mc::checkers {
@@ -43,9 +47,23 @@ struct CheckerSetOptions
 
 /**
  * The call rows a metal checker counts as applications of its check
- * (applied(), the Applied column of Tables 2 and 3).
+ * (applied(), the Applied column of Tables 2, 3 and 6).
  */
 using AppliedRule = bool (*)(const cfg::CallRow& call);
+
+/**
+ * A C++ call test that a metal checker's `extern` declaration names,
+ * given the run's protocol spec: dir_check's NAK sends and spec-listed
+ * deferred routines.
+ */
+using CallPredicate = bool (*)(const cfg::CallRow& call,
+                               const flash::ProtocolSpec& spec);
+
+/**
+ * A function-wide fact that exempts a function from a metal checker's
+ * end-of-path rules: dir_check's expects_dir_writeback() annotation.
+ */
+using EndOfPathExemption = bool (*)(const cfg::FlatCfg& flat);
 
 /**
  * The immutable, process-shared half of one checker: its identity, the
@@ -83,6 +101,16 @@ class CheckerDef
     AppliedRule appliedRule() const { return applied_rule_; }
 
     /**
+     * How this metal checker runs over one function of a run on
+     * `spec`: under its prune strategy, with its `extern` call tests
+     * bound to `spec` (stored in `tests`, which must outlive the run),
+     * and with end-of-path rules off where its exemption holds.
+     */
+    metal::SmRunOptions runOptions(const cfg::Cfg& cfg,
+                                   const flash::ProtocolSpec& spec,
+                                   std::vector<metal::CallTest>& tests) const;
+
+    /**
      * A fresh checker — zero applied count, empty summaries — that
      * executes this definition. Parses and compiles nothing.
      */
@@ -91,10 +119,11 @@ class CheckerDef
     /**
      * A one-off definition for a user-written metal checker (`mccheck
      * --metal`): `source` parsed (parse errors name `origin`) and
-     * compiled, named "metal:<sm>", with no applied rule. Its instances
-     * run the state machine down every path of each function. Not
-     * registered with checkerDef: the caller owns it. Throws
-     * metal::MetalParseError on malformed source.
+     * compiled, named "metal:<sm>", with no applied rule and no call
+     * tests. Its instances run the state machine down every path of
+     * each function. Not registered with checkerDef: the caller owns
+     * it. Throws metal::MetalParseError on malformed source, including
+     * an `extern` declaration.
      */
     static std::unique_ptr<const CheckerDef>
     fromMetal(std::string source, const std::string& origin,
@@ -104,25 +133,36 @@ class CheckerDef
     friend const CheckerDef* checkerDef(const std::string&,
                                         const CheckerSetOptions&);
 
-    /** Compiles `metal`'s state machine, if any. */
-    CheckerDef(std::string name, CheckerSetOptions options,
-               std::string metal_source, metal::MetalProgram metal,
-               AppliedRule applied_rule);
+    /**
+     * Compiles `metal`'s state machine, if any. `call_tests` names a
+     * predicate for each of its `extern` call tests; a name it lacks
+     * throws metal::MetalParseError.
+     */
+    CheckerDef(
+        std::string name, CheckerSetOptions options,
+        std::string metal_source, metal::MetalProgram metal,
+        AppliedRule applied_rule,
+        std::span<const std::pair<std::string_view, CallPredicate>>
+            call_tests = {},
+        EndOfPathExemption exemption = nullptr);
 
     std::string name_;
     CheckerSetOptions options_;
     std::string metal_source_;
     metal::MetalProgram metal_;
     AppliedRule applied_rule_ = nullptr;
+    /** One predicate per metal_.call_tests name, in its order. */
+    std::vector<CallPredicate> call_tests_;
+    EndOfPathExemption exemption_ = nullptr;
 };
 
 /**
  * A checker that is one metal state machine: it runs its definition's
- * compiled machine down every path of each function under the
- * definition's prune strategy, and counts as applied the call rows the
- * definition's applied rule selects. The shipped wait_for_db (Figure 2)
- * and msglen_check (Figure 3) checkers and every `--metal` checker are
- * its instances.
+ * compiled machine down every path of each function as
+ * CheckerDef::runOptions says, and counts as applied the call rows the
+ * definition's applied rule selects. The shipped wait_for_db (Figure 2),
+ * msglen_check (Figure 3), send_wait and dir_check (Section 9) checkers
+ * and every `--metal` checker are its instances.
  */
 class MetalChecker : public Checker
 {

@@ -358,8 +358,10 @@ Pattern::matchInStmt(const Stmt& stmt) const
         forEachSubExpr(top, [&](const Expr& sub) {
             if (found)
                 return;
-            if (auto m = matchExpr(sub))
+            if (auto m = matchExpr(sub)) {
                 found = std::move(m);
+                found->matched = &sub;
+            }
         });
     });
     return found;

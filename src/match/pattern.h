@@ -58,6 +58,13 @@ struct WildcardDecl
 struct Bindings
 {
     std::vector<std::pair<support::SymbolId, const lang::Expr*>> entries;
+    /**
+     * The subexpression matchInStmt found the pattern in, or nullptr
+     * when the pattern matched the statement itself. A finding is
+     * reported at its location, so `x = DIR_READ(f)` reports at the
+     * call, not at `x`.
+     */
+    const lang::Expr* matched = nullptr;
 
     /** The expression bound to the wildcard with interned id `sym`. */
     const lang::Expr*

@@ -52,13 +52,21 @@ recordWitnessStep(const std::string& from, const std::string& to,
         ++result.witness_steps;
 }
 
-/** Table walker state: dense state index (4-byte key, exact caching). */
+/**
+ * Table walker state: dense state index plus the path's remembered
+ * location (as a TransitionTable memory value), packed into an exact
+ * 4-byte key.
+ */
 struct TableSmState
 {
     StateIdx state = 0;
+    /** 1 + the remembered-location slot, or 0 for none. */
+    std::uint32_t memory = 0;
     StateIdx stop = 0;
+    /** TransitionTable::stateBits(). */
+    std::uint32_t state_bits = 0;
 
-    std::uint32_t key() const { return state; }
+    std::uint32_t key() const { return state | memory << state_bits; }
     bool dead() const { return state == stop; }
 };
 
@@ -74,16 +82,17 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
 {
     SmRunResult result;
     const CompiledSm& csm = sm.compiled();
-    TransitionTable table(csm, cfg);
+    TransitionTable table(csm, cfg, options.call_tests);
     const bool wit = support::witnessEnabled();
     const unsigned wlimit = support::witnessLimit();
 
-    // Dedup firings: one (rule, statement) pair fires the action and is
+    // Dedup firings: one (rule, location) pair fires the action and is
     // counted once, no matter how many paths cross it in the same state.
     // Keyed on the interned rule id so rules sharing an id string share
-    // a dedup slot. A run fires a handful of times at most, so a flat
-    // vector with linear membership beats a node-based set (same
-    // membership semantics; order is never observed).
+    // a dedup slot, as the sink's (checker, rule, location) dedup does.
+    // A run fires a handful of times at most, so a flat vector with
+    // linear membership beats a node-based set (same membership
+    // semantics; order is never observed).
     struct FiredSet
     {
         std::vector<std::pair<support::SymbolId, support::SourceLoc>>
@@ -113,36 +122,59 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
         FiredSet& fired;
         bool wit;
         unsigned wlimit;
+
+        /** Fire `rule` at `loc` in `from`, which it leaves for `to`. */
+        void
+        fire(const StateMachine::Rule& rule, support::SymbolId id_sym,
+             const support::SourceLoc& loc, const match::Bindings& bindings,
+             StateIdx from, StateIdx to)
+        {
+            const bool is_new = fired.insert(id_sym, loc);
+            if (wit && (is_new || to != from))
+                recordWitnessStep(csm.stateName(from), csm.stateName(to),
+                                  loc, witnessNote(rule.id, bindings),
+                                  wlimit, result);
+            if (!is_new)
+                return;
+            ++result.firings[rule.id];
+            if (rule.action)
+                rule.action(
+                    ActionContext(loc, bindings, sink, sm.name(), rule.id));
+        }
     } ctx{table, csm, sm, sink, result, fired, wit, wlimit};
 
     typename PathWalker<TableSmState>::Hooks hooks;
-    hooks.on_stmt = [c = &ctx](TableSmState& st, const lang::Stmt& stmt,
+    hooks.on_stmt = [c = &ctx](TableSmState& st, const lang::Stmt&,
                                std::uint32_t row) {
-        const TransitionTable::Cell& cell = c->table.cell(row, st.state);
-        if (!cell.rule)
-            return; // no match: fill() left cell.next == state
-        bool is_new = c->fired.insert(cell.id_sym, stmt.loc);
-        if (c->wit && (is_new || cell.next != st.state))
-            recordWitnessStep(c->csm.stateName(st.state),
-                              c->csm.stateName(cell.next), stmt.loc,
-                              witnessNote(cell.rule->id,
-                                          c->table.bindings(cell)),
-                              c->wlimit, c->result);
-        if (is_new) {
-            ++c->result.firings[cell.rule->id];
-            if (cell.rule->action) {
-                ActionContext action_ctx(stmt, c->table.bindings(cell),
-                                         c->sink, c->sm.name(),
-                                         cell.rule->id);
-                cell.rule->action(action_ctx);
-            }
-        }
+        const TransitionTable::Cell* matched = c->table.match(row, st.state);
+        if (!matched)
+            return; // no rule matches: the path stays in its state
+        const TransitionTable::Cell& cell = *matched;
+        c->fire(*cell.rule, cell.id_sym, c->table.matchLoc(cell, row),
+                c->table.bindings(cell), st.state, cell.next);
+        if (cell.memory)
+            st.memory =
+                cell.memory == TransitionTable::kForget ? 0 : cell.memory;
         if (cell.next != st.state) {
             st.state = cell.next;
             ++c->result.transitions;
         }
     };
-    // Block-range prefilter: skip a visited block's whole statement
+    // End-of-path rules fire where a path leaves the function, at the
+    // location it remembered (the function's own when it has none).
+    const support::SourceLoc fn_loc =
+        cfg.function ? cfg.function->loc : support::SourceLoc();
+    if (options.end_of_path && csm.hasEndOfPath())
+        hooks.on_exit = [c = &ctx, &fn_loc](TableSmState& st) {
+            const CompiledSm::Candidate* eop = c->csm.endOfPath(st.state);
+            if (!eop)
+                return;
+            static const match::Bindings kNone;
+            c->fire(*eop->rule, eop->id_sym,
+                    st.memory ? c->table.rememberedLoc(st.memory) : fn_loc,
+                    kNone, st.state, st.state);
+        };
+    // Block prefilter: skip a visited block's whole statement
     // loop when the table proves no candidate of the current state can
     // match anything in it. Exact (never rejects a real match), and the
     // walker ignores it while pruning, so diagnostics and counters are
@@ -158,6 +190,7 @@ runTable(const StateMachine& sm, const cfg::Cfg& cfg,
     TableSmState initial;
     initial.state = csm.start();
     initial.stop = csm.stop();
+    initial.state_bits = table.stateBits();
     const PathWalker<TableSmState>::Result walk =
         walker.walk(cfg, initial);
     result.visits = walk.visits;
@@ -208,18 +241,25 @@ runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
     SmRunResult result = runTable(sm, cfg, sink, options);
 
     if (metrics.enabled()) {
-        metrics.counter("engine.runs").add();
-        metrics.counter("engine.visits").add(result.visits);
-        metrics.counter("engine.cache_hits").add(result.cache_hits);
-        metrics.counter("engine.pruned_paths").add(result.pruned_edges);
-        metrics.counter("engine.sm_transitions").add(result.transitions);
-        metrics.counter("engine.truncations").add(result.truncated ? 1 : 0);
+        // Each lookup takes the registry's lock, so zero tallies are
+        // skipped; a checking run registers every key at zero up front
+        // (checkers::registerRunMetrics).
+        auto add = [&](const char* name, std::uint64_t n) {
+            if (n)
+                metrics.counter(name).add(n);
+        };
+        add("engine.runs", 1);
+        add("engine.visits", result.visits);
+        add("engine.cache_hits", result.cache_hits);
+        add("engine.pruned_paths", result.pruned_edges);
+        add("engine.sm_transitions", result.transitions);
+        add("engine.truncations", result.truncated ? 1 : 0);
         metrics.gauge("engine.peak_frontier").observe(result.peak_frontier);
         std::uint64_t fired = 0;
         for (const auto& [rule, n] : result.firings)
             fired += static_cast<std::uint64_t>(n);
-        metrics.counter("engine.rule_firings").add(fired);
-        metrics.counter("witness.steps").add(result.witness_steps);
+        add("engine.rule_firings", fired);
+        add("witness.steps", result.witness_steps);
     }
     if (tracer.enabled())
         span.arg("visits", std::to_string(result.visits));

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 
 namespace mc::metal {
 
@@ -75,6 +76,17 @@ struct SmRunOptions
      * the trace viewer). Defaults to the CFG's own function when unset.
      */
     std::string trace_label;
+    /**
+     * The machine's `extern` call tests bound for this run, in
+     * declaration order (MetalProgram::call_tests); an unbound test
+     * matches nothing. dir_check binds its two.
+     */
+    std::span<const CallTest> call_tests;
+    /**
+     * False skips every end-of-path rule for this function: dir_check's
+     * function-wide expects_dir_writeback() exemption.
+     */
+    bool end_of_path = true;
 };
 
 /**
@@ -82,7 +94,9 @@ struct SmRunOptions
  *
  * This is the intra-procedural half of xg++: rules fire on the first
  * matching pattern (current state's rules first, then `all` rules);
- * transitions update the path's state; reaching `stop` abandons the path.
+ * transitions update the path's state; reaching `stop` abandons the path;
+ * a path that reaches the exit fires its state's end-of-path rule at the
+ * location it remembered.
  */
 SmRunResult runStateMachine(const StateMachine& sm, const cfg::Cfg& cfg,
                             support::DiagnosticSink& sink,

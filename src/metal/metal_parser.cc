@@ -84,6 +84,7 @@ class MetalParser
         MetalProgram program;
         program.patterns = std::make_shared<match::PatternContext>();
         pc_ = program.patterns.get();
+        program_ = &program;
 
         expectIdent("sm");
         program.name = std::string(
@@ -211,11 +212,14 @@ class MetalParser
             parseDecl();
         } else if (checkIdent("pat")) {
             parseNamedPattern();
+        } else if (check(TokKind::KwExtern)) {
+            parseExtern();
         } else if (check(TokKind::Identifier) &&
                    peek(1).kind == TokKind::Colon) {
             parseStateDef();
         } else {
-            fail("expected 'decl', 'pat', or a state definition");
+            fail("expected 'decl', 'pat', 'extern', or a state "
+                 "definition");
         }
     }
 
@@ -239,6 +243,33 @@ class MetalParser
         expectKind(TokKind::Semicolon, "after decl");
     }
 
+    /** `extern name, ...;`: declare C++ call tests (dir_check's). */
+    void
+    parseExtern()
+    {
+        advance(); // extern
+        do {
+            std::string name(
+                spell(expectKind(TokKind::Identifier, "call test name")));
+            if (name == kEndOfPath || named_.count(name) ||
+                callTestIndex(name) >= 0)
+                fail("'" + name + "' is already defined");
+            program_->call_tests.push_back(std::move(name));
+        } while (accept(TokKind::Comma));
+        expectKind(TokKind::Semicolon, "after extern");
+    }
+
+    /** Index of call test `name` in the program's extern list, or -1. */
+    int
+    callTestIndex(std::string_view name) const
+    {
+        const std::vector<std::string>& tests = program_->call_tests;
+        for (std::size_t i = 0; i < tests.size(); ++i)
+            if (tests[i] == name)
+                return static_cast<int>(i);
+        return -1;
+    }
+
     /** One pattern atom: a braced template or a named-pattern reference. */
     match::Pattern
     parsePatternAtom()
@@ -259,7 +290,10 @@ class MetalParser
             }
         }
         if (check(TokKind::Identifier)) {
-            std::string name(spell(advance()));
+            std::string name(spell(peek()));
+            if (name == kEndOfPath || callTestIndex(name) >= 0)
+                fail("'" + name + "' can only be a whole rule's pattern");
+            advance();
             auto it = named_.find(name);
             if (it == named_.end())
                 fail("unknown pattern name '" + name + "'");
@@ -273,6 +307,8 @@ class MetalParser
     {
         advance(); // pat
         const Token& name = expectKind(TokKind::Identifier, "pattern name");
+        if (spell(name) == kEndOfPath || callTestIndex(spell(name)) >= 0)
+            fail("'" + std::string(spell(name)) + "' is already defined");
         expectKind(TokKind::Assign, "after pattern name");
         match::Pattern pattern = parsePatternAtom();
         while (accept(TokKind::Pipe))
@@ -300,7 +336,8 @@ class MetalParser
     }
 
     /** Parse `{ err("..."); }` (or warn) into `rule`: sets the action and
-     *  derives the rule's stable id from the message. */
+     *  derives the rule's stable id from the message, unless the action
+     *  names it first: `err("rule-id", "...")`. */
     void
     parseActionBlock(StateMachine::Rule& rule)
     {
@@ -315,15 +352,19 @@ class MetalParser
             fail("expected 'err' or 'warn' in action");
         }
         expectKind(TokKind::LParen, "after err");
-        const Token& msg =
-            expectKind(TokKind::StringLiteral, "error message");
+        std::string text = takeString("error message");
+        if (accept(TokKind::Comma)) {
+            rule.id = std::move(text);
+            if (rule.id.empty())
+                fail("empty rule id");
+            text = takeString("error message");
+        } else {
+            rule.id = slugify(text);
+        }
         expectKind(TokKind::RParen, "after error message");
         accept(TokKind::Semicolon);
         expectKind(TokKind::RBrace, "to close action");
 
-        // Strip the quotes from the literal's spelling.
-        std::string text(spell(msg).substr(1, spell(msg).size() - 2));
-        rule.id = slugify(text);
         if (is_warning) {
             rule.action = [text](const ActionContext& action) {
                 action.warn(text);
@@ -335,6 +376,15 @@ class MetalParser
         }
     }
 
+    /** A string literal's text, without its quotes. */
+    std::string
+    takeString(const char* what)
+    {
+        std::string_view lit =
+            spell(expectKind(TokKind::StringLiteral, what));
+        return std::string(lit.substr(1, lit.size() - 2));
+    }
+
     void
     parseStateDef()
     {
@@ -342,9 +392,20 @@ class MetalParser
         advance(); // ':'
         do {
             StateMachine::Rule rule;
-            rule.pattern = parsePatternAtom();
+            if (checkIdent(kEndOfPath)) {
+                advance();
+                rule.end_of_path = true;
+            } else if (check(TokKind::Identifier) &&
+                       callTestIndex(spell(peek())) >= 0) {
+                rule.call_test = callTestIndex(spell(advance()));
+            } else {
+                rule.pattern = parsePatternAtom();
+            }
             expectArrow();
             if (check(TokKind::Identifier)) {
+                if (rule.end_of_path)
+                    fail("an end_of_path rule takes an action, not a "
+                         "target state");
                 rule.next_state = std::string(spell(advance()));
                 if (check(TokKind::LBrace))
                     parseActionBlock(rule);
@@ -366,7 +427,11 @@ class MetalParser
     lang::TokenSource src_;
     std::size_t pos_ = 0;
 
+    /** The pattern that fires where a path leaves the function. */
+    static constexpr std::string_view kEndOfPath = "end_of_path";
+
     match::PatternContext* pc_ = nullptr;
+    MetalProgram* program_ = nullptr;
     StateMachine* sm_out_ = nullptr;
     std::vector<match::WildcardDecl> wildcards_;
     std::map<std::string, match::Pattern> named_;

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace mc::metal {
 
@@ -19,6 +20,12 @@ struct MetalProgram
     std::string prelude;
     std::shared_ptr<match::PatternContext> patterns;
     std::shared_ptr<StateMachine> sm;
+    /**
+     * The C++ call tests the program declares with `extern`, in
+     * declaration order: a rule's Rule::call_test indexes this list,
+     * and whoever runs the machine binds a test to each name.
+     */
+    std::vector<std::string> call_tests;
 };
 
 /** Thrown on malformed metal source. */
@@ -49,6 +56,12 @@ class MetalParseError : public std::runtime_error
  * or `pattern ==> state { err("..."); }`. Named patterns may be used
  * wherever a braced pattern may. The `all` and `stop` states have the
  * semantics described in StateMachine.
+ *
+ * Three additions serve the ported send_wait and dir_check checkers
+ * (docs/metal.md): `err("rule-id", "message")` names a rule's id apart
+ * from its message; `end_of_path ==> { err(...); }` fires where a path
+ * leaves the function; and `extern name, ...;` declares C++ call tests
+ * that rules may use as whole patterns.
  *
  * @param source Full text of the .metal file.
  * @param origin Name used in error messages.

@@ -73,7 +73,7 @@ class PathWalker
         /** Called when a path reaches the function's exit block. */
         std::function<void(State&)> on_exit;
         /**
-         * Block-range prefilter: called once per visited block (before
+         * Block prefilter: called once per visited block (before
          * its statement loop) with the path state and block id. A true
          * return skips the statement loop for this visit — the client
          * guarantees no statement hook would have any effect (see
@@ -388,13 +388,16 @@ class PathWalker
         support::MetricsRegistry& metrics =
             support::MetricsRegistry::global();
         if (metrics.enabled()) {
-            metrics.counter("walker.visits").add(result.visits);
-            metrics.counter("walker.infeasible_pruned")
-                .add(result.pruned_edges);
-            metrics.counter("walker.prune_cache_hits")
-                .add(result.prune_cache_hits);
-            metrics.counter("walker.prune_skipped_nary")
-                .add(result.prune_skipped_nary);
+            // Zero tallies skip the locked lookup; a checking run
+            // registers every key at zero up front.
+            auto add = [&](const char* name, std::uint64_t n) {
+                if (n)
+                    metrics.counter(name).add(n);
+            };
+            add("walker.visits", result.visits);
+            add("walker.infeasible_pruned", result.pruned_edges);
+            add("walker.prune_cache_hits", result.prune_cache_hits);
+            add("walker.prune_skipped_nary", result.prune_skipped_nary);
         }
     }
 

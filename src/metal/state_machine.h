@@ -1,6 +1,7 @@
 #ifndef MCHECK_METAL_STATE_MACHINE_H
 #define MCHECK_METAL_STATE_MACHINE_H
 
+#include "cfg/flat_cfg.h"
 #include "match/pattern.h"
 #include "support/diagnostics.h"
 
@@ -16,46 +17,55 @@ namespace mc::metal {
 class CompiledSm;
 
 /**
- * Context handed to a rule action when its pattern matches.
+ * Context handed to a rule action when it fires.
  *
- * Mirrors metal's action escapes: the statement that triggered the match,
- * the wildcard bindings, and an `err()` facility that reports through the
- * run's DiagnosticSink.
+ * Mirrors metal's action escapes: the wildcard bindings, and an `err()`
+ * facility that reports through the run's DiagnosticSink at the rule's
+ * location — the matched call or statement, or for an end-of-path rule
+ * the location its path remembered.
  */
 class ActionContext
 {
   public:
-    ActionContext(const lang::Stmt& stmt, const match::Bindings& bindings,
+    ActionContext(const support::SourceLoc& loc,
+                  const match::Bindings& bindings,
                   support::DiagnosticSink& sink, std::string checker,
                   std::string rule_id)
-        : stmt_(stmt), bindings_(bindings), sink_(sink),
+        : loc_(loc), bindings_(bindings), sink_(sink),
           checker_(std::move(checker)), rule_id_(std::move(rule_id))
     {}
 
-    const lang::Stmt& stmt() const { return stmt_; }
     const match::Bindings& bindings() const { return bindings_; }
 
-    /** metal's err(): report an error at the matched statement. */
+    /** metal's err(): report an error at the rule's location. */
     void
     err(const std::string& message) const
     {
-        sink_.error(stmt_.loc, checker_, rule_id_, message);
+        sink_.error(loc_, checker_, rule_id_, message);
     }
 
     /** Report a warning instead of an error. */
     void
     warn(const std::string& message) const
     {
-        sink_.warning(stmt_.loc, checker_, rule_id_, message);
+        sink_.warning(loc_, checker_, rule_id_, message);
     }
 
   private:
-    const lang::Stmt& stmt_;
+    support::SourceLoc loc_;
     const match::Bindings& bindings_;
     support::DiagnosticSink& sink_;
     std::string checker_;
     std::string rule_id_;
 };
+
+/**
+ * A C++ test over one call site of a statement row, for what a pattern
+ * cannot say: dir_check's NAK sends (an opcode prefix) and its calls to
+ * the protocol spec's deferred routines. A metal program names its
+ * tests with `extern`; each run binds them (SmRunOptions::call_tests).
+ */
+using CallTest = std::function<bool(const cfg::CallRow&)>;
 
 /**
  * A metal state machine: named states, each with an ordered rule list.
@@ -67,7 +77,12 @@ class ActionContext
  *  - rules of the special `all` state are "implicitly applied to other
  *    states" — they are tried after the current state's own rules;
  *  - transitioning to the reserved `stop` state ends checking of the
- *    current path.
+ *    current path;
+ *  - an end-of-path rule fires when a path reaches the function's exit
+ *    in its state (own rules first, then `all`), and reports at the
+ *    location the path remembered: a rule that names a target state
+ *    with an end-of-path rule remembers where it matched, and one that
+ *    names any other target forgets.
  */
 class StateMachine
 {
@@ -79,6 +94,17 @@ class StateMachine
     struct Rule
     {
         match::Pattern pattern;
+        /**
+         * Set when the rule's pattern is a C++ call test instead: its
+         * index in the run's SmRunOptions::call_tests (dir_check's
+         * `nak_send` and `deferred_modify`).
+         */
+        int call_test = -1;
+        /**
+         * The rule fires at the end of a path instead of on a statement
+         * (send_wait's missing-wait, dir_check's missing-writeback).
+         */
+        bool end_of_path = false;
         /** Target state; empty string = stay in the current state. */
         std::string next_state;
         /** Optional action run on match. */

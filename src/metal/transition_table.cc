@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <optional>
+#include <stdexcept>
 
 namespace mc::metal {
 
@@ -44,6 +47,7 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
 
     auto& interner = support::SymbolInterner::global();
     candidates_.resize(state_names_.size());
+    end_of_path_.resize(state_names_.size());
     for (StateIdx s = 0; s < candidates_.size(); ++s) {
         if (s == stop_)
             continue;
@@ -53,6 +57,13 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
             cand.id_sym = interner.intern(rule.id);
             if (!rule.next_state.empty())
                 cand.next = state_ids_.at(rule.next_state);
+            if (rule.end_of_path) {
+                // The first end-of-path rule wins, like a statement's.
+                if (!end_of_path_[s].rule)
+                    end_of_path_[s] = cand;
+                has_end_of_path_ = true;
+                return;
+            }
             candidates_[s].push_back(cand);
         };
         // Own rules first, then `all` rules — the paper's "implicitly
@@ -64,23 +75,49 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
         for (const StateMachine::Rule& rule : sm.allRules())
             add(rule);
     }
+    // A rule naming a target remembers its match when the target can
+    // report at the end of a path, and forgets otherwise (the stop
+    // state and rule-less targets report nothing).
+    for (std::vector<Candidate>& list : candidates_)
+        for (Candidate& cand : list)
+            if (cand.next != kKeepState)
+                cand.memory = end_of_path_[cand.next].rule
+                                  ? Memory::Remember
+                                  : Memory::Forget;
 
     // Assign mask bits: the sorted distinct required-identifier symbols
-    // across every rule, first 64 only (checkers have a handful).
+    // across every rule, then one per call test the rules use, as many
+    // as kMaskBits has room for (checkers need a handful).
+    std::size_t call_tests = 0;
+    for (const std::vector<Candidate>& list : candidates_)
+        for (const Candidate& cand : list)
+            call_tests = std::max<std::size_t>(
+                call_tests,
+                static_cast<std::size_t>(cand.rule->call_test + 1));
     std::vector<support::SymbolId> req;
     for (const std::vector<Candidate>& list : candidates_)
         for (const Candidate& cand : list)
             cand.rule->pattern.requiredSyms(req);
     std::sort(req.begin(), req.end());
     req.erase(std::unique(req.begin(), req.end()), req.end());
-    if (req.size() > 64)
-        req.resize(64);
+    if (req.size() > kMaskBits - std::min(call_tests, kMaskBits))
+        req.resize(kMaskBits - std::min(call_tests, kMaskBits));
     mask_syms_ = std::move(req);
     mask_bits_ = cfg::FlatCfg::maskBits(mask_syms_);
+    call_test_masks_.assign(call_tests, 0);
+    for (std::size_t k = 0; k < call_tests; ++k)
+        if (mask_syms_.size() + k < kMaskBits)
+            call_test_masks_[k] = std::uint64_t{1}
+                                  << (mask_syms_.size() + k);
 
     std::vector<support::SymbolId> syms;
     for (std::vector<Candidate>& list : candidates_)
         for (Candidate& cand : list) {
+            if (cand.rule->call_test >= 0) {
+                cand.req_mask = call_test_masks_[static_cast<std::size_t>(
+                    cand.rule->call_test)];
+                continue;
+            }
             syms.clear();
             if (!cand.rule->pattern.requiredSyms(syms))
                 continue; // unfilterable: req_mask stays 0
@@ -98,7 +135,7 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
             cand.req_mask = complete ? mask : 0;
         }
 
-    // Per-state summaries for the block-range prefilter: the union of
+    // Per-state summaries for the block prefilter: the union of
     // prefilterable candidates' masks, and whether any candidate is
     // unfilterable (which pins every block as unskippable in that
     // state). A state with no candidates at all (stop, or an orphan
@@ -116,33 +153,78 @@ CompiledSm::CompiledSm(const StateMachine& sm) : sm_(&sm)
         }
 }
 
-TransitionTable::TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg)
-    : csm_(&csm), flat_(&cfg::flatCfg(cfg)),
-      masks_(flat_->maskIndex(csm.maskBits())),
+TransitionTable::TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg,
+                                 std::span<const CallTest> call_tests)
+    : csm_(&csm), flat_(&cfg::flatCfg(cfg)), call_tests_(call_tests),
+      state_bits_(static_cast<std::uint32_t>(
+          std::bit_width(csm.stateCount() - 1u))),
+      row_mask_(flat_->stmtCount(), 0), block_mask_(flat_->blockCount(), 0),
       state_count_(csm.stateCount())
 {
-    // Construction is O(rows): the arena (flat statement rows, ident
-    // spans) is shared per CFG and was built at most once; this table
-    // owns its machine's masks, the lazily-filled row → cell map and
-    // the per-state skip bitsets, all of which live as long as the one
-    // walk that uses them.
+    // Construction only zeroes a cell pointer and a mask per row and a
+    // mask per block: the arena (statement rows, ident spans, call rows)
+    // is the Cfg's, and the masks and cells this walk needs are filled
+    // in as it reaches them.
     row_cells_.assign(flat_->stmtCount(), nullptr);
-    skip_words_ = flat_->rangeCount();
-    skip_bits_.assign(skip_words_ * state_count_, 0);
-    skip_built_.assign(state_count_, 0);
+}
+
+std::uint64_t
+TransitionTable::rowMask(std::uint32_t row)
+{
+    std::uint64_t& mask = row_mask_[row];
+    if (mask)
+        return mask;
+    mask = kComputed;
+    // The row's identifiers are sorted, so the scan stops at the first
+    // one past the bits table; mask symbols are mostly the macro
+    // vocabulary, interned first, so that is usually a short prefix.
+    const std::span<const std::uint8_t> bits = csm_->maskBits();
+    const support::SymbolId* ids = flat_->identBegin(row);
+    const support::SymbolId* end = ids + flat_->identCount(row);
+    for (; ids != end && *ids < bits.size(); ++ids)
+        if (bits[*ids] != cfg::FlatCfg::kNoMaskBit)
+            mask |= std::uint64_t{1} << bits[*ids];
+    for (std::uint32_t k = 0; k < csm_->callTestCount(); ++k)
+        if (csm_->callTestMask(k) && acceptedCall(row, static_cast<int>(k)))
+            mask |= csm_->callTestMask(k);
+    return mask;
+}
+
+std::uint64_t
+TransitionTable::blockMask(std::uint32_t block)
+{
+    std::uint64_t& mask = block_mask_[block];
+    if (mask)
+        return mask;
+    mask = kComputed;
+    for (std::uint32_t row = flat_->stmtBegin(block);
+         row < flat_->stmtEnd(block); ++row)
+        mask |= rowMask(row);
+    return mask;
+}
+
+const lang::CallExpr*
+TransitionTable::acceptedCall(std::uint32_t row, int test) const
+{
+    // An unbound test accepts nothing.
+    const auto t = static_cast<std::size_t>(test);
+    if (t >= call_tests_.size())
+        return nullptr;
+    for (const cfg::CallRow& call : flat_->calls(row))
+        if (call_tests_[t](call))
+            return call.call;
+    return nullptr;
 }
 
 TransitionTable::Cell*
 TransitionTable::materialize(std::uint32_t row)
 {
     if (slab_size_ - slab_used_ < state_count_) {
-        // Never more cells than the function's rows can use: most
-        // tables are built for one short walk of a small function.
-        slab_size_ = std::max<std::size_t>(
-            state_count_,
-            std::min<std::size_t>(std::size_t{row_cells_.size()} *
-                                      state_count_,
-                                  1024));
+        // Slabs grow geometrically from a few rows' cells: most walks
+        // materialize only the rows a rule can match, a handful.
+        const std::size_t rows = std::min<std::size_t>(
+            slabs_.empty() ? 8 : 2 * slab_size_ / state_count_, 256);
+        slab_size_ = rows * state_count_;
         slabs_.push_back(std::make_unique<Cell[]>(slab_size_)); // zeroed
         slab_used_ = 0;
     }
@@ -152,32 +234,22 @@ TransitionTable::materialize(std::uint32_t row)
     return base;
 }
 
-void
-TransitionTable::buildSkipBits(StateIdx state)
+std::uint32_t
+TransitionTable::remember(const support::SourceLoc& loc)
 {
-    std::uint64_t* bits =
-        skip_bits_.data() + static_cast<std::size_t>(state) * skip_words_;
-    skip_built_[state] = 1;
-    if (csm_->stateUnfilterable(state))
-        return; // all zero: never skip, fall through to per-cell checks
-    const std::uint64_t req = csm_->stateReqUnion(state);
-    const std::uint32_t blocks = flat_->blockCount();
-    for (std::size_t w = 0; w < skip_words_; ++w) {
-        // Range sweep: one word per 64-block granule. A granule whose
-        // OR'd mask misses the state's union is skippable wholesale.
-        if (!(masks_.range_mask[w] & req)) {
-            bits[w] = ~std::uint64_t{0};
-            continue;
-        }
-        std::uint64_t word = 0;
-        const std::uint32_t lo =
-            static_cast<std::uint32_t>(w) << cfg::FlatCfg::kRangeShift;
-        const std::uint32_t hi = std::min(lo + 64u, blocks);
-        for (std::uint32_t b = lo; b < hi; ++b)
-            if (!(masks_.block_mask[b] & req))
-                word |= std::uint64_t{1} << (b & 63);
-        bits[w] = word;
-    }
+    auto it = remembered_slot_.find(loc);
+    if (it != remembered_slot_.end())
+        return it->second + 1;
+    // The memory value shares the 32-bit visited key with the state
+    // index; a function would need hundreds of millions of remembering
+    // call sites to run out.
+    if (remembered_.size() + 1 >= (std::uint64_t{1} << (32 - state_bits_)))
+        throw std::length_error(
+            "too many remembered locations for one visited key");
+    remembered_slot_.emplace(loc,
+                             static_cast<std::uint32_t>(remembered_.size()));
+    remembered_.push_back(loc);
+    return static_cast<std::uint32_t>(remembered_.size());
 }
 
 void
@@ -187,18 +259,27 @@ TransitionTable::fill(std::uint32_t row, StateIdx state, Cell& cell)
     cell.next = state;
     if (state == csm_->stop())
         return;
-    const std::uint64_t mask = masks_.stmt_mask[row];
+    const std::uint64_t mask = rowMask(row);
     const lang::Stmt* stmt = flat_->stmt(row);
     for (const CompiledSm::Candidate& cand : csm_->candidatesFor(state)) {
         if (cand.req_mask) {
             // Exact bitmask prefilter (see Candidate::req_mask).
             if (!(cand.req_mask & mask))
                 continue;
-        } else if (!cand.rule->pattern.couldMatchIds(
+        } else if (cand.rule->call_test < 0 &&
+                   !cand.rule->pattern.couldMatchIds(
                        flat_->identBegin(row), flat_->identCount(row))) {
             continue;
         }
-        auto bindings = cand.rule->pattern.matchInStmt(*stmt);
+        std::optional<match::Bindings> bindings;
+        if (cand.rule->call_test >= 0) {
+            // A call test matches the row's first call it accepts.
+            if (const lang::CallExpr* call =
+                    acceptedCall(row, cand.rule->call_test))
+                bindings.emplace().matched = call;
+        } else {
+            bindings = cand.rule->pattern.matchInStmt(*stmt);
+        }
         if (!bindings)
             continue;
         cell.rule = cand.rule;
@@ -208,6 +289,10 @@ TransitionTable::fill(std::uint32_t row, StateIdx state, Cell& cell)
         bindings_pool_.push_back(std::move(*bindings));
         if (cand.next != CompiledSm::kKeepState && cand.next != state)
             cell.next = cand.next;
+        if (cand.memory == CompiledSm::Memory::Remember)
+            cell.memory = remember(matchLoc(cell, row));
+        else if (cand.memory == CompiledSm::Memory::Forget)
+            cell.memory = kForget;
         return;
     }
 }

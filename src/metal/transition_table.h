@@ -36,6 +36,17 @@ class CompiledSm
 
     explicit CompiledSm(const StateMachine& sm);
 
+    /** What a firing rule does to its path's remembered location. */
+    enum class Memory : std::uint8_t
+    {
+        /** No target state: the location stays as it was. */
+        Keep,
+        /** A target with an end-of-path rule: remember the match. */
+        Remember,
+        /** Any other target: the path remembers nothing. */
+        Forget,
+    };
+
     struct Candidate
     {
         const StateMachine::Rule* rule = nullptr;
@@ -47,13 +58,16 @@ class CompiledSm
         support::SymbolId id_sym = support::kInvalidSymbol;
         /** Absolute target state, or kKeepState when next_state is "". */
         StateIdx next = kKeepState;
+        Memory memory = Memory::Keep;
         /**
-         * OR of the mask bits of every alternative's required identifier.
-         * When nonzero this is an *exact* prefilter: the candidate can
-         * match a statement iff `req_mask & statement-mask` is nonzero.
-         * Zero means "cannot prefilter" (some alternative has no required
-         * identifier, or its symbol fell outside the 64 mask slots) and
-         * the caller must fall back to Pattern::couldMatchIds.
+         * OR of the mask bits of every alternative's required identifier,
+         * or for a call test its own bit (set in a statement's mask when
+         * one of its calls passes the test). When nonzero this is an
+         * *exact* prefilter: the candidate can match a statement only if
+         * `req_mask & statement-mask` is nonzero. Zero means "cannot
+         * prefilter" (some alternative has no required identifier, or
+         * its symbol fell outside the mask slots) and the caller must
+         * fall back to Pattern::couldMatchIds.
          */
         std::uint64_t req_mask = 0;
     };
@@ -84,9 +98,28 @@ class CompiledSm
     }
 
     /**
+     * The end-of-path rule a path ending in state `s` fires (its own
+     * first, then `all`'s), or nullptr when it fires none.
+     */
+    const Candidate* endOfPath(StateIdx s) const
+    {
+        return end_of_path_[s].rule ? &end_of_path_[s] : nullptr;
+    }
+
+    /** True when some state has an end-of-path rule. */
+    bool hasEndOfPath() const { return has_end_of_path_; }
+
+    /**
+     * Mask bits a statement mask may use: the TransitionTable keeps the
+     * top bit of its 64 to mark a mask as computed.
+     */
+    static constexpr std::size_t kMaskBits = 63;
+
+    /**
      * The sorted distinct required-identifier symbols that own mask
-     * bits: bit i of every req_mask (and of FlatCfg::MaskIndex masks
-     * built from this list) means "mentions maskSyms()[i]".
+     * bits: bit i of every req_mask (and of a TransitionTable's
+     * statement masks) means "mentions maskSyms()[i]". The call tests'
+     * bits follow them (callTestMask).
      */
     const std::vector<support::SymbolId>& maskSyms() const
     {
@@ -115,10 +148,22 @@ class CompiledSm
         return state_unfilterable_[s] != 0;
     }
 
+    /** One more than the largest call-test index any rule uses. */
+    std::uint32_t callTestCount() const
+    {
+        return static_cast<std::uint32_t>(call_test_masks_.size());
+    }
+
+    /** Call test `k`'s mask bit, or 0 when it got none. */
+    std::uint64_t callTestMask(std::uint32_t k) const
+    {
+        return call_test_masks_[k];
+    }
+
     /**
      * The mask bit assigned to `sym`, or 0 when `sym` is not one of this
-     * machine's required-identifier symbols. At most 64 distinct symbols
-     * get bits; every real checker needs a handful.
+     * machine's required-identifier symbols. At most kMaskBits symbols
+     * and call tests get bits; every real checker needs a handful.
      */
     std::uint64_t symMask(support::SymbolId sym) const
     {
@@ -136,10 +181,15 @@ class CompiledSm
     std::unordered_map<std::string, StateIdx> state_ids_;
     /** Indexed by StateIdx; the stop state's list is empty. */
     std::vector<std::vector<Candidate>> candidates_;
-    /** Sorted distinct required-identifier symbols (≤ 64 get mask bits). */
+    /** Per state: its end-of-path rule, `rule` null when none. */
+    std::vector<Candidate> end_of_path_;
+    bool has_end_of_path_ = false;
+    /** Sorted distinct required-identifier symbols that got mask bits. */
     std::vector<support::SymbolId> mask_syms_;
     /** Each mask symbol's bit, by SymbolId (FlatCfg::maskBits). */
     std::vector<std::uint8_t> mask_bits_;
+    /** Per call test, its mask bit (0 when it got none). */
+    std::vector<std::uint64_t> call_test_masks_;
     /** Per-state req_mask union / has-unfilterable-candidate flags. */
     std::vector<std::uint64_t> state_req_union_;
     std::vector<std::uint8_t> state_unfilterable_;
@@ -152,30 +202,37 @@ class CompiledSm
  * state) holding the first matching rule, its wildcard bindings, and the
  * resulting state. The walker's per-visit work is an indexed lookup —
  * statements are addressed by their row in the function's FlatCfg
- * arena, so neither construction nor lookup touches a hash table.
+ * arena, so no lookup touches a hash table (only a rule that remembers
+ * its location does, once per cell).
  *
- * Construction is O(statements), not O(statements × states): cell
- * storage is materialized per row on first touch from zero-initialized
- * slabs, so a run that (like most) visits a handful of blocks never pays
- * for the whole function's cell array. Full pattern unification still
- * runs at most once per (statement, state).
+ * Setup pays only for what the walk reaches. Construction zeroes a few
+ * per-row and per-block words; a statement's prefilter mask (its
+ * identifiers folded through the machine's mask bits, plus one bit per
+ * call test a call of it passes) is computed when its block is first
+ * visited, and cell storage is materialized per row on first touch from
+ * zero-initialized slabs. Full pattern unification, and each call test,
+ * still runs at most once per (statement, state).
  *
- * blockSkippable() is the block-range prefilter: per state, a bitset
- * over blocks marking those whose identifier sets cannot intersect any
- * candidate rule of that state. Built lazily per state with a
- * range-mask sweep (64 blocks = one word), it lets the walker skip a
- * visited block's entire statement loop — no cells materialized, no
- * per-statement hook calls. The bits are exact, never heuristic: a
- * block is only marked when `stateReqUnion(state)` misses its OR'd
- * statement masks and the state has no unfilterable candidate, so (by
- * the req_mask exactness contract) no candidate can match any statement
- * in it — the PR-5 prefilter-never-rejects property lifted from cells
- * to blocks and ranges.
+ * blockSkippable() is the block prefilter: a block whose OR'd statement
+ * masks miss `stateReqUnion(state)`, in a state with no unfilterable
+ * candidate, cannot match any candidate of that state (by the req_mask
+ * exactness contract), so the walker skips its entire statement loop —
+ * no cells materialized, no per-statement hook calls. Exact, never
+ * heuristic: the prefilter-never-rejects property lifted from cells to
+ * blocks.
  */
 class TransitionTable
 {
   public:
-    TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg);
+    /**
+     * `call_tests` binds the machine's `extern` call tests, in
+     * declaration order; it must outlive the table.
+     */
+    TransitionTable(const CompiledSm& csm, const cfg::Cfg& cfg,
+                    std::span<const CallTest> call_tests = {});
+
+    /** Cell::memory of a cell whose rule makes its path forget. */
+    static constexpr std::uint32_t kForget = 0xFFFFFFFFu;
 
     /**
      * One (statement, state) slot. Deliberately trivial with an all-zero
@@ -193,6 +250,12 @@ class TransitionTable
         StateIdx next;
         /** Index into the bindings pool; valid when `rule` set. */
         std::uint32_t bindings_idx;
+        /**
+         * The remembered location after the statement: 0 keeps the
+         * path's, kForget clears it, and any other value is 1 + the
+         * rememberedLoc() slot of this match's location.
+         */
+        std::uint32_t memory;
         /** False until this cell's match has been computed. */
         bool ready;
     };
@@ -216,20 +279,31 @@ class TransitionTable
     }
 
     /**
+     * The matched cell for row `row` in state `state`, or nullptr when
+     * no rule matches there. Rows whose mask rules out every candidate
+     * of `state` are answered without materializing a cell.
+     */
+    const Cell*
+    match(std::uint32_t row, StateIdx state)
+    {
+        if (!csm_->stateUnfilterable(state) &&
+            !(rowMask(row) & csm_->stateReqUnion(state)))
+            return nullptr;
+        const Cell& c = cell(row, state);
+        return c.rule ? &c : nullptr;
+    }
+
+    /**
      * True when no candidate rule of `state` can match any statement of
      * `block` — the walker may skip the block's statement loop outright.
-     * Exact (see class comment); O(1) after a lazy per-state build.
+     * Exact (see class comment); O(1) once the block's mask is known.
      */
     bool
     blockSkippable(int block, StateIdx state)
     {
-        const std::uint64_t* bits =
-            skip_bits_.data() +
-            static_cast<std::size_t>(state) * skip_words_;
-        if (!skip_built_[state])
-            buildSkipBits(state);
-        const std::uint32_t b = static_cast<std::uint32_t>(block);
-        return (bits[b >> 6] >> (b & 63)) & 1;
+        return !csm_->stateUnfilterable(state) &&
+               !(blockMask(static_cast<std::uint32_t>(block)) &
+                 csm_->stateReqUnion(state));
     }
 
     /** The wildcard bindings of a matched cell (`cell.rule != nullptr`). */
@@ -238,15 +312,53 @@ class TransitionTable
         return bindings_pool_[cell.bindings_idx];
     }
 
+    /**
+     * Where a matched cell of row `row` fires: the call or
+     * subexpression its rule matched, else the statement.
+     */
+    const support::SourceLoc&
+    matchLoc(const Cell& cell, std::uint32_t row) const
+    {
+        const lang::Expr* at = bindings(cell).matched;
+        return at ? at->loc : flat_->stmt(row)->loc;
+    }
+
+    /** The location a Cell::memory value (1 + slot) names. */
+    const support::SourceLoc& rememberedLoc(std::uint32_t memory) const
+    {
+        return remembered_[memory - 1];
+    }
+
+    /**
+     * Bits a path's state index takes in its visited key; the
+     * remembered memory value fills the bits above them.
+     */
+    std::uint32_t stateBits() const { return state_bits_; }
+
   private:
+    /** Marks a computed mask, so a computed empty mask is nonzero. */
+    static constexpr std::uint64_t kComputed = std::uint64_t{1}
+                                               << CompiledSm::kMaskBits;
+
     void fill(std::uint32_t row, StateIdx state, Cell& cell);
     Cell* materialize(std::uint32_t row);
-    void buildSkipBits(StateIdx state);
+    std::uint64_t rowMask(std::uint32_t row);
+    std::uint64_t blockMask(std::uint32_t block);
+    /** The first call of `row` call test `test` accepts, or nullptr. */
+    const lang::CallExpr* acceptedCall(std::uint32_t row, int test) const;
+    std::uint32_t remember(const support::SourceLoc& loc);
 
     const CompiledSm* csm_;
     const cfg::FlatCfg* flat_;
-    /** This machine's prefilter masks over flat_, owned by the table. */
-    cfg::FlatCfg::MaskIndex masks_;
+    std::span<const CallTest> call_tests_;
+    std::uint32_t state_bits_;
+    /** Distinct remembered locations, by slot, and their slots. */
+    std::vector<support::SourceLoc> remembered_;
+    std::unordered_map<support::SourceLoc, std::uint32_t> remembered_slot_;
+    /** Per row / per block: its prefilter mask with kComputed set, or
+     *  0 until computed. */
+    std::vector<std::uint64_t> row_mask_;
+    std::vector<std::uint64_t> block_mask_;
     std::uint32_t state_count_;
     /** Per row: its first cell, or nullptr until materialized. */
     std::vector<Cell*> row_cells_;
@@ -255,10 +367,6 @@ class TransitionTable
     std::vector<std::unique_ptr<Cell[]>> slabs_;
     std::size_t slab_used_ = 0;
     std::size_t slab_size_ = 0;
-    /** skip_words_ words per state; valid once skip_built_[state]. */
-    std::vector<std::uint64_t> skip_bits_;
-    std::vector<std::uint8_t> skip_built_;
-    std::size_t skip_words_ = 0;
     std::vector<match::Bindings> bindings_pool_;
 };
 

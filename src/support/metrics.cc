@@ -6,6 +6,21 @@
 
 namespace mc::support {
 
+namespace {
+
+/** The instrument named `name`, created on first use. */
+template <typename Map>
+typename Map::mapped_type&
+getOrCreate(Map& map, std::string_view name)
+{
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.try_emplace(std::string(name)).first;
+    return it->second;
+}
+
+} // namespace
+
 MetricsRegistry&
 MetricsRegistry::global()
 {
@@ -14,31 +29,31 @@ MetricsRegistry::global()
 }
 
 Counter&
-MetricsRegistry::counter(const std::string& name)
+MetricsRegistry::counter(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return counters_[name];
+    return getOrCreate(counters_, name);
 }
 
 Gauge&
-MetricsRegistry::gauge(const std::string& name)
+MetricsRegistry::gauge(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return gauges_[name];
+    return getOrCreate(gauges_, name);
 }
 
 Timer&
-MetricsRegistry::timer(const std::string& name)
+MetricsRegistry::timer(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return timers_[name];
+    return getOrCreate(timers_, name);
 }
 
 Histogram&
-MetricsRegistry::histogram(const std::string& name)
+MetricsRegistry::histogram(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return histograms_[name];
+    return getOrCreate(histograms_, name);
 }
 
 std::uint64_t

@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace mc::support {
 
@@ -288,26 +289,26 @@ class MetricsRegistry
         enabled_.store(on, std::memory_order_relaxed);
     }
 
-    /** Get-or-create; the returned reference is stable. Thread-safe. */
-    Counter& counter(const std::string& name);
-    Gauge& gauge(const std::string& name);
-    Timer& timer(const std::string& name);
-    Histogram& histogram(const std::string& name);
+    /**
+     * Get-or-create; the returned reference is stable. Thread-safe. A
+     * lookup of an existing name allocates nothing.
+     */
+    Counter& counter(std::string_view name);
+    Gauge& gauge(std::string_view name);
+    Timer& timer(std::string_view name);
+    Histogram& histogram(std::string_view name);
 
     /** Value of a counter, or 0 if it was never touched. Thread-safe. */
     std::uint64_t counterValue(const std::string& name) const;
     std::uint64_t gaugeValue(const std::string& name) const;
 
-    const std::map<std::string, Counter>& counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-    const std::map<std::string, Timer>& timers() const { return timers_; }
-    const std::map<std::string, Histogram>& histograms() const
-    {
-        return histograms_;
-    }
+    template <typename Instrument>
+    using Instruments = std::map<std::string, Instrument, std::less<>>;
+
+    const Instruments<Counter>& counters() const { return counters_; }
+    const Instruments<Gauge>& gauges() const { return gauges_; }
+    const Instruments<Timer>& timers() const { return timers_; }
+    const Instruments<Histogram>& histograms() const { return histograms_; }
 
     /** Zero every instrument, keeping registrations. */
     void reset();
@@ -327,10 +328,10 @@ class MetricsRegistry
   private:
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Gauge> gauges_;
-    std::map<std::string, Timer> timers_;
-    std::map<std::string, Histogram> histograms_;
+    Instruments<Counter> counters_;
+    Instruments<Gauge> gauges_;
+    Instruments<Timer> timers_;
+    Instruments<Histogram> histograms_;
 };
 
 /**

@@ -1,13 +1,10 @@
 #include "cfg/cfg.h"
 #include "cfg/flat_cfg.h"
-#include "checkers/metal_sources.h"
 #include "corpus/generator.h"
 #include "corpus/profile.h"
 #include "flash/macros.h"
 #include "lang/ast.h"
 #include "lang/program.h"
-#include "metal/metal_parser.h"
-#include "metal/transition_table.h"
 
 #include <gtest/gtest.h>
 
@@ -109,51 +106,6 @@ TEST(FlatCfgProperty, RoundTripsAcrossGeneratorSeeds)
     }
 }
 
-TEST(FlatCfgProperty, MaskIndexIsTheUnionHierarchyOfStatementMasks)
-{
-    metal::MetalProgram wait =
-        metal::parseMetal(checkers::kWaitForDbMetal);
-    const metal::CompiledSm& csm = wait.sm->compiled();
-    const std::vector<support::SymbolId>& syms = csm.maskSyms();
-    ASSERT_FALSE(syms.empty());
-
-    corpus::LoadedProtocol loaded =
-        corpus::loadProtocol(corpus::profileByName("sci"));
-    for (const lang::FunctionDecl* fn : loaded.program->functions()) {
-        Cfg cfg = CfgBuilder::build(*fn);
-        const FlatCfg& flat = flatCfg(cfg);
-        const FlatCfg::MaskIndex index = flat.maskIndex(syms);
-        ASSERT_EQ(index.stmt_mask.size(), flat.stmtCount());
-        ASSERT_EQ(index.block_mask.size(), flat.blockCount());
-        ASSERT_EQ(index.range_mask.size(), flat.rangeCount());
-
-        // Statement masks: bit i set iff the row mentions syms[i].
-        for (std::uint32_t row = 0; row < flat.stmtCount(); ++row) {
-            std::set<support::SymbolId> mentioned(
-                flat.identBegin(row),
-                flat.identBegin(row) + flat.identCount(row));
-            std::uint64_t expect = 0;
-            for (std::size_t i = 0; i < syms.size(); ++i)
-                if (mentioned.count(syms[i]))
-                    expect |= std::uint64_t{1} << i;
-            ASSERT_EQ(index.stmt_mask[row], expect);
-        }
-        // Block masks are pure ORs of their statements; range masks
-        // pure ORs of their 64-block granule — never a heuristic.
-        std::vector<std::uint64_t> range_expect(flat.rangeCount(), 0);
-        for (std::uint32_t b = 0; b < flat.blockCount(); ++b) {
-            std::uint64_t expect = 0;
-            for (std::uint32_t row = flat.stmtBegin(b);
-                 row < flat.stmtEnd(b); ++row)
-                expect |= index.stmt_mask[row];
-            ASSERT_EQ(index.block_mask[b], expect);
-            range_expect[b >> FlatCfg::kRangeShift] |= expect;
-        }
-        for (std::uint32_t w = 0; w < flat.rangeCount(); ++w)
-            ASSERT_EQ(index.range_mask[w], range_expect[w]);
-    }
-}
-
 TEST(FlatCfgProperty, ArenaIsBuiltOncePerCfg)
 {
     corpus::LoadedProtocol loaded =
@@ -177,14 +129,9 @@ TEST(FlatCfgProperty, ArenaIsBuiltOncePerCfg)
 TEST(FlatCfgProperty, ConcurrentReadsAgree)
 {
     // Sibling units of one function read its Cfg side by side: the
-    // arena, the mask index each table builds and owns, and the back
-    // edges, which nobody computed before. A built Cfg is read-only, so
-    // every thread must see the one arena, identical masks and
+    // arena and the back edges, which nobody computed before. A built
+    // Cfg is read-only, so every thread must see the one arena and
     // identical back edges (and TSan no write).
-    metal::MetalProgram wait =
-        metal::parseMetal(checkers::kWaitForDbMetal);
-    const std::vector<support::SymbolId>& syms =
-        wait.sm->compiled().maskSyms();
     corpus::LoadedProtocol loaded =
         corpus::loadProtocol(corpus::profileByName("bitvector"));
     std::vector<Cfg> cfgs;
@@ -193,7 +140,6 @@ TEST(FlatCfgProperty, ConcurrentReadsAgree)
 
     constexpr int kThreads = 4;
     std::vector<std::vector<const FlatCfg*>> arenas(kThreads);
-    std::vector<std::vector<std::vector<std::uint64_t>>> masks(kThreads);
     std::vector<std::vector<std::vector<std::pair<int, int>>>> back(
         kThreads);
     std::vector<std::thread> threads;
@@ -202,7 +148,6 @@ TEST(FlatCfgProperty, ConcurrentReadsAgree)
             for (const Cfg& cfg : cfgs) {
                 const FlatCfg& flat = flatCfg(cfg);
                 arenas[t].push_back(&flat);
-                masks[t].push_back(flat.maskIndex(syms).stmt_mask);
                 back[t].push_back(cfg.backEdges());
             }
         });
@@ -210,7 +155,6 @@ TEST(FlatCfgProperty, ConcurrentReadsAgree)
         thread.join();
     for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(arenas[t], arenas[0]) << "thread " << t;
-        EXPECT_EQ(masks[t], masks[0]) << "thread " << t;
         EXPECT_EQ(back[t], back[0]) << "thread " << t;
     }
 }

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -27,6 +28,9 @@ namespace mc::checkers {
 namespace {
 
 using metal::CompiledSm;
+
+/** msglen_check, wait_for_db, send_wait and dir_check. */
+constexpr std::size_t kMetalCheckers = 4;
 
 /** The compiled machine `checker` runs, read off its definition, or
  *  nullptr for a hand-written checker. */
@@ -50,6 +54,8 @@ TEST(CheckerDefs, InstancesShareOneCompiledMachine)
     EXPECT_EQ(compiledOf(direct), compiledOf(*a));
     EXPECT_NE(compiledOf(*makeChecker("wait_for_db")), compiledOf(*a));
 
+    for (const std::string& name : allCheckerNames())
+        ASSERT_NE(checkerDef(name), nullptr);
     const std::uint64_t before = CompiledSm::compilations();
     for (int i = 0; i < 100; ++i)
         for (const std::string& name : allCheckerNames())
@@ -64,7 +70,9 @@ TEST(CheckerDefs, DefinitionsAreKeyedByNameAndOptions)
         ASSERT_NE(def, nullptr) << name;
         EXPECT_EQ(def->name(), name);
         EXPECT_EQ(def->instantiate()->name(), name);
-        const bool metal = name == "msglen_check" || name == "wait_for_db";
+        const bool metal = name == "msglen_check" ||
+                           name == "wait_for_db" || name == "send_wait" ||
+                           name == "dir_check";
         EXPECT_EQ(def->metal() != nullptr, metal) << name;
         EXPECT_EQ(def->metalSource().empty(), !metal) << name;
         EXPECT_EQ(checkerDef(name), def) << name;
@@ -81,15 +89,26 @@ TEST(CheckerDefs, DefinitionsAreKeyedByNameAndOptions)
               metal::PruneStrategy::Correlated);
 }
 
+TEST(CheckerDefs, UserMetalHasNoCallTests)
+{
+    // A --metal checker has no C++ half to bind an extern to.
+    EXPECT_THROW(CheckerDef::fromMetal("sm t { extern a; s: a ==> stop ; }",
+                                       "t.metal", CheckerSetOptions()),
+                 metal::MetalParseError);
+    EXPECT_NE(CheckerDef::fromMetal("sm t { s: { f(); } ==> stop ; }",
+                                    "t.metal", CheckerSetOptions()),
+              nullptr);
+}
+
 TEST(CheckerDefs, ProtocolRunsCompileNothing)
 {
-    // Resolving the definitions compiles at most the two shipped metal
+    // Resolving the definitions compiles at most the four shipped metal
     // checkers (none if this process already did); after that, no run
     // may compile another machine.
     const std::uint64_t before = CompiledSm::compilations();
     for (const std::string& name : allCheckerNames())
         ASSERT_NE(checkerDef(name), nullptr);
-    EXPECT_LE(CompiledSm::compilations() - before, 2u);
+    EXPECT_LE(CompiledSm::compilations() - before, kMetalCheckers);
     const std::uint64_t compiled = CompiledSm::compilations();
 
     auto run = [](unsigned jobs, cache::AnalysisCache* cache) {
@@ -144,9 +163,11 @@ TEST(CheckerDefs, ConcurrentFirstUseIsRaceFree)
     go.store(true);
     for (std::thread& thread : threads)
         thread.join();
-    EXPECT_EQ(CompiledSm::compilations() - before, 2u);
-    ASSERT_EQ(seen[0].size(), 2u);
-    EXPECT_NE(seen[0][0], seen[0][1]);
+    EXPECT_EQ(CompiledSm::compilations() - before, kMetalCheckers);
+    ASSERT_EQ(seen[0].size(), kMetalCheckers);
+    EXPECT_EQ(std::set<const CompiledSm*>(seen[0].begin(), seen[0].end())
+                  .size(),
+              kMetalCheckers);
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
 }

@@ -1,8 +1,7 @@
 #include "checkers/buffer_alloc.h"
-#include "checkers/directory.h"
 #include "checkers/exec_restrict.h"
 #include "checkers/no_float.h"
-#include "checkers/send_wait.h"
+#include "checkers/registry.h"
 #include "tests/checkers/harness.h"
 
 #include <gtest/gtest.h>
@@ -112,8 +111,7 @@ TEST(SendWait, PairedSendWaitClean)
     h.addHandler("H", HandlerKind::Hardware,
                  "PI_SEND(F_NODATA, k, s, F_WAIT, d, n);"
                  "WAIT_FOR_PI_REPLY();");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -122,8 +120,7 @@ TEST(SendWait, MissingWaitFlagged)
     Harness h;
     h.addHandler("H", HandlerKind::Hardware,
                  "PI_SEND(F_NODATA, k, s, F_WAIT, d, n);");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasErrorRule("missing-wait"));
 }
 
@@ -133,8 +130,7 @@ TEST(SendWait, WrongInterfaceFlagged)
     h.addHandler("H", HandlerKind::Hardware,
                  "IO_SEND(F_NODATA, k, s, F_WAIT, d, n);"
                  "WAIT_FOR_PI_REPLY();");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasErrorRule("wait-wrong-interface"));
 }
 
@@ -145,8 +141,7 @@ TEST(SendWait, SecondSendBeforeWaitFlagged)
                  "PI_SEND(F_NODATA, k, s, F_WAIT, d, n);"
                  "NI_SEND(MSG_ACK, F_NODATA, k, F_NOWAIT, d, n);"
                  "WAIT_FOR_PI_REPLY();");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasErrorRule("send-while-waiting"));
 }
 
@@ -155,8 +150,7 @@ TEST(SendWait, NoWaitSendNeedsNoWait)
     Harness h;
     h.addHandler("H", HandlerKind::Hardware,
                  "PI_SEND(F_NODATA, k, s, F_NOWAIT, d, n);");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -167,8 +161,7 @@ TEST(SendWait, WaitOnOnlyOnePathFlagged)
     h.addHandler("H", HandlerKind::Hardware,
                  "PI_SEND(F_NODATA, k, s, F_WAIT, d, n);"
                  "if (c) { WAIT_FOR_PI_REPLY(); }");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasErrorRule("missing-wait"));
 }
 
@@ -180,8 +173,7 @@ TEST(SendWait, AbstractionBreakingRawWaitIsFalsePositive)
     h.addHandler("H", HandlerKind::Hardware,
                  "PI_SEND(F_NODATA, k, s, F_WAIT, d, n);"
                  "while (!PI_STATUS_REG()) { spin(); }");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasErrorRule("missing-wait"));
 }
 
@@ -189,8 +181,7 @@ TEST(SendWait, WaitWithoutSendWarned)
 {
     Harness h;
     h.addHandler("H", HandlerKind::Hardware, "WAIT_FOR_PI_REPLY();");
-    SendWaitChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("send_wait"));
     EXPECT_TRUE(h.hasWarningRule("wait-without-send"));
 }
 
@@ -205,8 +196,7 @@ TEST(Directory, LoadModifyWritebackClean)
                  "DIR_LOAD();"
                  "DIR_WRITE(state, DIRTY);"
                  "DIR_WRITEBACK();");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -214,8 +204,7 @@ TEST(Directory, UseBeforeLoadFlagged)
 {
     Harness h;
     h.addHandler("H", HandlerKind::Hardware, "DIR_WRITE(state, DIRTY);");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasErrorRule("use-before-load"));
 }
 
@@ -223,8 +212,7 @@ TEST(Directory, ReadBeforeLoadFlagged)
 {
     Harness h;
     h.addHandler("H", HandlerKind::Hardware, "x = DIR_READ(state);");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasErrorRule("use-before-load"));
 }
 
@@ -233,8 +221,7 @@ TEST(Directory, MissingWritebackFlagged)
     Harness h;
     h.addHandler("H", HandlerKind::Hardware,
                  "DIR_LOAD(); DIR_WRITE(state, DIRTY);");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasErrorRule("missing-writeback"));
 }
 
@@ -251,8 +238,7 @@ TEST(Directory, SpeculativeNakPathSuppressed)
                  "  return;"
                  "}"
                  "DIR_WRITEBACK();");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -267,8 +253,7 @@ TEST(Directory, BackoutWithoutNakFlagged)
                  "DIR_WRITE(state, PENDING);"
                  "if (conflict) { return; }"
                  "DIR_WRITEBACK();");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasErrorRule("missing-writeback"));
 }
 
@@ -279,8 +264,7 @@ TEST(Directory, DeferredSubroutineMarksCallerModified)
     h.addHandler("H", HandlerKind::Hardware,
                  "DIR_LOAD();"
                  "update_sharers();");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasErrorRule("missing-writeback"));
 }
 
@@ -293,8 +277,7 @@ TEST(Directory, AnnotatedSubroutineExemptItself)
                 "  DIR_LOAD();"
                 "  DIR_WRITE(sharers, v);"
                 "}");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_EQ(h.errors(), 0);
 }
 
@@ -302,8 +285,7 @@ TEST(Directory, WritebackWithoutLoadWarned)
 {
     Harness h;
     h.addHandler("H", HandlerKind::Hardware, "DIR_WRITEBACK();");
-    DirectoryChecker checker;
-    h.run(checker);
+    h.run(*makeChecker("dir_check"));
     EXPECT_TRUE(h.hasWarningRule("writeback-without-load"));
 }
 

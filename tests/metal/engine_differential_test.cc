@@ -198,11 +198,11 @@ TEST_F(EngineDifferential, SciEngineCountersMatchGoldens)
         metrics.setEnabled(true);
         checkProtocol(loaded, jobs, nullptr);
         metrics.setEnabled(false);
-        EXPECT_EQ(metrics.counterValue("engine.visits"), 3096u)
+        EXPECT_EQ(metrics.counterValue("engine.visits"), 6196u)
             << "j" << jobs;
-        EXPECT_EQ(metrics.counterValue("engine.sm_transitions"), 158u)
+        EXPECT_EQ(metrics.counterValue("engine.sm_transitions"), 252u)
             << "j" << jobs;
-        EXPECT_EQ(metrics.counterValue("engine.rule_firings"), 158u)
+        EXPECT_EQ(metrics.counterValue("engine.rule_firings"), 254u)
             << "j" << jobs;
     }
 }

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace mc::metal {
 namespace {
 
@@ -427,6 +430,153 @@ TEST(EngineWitness, PrunedEdgesAnnotateTheSurvivingPath)
             step.note.find("cannot be true") != std::string::npos)
             noted = true;
     EXPECT_TRUE(noted);
+}
+
+// A send that must be answered: the end-of-path rule reports at the
+// remembered send when a path leaves the function still waiting.
+const char* kPairing = R"metal(
+sm pairing {
+    decl { any } x;
+    start:
+        { SEND(x) } ==> waiting
+      | { REPLY() } ==> { err("reply-without-send", "reply, no send"); }
+      ;
+    waiting:
+        { REPLY() } ==> start
+      | { SEND(x) } ==> waiting
+      | { RESET() } ==> idle
+      | end_of_path ==> { err("missing-reply", "send never answered"); }
+      ;
+    idle:
+        { SEND(x) } ==> waiting
+      ;
+}
+)metal";
+
+std::vector<int>
+errorLines(const support::DiagnosticSink& sink, const std::string& rule)
+{
+    std::vector<int> lines;
+    for (const support::Diagnostic& d : sink.diagnostics())
+        if (d.rule == rule)
+            lines.push_back(d.loc.line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+TEST(EngineEndOfPath, ReportsAtTheRememberedLocation)
+{
+    auto r = run(kPairing, "\n"
+                           "SEND(1);\n"
+                           "if (c) { REPLY(); }\n");
+    EXPECT_EQ(errorLines(r->sink, "missing-reply"), std::vector<int>{2});
+    EXPECT_EQ(r->sink.diagnostics()[0].message, "send never answered");
+    EXPECT_EQ(r->result.firings.at("missing-reply"), 1);
+}
+
+TEST(EngineEndOfPath, RememberedLocationIsPartOfTheVisitedKey)
+{
+    // Both branches reach the join in `waiting`, each remembering its
+    // own send; folding them on state alone would lose one report.
+    auto r = run(kPairing, "\n"
+                           "if (c) {\n"
+                           "  SEND(1);\n"
+                           "} else {\n"
+                           "  SEND(2);\n"
+                           "}\n"
+                           "x = 0;\n");
+    EXPECT_EQ(errorLines(r->sink, "missing-reply"), (std::vector<int>{3, 5}));
+}
+
+TEST(EngineEndOfPath, ARetargetedRuleRemembersItsOwnMatch)
+{
+    auto r = run(kPairing, "\n"
+                           "SEND(1);\n"
+                           "SEND(2);\n");
+    EXPECT_EQ(errorLines(r->sink, "missing-reply"), std::vector<int>{3});
+}
+
+TEST(EngineEndOfPath, StatesWithoutTheRuleReportNothing)
+{
+    auto r = run(kPairing, "SEND(1); RESET();");
+    EXPECT_EQ(r->sink.count(support::Severity::Error), 0);
+}
+
+TEST(EngineEndOfPath, OptionTurnsTheRulesOff)
+{
+    lang::Program program;
+    support::DiagnosticSink sink;
+    MetalProgram mp = parseMetal(kPairing);
+    program.addSource("t.c", "void f(void) { SEND(1); }");
+    cfg::Cfg cfg = cfg::CfgBuilder::build(*program.findFunction("f"));
+    SmRunOptions options;
+    options.end_of_path = false;
+    runStateMachine(*mp.sm, cfg, sink, options);
+    EXPECT_EQ(sink.count(support::Severity::Error), 0);
+    runStateMachine(*mp.sm, cfg, sink);
+    EXPECT_EQ(sink.count(support::Severity::Error), 1);
+}
+
+TEST(EngineEndOfPath, WitnessEndsWithTheReportingRule)
+{
+    WitnessGuard guard;
+    auto r = run(kPairing, "SEND(1); if (c) { REPLY(); }");
+    ASSERT_EQ(r->sink.count(support::Severity::Error), 1);
+    const support::Witness& w = r->sink.diagnostics()[0].witness;
+    ASSERT_GE(w.steps.size(), 2u);
+    EXPECT_EQ(w.steps.front().to_state, "waiting");
+    EXPECT_EQ(w.steps.back().note, "rule missing-reply");
+    EXPECT_TRUE(w.steps.back().loc == r->sink.diagnostics()[0].loc);
+}
+
+TEST(Engine, FindingReportsAtTheMatchedCall)
+{
+    // The read is a subexpression: the finding points at the call, not
+    // at the statement that starts at `v`.
+    lang::Program program;
+    support::DiagnosticSink sink;
+    MetalProgram mp = parseMetal(kWaitForDb);
+    program.addSource("proto.c", "void f(void) {\n"
+                                 "  v =\n"
+                                 "    MISCBUS_READ_DB(a, b);\n"
+                                 "}\n");
+    cfg::Cfg cfg = cfg::CfgBuilder::build(*program.findFunction("f"));
+    runStateMachine(*mp.sm, cfg, sink);
+    ASSERT_EQ(sink.count(support::Severity::Error), 1);
+    EXPECT_EQ(sink.diagnostics()[0].loc.line, 3);
+}
+
+TEST(Engine, CallTestsMatchTheFirstAcceptedCall)
+{
+    const char* metal = R"metal(
+sm marks {
+    extern marked;
+    start:
+        marked ==> { err("marked-call", "a marked call"); } ;
+}
+)metal";
+    lang::Program program;
+    support::DiagnosticSink sink;
+    MetalProgram mp = parseMetal(metal);
+    program.addSource("t.c", "void f(void) {\n"
+                             "  x = g(1) +\n"
+                             "      mark(2);\n"
+                             "  mark(3);\n"
+                             "}\n");
+    cfg::Cfg cfg = cfg::CfgBuilder::build(*program.findFunction("f"));
+    const support::SymbolId mark =
+        support::SymbolInterner::global().intern("mark");
+    const std::vector<CallTest> tests = {
+        [mark](const cfg::CallRow& c) { return c.callee == mark; }};
+
+    // Unbound, the test accepts nothing.
+    runStateMachine(*mp.sm, cfg, sink);
+    EXPECT_EQ(sink.count(support::Severity::Error), 0);
+
+    SmRunOptions options;
+    options.call_tests = tests;
+    runStateMachine(*mp.sm, cfg, sink, options);
+    EXPECT_EQ(errorLines(sink, "marked-call"), (std::vector<int>{3, 4}));
 }
 
 TEST(Engine, DiagnosticLocationPointsAtOffendingRead)

@@ -123,6 +123,48 @@ TEST(MetalParser, RuleIdsDeriveFromMessages)
     EXPECT_EQ(p.sm->rulesFor("s")[0].id, "data-send-zero-len");
 }
 
+TEST(MetalParser, ActionMayNameItsRuleId)
+{
+    MetalProgram p = parseMetal(
+        "sm t { s: { f(); } ==> { warn(\"f-seen\", \"f was called\"); }"
+        " ; }");
+    EXPECT_EQ(p.sm->rulesFor("s")[0].id, "f-seen");
+    EXPECT_THROW(parseMetal("sm t { s: { f(); } ==> { err(\"\", \"m\"); }"
+                            " ; }"),
+                 MetalParseError);
+}
+
+TEST(MetalParser, EndOfPathRuleTakesAnActionOnly)
+{
+    MetalProgram p = parseMetal(
+        "sm t { s: { f(); } ==> w ; w: end_of_path ==> { err(\"open\"); }"
+        " ; }");
+    ASSERT_EQ(p.sm->rulesFor("w").size(), 1u);
+    EXPECT_TRUE(p.sm->rulesFor("w")[0].end_of_path);
+    EXPECT_FALSE(p.sm->rulesFor("s")[0].end_of_path);
+    EXPECT_THROW(parseMetal("sm t { s: end_of_path ==> stop ; }"),
+                 MetalParseError);
+    EXPECT_THROW(parseMetal("sm t { pat p = end_of_path ; s: p ==> stop ; }"),
+                 MetalParseError);
+}
+
+TEST(MetalParser, ExternDeclaresCallTests)
+{
+    MetalProgram p = parseMetal("sm t { extern a, b; s: b ==> stop"
+                                " | { f(); } ==> stop ; }");
+    EXPECT_EQ(p.call_tests, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(p.sm->rulesFor("s")[0].call_test, 1);
+    EXPECT_EQ(p.sm->rulesFor("s")[1].call_test, -1);
+    // A call test is a whole rule's pattern, and its name is taken.
+    EXPECT_THROW(parseMetal("sm t { extern a; pat p = a ; s: p ==> stop ; }"),
+                 MetalParseError);
+    EXPECT_THROW(parseMetal("sm t { extern a, a; s: a ==> stop ; }"),
+                 MetalParseError);
+    EXPECT_THROW(
+        parseMetal("sm t { extern a; pat a = { f(); } ; s: a ==> stop ; }"),
+        MetalParseError);
+}
+
 TEST(MetalParser, UnknownPatternNameFails)
 {
     EXPECT_THROW(parseMetal("sm t { s: nope ==> stop ; }"),

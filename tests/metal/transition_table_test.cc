@@ -10,6 +10,7 @@
 
 #include "cfg/cfg.h"
 #include "cfg/flat_cfg.h"
+#include "checkers/registry.h"
 #include "corpus/generator.h"
 #include "lang/program.h"
 #include "metal/engine.h"
@@ -309,6 +310,49 @@ TEST(TransitionTable, BlockSkipNeverRejectsAMatch)
     // Vacuity guards: the sweep must have exercised both outcomes.
     EXPECT_GT(skipped, 0u);
     EXPECT_GT(scanned, 0u);
+}
+
+TEST(TransitionTable, CallTestBitsNeverRejectAMatch)
+{
+    // The same property for the shipped dir_check, whose C++ call tests
+    // own mask bits of their own: a skipped block holds no row where a
+    // candidate of the state, pattern or call test, matches.
+    corpus::LoadedProtocol loaded =
+        corpus::loadProtocol(corpus::profileByName("dyn_ptr"));
+    const checkers::CheckerDef& def = *checkers::checkerDef("dir_check");
+    const CompiledSm& csm = def.metal()->sm->compiled();
+    ASSERT_EQ(csm.callTestCount(), 2u);
+
+    std::uint64_t skipped = 0, scanned = 0, tested = 0;
+    for (const lang::FunctionDecl* fn : loaded.program->functions()) {
+        cfg::Cfg cfg = cfg::CfgBuilder::build(*fn);
+        const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+        std::vector<CallTest> tests;
+        def.runOptions(cfg, loaded.gen.spec, tests);
+        TransitionTable table(csm, cfg, tests);
+        for (StateIdx s = 0; s < csm.stateCount(); ++s) {
+            for (std::uint32_t b = 0; b < flat.blockCount(); ++b) {
+                const bool skip =
+                    table.blockSkippable(static_cast<int>(b), s);
+                (skip ? skipped : scanned) += 1;
+                for (std::uint32_t row = flat.stmtBegin(b);
+                     row < flat.stmtEnd(b); ++row)
+                    for (const CompiledSm::Candidate& cand :
+                         csm.candidatesFor(s)) {
+                        if (!reference::matchRow(*cand.rule, flat, row,
+                                                 tests))
+                            continue;
+                        tested += cand.rule->call_test >= 0 ? 1 : 0;
+                        EXPECT_FALSE(skip)
+                            << fn->name << " block " << b << " state "
+                            << csm.stateName(s);
+                    }
+            }
+        }
+    }
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(scanned, 0u);
+    EXPECT_GT(tested, 0u);
 }
 
 } // namespace

@@ -24,16 +24,27 @@
 namespace mc {
 namespace {
 
-/** True if `loc` is a statement of block `b` or its branch condition. */
+/**
+ * True if `loc` is a statement of block `b`, a call in one of them (a
+ * rule reports at the call it matched), or the block's branch
+ * condition.
+ */
 bool
 inBlock(const cfg::Cfg& cfg, int b, const support::SourceLoc& loc)
 {
     const cfg::BasicBlock& bb = cfg.block(b);
     if (bb.branch_cond && bb.branch_cond->loc == loc)
         return true;
-    std::span<const lang::Stmt* const> stmts = cfg::flatCfg(cfg).stmts(b);
-    return std::any_of(stmts.begin(), stmts.end(),
-                       [&](const lang::Stmt* s) { return s->loc == loc; });
+    const cfg::FlatCfg& flat = cfg::flatCfg(cfg);
+    for (std::uint32_t row = flat.stmtBegin(b); row < flat.stmtEnd(b);
+         ++row) {
+        if (flat.stmt(row)->loc == loc)
+            return true;
+        for (const cfg::CallRow& call : flat.calls(row))
+            if (call.call->loc == loc)
+                return true;
+    }
+    return false;
 }
 
 /** A pruned-edge note (path_walker.h), not a step of a state machine. */
@@ -198,9 +209,24 @@ TEST_P(WitnessCheckProgram, EveryWitnessIsAPathOfItsFunction)
             EXPECT_EQ(checkWitness(cfgs[it->second], d.witness, d.loc), "")
                 << where << " in " << functions[it->second]->name;
             // A metal finding's own firing is a step, so the last-step
-            // property is never vacuous for it.
-            if (d.checker == "wait_for_db" || d.checker == "msglen_check") {
+            // property is never vacuous for it. For the two ported
+            // checkers, whose end-of-path rules report at a remembered
+            // location, the last step also names the reporting rule.
+            if (d.checker == "wait_for_db" || d.checker == "msglen_check" ||
+                d.checker == "send_wait" || d.checker == "dir_check") {
                 EXPECT_FALSE(d.witness.steps.empty()) << where;
+            }
+            if (d.checker == "send_wait" || d.checker == "dir_check") {
+                auto last = std::find_if(
+                    d.witness.steps.rbegin(), d.witness.steps.rend(),
+                    [](const support::WitnessStep& step) {
+                        return !isPrunedNote(step);
+                    });
+                ASSERT_NE(last, d.witness.steps.rend()) << where;
+                const std::string rule = "rule " + d.rule;
+                EXPECT_TRUE(last->note == rule ||
+                            last->note.rfind(rule + ",", 0) == 0)
+                    << where << ": last step '" << last->note << "'";
             }
             ++checked;
         }

@@ -47,7 +47,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from mccheckd_client import DaemonClient  # noqa: E402
 
 PROTOCOL = "bitvector"
-ENGINE_CHECKERS = ("msglen_check", "wait_for_db")
+ENGINE_CHECKERS = ("msglen_check", "wait_for_db", "send_wait", "dir_check")
 KEY_PREFIXES = ("engine.", "budget.", "witness.", "ledger.", "resident.",
                 "unit.")
 
