@@ -71,10 +71,15 @@ class BufferMgmtChecker : public Checker
     absorb(const Checker& other) override
     {
         Checker::absorb(other);
-        if (auto* o = dynamic_cast<const BufferMgmtChecker*>(&other)) {
-            annotations_seen_ += o->annotations_seen_;
-            annotations_unneeded_ += o->annotations_unneeded_;
-        }
+        const auto& o = static_cast<const BufferMgmtChecker&>(other);
+        annotations_seen_ += o.annotations_seen_;
+        annotations_unneeded_ += o.annotations_unneeded_;
+    }
+
+    bool
+    hasRunState() const override
+    {
+        return annotations_seen_ != 0 || annotations_unneeded_ != 0;
     }
 
     void

@@ -52,10 +52,15 @@ class ExecRestrictChecker : public Checker
     absorb(const Checker& other) override
     {
         Checker::absorb(other);
-        if (auto* o = dynamic_cast<const ExecRestrictChecker*>(&other)) {
-            handlers_checked_ += o->handlers_checked_;
-            vars_checked_ += o->vars_checked_;
-        }
+        const auto& o = static_cast<const ExecRestrictChecker&>(other);
+        handlers_checked_ += o.handlers_checked_;
+        vars_checked_ += o.vars_checked_;
+    }
+
+    bool
+    hasRunState() const override
+    {
+        return handlers_checked_ != 0 || vars_checked_ != 0;
     }
 
     void

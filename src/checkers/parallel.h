@@ -69,9 +69,10 @@ struct CfgCache
  * slot compare when the grid is unchanged (an edit that adds or removes
  * no function), otherwise one match by key while the slots are re-laid
  * for the new grid. The merge reads reused units in place — no encode,
- * decode, re-instantiation or copy — and a run writes only the slots of
- * the units it ran or replayed from the disk cache, so a re-check's
- * store work follows the edit, not the program.
+ * decode, re-instantiation or copy, and for a unit without run state not
+ * even its instance — and a run writes only the slots of the units it
+ * ran or replayed from the disk cache, so a re-check's store work
+ * follows the edit, not the program.
  *
  * Diagnostics carry file ids of the program they came from: the owner
  * drops the store whenever it rebuilds or evicts that program. Not
@@ -86,6 +87,13 @@ struct ResidentUnits
         /** The kept instance; null when the slot keeps nothing. */
         std::unique_ptr<const Checker> checker;
         std::vector<support::Diagnostic> diags;
+        /**
+         * What the merge reads instead of the instance when it has no
+         * run state (Checker::hasRunState): its applied count. Both are
+         * read once, when the unit is kept.
+         */
+        int applied = 0;
+        bool stateful = false;
     };
     std::vector<Slot> slots;
     /** Units the most recent completed run took from the store. */
@@ -203,9 +211,10 @@ struct ParallelRunOptions
 
 /**
  * The per-checker head of every unitCacheKey: engine version, checker
- * identity + options + metal source (all from `def`) and the witness
- * configuration. The witness settings are process globals set per
- * request, so build the prefix once per run, not once per process.
+ * identity + options + metal source (`def.keyPrefix()`, hashed when the
+ * definition was built) and the witness configuration. The witness
+ * settings are process globals set per request, so build the prefix
+ * once per run, not once per process; it costs a copy and two appends.
  */
 support::Fnv1a unitCacheKeyPrefix(const CheckerDef& def);
 

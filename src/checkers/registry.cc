@@ -1,5 +1,6 @@
 #include "checkers/registry.h"
 
+#include "cache/analysis_cache.h"
 #include "checkers/buffer_alloc.h"
 #include "checkers/buffer_mgmt.h"
 #include "checkers/exec_restrict.h"
@@ -8,6 +9,7 @@
 #include "checkers/no_float.h"
 #include "flash/macros.h"
 #include "support/text.h"
+#include "support/version.h"
 
 #include <algorithm>
 #include <map>
@@ -145,6 +147,14 @@ CheckerDef::CheckerDef(
     // ever pays for (or races on) the first compilation.
     if (metal_.sm)
         metal_.sm->compiled();
+    key_prefix_.i64(cache::kCacheFormatVersion);
+    key_prefix_.str(support::kToolVersion);
+    key_prefix_.str(name_);
+    key_prefix_.str(metal_source_);
+    key_prefix_.u8(options_.value_sensitive_frees ? 1 : 0);
+    // PruneStrategy::Off encodes 0 — the byte the old boolean flag
+    // wrote — so existing cache entries stay valid for unpruned runs.
+    key_prefix_.u8(static_cast<std::uint8_t>(options_.prune_strategy));
 }
 
 metal::SmRunOptions

@@ -5,6 +5,7 @@
 #include "metal/engine.h"
 #include "metal/feasibility.h"
 #include "metal/metal_parser.h"
+#include "support/hash.h"
 
 #include <memory>
 #include <span>
@@ -101,6 +102,14 @@ class CheckerDef
     AppliedRule appliedRule() const { return applied_rule_; }
 
     /**
+     * The head of every unit key of this checker that depends on the
+     * definition alone — cache format and tool version, name, metal
+     * source, options — hashed once at construction.
+     * unitCacheKeyPrefix appends the run's witness configuration to it.
+     */
+    const support::Fnv1a& keyPrefix() const { return key_prefix_; }
+
+    /**
      * How this metal checker runs over one function of a run on
      * `spec`: under its prune strategy, with its `extern` call tests
      * bound to `spec` (stored in `tests`, which must outlive the run),
@@ -154,6 +163,7 @@ class CheckerDef
     /** One predicate per metal_.call_tests name, in its order. */
     std::vector<CallPredicate> call_tests_;
     EndOfPathExemption exemption_ = nullptr;
+    support::Fnv1a key_prefix_;
 };
 
 /**

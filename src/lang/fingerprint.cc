@@ -6,15 +6,13 @@
 namespace mc::lang {
 
 std::uint64_t
-unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
+tokenStreamFingerprint(std::string_view file_name, const TokenSource& src,
+                       const std::vector<Token>& tokens,
+                       const std::vector<std::string>& directives)
 {
     support::Fnv1a h;
-    h.str(sm.fileName(file_id));
-    Lexer lexer(sm, file_id);
-    const TokenSource& src = lexer.source();
-    // Units reaching the cache already parsed once, so lexAll cannot
-    // throw here; a LexError would simply propagate to the caller.
-    for (const Token& tok : lexer.lexAll()) {
+    h.str(file_name);
+    for (const Token& tok : tokens) {
         // The End marker carries no diagnostic position — hashing its
         // location would make a trailing comment invalidate the unit.
         if (tok.kind == TokKind::End)
@@ -25,9 +23,20 @@ unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
         h.i64(loc.line);
         h.i64(loc.column);
     }
-    for (const std::string& directive : lexer.directives())
+    for (const std::string& directive : directives)
         h.str(directive);
     return h.value();
+}
+
+std::uint64_t
+unitFingerprint(const support::SourceManager& sm, std::int32_t file_id)
+{
+    Lexer lexer(sm, file_id);
+    // Units reaching the cache already parsed once, so lexAll cannot
+    // throw here; a LexError would simply propagate to the caller.
+    const std::vector<Token> tokens = lexer.lexAll();
+    return tokenStreamFingerprint(sm.fileName(file_id), lexer.source(),
+                                  tokens, lexer.directives());
 }
 
 namespace {

@@ -4,6 +4,8 @@
 #include "lang/program.h"
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace mc::lang {
@@ -39,6 +41,17 @@ namespace mc::lang {
 /** Fingerprint of one registered file's token stream. Stable across runs. */
 std::uint64_t unitFingerprint(const support::SourceManager& sm,
                               std::int32_t file_id);
+
+/**
+ * unitFingerprint of the file named `file_name`, from the `tokens` and
+ * `directives` a lexer over `src` already produced for it: how
+ * Program::updateSource fills a re-parsed unit's memo without lexing
+ * the file a second time.
+ */
+std::uint64_t tokenStreamFingerprint(std::string_view file_name,
+                                     const TokenSource& src,
+                                     const std::vector<Token>& tokens,
+                                     const std::vector<std::string>& directives);
 
 /**
  * One fingerprint per function definition, in `program.functions()`

@@ -1,5 +1,6 @@
 #include "lang/program.h"
 
+#include "lang/fingerprint.h"
 #include "support/metrics.h"
 
 namespace mc::lang {
@@ -27,7 +28,7 @@ Program::publishArenaMetrics() const
 }
 
 TranslationUnit
-Program::parseUnit(std::int32_t id)
+Program::parseUnit(std::int32_t id, std::uint64_t* fingerprint)
 {
     TranslationUnit tu;
     try {
@@ -35,6 +36,9 @@ Program::parseUnit(std::int32_t id)
         support::ScopedTimer lex_timer(langTimer("lang.lex"));
         std::vector<Token> tokens = lexer.lexAll();
         lex_timer.stop();
+        if (fingerprint)
+            *fingerprint = tokenStreamFingerprint(
+                sm_.fileName(id), lexer.source(), tokens, lexer.directives());
         ParserOptions options;
         options.recover = recover_;
         Parser parser(ctx_, lexer.source(), std::move(tokens), &symbols_,
@@ -67,7 +71,11 @@ Program::addSource(std::string name, std::string source)
     units_.push_back(parseUnit(id));
     TranslationUnit& stored = units_.back();
     runSema(stored);
+    const std::size_t before = functions_.size();
     indexFunctions(stored);
+    unit_definitions_.push_back(functions_.size() - before);
+    if (functions_.size() != before)
+        ++definition_names_version_;
     timer.stop();
     publishArenaMetrics();
     return stored;
@@ -92,10 +100,15 @@ Program::updateSource(const std::string& name, std::string source)
     arena_waste_ += sm_.fileContents(id).size();
     if (!sm_.replaceFile(id, std::move(source)))
         return nullptr;
-    units_[slot] = parseUnit(id);
+    std::uint64_t fingerprint = 0;
+    units_[slot] = parseUnit(id, &fingerprint);
     TranslationUnit& stored = units_[slot];
     runSema(stored);
-    reindexFunctions();
+    // Replacing the unit emptied its memo; what the parse's own tokens
+    // hash to is exactly what a re-lex would compute. A recovered unit
+    // gets no fingerprint either way.
+    stored.fingerprint.value.store(fingerprint, std::memory_order_relaxed);
+    reindexUnit(slot);
     timer.stop();
     publishArenaMetrics();
     return &stored;
@@ -109,14 +122,59 @@ Program::runSema(TranslationUnit& unit)
 }
 
 void
-Program::reindexFunctions()
+Program::reindexUnit(std::size_t slot)
 {
-    functions_.clear();
-    by_name_ = support::SymbolMap<const FunctionDecl*>(nullptr);
-    // Slot order is addition order, so the rebuilt index matches what a
-    // fresh program built from the same file list would produce.
-    for (const TranslationUnit& unit : units_)
-        indexFunctions(unit);
+    // functions_ lists each unit's definitions together, in slot order,
+    // so the unit's old definitions are one run of it.
+    std::size_t first = 0;
+    for (std::size_t i = 0; i < slot; ++i)
+        first += unit_definitions_[i];
+    const auto begin = functions_.begin() + static_cast<std::ptrdiff_t>(first);
+    const std::vector<const FunctionDecl*> old(
+        begin, begin + static_cast<std::ptrdiff_t>(unit_definitions_[slot]));
+    const std::vector<const FunctionDecl*> fresh =
+        units_[slot].functionDefinitions();
+    functions_.erase(begin, begin + static_cast<std::ptrdiff_t>(old.size()));
+    functions_.insert(functions_.begin() + static_cast<std::ptrdiff_t>(first),
+                      fresh.begin(), fresh.end());
+    unit_definitions_[slot] = fresh.size();
+
+    const std::int32_t file_id = units_[slot].file_id;
+    // A name's latest definition wins. File ids grow with slots (each
+    // addSource registers a new file), so a definition's file id tells
+    // whether its unit comes before or after this one.
+    auto rebind = [&](support::SymbolId sym) {
+        const FunctionDecl* winner = by_name_.find(sym);
+        if (winner && winner->loc.file_id > file_id)
+            return;
+        for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
+            if ((*it)->sym == sym) {
+                by_name_.set(sym, *it);
+                return;
+            }
+        }
+        if (!winner || winner->loc.file_id < file_id)
+            return;
+        // The unit no longer defines a name it held the latest
+        // definition of: an earlier unit's, if any, takes over.
+        const FunctionDecl* earlier = nullptr;
+        for (std::size_t i = first; i-- > 0;) {
+            if (functions_[i]->sym == sym) {
+                earlier = functions_[i];
+                break;
+            }
+        }
+        by_name_.set(sym, earlier);
+    };
+    bool same_names = old.size() == fresh.size();
+    for (std::size_t i = 0; i < old.size(); ++i) {
+        rebind(old[i]->sym);
+        same_names = same_names && old[i]->sym == fresh[i]->sym;
+    }
+    for (const FunctionDecl* fn : fresh)
+        rebind(fn->sym);
+    if (!same_names)
+        ++definition_names_version_;
 }
 
 void

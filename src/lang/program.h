@@ -100,27 +100,52 @@ class Program
     /** Definition of `name`, or nullptr. */
     const FunctionDecl* findFunction(std::string_view name) const;
 
+    /**
+     * Changes whenever the names of functions(), in order, may have
+     * changed: every addSource that defines a function, and every
+     * updateSource whose unit now defines other names than before. A
+     * caller that derives something from the names alone (the daemon's
+     * files-mode spec) re-derives it only when this moves.
+     */
+    std::uint64_t definitionNamesVersion() const
+    {
+        return definition_names_version_;
+    }
+
   private:
     AstContext ctx_;
     support::SourceManager sm_;
     ParserSymbols symbols_;
     Sema sema_;
-    /** Lex + parse one registered file into a unit (recover rules). */
-    TranslationUnit parseUnit(std::int32_t file_id);
+    /**
+     * Lex + parse one registered file into a unit (recover rules). With
+     * `fingerprint`, also hash the lexed tokens into it
+     * (tokenStreamFingerprint), so the unit's fingerprint memo costs no
+     * second lex.
+     */
+    TranslationUnit parseUnit(std::int32_t file_id,
+                              std::uint64_t* fingerprint = nullptr);
 
     /** Sema over a freshly parsed unit, under the "lang.sema" timer. */
     void runSema(TranslationUnit& unit);
 
-    /** Rebuild functions_/by_name_ from units_ in slot order. */
-    void reindexFunctions();
     /** Append `unit`'s function definitions to functions_/by_name_. */
     void indexFunctions(const TranslationUnit& unit);
+    /**
+     * Replace the definitions of the unit in `slot`, just re-parsed, in
+     * functions_/by_name_: only its own definitions move, and only the
+     * names it defined before or defines now are looked up again.
+     */
+    void reindexUnit(std::size_t slot);
 
     /** Feed the lang.ast_nodes / lang.arena_bytes gauges (--metrics). */
     void publishArenaMetrics() const;
 
     std::deque<TranslationUnit> units_;
     std::vector<const FunctionDecl*> functions_;
+    /** Per slot of units_, how many entries of functions_ it defines. */
+    std::vector<std::size_t> unit_definitions_;
+    std::uint64_t definition_names_version_ = 0;
     /** Each function name's latest definition, by symbol. */
     support::SymbolMap<const FunctionDecl*> by_name_{nullptr};
     bool recover_ = false;

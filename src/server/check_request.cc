@@ -23,6 +23,7 @@
 #include "server/check_units.h"
 #include "server/resident.h"
 #include "server/sharded_check.h"
+#include "support/metrics.h"
 #include "support/text.h"
 #include "support/trace.h"
 #include "support/witness.h"
@@ -508,6 +509,9 @@ check(const CheckRequest& req, cache::AnalysisCache* cache,
     outcome.units_reused = target.units ? target.units->reused : 0;
 
     // Protocol runs append the per-checker table; the others a summary.
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    support::ScopedTimer emit_timer(
+        metrics.enabled() ? &metrics.timer("phase.emit") : nullptr);
     const bool table = req.mode == CheckRequest::Mode::Protocol;
     emitFindings(req, sink, &program.sourceManager(),
                  table ? &stats : nullptr, out, outcome);
@@ -517,6 +521,7 @@ check(const CheckRequest& req, cache::AnalysisCache* cache,
         out << sink.count(support::Severity::Error) << " error(s), "
             << sink.count(support::Severity::Warning) << " warning(s)\n";
     }
+    emit_timer.stop();
     return exitCode(program.degraded() || health.unit_failures > 0 ||
                         health.budget_truncations > 0,
                     sink);

@@ -19,6 +19,7 @@
 #include "corpus/generator.h"
 #include "server/resident.h"
 #include "support/fault_injection.h"
+#include "support/metrics.h"
 #include "support/text.h"
 #include "support/witness.h"
 
@@ -72,8 +73,15 @@ loadTarget(const CheckRequest& request, ResidentState* resident,
     }
     const FileReader reader =
         request.read_file ? request.read_file : FileReader(readDiskFile);
-    target.files = resident ? resident->prepareFiles(request.files, reader)
-                            : buildProgramOneShot(request.files, reader);
+    if (resident) {
+        support::MetricsRegistry& metrics =
+            support::MetricsRegistry::global();
+        support::ScopedTimer timer(
+            metrics.enabled() ? &metrics.timer("server.prepare") : nullptr);
+        target.files = resident->prepareFiles(request.files, reader);
+    } else {
+        target.files = buildProgramOneShot(request.files, reader);
+    }
     if (!target.files.ok)
         return target.files.error;
     target.program = target.files.program;

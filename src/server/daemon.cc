@@ -28,23 +28,32 @@ millisSince(Clock::time_point t0)
         .count();
 }
 
+/** The named daemon phase timer when --metrics is on, else null. */
+support::Timer*
+serverTimer(const char* name)
+{
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    return metrics.enabled() ? &metrics.timer(name) : nullptr;
+}
+
 JsonValue
 uintNumber(std::uint64_t v)
 {
     return JsonValue::number(v);
 }
 
-/** Extract a required string member, or fail with a naming message. */
+/** Move a required string member out of `params`, or fail with a
+ *  naming message. */
 bool
-takeString(const JsonValue* params, const std::string& key,
-           std::string& out, std::string& error)
+takeString(JsonValue* params, const std::string& key, std::string& out,
+           std::string& error)
 {
-    const JsonValue* v = params ? params->get(key) : nullptr;
+    JsonValue* v = params ? params->get(key) : nullptr;
     if (!v || !v->isString()) {
         error = "'" + key + "' must be a string";
         return false;
     }
-    out = v->asString();
+    out = v->takeString();
     return true;
 }
 
@@ -101,6 +110,7 @@ Daemon::handleRequestLine(const std::string& line)
     auto finish = [&](JsonValue response) {
         event.wall_ms = millisSince(t0);
         finishRequest(event);
+        support::ScopedTimer encode_timer(serverTimer("server.encode"));
         return response.dump();
     };
 
@@ -112,7 +122,10 @@ Daemon::handleRequestLine(const std::string& line)
 
     JsonValue request;
     std::string parse_error;
-    if (!JsonValue::parse(line, request, parse_error))
+    support::ScopedTimer decode_timer(serverTimer("server.decode"));
+    const bool parsed = JsonValue::parse(line, request, parse_error);
+    decode_timer.stop();
+    if (!parsed)
         return finish(makeErrorResponse(/*has_id=*/false, 0,
                                         protocol::kParseError,
                                         parse_error));
@@ -196,7 +209,7 @@ Daemon::handleRequestLine(const std::string& line)
 }
 
 JsonValue
-Daemon::dispatch(const std::string& method, const JsonValue* params,
+Daemon::dispatch(const std::string& method, JsonValue* params,
                  support::LedgerRequestEvent& event)
 {
     const std::int64_t id = static_cast<std::int64_t>(event.id);
@@ -243,14 +256,17 @@ Daemon::dispatch(const std::string& method, const JsonValue* params,
 }
 
 JsonValue
-Daemon::handleCheck(const JsonValue* params,
-                    support::LedgerRequestEvent& event)
+Daemon::handleCheck(JsonValue* params, support::LedgerRequestEvent& event)
 {
     const std::int64_t id = static_cast<std::int64_t>(event.id);
 
     CheckRequest request;
     std::string error;
-    if (!parseCheckParams(params, options_.default_jobs, request, error))
+    support::ScopedTimer decode_timer(serverTimer("server.decode"));
+    const bool decoded =
+        takeCheckParams(params, options_.default_jobs, request, error);
+    decode_timer.stop();
+    if (!decoded)
         return makeErrorResponse(/*has_id=*/true, id,
                                  protocol::kInvalidParams, error);
 
@@ -270,13 +286,16 @@ Daemon::handleCheck(const JsonValue* params,
         runCheckRequest(request, disk_cache_.get(), &resident_, out, err);
     const double wall_ms = millisSince(t0);
 
-    std::string stderr_text = err.str();
+    std::string stderr_text = std::move(err).str();
     if (disk_cache_) {
         if (options_.cache_limit_mb > 0)
             disk_cache_->trim(options_.cache_limit_mb * 1024ull * 1024ull);
         for (const std::string& warning : disk_cache_->takeWarnings())
             stderr_text += "mccheck: cache: " + warning + "\n";
     }
+    // Building the result is the first half of encoding the response;
+    // handleRequestLine's dump is the second.
+    support::ScopedTimer encode_timer(serverTimer("server.encode"));
 
     event.status = "ok";
     event.exit_code = outcome.exit_code;
@@ -312,7 +331,8 @@ Daemon::handleCheck(const JsonValue* params,
     result.set("warnings",
                JsonValue::number(
                    static_cast<std::int64_t>(outcome.warnings)));
-    result.set("output", JsonValue::string(out.str()));
+    // Moved, not copied: the response dump is the output's one copy.
+    result.set("output", JsonValue::string(std::move(out).str()));
     result.set("stderr", JsonValue::string(std::move(stderr_text)));
     result.set("stats", std::move(stats));
     return makeResultResponse(id, std::move(result));
@@ -355,8 +375,7 @@ Daemon::handleCheckUnits(const JsonValue* params,
 }
 
 JsonValue
-Daemon::handleOpen(const JsonValue* params, bool must_exist,
-                   std::string& error)
+Daemon::handleOpen(JsonValue* params, bool must_exist, std::string& error)
 {
     std::string path;
     std::string text;
@@ -375,7 +394,7 @@ Daemon::handleOpen(const JsonValue* params, bool must_exist,
 }
 
 JsonValue
-Daemon::handleClose(const JsonValue* params, std::string& error)
+Daemon::handleClose(JsonValue* params, std::string& error)
 {
     std::string path;
     if (!takeString(params, "path", path, error))

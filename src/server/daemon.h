@@ -114,15 +114,17 @@ class Daemon
         double wall_ms = 0.0;
     };
 
-    JsonValue dispatch(const std::string& method, const JsonValue* params,
+    /** `params` belongs to the request being handled: handlers move
+     *  what they keep out of it. */
+    JsonValue dispatch(const std::string& method, JsonValue* params,
                        support::LedgerRequestEvent& event);
-    JsonValue handleCheck(const JsonValue* params,
+    JsonValue handleCheck(JsonValue* params,
                           support::LedgerRequestEvent& event);
     JsonValue handleCheckUnits(const JsonValue* params,
                                support::LedgerRequestEvent& event);
-    JsonValue handleOpen(const JsonValue* params, bool must_exist,
+    JsonValue handleOpen(JsonValue* params, bool must_exist,
                          std::string& error);
-    JsonValue handleClose(const JsonValue* params, std::string& error);
+    JsonValue handleClose(JsonValue* params, std::string& error);
     JsonValue statusResult();
     void finishRequest(const support::LedgerRequestEvent& event);
 

@@ -2,62 +2,17 @@
 
 #include "support/text.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace mc::server {
 
 namespace {
 
 constexpr int kMaxDepth = 64;
-
-/** Cursor over the input with one-token-lookahead helpers. */
-struct Parser
-{
-    std::string_view text;
-    std::size_t pos = 0;
-    std::string error;
-
-    bool fail(const std::string& what)
-    {
-        if (error.empty()) {
-            std::ostringstream os;
-            os << what << " at offset " << pos;
-            error = os.str();
-        }
-        return false;
-    }
-
-    void skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool atEnd()
-    {
-        skipWs();
-        return pos >= text.size();
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool parseValue(JsonValue& out, int depth);
-    bool parseString(std::string& out);
-    bool parseNumber(JsonValue& out);
-    bool parseLiteral(std::string_view word);
-};
 
 void
 appendUtf8(std::string& out, unsigned cp)
@@ -101,8 +56,58 @@ parseHex4(std::string_view text, std::size_t pos, unsigned& out)
     return true;
 }
 
+} // namespace
+
+/** Cursor over the input with one-token-lookahead helpers. */
+struct JsonValue::Parser
+{
+    std::string_view text;
+    std::size_t pos = 0;
+    std::string error;
+
+    bool fail(const std::string& what)
+    {
+        if (error.empty()) {
+            std::ostringstream os;
+            os << what << " at offset " << pos;
+            error = os.str();
+        }
+        return false;
+    }
+
+    void skipWs()
+    {
+        while (pos < text.size() &&
+               (text[pos] == ' ' || text[pos] == '\t' ||
+                text[pos] == '\n' || text[pos] == '\r'))
+            ++pos;
+    }
+
+    bool atEnd()
+    {
+        skipWs();
+        return pos >= text.size();
+    }
+
+    bool consume(char c)
+    {
+        skipWs();
+        if (pos < text.size() && text[pos] == c) {
+            ++pos;
+            return true;
+        }
+        return false;
+    }
+
+    /** Parse the next value into `out`, a default-constructed value. */
+    bool parseValue(JsonValue& out, int depth);
+    bool parseString(std::string& out);
+    bool parseNumber(JsonValue& out);
+    bool parseLiteral(std::string_view word);
+};
+
 bool
-Parser::parseString(std::string& out)
+JsonValue::Parser::parseString(std::string& out)
 {
     skipWs();
     if (pos >= text.size() || text[pos] != '"')
@@ -110,6 +115,15 @@ Parser::parseString(std::string& out)
     ++pos;
     out.clear();
     while (pos < text.size()) {
+        // Everything up to the next quote, backslash or control byte is
+        // copied as one run.
+        const char* run = text.data() + pos;
+        const char* stop =
+            support::jsonPlainRunEnd(run, text.data() + text.size());
+        out.append(run, static_cast<std::size_t>(stop - run));
+        pos = static_cast<std::size_t>(stop - text.data());
+        if (pos >= text.size())
+            break;
         unsigned char c = static_cast<unsigned char>(text[pos]);
         if (c == '"') {
             ++pos;
@@ -117,11 +131,6 @@ Parser::parseString(std::string& out)
         }
         if (c < 0x20)
             return fail("raw control character in string");
-        if (c != '\\') {
-            out.push_back(static_cast<char>(c));
-            ++pos;
-            continue;
-        }
         if (pos + 1 >= text.size())
             return fail("truncated escape");
         char esc = text[pos + 1];
@@ -164,7 +173,7 @@ Parser::parseString(std::string& out)
 }
 
 bool
-Parser::parseNumber(JsonValue& out)
+JsonValue::Parser::parseNumber(JsonValue& out)
 {
     std::size_t start = pos;
     bool integral = true;
@@ -198,23 +207,23 @@ Parser::parseNumber(JsonValue& out)
         while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9')
             ++pos;
     }
-    const std::string token(text.substr(start, pos - start));
+    const char* first = text.data() + start;
+    const char* last = text.data() + pos;
     if (integral) {
-        errno = 0;
-        char* end = nullptr;
-        long long v = std::strtoll(token.c_str(), &end, 10);
-        if (errno == 0 && end && *end == '\0') {
-            out = JsonValue::number(static_cast<std::int64_t>(v));
+        std::int64_t v = 0;
+        if (std::from_chars(first, last, v).ec == std::errc()) {
+            out = JsonValue::number(v);
             return true;
         }
         // Out of int64 range: fall through to double, losing exactness.
     }
+    const std::string token(first, last);
     out = JsonValue::number(std::strtod(token.c_str(), nullptr));
     return true;
 }
 
 bool
-Parser::parseLiteral(std::string_view word)
+JsonValue::Parser::parseLiteral(std::string_view word)
 {
     if (text.substr(pos, word.size()) != word)
         return fail("malformed literal");
@@ -223,7 +232,7 @@ Parser::parseLiteral(std::string_view word)
 }
 
 bool
-Parser::parseValue(JsonValue& out, int depth)
+JsonValue::Parser::parseValue(JsonValue& out, int depth)
 {
     if (depth > kMaxDepth)
         return fail("nesting too deep");
@@ -233,7 +242,7 @@ Parser::parseValue(JsonValue& out, int depth)
     char c = text[pos];
     if (c == '{') {
         ++pos;
-        out = JsonValue::object();
+        out.kind_ = Kind::Object;
         if (consume('}'))
             return true;
         while (true) {
@@ -255,14 +264,12 @@ Parser::parseValue(JsonValue& out, int depth)
     }
     if (c == '[') {
         ++pos;
-        out = JsonValue::array();
+        out.kind_ = Kind::Array;
         if (consume(']'))
             return true;
         while (true) {
-            JsonValue value;
-            if (!parseValue(value, depth + 1))
+            if (!parseValue(out.items_.emplace_back(), depth + 1))
                 return false;
-            out.push(std::move(value));
             if (consume(','))
                 continue;
             if (consume(']'))
@@ -271,11 +278,8 @@ Parser::parseValue(JsonValue& out, int depth)
         }
     }
     if (c == '"') {
-        std::string s;
-        if (!parseString(s))
-            return false;
-        out = JsonValue::string(std::move(s));
-        return true;
+        out.kind_ = Kind::String;
+        return parseString(out.string_);
     }
     if (c == 't') {
         if (!parseLiteral("true"))
@@ -289,13 +293,28 @@ Parser::parseValue(JsonValue& out, int depth)
         out = JsonValue::boolean(false);
         return true;
     }
-    if (c == 'n') {
-        if (!parseLiteral("null"))
-            return false;
-        out = JsonValue();
-        return true;
-    }
+    if (c == 'n')
+        return parseLiteral("null");
     return parseNumber(out);
+}
+
+namespace {
+
+/**
+ * About the size `v` dumps to, escapes aside. dump reserves it with an
+ * eighth more for escapes, so a response carrying a long output fills
+ * one buffer instead of growing it by doubling.
+ */
+std::size_t
+dumpSizeHint(const JsonValue& v)
+{
+    // Punctuation and scalars: a few bytes per value.
+    std::size_t n = 24 + v.asString().size();
+    for (const JsonValue& item : v.items())
+        n += dumpSizeHint(item);
+    for (const auto& [key, value] : v.members())
+        n += key.size() + dumpSizeHint(value);
+    return n;
 }
 
 void
@@ -310,7 +329,10 @@ dumpInto(const JsonValue& v, std::string& out)
         break;
       case JsonValue::Kind::Number: {
         if (v.isIntegral()) {
-            out += std::to_string(v.asInt());
+            char digits[24];
+            const auto end =
+                std::to_chars(digits, digits + sizeof digits, v.asInt()).ptr;
+            out.append(digits, end);
         } else {
             std::ostringstream os;
             os.precision(15);
@@ -321,7 +343,7 @@ dumpInto(const JsonValue& v, std::string& out)
       }
       case JsonValue::Kind::String:
         out += '"';
-        out += support::jsonEscape(v.asString());
+        support::appendJsonEscaped(out, v.asString());
         out += '"';
         break;
       case JsonValue::Kind::Array: {
@@ -344,7 +366,7 @@ dumpInto(const JsonValue& v, std::string& out)
                 out += ", ";
             first = false;
             out += '"';
-            out += support::jsonEscape(key);
+            support::appendJsonEscaped(out, key);
             out += "\": ";
             dumpInto(value, out);
         }
@@ -462,6 +484,12 @@ JsonValue::get(const std::string& key) const
     return nullptr;
 }
 
+JsonValue*
+JsonValue::get(const std::string& key)
+{
+    return const_cast<JsonValue*>(std::as_const(*this).get(key));
+}
+
 void
 JsonValue::set(std::string key, JsonValue v)
 {
@@ -478,6 +506,8 @@ std::string
 JsonValue::dump() const
 {
     std::string out;
+    const std::size_t hint = dumpSizeHint(*this);
+    out.reserve(hint + hint / 8);
     dumpInto(*this, out);
     return out;
 }

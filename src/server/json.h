@@ -60,6 +60,8 @@ class JsonValue
     /** Integral value; `ok` (if given) reports non-integral numbers. */
     std::int64_t asInt(std::int64_t dflt = 0, bool* ok = nullptr) const;
     const std::string& asString() const { return string_; }
+    /** Move the string out of a value about to be dropped. */
+    std::string takeString() { return std::move(string_); }
 
     /** True when the number's *value* is a representable whole number
      *  (JSON Schema's notion of integer: 3 and 3.0 qualify, 1.5 does
@@ -68,6 +70,7 @@ class JsonValue
 
     // ---- arrays -------------------------------------------------------
     const std::vector<JsonValue>& items() const { return items_; }
+    std::vector<JsonValue>& items() { return items_; }
     void push(JsonValue v);
 
     // ---- objects (insertion-ordered) ----------------------------------
@@ -77,6 +80,7 @@ class JsonValue
     }
     /** Member by key, or nullptr. */
     const JsonValue* get(const std::string& key) const;
+    JsonValue* get(const std::string& key);
     /** Insert or overwrite a member (insertion position kept). */
     void set(std::string key, JsonValue v);
 
@@ -92,6 +96,10 @@ class JsonValue
                       std::string& error);
 
   private:
+    /** The recursive-descent reader behind parse; it fills values in
+     *  place. */
+    struct Parser;
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;

@@ -73,11 +73,14 @@ paramNeeds(const RequestOption& row)
     return "a string";
 }
 
-} // namespace
-
+/**
+ * parseCheckParams, moving the `files` paths out of `owned` when given
+ * (`owned` is then `params`).
+ */
 bool
-parseCheckParams(const JsonValue* params, unsigned default_jobs,
-                 CheckRequest& out, std::string& error)
+decodeCheckParams(const JsonValue* params, JsonValue* owned,
+                  unsigned default_jobs, CheckRequest& out,
+                  std::string& error)
 {
     if (!params || !params->isObject())
         return failParam(error, "'check' needs a params object");
@@ -116,11 +119,18 @@ parseCheckParams(const JsonValue* params, unsigned default_jobs,
     if (files) {
         if (!files->isArray())
             return failParam(error, "'files' must be an array of paths");
-        for (const JsonValue& f : files->items()) {
+        std::vector<JsonValue>* taken =
+            owned ? &owned->get(kFilesKey)->items() : nullptr;
+        out.files.reserve(files->items().size());
+        for (std::size_t i = 0; i < files->items().size(); ++i) {
+            const JsonValue& f = files->items()[i];
             if (!f.isString())
                 return failParam(error,
                                  "'files' must be an array of paths");
-            out.files.push_back(f.asString());
+            if (taken)
+                out.files.push_back((*taken)[i].takeString());
+            else
+                out.files.push_back(f.asString());
         }
     }
     if (!target && !files) {
@@ -138,6 +148,22 @@ parseCheckParams(const JsonValue* params, unsigned default_jobs,
                                              "' needs source files to check"
                                        : std::string("no input files"));
     return true;
+}
+
+} // namespace
+
+bool
+parseCheckParams(const JsonValue* params, unsigned default_jobs,
+                 CheckRequest& out, std::string& error)
+{
+    return decodeCheckParams(params, nullptr, default_jobs, out, error);
+}
+
+bool
+takeCheckParams(JsonValue* params, unsigned default_jobs, CheckRequest& out,
+                std::string& error)
+{
+    return decodeCheckParams(params, params, default_jobs, out, error);
 }
 
 JsonValue

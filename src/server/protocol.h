@@ -75,6 +75,14 @@ bool parseCheckParams(const JsonValue* params, unsigned default_jobs,
                       CheckRequest& out, std::string& error);
 
 /**
+ * parseCheckParams for a caller that owns `params` and drops it next
+ * (the daemon's decoded request): the `files` paths move into `out`
+ * instead of being copied.
+ */
+bool takeCheckParams(JsonValue* params, unsigned default_jobs,
+                     CheckRequest& out, std::string& error);
+
+/**
  * The inverse of parseCheckParams (with `default_jobs` 0): the target,
  * its files, and every keyed row whose value differs from a default
  * CheckRequest's. CLI-only rows and in-process fields stay out.

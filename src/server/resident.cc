@@ -118,17 +118,11 @@ ResidentState::readFile(const std::string& path, std::string& contents,
 void
 ResidentState::FileSnapshot::refreshFilesSpec()
 {
-    const std::vector<const lang::FunctionDecl*>& fns = program->functions();
-    bool same = files_spec && fns.size() == spec_defs.size();
-    for (std::size_t i = 0; same && i < fns.size(); ++i)
-        same = fns[i]->sym == spec_defs[i];
-    if (same)
+    if (files_spec && spec_names_version == program->definitionNamesVersion())
         return;
     files_spec = std::make_unique<flash::ProtocolSpec>(cliFilesSpec(*program));
     files_spec_fingerprint = flash::specFingerprint(*files_spec);
-    spec_defs.clear();
-    for (const lang::FunctionDecl* fn : fns)
-        spec_defs.push_back(fn->sym);
+    spec_names_version = program->definitionNamesVersion();
 }
 
 void

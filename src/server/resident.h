@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::server {
@@ -210,8 +211,9 @@ class ResidentState
         std::unique_ptr<flash::ProtocolSpec> files_spec;
         /** flash::specFingerprint(*files_spec), refreshed with it. */
         std::uint64_t files_spec_fingerprint = 0;
-        /** The definitions `files_spec` classifies, in program order. */
-        std::vector<support::SymbolId> spec_defs;
+        /** program->definitionNamesVersion() when `files_spec` was
+         *  built. */
+        std::uint64_t spec_names_version = 0;
         /**
          * Per file, the overlay generation its resident source was last
          * read from; 0 when it came from `reader`.
@@ -219,7 +221,8 @@ class ResidentState
         std::vector<std::uint64_t> generations;
         std::uint64_t last_used = 0;
 
-        /** Rebuild `files_spec` unless it covers `program`'s definitions. */
+        /** Rebuild `files_spec` unless it covers the names of
+         *  `program`'s definitions. */
         void refreshFilesSpec();
         /** This snapshot's resident stores, as a request sees them. */
         void publish(PreparedProgram& prepared);
@@ -243,7 +246,9 @@ class ResidentState
         std::uint64_t generation = 0;
     };
 
-    std::map<std::string, Document> documents_;
+    /** Hashed, not ordered: a check looks up every file of its list,
+     *  and paths share long prefixes an ordered compare re-reads. */
+    std::unordered_map<std::string, Document> documents_;
     /** The last generation openDocument handed out. */
     std::uint64_t document_seq_ = 0;
     std::unique_ptr<cache::AnalysisCache> memory_cache_;

@@ -6,6 +6,7 @@
 #include "support/witness.h"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <set>
 
@@ -215,53 +216,97 @@ void
 DiagnosticSink::printJson(std::ostream& os, const SourceManager* sm) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    os << "{\n  \"tool\": {\"name\": \"" << kToolName
-       << "\", \"version\": \"" << kToolVersion << "\"},\n"
-       << "  \"counts\": {\"error\": " << countLocked(Severity::Error)
-       << ", \"warning\": " << countLocked(Severity::Warning)
-       << ", \"note\": " << countLocked(Severity::Note) << "},\n"
-       << "  \"diagnostics\": [";
+    // Rendered into one buffer and written once: a stream insertion per
+    // field costs more than the bytes it writes.
+    std::string out;
+    out.reserve(256 * (diags_.size() + 1));
+    auto num = [&out](long long v) {
+        char digits[24];
+        out.append(digits,
+                   std::to_chars(digits, digits + sizeof digits, v).ptr);
+    };
+    auto str = [&out](std::string_view s) {
+        out += '"';
+        appendJsonEscaped(out, s);
+        out += '"';
+    };
+    auto file = [&](const SourceLoc& loc) {
+        if (sm)
+            str(sm->fileName(loc.file_id));
+        else
+            str("file" + std::to_string(loc.file_id));
+    };
+    out += "{\n  \"tool\": {\"name\": \"";
+    out += kToolName;
+    out += "\", \"version\": \"";
+    out += kToolVersion;
+    out += "\"},\n  \"counts\": {\"error\": ";
+    num(countLocked(Severity::Error));
+    out += ", \"warning\": ";
+    num(countLocked(Severity::Warning));
+    out += ", \"note\": ";
+    num(countLocked(Severity::Note));
+    out += "},\n  \"diagnostics\": [";
     bool first = true;
     for (std::size_t idx : emissionOrder()) {
         const Diagnostic& d = diags_[idx];
-        os << (first ? "\n" : ",\n") << "    {\"severity\": \""
-           << severityName(d.severity) << "\", \"file\": \""
-           << jsonEscape(fileNameFor(d.loc, sm))
-           << "\", \"line\": " << d.loc.line
-           << ", \"column\": " << d.loc.column << ", \"checker\": \""
-           << jsonEscape(d.checker) << "\", \"rule\": \""
-           << jsonEscape(d.rule) << "\", \"message\": \""
-           << jsonEscape(d.message) << '"';
+        out += first ? "\n" : ",\n";
+        out += "    {\"severity\": \"";
+        out += severityName(d.severity);
+        out += "\", \"file\": ";
+        file(d.loc);
+        out += ", \"line\": ";
+        num(d.loc.line);
+        out += ", \"column\": ";
+        num(d.loc.column);
+        out += ", \"checker\": ";
+        str(d.checker);
+        out += ", \"rule\": ";
+        str(d.rule);
+        out += ", \"message\": ";
+        str(d.message);
         if (!d.trace.empty()) {
-            os << ", \"trace\": [";
-            for (std::size_t i = 0; i < d.trace.size(); ++i)
-                os << (i ? ", " : "") << '"' << jsonEscape(d.trace[i])
-                   << '"';
-            os << ']';
+            out += ", \"trace\": [";
+            for (std::size_t i = 0; i < d.trace.size(); ++i) {
+                if (i)
+                    out += ", ";
+                str(d.trace[i]);
+            }
+            out += ']';
         }
         if (!d.witness.empty()) {
-            os << ", \"witness\": {\"truncated\": "
-               << (d.witness.truncated ? "true" : "false")
-               << ", \"blocks\": [";
-            for (std::size_t i = 0; i < d.witness.blocks.size(); ++i)
-                os << (i ? ", " : "") << d.witness.blocks[i];
-            os << "], \"steps\": [";
+            out += ", \"witness\": {\"truncated\": ";
+            out += d.witness.truncated ? "true" : "false";
+            out += ", \"blocks\": [";
+            for (std::size_t i = 0; i < d.witness.blocks.size(); ++i) {
+                if (i)
+                    out += ", ";
+                num(d.witness.blocks[i]);
+            }
+            out += "], \"steps\": [";
             for (std::size_t i = 0; i < d.witness.steps.size(); ++i) {
                 const WitnessStep& step = d.witness.steps[i];
-                os << (i ? ", " : "") << "{\"from\": \""
-                   << jsonEscape(step.from_state) << "\", \"to\": \""
-                   << jsonEscape(step.to_state) << "\", \"file\": \""
-                   << jsonEscape(fileNameFor(step.loc, sm))
-                   << "\", \"line\": " << step.loc.line
-                   << ", \"column\": " << step.loc.column
-                   << ", \"note\": \"" << jsonEscape(step.note) << "\"}";
+                out += i ? ", {\"from\": " : "{\"from\": ";
+                str(step.from_state);
+                out += ", \"to\": ";
+                str(step.to_state);
+                out += ", \"file\": ";
+                file(step.loc);
+                out += ", \"line\": ";
+                num(step.loc.line);
+                out += ", \"column\": ";
+                num(step.loc.column);
+                out += ", \"note\": ";
+                str(step.note);
+                out += '}';
             }
-            os << "]}";
+            out += "]}";
         }
-        os << '}';
+        out += '}';
         first = false;
     }
-    os << (first ? "" : "\n  ") << "]\n}\n";
+    out += first ? "]\n}\n" : "\n  ]\n}\n";
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 void

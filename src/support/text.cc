@@ -1,6 +1,9 @@
 #include "support/text.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 namespace mc::support {
@@ -85,31 +88,101 @@ formatTable(const std::vector<std::string>& header,
     return os.str();
 }
 
+namespace {
+
+/** True for the bytes a JSON string literal must escape. */
+bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+} // namespace
+
+const char*
+jsonPlainRunEnd(const char* p, const char* end)
+{
+    constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+    // Eight bytes at a time: the has-less and has-zero word tests flag a
+    // byte below 0x20, a quote or a backslash. They are exact for the
+    // lowest flagged byte (a borrow only falsely flags bytes above a
+    // real match), so on a little-endian word its index is the first
+    // special byte; elsewhere the hit word is rescanned byte by byte.
+    while (end - p >= 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p, sizeof w);
+        const std::uint64_t quote = w ^ (kOnes * '"');
+        const std::uint64_t backslash = w ^ (kOnes * '\\');
+        const std::uint64_t special = (((w - kOnes * 0x20) & ~w) |
+                                       ((quote - kOnes) & ~quote) |
+                                       ((backslash - kOnes) & ~backslash)) &
+                                      kHighs;
+        if (special != 0) {
+            if constexpr (std::endian::native == std::endian::little)
+                return p + std::countr_zero(special) / 8;
+            break;
+        }
+        p += sizeof w;
+    }
+    while (p != end && !needsEscape(static_cast<unsigned char>(*p)))
+        ++p;
+    return p;
+}
+
+void
+appendJsonEscaped(std::string& out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    const char* const end = s.data() + s.size();
+    // First the escaped size, so the output grows once and is then
+    // written through a pointer: escape-dense text (rendered JSON) would
+    // otherwise pay a capacity check per few bytes.
+    std::size_t size = s.size();
+    for (const char* p = jsonPlainRunEnd(s.data(), end); p != end;
+         p = jsonPlainRunEnd(p + 1, end)) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        const bool short_form = c == '"' || c == '\\' || c == '\b' ||
+                                c == '\f' || c == '\n' || c == '\r' ||
+                                c == '\t';
+        size += short_form ? 1 : 5;
+    }
+    const std::size_t at = out.size();
+    out.resize(at + size);
+    char* dst = out.data() + at;
+    const char* p = s.data();
+    while (p != end) {
+        const char* run = p;
+        p = jsonPlainRunEnd(p, end);
+        std::memcpy(dst, run, static_cast<std::size_t>(p - run));
+        dst += p - run;
+        if (p == end)
+            break;
+        const unsigned char c = static_cast<unsigned char>(*p++);
+        *dst++ = '\\';
+        switch (c) {
+          case '"': *dst++ = '"'; break;
+          case '\\': *dst++ = '\\'; break;
+          case '\b': *dst++ = 'b'; break;
+          case '\f': *dst++ = 'f'; break;
+          case '\n': *dst++ = 'n'; break;
+          case '\r': *dst++ = 'r'; break;
+          case '\t': *dst++ = 't'; break;
+          default:
+            *dst++ = 'u';
+            *dst++ = '0';
+            *dst++ = '0';
+            *dst++ = kHex[c >> 4];
+            *dst++ = kHex[c & 0xf];
+        }
+    }
+}
+
 std::string
 jsonEscape(std::string_view s)
 {
     std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                static const char* hex = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
+    appendJsonEscaped(out, s);
     return out;
 }
 

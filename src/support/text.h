@@ -36,6 +36,19 @@ std::string formatTable(const std::vector<std::string>& header,
  */
 std::string jsonEscape(std::string_view s);
 
+/**
+ * jsonEscape(s) appended to `out` in place: each run of bytes that need
+ * no escape is copied whole, so a long string costs one copy.
+ */
+void appendJsonEscaped(std::string& out, std::string_view s);
+
+/**
+ * The end of the run at [p, end) of bytes a JSON string literal holds
+ * verbatim: all but '"', '\\' and the control bytes below 0x20. Scans a
+ * word at a time; the escaper and the daemon's JSON reader share it.
+ */
+const char* jsonPlainRunEnd(const char* p, const char* end);
+
 } // namespace mc::support
 
 #endif // MCHECK_SUPPORT_TEXT_H

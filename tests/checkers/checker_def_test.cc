@@ -236,5 +236,61 @@ TEST(CheckerDefs, KeyPrefixesMatchTheOnePassKey)
     EXPECT_EQ(checked, 2 * 3 * 9 * 2 * 2 * 3);
 }
 
+/**
+ * unitCacheKeyPrefix hashed from scratch under the current witness
+ * configuration, ingredient by ingredient.
+ */
+std::uint64_t
+referencePrefix(const CheckerDef& def)
+{
+    return support::Fnv1a()
+        .i64(cache::kCacheFormatVersion)
+        .str(support::kToolVersion)
+        .str(def.name())
+        .str(def.metalSource())
+        .u8(def.options().value_sensitive_frees ? 1 : 0)
+        .u8(static_cast<std::uint8_t>(def.options().prune_strategy))
+        .u8(support::witnessEnabled() ? 1 : 0)
+        .u64(support::witnessLimit())
+        .value();
+}
+
+TEST(CheckerDefs, MemoizedPrefixesMatchAFromScratchHash)
+{
+    const bool witness_was = support::witnessEnabled();
+    const unsigned limit_was = support::witnessLimit();
+    std::vector<std::unique_ptr<const CheckerDef>> user;
+    std::vector<const CheckerDef*> defs;
+    for (metal::PruneStrategy prune :
+         {metal::PruneStrategy::Off, metal::PruneStrategy::Correlated,
+          metal::PruneStrategy::Constraints}) {
+        for (bool frees : {true, false}) {
+            CheckerSetOptions options;
+            options.value_sensitive_frees = frees;
+            options.prune_strategy = prune;
+            for (const std::string& name : allCheckerNames())
+                defs.push_back(checkerDef(name, options));
+            user.push_back(CheckerDef::fromMetal(
+                "sm t { s: { f(); } ==> stop ; }", "t.metal", options));
+            defs.push_back(user.back().get());
+        }
+    }
+    // Witness off, on, and on under --witness-limit 3 (0 is the default
+    // cap, as the request front ends install it).
+    const std::pair<bool, unsigned> configs[] = {
+        {false, 0}, {true, 0}, {true, 3}};
+    int checked = 0;
+    for (const auto& [witness, limit] : configs) {
+        support::setWitnessConfig(witness, limit);
+        for (const CheckerDef* def : defs) {
+            EXPECT_EQ(unitCacheKeyPrefix(*def).value(), referencePrefix(*def))
+                << def->name() << " witness=" << witness << "/" << limit;
+            ++checked;
+        }
+    }
+    support::setWitnessConfig(witness_was, limit_was);
+    EXPECT_EQ(checked, 3 * 3 * 2 * 10);
+}
+
 } // namespace
 } // namespace mc::checkers

@@ -451,6 +451,112 @@ TEST_P(GeneratedCorpus, FingerprintsAreStableAndSeedSensitive)
               fingerprintFunctions(*other.program));
 }
 
+TEST(UpdateSourceFingerprint, MemoEqualsTheReLexForEveryFile)
+{
+    // updateSource fills a re-parsed unit's fingerprint memo from the
+    // tokens its own parse lexed; a fresh lex of the file must hash the
+    // same, for every file of every paper program, edited or not.
+    std::size_t files = 0;
+    for (const corpus::ProtocolProfile& profile : corpus::paperProfiles()) {
+        SCOPED_TRACE(profile.name);
+        const corpus::GeneratedProtocol gen =
+            corpus::generateProtocol(profile);
+        Program program(/*recover=*/true);
+        for (const corpus::GeneratedFile& file : gen.files)
+            program.addSource(file.name, file.source);
+        for (std::size_t i = 0; i < gen.files.size(); ++i) {
+            const corpus::GeneratedFile& file = gen.files[i];
+            for (const std::string& text :
+                 {file.source, file.source + "\nint memo_probe;\n"}) {
+                SCOPED_TRACE(file.name);
+                const TranslationUnit* unit =
+                    program.updateSource(file.name, text);
+                ASSERT_NE(unit, nullptr);
+                ASSERT_TRUE(unit->issues.empty());
+                const std::uint64_t memo =
+                    unit->fingerprint.value.load(std::memory_order_relaxed);
+                EXPECT_NE(memo, 0u);
+                EXPECT_EQ(memo, unitFingerprint(program.sourceManager(),
+                                                unit->file_id));
+            }
+            ++files;
+        }
+    }
+    EXPECT_GT(files, 1000u);
+}
+
+/** Where `fn` is defined: its file's name and position. */
+std::string
+definitionSite(const Program& program, const FunctionDecl* fn)
+{
+    if (!fn)
+        return "<none>";
+    return program.sourceManager().fileName(fn->loc.file_id) + ":" +
+           std::to_string(fn->loc.line) + ":" +
+           std::to_string(fn->loc.column);
+}
+
+TEST(UpdateSourceIndex, FollowsEditsLikeAFreshProgram)
+{
+    // updateSource re-indexes only the replaced unit's definitions; the
+    // definition list and every name's latest definition must still be
+    // what a program built from scratch over the same texts holds, as
+    // edits add, remove, duplicate and rename functions.
+    const corpus::GeneratedProtocol gen =
+        corpus::generateProtocol(corpus::profileByName("bitvector"));
+    std::vector<std::string> names;
+    std::vector<std::string> texts;
+    for (std::size_t i = 0; i < gen.files.size() && i < 12; ++i) {
+        names.push_back(gen.files[i].name);
+        texts.push_back(gen.files[i].source);
+    }
+    Program resident(/*recover=*/true);
+    for (std::size_t i = 0; i < names.size(); ++i)
+        resident.addSource(names[i], texts[i]);
+    Rng rng(2026);
+    for (int step = 0; step < 120; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const std::size_t f = rng.below(static_cast<std::uint32_t>(names.size()));
+        const std::string n = std::to_string(step);
+        switch (rng.below(5)) {
+          case 0: // a new function
+            texts[f] += "\nvoid extra_" + n + "(void) { }\n";
+            break;
+          case 1: // a name another file may define too
+            texts[f] += "\nstatic void shared_helper(void) { }\n";
+            break;
+          case 2: // the same name twice in one file
+            texts[f] += "\nvoid twice(void) { }\nvoid twice(void) { }\n";
+            break;
+          case 3: // back to the generated text: added functions go
+            texts[f] = gen.files[f].source;
+            break;
+          default: // a file that defines nothing
+            texts[f] = "int only_data_" + n + ";\n";
+            break;
+        }
+        ASSERT_NE(resident.updateSource(names[f], texts[f]), nullptr);
+
+        Program fresh(/*recover=*/true);
+        for (std::size_t i = 0; i < names.size(); ++i)
+            fresh.addSource(names[i], texts[i]);
+        ASSERT_EQ(resident.functions().size(), fresh.functions().size());
+        for (std::size_t i = 0; i < fresh.functions().size(); ++i) {
+            const FunctionDecl* a = resident.functions()[i];
+            const FunctionDecl* b = fresh.functions()[i];
+            EXPECT_EQ(a->name, b->name);
+            EXPECT_EQ(definitionSite(resident, a), definitionSite(fresh, b));
+            EXPECT_EQ(definitionSite(resident, resident.findFunction(a->name)),
+                      definitionSite(fresh, fresh.findFunction(b->name)))
+                << a->name;
+        }
+        for (const char* name : {"shared_helper", "twice", "extra_0"})
+            EXPECT_EQ(definitionSite(resident, resident.findFunction(name)),
+                      definitionSite(fresh, fresh.findFunction(name)))
+                << name;
+    }
+}
+
 TEST_P(GeneratedCorpus, ColdAndWarmPipelinesProduceIdenticalBytes)
 {
     SCOPED_TRACE("seed=" + std::to_string(GetParam()));

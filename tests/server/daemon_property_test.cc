@@ -6,7 +6,9 @@
  * response must be byte-identical (output and exit code) to a fresh
  * batch runCheckRequest over the same snapshot — resident programs,
  * in-place re-parses, and fingerprint-keyed replay may never show
- * through in the bytes. Failures print the seed (SCOPED_TRACE) so any
+ * through in the bytes. Edits add, remove and damage functions, touch
+ * two files at once, and close and reopen documents; sessions run
+ * plain, with --witness and under --prune-paths correlated. Failures print the seed (SCOPED_TRACE) so any
  * divergence replays deterministically.
  */
 #include "server/daemon.h"
@@ -28,6 +30,13 @@
 namespace mc::server {
 namespace {
 
+/** The check options a session runs both sides under. */
+struct SessionOptions
+{
+    bool witness = false;
+    metal::PruneStrategy prune = metal::PruneStrategy::Off;
+};
+
 /** The authoritative answer: a cold batch run over `snapshot`. */
 struct BatchResult
 {
@@ -37,13 +46,16 @@ struct BatchResult
 
 BatchResult
 batchRun(const std::map<std::string, std::string>& snapshot,
-         const std::vector<std::string>& files)
+         const std::vector<std::string>& files,
+         const SessionOptions& options = {})
 {
     CheckRequest request;
     request.mode = CheckRequest::Mode::Files;
     request.files = files;
     request.format = support::OutputFormat::Json;
     request.jobs = 2;
+    request.witness = options.witness;
+    request.prune_strategy = options.prune;
     request.read_file = [&snapshot](const std::string& path,
                                     std::string& contents,
                                     std::string& error) {
@@ -75,6 +87,17 @@ jsonRequest(Daemon& daemon, const JsonValue& request)
 }
 
 void
+closeDocument(Daemon& daemon, const std::string& path)
+{
+    JsonValue request = JsonValue::object();
+    request.set("method", JsonValue::string("close"));
+    JsonValue params = JsonValue::object();
+    params.set("path", JsonValue::string(path));
+    request.set("params", std::move(params));
+    jsonRequest(daemon, request);
+}
+
+void
 sendDocument(Daemon& daemon, const std::string& method,
              const std::string& path, const std::string& text)
 {
@@ -89,7 +112,8 @@ sendDocument(Daemon& daemon, const std::string& method,
 
 /** One daemon check over `files`; returns (output, exit_code, stats). */
 JsonValue
-daemonCheck(Daemon& daemon, const std::vector<std::string>& files)
+daemonCheck(Daemon& daemon, const std::vector<std::string>& files,
+            const SessionOptions& options = {})
 {
     JsonValue request = JsonValue::object();
     request.set("method", JsonValue::string("check"));
@@ -100,6 +124,11 @@ daemonCheck(Daemon& daemon, const std::vector<std::string>& files)
     params.set("files", std::move(list));
     params.set("format", JsonValue::string("json"));
     params.set("jobs", JsonValue::number(std::int64_t{2}));
+    if (options.witness)
+        params.set("witness", JsonValue::boolean(true));
+    if (options.prune != metal::PruneStrategy::Off)
+        params.set("prune_paths", JsonValue::string(metal::pruneStrategyName(
+                                      options.prune)));
     request.set("params", std::move(params));
     JsonValue response = jsonRequest(daemon, request);
     const JsonValue* result = response.get("result");
@@ -137,9 +166,33 @@ class EditSession
     void mutate(Daemon& daemon)
     {
         const std::string& path = pick(paths_);
+        switch (rng_() % 7) {
+          case 5: { // two files in one step
+            const std::string& other = pick(paths_);
+            edit(daemon, path);
+            if (other != path)
+                edit(daemon, other);
+            return;
+          }
+          case 6: { // close the document, then reopen it edited
+            closeDocument(daemon, path);
+            snapshot_[path] += "int reopened_" + std::to_string(++counter_) +
+                               ";\n";
+            sendDocument(daemon, "open", path, snapshot_[path]);
+            return;
+          }
+          default:
+            edit(daemon, path);
+            return;
+        }
+    }
+
+    /** One random change of `path`'s text. */
+    void edit(Daemon& daemon, const std::string& path)
+    {
         std::string& text = snapshot_[path];
         const std::string n = std::to_string(++counter_);
-        switch (rng_() % 4) {
+        switch (rng_() % 5) {
           case 0: // benign declaration: fingerprints shift, findings don't
             text += "int probe_" + n + ";\n";
             break;
@@ -149,6 +202,17 @@ class EditSession
           case 2: // parse damage: error-recovery must stay byte-stable
             text += "int broken_" + n + "(\n";
             break;
+          case 3: { // remove the last routine an edit added, if any
+            const std::size_t at = text.rfind("void extra_");
+            if (at != std::string::npos) {
+                const std::size_t eol = text.find('\n', at);
+                text.erase(at, eol == std::string::npos ? std::string::npos
+                                                        : eol + 1 - at);
+                break;
+            }
+            text = original_.at(path);
+            break;
+          }
           default: // revert to the pristine generated source
             text = original_.at(path);
             break;
@@ -187,7 +251,7 @@ class EditSession
 };
 
 void
-runSession(std::uint32_t seed, int steps)
+runSession(std::uint32_t seed, int steps, const SessionOptions& options = {})
 {
     SCOPED_TRACE("edit-session seed " + std::to_string(seed));
     Daemon daemon({});
@@ -200,8 +264,8 @@ runSession(std::uint32_t seed, int steps)
         if (step > 0)
             session.mutate(daemon);
         const std::vector<std::string> files = session.someFiles();
-        JsonValue result = daemonCheck(daemon, files);
-        BatchResult batch = batchRun(session.snapshot(), files);
+        JsonValue result = daemonCheck(daemon, files, options);
+        BatchResult batch = batchRun(session.snapshot(), files, options);
         ASSERT_NE(result.get("output"), nullptr);
         EXPECT_EQ(result.get("output")->asString(), batch.output);
         EXPECT_EQ(result.get("exit_code")->asInt(), batch.exit_code);
@@ -221,6 +285,22 @@ TEST(DaemonProperty, EditSessionsMatchBatchSeed2)
 TEST(DaemonProperty, EditSessionsMatchBatchSeed3)
 {
     runSession(424242, 10);
+}
+
+TEST(DaemonProperty, EditSessionsMatchBatchWithWitness)
+{
+    SessionOptions options;
+    options.witness = true;
+    runSession(1, 16, options);
+    runSession(31337, 16, options);
+}
+
+TEST(DaemonProperty, EditSessionsMatchBatchPruneCorrelated)
+{
+    SessionOptions options;
+    options.prune = metal::PruneStrategy::Correlated;
+    runSession(2, 16, options);
+    runSession(8675309, 16, options);
 }
 
 /** Re-checking an unchanged snapshot must fully reuse resident state —

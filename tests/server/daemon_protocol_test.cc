@@ -5,15 +5,20 @@
  * error response — and must NOT poison the daemon, which is proved by
  * following each failure with a healthy request. Also pins the
  * open/change/close document semantics and the admission-control and
- * shutdown behavior of the wire loop.
+ * shutdown behavior of the wire loop, and that the daemon's phase
+ * timers account for a re-check's wall time.
  */
 #include "server/daemon.h"
 
+#include "corpus/generator.h"
+#include "corpus/profile.h"
 #include "server/protocol.h"
 #include "support/fault_injection.h"
+#include "support/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
 
@@ -333,6 +338,90 @@ TEST(DaemonProtocol, ShutdownAcknowledges)
     ASSERT_EQ(errorCode(resp), 0);
     EXPECT_TRUE(resp.get("result")->get("ok")->asBool());
     EXPECT_TRUE(daemon.shutdownRequested());
+}
+
+/** A document request line for `method` ("open" or "change"). */
+std::string
+documentLine(const char* method, const std::string& path,
+             const std::string& text)
+{
+    JsonValue params = JsonValue::object();
+    params.set("path", JsonValue::string(path));
+    params.set("text", JsonValue::string(text));
+    JsonValue request = JsonValue::object();
+    request.set("method", JsonValue::string(method));
+    request.set("params", std::move(params));
+    return request.dump();
+}
+
+TEST(DaemonProtocol, PhaseTimersAddUpToTheRecheckWallTime)
+{
+    // The daemon's top-level phase timers are disjoint and, together,
+    // cover a re-check: over 200 one-file dyn_ptr re-checks they must
+    // account for the wall time of handleRequestLine within 15%.
+    static const char* const kTopLevel[] = {
+        "server.decode",      "server.prepare", "resident.lookup",
+        "phase.units",        "phase.merge",    "phase.program_pass",
+        "phase.emit",         "server.encode"};
+    support::MetricsRegistry& metrics = support::MetricsRegistry::global();
+    const bool was_enabled = metrics.enabled();
+    metrics.setEnabled(true);
+    auto timed = [&metrics] {
+        std::uint64_t ns = 0;
+        for (const char* name : kTopLevel)
+            ns += metrics.timer(name).totalNanos();
+        return ns;
+    };
+
+    const corpus::GeneratedProtocol gen =
+        corpus::generateProtocol(corpus::profileByName("dyn_ptr"));
+    DaemonOptions options;
+    options.default_jobs = 1;
+    Daemon daemon(options);
+    JsonValue files = JsonValue::array();
+    for (const corpus::GeneratedFile& file : gen.files) {
+        ASSERT_EQ(errorCode(response(
+                      daemon, documentLine("open", file.name, file.source))),
+                  0);
+        files.push(JsonValue::string(file.name));
+    }
+    JsonValue params = JsonValue::object();
+    params.set("files", std::move(files));
+    params.set("format", JsonValue::string("json"));
+    JsonValue request = JsonValue::object();
+    request.set("method", JsonValue::string("check"));
+    request.set("params", std::move(params));
+    const std::string check = request.dump();
+    const JsonValue cold = response(daemon, check);
+    ASSERT_EQ(errorCode(cold), 0);
+
+    using Clock = std::chrono::steady_clock;
+    std::uint64_t wall_ns = 0;
+    std::uint64_t timed_ns = 0;
+    for (int edit = 1; edit <= 200; ++edit) {
+        const corpus::GeneratedFile& file =
+            gen.files[static_cast<std::size_t>(edit * 37) % gen.files.size()];
+        daemon.handleRequestLine(documentLine(
+            "change", file.name,
+            file.source + "\nextern int timer_edit_" +
+                std::to_string(edit) + ";\n"));
+        const std::uint64_t before = timed();
+        const Clock::time_point t0 = Clock::now();
+        const std::string line = daemon.handleRequestLine(check);
+        wall_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t0)
+                .count());
+        timed_ns += timed() - before;
+        ASSERT_NE(line.find("\"exit_code\": 1"), std::string::npos);
+    }
+    metrics.setEnabled(was_enabled);
+
+    ASSERT_GT(wall_ns, 0u);
+    const double covered =
+        static_cast<double>(timed_ns) / static_cast<double>(wall_ns);
+    EXPECT_GE(covered, 0.85) << timed_ns << " of " << wall_ns << " ns";
+    EXPECT_LE(covered, 1.0) << timed_ns << " of " << wall_ns << " ns";
 }
 
 } // namespace

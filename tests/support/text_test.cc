@@ -60,6 +60,48 @@ TEST(Text, FormatTableAligns)
     EXPECT_EQ(pos_header, pos_row);
 }
 
+TEST(Text, JsonPlainRunEndStopsAtTheFirstSpecialByte)
+{
+    // The word-at-a-time scan must stop exactly where a byte-by-byte
+    // scan does, whatever the alignment, the position of the special
+    // byte inside its word, and the bytes around it (high bytes and
+    // bytes just above the thresholds included).
+    auto special = [](unsigned char c) {
+        return c < 0x20 || c == '"' || c == '\\';
+    };
+    const unsigned char fillers[] = {'a', 0x20, 0x21, 0x23, 0x5b, 0x5d,
+                                     0x7f, 0x80, 0xa2, 0xdc, 0xff};
+    const unsigned char specials[] = {0x00, 0x01, 0x1f, '"', '\\'};
+    int checked = 0;
+    for (unsigned char fill : fillers) {
+        for (unsigned char hit : specials) {
+            for (std::size_t at = 0; at < 24; ++at) {
+                std::string buf(40, static_cast<char>(fill));
+                buf[at] = static_cast<char>(hit);
+                if (at + 3 < buf.size())
+                    buf[at + 3] = '"'; // a second special after the first
+                for (std::size_t from = 0; from <= at; ++from) {
+                    const char* p = buf.data() + from;
+                    const char* end = buf.data() + buf.size();
+                    const char* want = p;
+                    while (want != end &&
+                           !special(static_cast<unsigned char>(*want)))
+                        ++want;
+                    EXPECT_EQ(support::jsonPlainRunEnd(p, end), want)
+                        << int(fill) << " " << int(hit) << " " << at << " "
+                        << from;
+                    ++checked;
+                }
+            }
+        }
+    }
+    // No special byte at all: the scan runs to the end.
+    std::string plain(37, 'x');
+    EXPECT_EQ(support::jsonPlainRunEnd(plain.data(), plain.data() + 37),
+              plain.data() + 37);
+    EXPECT_GT(checked, 10000);
+}
+
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(42);
